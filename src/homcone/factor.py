@@ -11,23 +11,36 @@ inputs, which is what trivially perfect orderings buy.  Factorization
 success doubles as the interior membership test for the sparse PSD cone
 (`cholesky`) and for the completable cone (`maxdet_factor`).
 
-Kernels never modify their inputs; each call owns a private workspace, so
+Each sweep runs the level schedule of its :class:`~homcone.matrix.Structure`:
+one batched numpy step per batch of same-depth nodes, on stacked
+``(k, d+1, d+1)`` frontal blocks of at most
+:data:`~homcone.matrix.BATCH_FLOATS` floats.  The batches form a tree (a
+batch's parents sit in one batch), swept children's batches before their
+parents' bottom-up and parents' before children's top-down, otherwise in
+the order of node positions; only the blocks of batches whose consumer is
+still pending are held.
+Children's update blocks reach their parent by a scatter in ascending
+sibling order; the ancestor-chain products and substitutions run for all
+columns at once in one loop over depths (:func:`~homcone.matrix._chain`);
+and every batched product reproduces the per-node BLAS call.  Results are
+therefore bitwise those of visiting the nodes one at a time, and a failing
+pivot is reported at the node where that one-at-a-time sweep stops.
+
+Kernels never modify their inputs and keep all sweep state in locals, so
 concurrent calls on shared inputs are safe.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotCompletable, NotPositiveDefinite, SingularFactor, StructuralError
-from .matrix import LowerSparse, Structure, SymSparse, _check_same
+from .errors import NotCompletable, NotPositiveDefinite, SingularFactor
+from .matrix import LowerSparse, Structure, SymSparse, _chain, _check_same
 
 __all__ = [
     "CholFactor",
-    "FrontalWorkspace",
     "cholesky",
     "forward_map",
     "adjoint_map",
@@ -40,7 +53,6 @@ __all__ = [
     "dual_barrier",
     "hess_apply",
     "inv_hess_apply",
-    "peak_frontal_footprint",
 ]
 
 #: Pivot threshold separating a boundary matrix from roundoff noise.
@@ -62,98 +74,54 @@ class CholFactor:
         return 2.0 * float(np.sum(np.log(self.L.diag)))
 
 
-class FrontalWorkspace:
-    """Update-matrix store for one multifrontal sweep.
-
-    Each node's block is pushed exactly once and popped exactly once (by
-    the parent in a bottom-up sweep, by the children in a top-down one).
-    Single-use: not shareable across threads or sweeps.
-    """
-
-    __slots__ = ("_pending",)
-
-    def __init__(self):
-        self._pending: dict = {}
-
-    def push(self, node: int, block: np.ndarray) -> None:
-        if node in self._pending:
-            raise StructuralError(f"update block for node {node} pushed twice")
-        self._pending[node] = block
-
-    def pop(self, node: int) -> np.ndarray:
-        return self._pending.pop(node)
-
-    def drained(self) -> bool:
-        return not self._pending
+def _up(s: Structure):
+    """Bottom-up sweep, children's batches first.  Yields each batch with
+    the store the kernel leaves its frontal blocks in, by batch id; from
+    row and column 1 on they hold the updates for the parents (see
+    ``Batch.kids``)."""
+    done = {}
+    for b in s.up_order:
+        yield b, done
+        for c in b.children:
+            del done[c]
 
 
-def peak_frontal_footprint(struct: Structure) -> int:
-    """Largest number of floats simultaneously live in update blocks plus
-    the current frontal block during a bottom-up sweep (symbolic)."""
-    live = 0
-    peak = 0
-    for i in range(struct.n):
-        d = struct.depth[i]
-        peak = max(peak, live + (d + 1) ** 2)
-        for c in struct.pos_children[i]:
-            live -= (struct.depth[c]) ** 2
-        live += d * d
-    return peak
+def _down(s: Structure):
+    """Top-down sweep, parents' batches first.  Yields each batch with its
+    nodes' parent blocks, shape (k, d, d), and a (k, d+1, d+1) block the
+    kernel fills (see :func:`_finish`)."""
+    done = {}
+    for b in s.down_order:
+        k, d1 = b.slots.shape
+        if b.parent < 0:
+            v = np.zeros((k, 0, 0))
+        else:
+            v = done[b.parent][b.up]
+            if b.last:
+                del done[b.parent]
+        pack = np.empty((k, d1, d1))
+        yield b, v, pack
+        if b.children:
+            done[b.id] = pack
 
 
-def _chain(struct: Structure, i: int):
-    """Ancestor positions of column i (its subdiagonal row indices)."""
-    a, b = int(struct.bar_ptr[i]), int(struct.bar_ptr[i + 1])
-    return struct.bar_rows[a + 1:b]
+def _add_kids(f, b, done):
+    """Add the children's update blocks to the frontal blocks ``f``, child
+    batch by child batch and one sibling rank at a time, so each parent
+    takes its children in ascending position order."""
+    for c, pl, ci in b.kids:
+        f[pl] += done[c][ci, 1:, 1:]
 
 
-def _chain_matvec(struct, lv, i, x):
-    """y = L[anc(i), anc(i)] @ x using column slices of L."""
-    y = np.zeros_like(x)
-    ptr = struct.bar_ptr
-    for t, j in enumerate(_chain(struct, i)):
-        if x[t] != 0.0:
-            y[t:] += x[t] * lv[ptr[j]:ptr[j + 1]]
-    return y
-
-
-def _chain_matvec_t(struct, lv, i, x):
-    """y = L[anc(i), anc(i)].T @ x."""
-    y = np.empty_like(x)
-    ptr = struct.bar_ptr
-    for t, j in enumerate(_chain(struct, i)):
-        y[t] = np.dot(lv[ptr[j]:ptr[j + 1]], x[t:])
-    return y
-
-
-def _chain_solve(struct, lv, i, b):
-    """Solve L[anc(i), anc(i)] y = b by forward substitution."""
-    y = b.copy()
-    ptr = struct.bar_ptr
-    for t, j in enumerate(_chain(struct, i)):
-        ja = int(ptr[j])
-        d = lv[ja]
-        if d == 0.0:
-            raise SingularFactor(column=struct.ordering.sigma[j])
-        y[t] /= d
-        if y[t] != 0.0:
-            y[t + 1:] -= y[t] * lv[ja + 1:ptr[j + 1]]
-    return y
-
-
-def _chain_solve_t(struct, lv, i, b):
-    """Solve L[anc(i), anc(i)].T y = b by backward substitution."""
-    y = b.copy()
-    ptr = struct.bar_ptr
-    chain = _chain(struct, i)
-    for t in range(len(chain) - 1, -1, -1):
-        j = chain[t]
-        ja = int(ptr[j])
-        d = lv[ja]
-        if d == 0.0:
-            raise SingularFactor(column=struct.ordering.sigma[j])
-        y[t] = (y[t] - np.dot(lv[ja + 1:ptr[j + 1]], y[t + 1:])) / d
-    return y
+def _finish(out, b, pack, a00, a10, a01, v):
+    """Store a top-down batch's result column [a00; a10] and, when the
+    batch has children, border their block: [[a00, a01^T], [a10, v]]."""
+    pack[:, 0, 0] = a00
+    pack[:, 1:, 0] = a10
+    out[b.cols] = pack[:, :, 0]
+    if b.children:
+        pack[:, 0, 1:] = a01
+        pack[:, 1:, 1:] = v
 
 
 def cholesky(X: SymSparse, eps: float = PIVOT_EPS) -> CholFactor:
@@ -162,31 +130,39 @@ def cholesky(X: SymSparse, eps: float = PIVOT_EPS) -> CholFactor:
     At each node the frontal block is the node's column bordered by the
     children's update blocks; a pivot at or below ``eps * (1 + |X_ii|)``
     raises :class:`NotPositiveDefinite`, which is exactly the test for X
-    lying in the interior of the sparse PSD cone.
+    lying in the interior of the sparse PSD cone.  The node reported is
+    the lowest failing position: every node below it succeeded, so it is
+    where a sweep in ascending position order stops.
     """
     s = X.struct
     xv = X.vals
+    floor = eps * (1.0 + np.abs(xv[s.bar_ptr[:-1]]))
     out = np.zeros(s.dim)
-    ws = FrontalWorkspace()
-    ptr = s.bar_ptr
-    for i in range(s.n):
-        d = s.depth[i]
-        a = int(ptr[i])
-        f = np.zeros((d + 1, d + 1))
-        f[0, 0] = xv[a]
-        f[1:, 0] = xv[a + 1:a + 1 + d]
-        f[0, 1:] = f[1:, 0]
-        for c in s.pos_children[i]:
-            f += ws.pop(c)
-        pivot = f[0, 0]
-        if pivot <= eps * (1.0 + abs(xv[a])):
-            raise NotPositiveDefinite(node=s.ordering.sigma[i], value=pivot)
-        lii = math.sqrt(pivot)
-        sub = f[1:, 0] / lii
-        out[a] = lii
-        out[a + 1:a + 1 + d] = sub
-        if s.pos_parent[i] != i:
-            ws.push(i, f[1:, 1:] - np.outer(sub, sub))
+    failed = None
+    for b, done in _up(s):
+        if failed is not None and failed[0] < b.lowest:
+            break
+        f = np.zeros(b.slots.shape + b.slots.shape[1:])
+        f[:, :, 0] = xv[b.cols]
+        _add_kids(f, b, done)
+        pivot = f[:, 0, 0]
+        fail = pivot <= floor[b.at]
+        if np.count_nonzero(fail):
+            # batches are grouped by parent, not sorted by position
+            i = np.flatnonzero(fail)
+            i = i[np.argmin(b.nodes[i])]
+            if failed is None or b.nodes[i] < failed[0]:
+                failed = (b.nodes[i], pivot[i])
+            # the sweep goes on only to find lower failures
+            pivot = np.where(fail, np.inf, pivot)
+        lii = np.sqrt(pivot)
+        f[:, 1:, 0] /= lii[:, None]
+        f[:, 0, 0] = lii
+        out[b.cols] = f[:, :, 0]
+        f[:, 1:, 1:] -= f[:, 1:, :1] * f[:, None, 1:, 0]
+        done[b.id] = f
+    if failed is not None:
+        raise NotPositiveDefinite(node=s.ordering.sigma[failed[0]], value=failed[1])
     return CholFactor(LowerSparse(s, out))
 
 
@@ -196,29 +172,22 @@ def forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
     s = L.struct
     lv, xv = L.vals, X.vals
     out = np.zeros(s.dim)
-    ws = FrontalWorkspace()
-    ptr = s.bar_ptr
-    for i in range(s.n):
-        d = s.depth[i]
-        a = int(ptr[i])
-        lii = lv[a]
-        lsub = lv[a + 1:a + 1 + d]
-        xii = xv[a]
-        w = _chain_matvec(s, lv, i, xv[a + 1:a + 1 + d])
-        f = np.empty((d + 1, d + 1))
-        f[0, 0] = lii * lii * xii
-        col = lii * (xii * lsub + w)
-        f[1:, 0] = col
-        f[0, 1:] = col
-        f[1:, 1:] = xii * np.outer(lsub, lsub)
-        f[1:, 1:] += np.outer(w, lsub)
-        f[1:, 1:] += np.outer(lsub, w)
-        for c in s.pos_children[i]:
-            f -= ws.pop(c)
-        out[a] = f[0, 0]
-        out[a + 1:a + 1 + d] = f[1:, 0]
-        if s.pos_parent[i] != i:
-            ws.push(i, -f[1:, 1:])
+    chain_x = _chain(s, lv, xv, "mul")
+    for b, done in _up(s):
+        lc = lv[b.cols]
+        lii, lsub = lc[:, 0], lc[:, 1:]
+        xii = xv[b.diag]
+        w = chain_x[b.sub]
+        f = np.empty(lc.shape + lc.shape[1:])
+        f[:, 0, 0] = lii * lii * xii
+        f[:, 1:, 0] = lii[:, None] * (xii[:, None] * lsub + w)
+        f[:, 0, 1:] = f[:, 1:, 0]
+        f[:, 1:, 1:] = xii[:, None, None] * (lsub[:, :, None] * lsub[:, None, :])
+        f[:, 1:, 1:] += w[:, :, None] * lsub[:, None, :]
+        f[:, 1:, 1:] += lsub[:, :, None] * w[:, None, :]
+        _add_kids(f, b, done)
+        out[b.cols] = f[:, :, 0]
+        done[b.id] = f
     return SymSparse(s, out)
 
 
@@ -228,86 +197,51 @@ def adjoint_map(L: LowerSparse, S: SymSparse) -> SymSparse:
     _check_same(L, S)
     st = L.struct
     lv, sv = L.vals, S.vals
-    wv = np.zeros(st.dim)
-    ws = FrontalWorkspace()
-    ptr = st.bar_ptr
-    for i in range(st.n - 1, -1, -1):
-        d = st.depth[i]
-        a = int(ptr[i])
-        v = ws.pop(i) if st.pos_parent[i] != i else np.zeros((0, 0))
-        lii = lv[a]
-        lsub = lv[a + 1:a + 1 + d]
-        sii = sv[a]
-        ssub = sv[a + 1:a + 1 + d]
-        vl = v @ lsub
-        wv[a] = lii * lii * sii + 2.0 * lii * np.dot(lsub, ssub) + np.dot(lsub, vl)
-        wv[a + 1:a + 1 + d] = lii * ssub + vl
-        if st.pos_children[i]:
-            vj = np.empty((d + 1, d + 1))
-            vj[0, 0] = sii
-            vj[1:, 0] = ssub
-            vj[0, 1:] = ssub
-            vj[1:, 1:] = v
-            for c in st.pos_children[i]:
-                ws.push(c, vj)
-    out = np.zeros(st.dim)
-    for i in range(st.n):
-        a = int(ptr[i])
-        d = st.depth[i]
-        out[a] = wv[a]
-        out[a + 1:a + 1 + d] = _chain_matvec_t(st, lv, i, wv[a + 1:a + 1 + d])
-    return SymSparse(st, out)
+    wv = np.empty(st.dim)
+    for b, v, pack in _down(st):
+        lc = lv[b.cols]
+        lii, lsub = lc[:, 0], lc[:, 1:]
+        sc = sv[b.cols]
+        sii, ssub = sc[:, 0], sc[:, 1:]
+        vl = np.matvec(v, lsub)
+        wv[b.diag] = (lii * lii * sii + 2.0 * lii * np.vecdot(lsub, ssub)
+                      + np.vecdot(lsub, vl))
+        wv[b.sub] = lii[:, None] * ssub + vl
+        if b.children:
+            pack[:, :, 0] = sc
+            pack[:, 0, 1:] = ssub
+            pack[:, 1:, 1:] = v
+    return SymSparse(st, _chain(st, lv, wv, "mul_t"))
 
 
 def inverse_forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
     """Y = L^{-1} X L^{-T} without forming the inverse explicitly: the
     update blocks are rescaled so each node only divides by its own pivot
-    and solves one chain system at the end."""
+    and solves one chain system."""
     _check_same(L, X)
     s = L.struct
     lv, xv = L.vals, X.vals
-    wv = np.zeros(s.dim)
-    ws = FrontalWorkspace()
-    ptr = s.bar_ptr
-    for i in range(s.n):
-        d = s.depth[i]
-        a = int(ptr[i])
-        lii = lv[a]
-        if lii == 0.0:
-            raise SingularFactor(column=s.ordering.sigma[i])
-        lsub = lv[a + 1:a + 1 + d]
-        b00 = xv[a]
-        b01 = xv[a + 1:a + 1 + d].copy()
-        b22 = np.zeros((d, d))
-        for c in s.pos_children[i]:
-            vc = ws.pop(c)
-            b00 -= vc[0, 0]
-            b01 -= vc[1:, 0]
-            b22 -= vc[1:, 1:]
-        g00 = b00 / (lii * lii)
-        g10 = (b01 - (b00 / lii) * lsub) / lii
-        wv[a] = g00
-        wv[a + 1:a + 1 + d] = g10
-        if s.pos_parent[i] != i:
-            # the d x d update consumed whole by the parent's frontal block
-            ws.push(i, np.outer(g10, lsub) + np.outer(lsub, b01) / lii - b22)
-    out = np.zeros(s.dim)
-    for i in range(s.n):
-        a = int(ptr[i])
-        d = s.depth[i]
-        out[a] = wv[a]
-        out[a + 1:a + 1 + d] = _chain_solve(s, lv, i, wv[a + 1:a + 1 + d])
-    return SymSparse(s, out)
-
-
-def _pack_update(g00, g10, v22):
-    d = len(g10)
-    u = np.empty((d + 1, d + 1))
-    u[0, 0] = g00
-    u[1:, 0] = g10
-    u[0, 1:] = g10
-    u[1:, 1:] = v22
-    return u
+    zero = lv[s.bar_ptr[:-1]] == 0.0
+    if zero.any():
+        raise SingularFactor(column=s.ordering.sigma[np.argmax(zero)])
+    wv = np.empty(s.dim)
+    for b, done in _up(s):
+        lc = lv[b.cols]
+        lii, lsub = lc[:, 0], lc[:, 1:]
+        f = np.zeros(lc.shape + lc.shape[1:])
+        f[:, :, 0] = xv[b.cols]
+        _add_kids(f, b, done)
+        b00, b01, b22 = f[:, 0, 0], f[:, 1:, 0], f[:, 1:, 1:]
+        g10 = (b01 - (b00 / lii)[:, None] * lsub) / lii[:, None]
+        wv[b.diag] = b00 / (lii * lii)
+        wv[b.sub] = g10
+        # the d x d update consumed whole by the parent's frontal block,
+        # stored negated: b22 - (G + B) is exactly -((G + B) - b22)
+        np.subtract(b22, g10[:, :, None] * lsub[:, None, :]
+                    + lsub[:, :, None] * b01[:, None, :] / lii[:, None, None],
+                    out=b22)
+        done[b.id] = f
+    return SymSparse(s, _chain(s, lv, wv, "solve"))
 
 
 def inverse_adjoint_map(L: LowerSparse, S: SymSparse) -> SymSparse:
@@ -315,33 +249,31 @@ def inverse_adjoint_map(L: LowerSparse, S: SymSparse) -> SymSparse:
     _check_same(L, S)
     st = L.struct
     lv, sv = L.vals, S.vals
-    wv = np.zeros(st.dim)
-    ptr = st.bar_ptr
-    for i in range(st.n):
-        a = int(ptr[i])
-        d = st.depth[i]
-        wv[a] = sv[a]
-        wv[a + 1:a + 1 + d] = _chain_solve_t(st, lv, i, sv[a + 1:a + 1 + d])
+    zero = lv[st.bar_ptr[:-1]] == 0.0
+    if zero.any():
+        # the scalar sweep first solves every chain, columns ascending and
+        # each chain from the top, then divides by pivots descending
+        ptr, rows = st.bar_ptr, st.bar_rows
+        hit = zero[rows]
+        hit[ptr[:-1]] = False
+        if hit.any():
+            k = np.searchsorted(ptr, np.argmax(hit), side="right") - 1
+            chain = rows[ptr[k] + 1:ptr[k + 1]]
+            j = chain[zero[chain]][-1]
+        else:
+            j = np.flatnonzero(zero)[-1]
+        raise SingularFactor(column=st.ordering.sigma[j])
+    wv = _chain(st, lv, sv, "solve_t")
     out = np.zeros(st.dim)
-    ws = FrontalWorkspace()
-    for i in range(st.n - 1, -1, -1):
-        d = st.depth[i]
-        a = int(ptr[i])
-        lii = lv[a]
-        if lii == 0.0:
-            raise SingularFactor(column=st.ordering.sigma[i])
-        lsub = lv[a + 1:a + 1 + d]
-        v = ws.pop(i) if st.pos_parent[i] != i else np.zeros((0, 0))
-        w = wv[a + 1:a + 1 + d]
-        vl = v @ lsub
-        yii = (wv[a] - 2.0 * np.dot(lsub, w) + np.dot(lsub, vl)) / (lii * lii)
-        ysub = (w - vl) / lii
-        out[a] = yii
-        out[a + 1:a + 1 + d] = ysub
-        if st.pos_children[i]:
-            vj = _pack_update(yii, ysub, v)
-            for c in st.pos_children[i]:
-                ws.push(c, vj)
+    for b, v, pack in _down(st):
+        lc = lv[b.cols]
+        lii, lsub = lc[:, 0], lc[:, 1:]
+        wc = wv[b.cols]
+        w = wc[:, 1:]
+        vl = np.matvec(v, lsub)
+        yii = (wc[:, 0] - 2.0 * np.vecdot(lsub, w) + np.vecdot(lsub, vl)) / (lii * lii)
+        ysub = (w - vl) / lii[:, None]
+        _finish(out, b, pack, yii, ysub, ysub, v)
     return SymSparse(st, out)
 
 
@@ -351,22 +283,12 @@ def projected_inverse(F: CholFactor) -> SymSparse:
     st = F.struct
     lv = F.L.vals
     out = np.zeros(st.dim)
-    ws = FrontalWorkspace()
-    ptr = st.bar_ptr
-    for i in range(st.n - 1, -1, -1):
-        d = st.depth[i]
-        a = int(ptr[i])
-        lii = lv[a]
-        lsub = lv[a + 1:a + 1 + d]
-        v = ws.pop(i) if st.pos_parent[i] != i else np.zeros((0, 0))
-        ysub = -(v @ lsub) / lii
-        yii = (1.0 / lii - np.dot(lsub, ysub)) / lii
-        out[a] = yii
-        out[a + 1:a + 1 + d] = ysub
-        if st.pos_children[i]:
-            vj = _pack_update(yii, ysub, v)
-            for c in st.pos_children[i]:
-                ws.push(c, vj)
+    for b, v, pack in _down(st):
+        lc = lv[b.cols]
+        lii, lsub = lc[:, 0], lc[:, 1:]
+        ysub = -np.matvec(v, lsub) / lii[:, None]
+        yii = (1.0 / lii - np.vecdot(lsub, ysub)) / lii
+        _finish(out, b, pack, yii, ysub, ysub, v)
     return SymSparse(st, out)
 
 
@@ -378,34 +300,35 @@ def maxdet_factor(S: SymSparse, eps: float = PIVOT_EPS) -> CholFactor:
     Runs top-down, passing the already-computed ancestor block of L to each
     child.  A nonpositive Schur complement raises :class:`NotCompletable`,
     which is exactly the test for S lying in the interior of the
-    completable cone.
+    completable cone.  The node reported is the highest failing position:
+    every node above it succeeded, so it is where a sweep in descending
+    position order stops.
     """
     st = S.struct
     sv = S.vals
+    floor = eps * (1.0 + np.abs(sv[st.bar_ptr[:-1]]))
     out = np.zeros(st.dim)
-    ws = FrontalWorkspace()
-    ptr = st.bar_ptr
-    for i in range(st.n - 1, -1, -1):
-        d = st.depth[i]
-        a = int(ptr[i])
-        v = ws.pop(i) if st.pos_parent[i] != i else np.zeros((0, 0))
-        sii = sv[a]
-        ssub = sv[a + 1:a + 1 + d]
-        u = v.T @ ssub
-        r = sii - np.dot(u, u)
-        if r <= eps * (1.0 + abs(sii)):
-            raise NotCompletable(node=st.ordering.sigma[i], value=r)
-        lii = 1.0 / math.sqrt(r)
-        lsub = -lii * (v @ u)
-        out[a] = lii
-        out[a + 1:a + 1 + d] = lsub
-        if st.pos_children[i]:
-            vj = np.zeros((d + 1, d + 1))
-            vj[0, 0] = lii
-            vj[1:, 0] = lsub
-            vj[1:, 1:] = v
-            for c in st.pos_children[i]:
-                ws.push(c, vj)
+    failed = None
+    for b, v, pack in _down(st):
+        if failed is not None and failed[0] > b.highest:
+            break
+        sc = sv[b.cols]
+        sii, ssub = sc[:, 0], sc[:, 1:]
+        u = np.vecmat(ssub, v)
+        r = sii - np.vecdot(u, u)
+        fail = r <= floor[b.at]
+        if np.count_nonzero(fail):
+            i = np.flatnonzero(fail)
+            i = i[np.argmax(b.nodes[i])]
+            if failed is None or b.nodes[i] > failed[0]:
+                failed = (b.nodes[i], r[i])
+            # the sweep goes on only to find higher failures
+            r = np.where(fail, np.inf, r)
+        lii = 1.0 / np.sqrt(r)
+        lsub = -lii[:, None] * np.matvec(v, u)
+        _finish(out, b, pack, lii, lsub, 0.0, v)
+    if failed is not None:
+        raise NotCompletable(node=st.ordering.sigma[failed[0]], value=failed[1])
     return CholFactor(LowerSparse(st, out))
 
 
@@ -416,19 +339,12 @@ def dual_gradient(Lhat: CholFactor) -> SymSparse:
     st = Lhat.struct
     lv = Lhat.L.vals
     out = np.zeros(st.dim)
-    ws = FrontalWorkspace()
-    ptr = st.bar_ptr
-    for i in range(st.n):
-        d = st.depth[i]
-        a = int(ptr[i])
-        ell = lv[a:a + 1 + d]
-        f = np.outer(ell, ell)
-        for c in st.pos_children[i]:
-            f -= ws.pop(c)
-        out[a] = f[0, 0]
-        out[a + 1:a + 1 + d] = f[1:, 0]
-        if st.pos_parent[i] != i:
-            ws.push(i, -f[1:, 1:])
+    for b, done in _up(st):
+        ell = lv[b.cols]
+        f = ell[:, :, None] * ell[:, None, :]
+        _add_kids(f, b, done)
+        out[b.cols] = f[:, :, 0]
+        done[b.id] = f
     return SymSparse(st, out)
 
 

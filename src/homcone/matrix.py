@@ -4,8 +4,9 @@ Matrices are stored column-compressed: column j holds the diagonal entry
 followed by the entries on the ancestor chain of j, so every kernel reads
 exactly the (j, ancestors-of-j) slices it recurses over.  A ``Structure``
 compiles a pattern plus a trivially perfect elimination ordering into those
-slice tables once; symmetric (:class:`SymSparse`) and lower-triangular
-(:class:`LowerSparse`) values share it.
+slice tables, and into the level schedule the kernels sweep, once;
+symmetric (:class:`SymSparse`) and lower-triangular (:class:`LowerSparse`)
+values share it.
 
 General chordal orderings are rejected at construction: the closure
 properties used by every operation here (triangular products and inverses
@@ -17,6 +18,7 @@ operation writes to its inputs, so concurrent use is safe.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Optional
 
 import numpy as np
@@ -50,6 +52,84 @@ __all__ = [
 ]
 
 
+#: Floats of stacked frontal block one kernel step may hold: a batch of
+#: nodes at depth d has at most ``max(1, BATCH_FLOATS // (d+1)^2)`` nodes,
+#: so a step's blocks stay in cache on deep trees.
+BATCH_FLOATS = 1 << 15
+
+
+def _index(idx: list):
+    """An index list as a slice when it is a run of consecutive ascending
+    integers, so that indexing by it makes a view instead of a copy."""
+    if len(idx) == 1 or idx == list(range(idx[0], idx[0] + len(idx))):
+        return slice(idx[0], idx[0] + len(idx))
+    return np.array(idx, dtype=np.int64)
+
+
+def _topological(batches, ready, after, key, waits) -> list:
+    """Order ``batches`` so each comes after every batch it waits for.
+    ``ready`` are the ids waiting on none, ``after(b)`` the ids waiting on
+    b, and ``waits[id]`` how many batches that id waits on; among ready
+    batches the one of smallest ``key[id]`` goes first."""
+    heap = [(key[i], i) for i in ready]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        b = batches[heapq.heappop(heap)[1]]
+        order.append(b)
+        for i in after(b):
+            waits[i] -= 1
+            if not waits[i]:
+                heapq.heappush(heap, (key[i], i))
+    return order
+
+
+class Batch:
+    """Same-depth nodes that one kernel step handles together.
+
+    Every node of a batch has its parent in the same batch one level up,
+    so batches form a tree.  Kernels sweep it in ``Structure.up_order`` /
+    ``down_order``, which follow node positions as closely as the tree
+    allows; on deep trees a batch is one node and the sweep is the
+    node-by-node one, so a batch's blocks are consumed soon after they are
+    made and only those of batches whose consumer is pending are held.
+
+    Attributes
+    ----------
+    id : index in ``Structure.batches``.
+    nodes : positions of the batch's nodes, shape (k,).
+    slots : value slots of their columns, shape (k, d+1), diagonal first.
+    cols, diag, sub, at : indices selecting, as (k, d+1), (k,) and (k, d)
+        arrays, the batch's columns, their diagonal and subdiagonal slots
+        from a value array, and its nodes from a per-position array.
+    parent : id of the batch holding the parents (-1 for roots).
+    up : index (or slice) of each node's parent within that batch.
+    children : ids of the batches holding the children.
+    kids : ``(child batch, parents, children)`` per child batch and
+        sibling rank within it, in the order their updates are added: the
+        batch-local index of each parent with such a child and that
+        child's index in its batch.
+    last : whether this is the last of its parent's child batches that a
+        top-down sweep visits.
+    lowest, highest : lowest position in this and all later batches of
+        ``up_order``; highest in this and all later batches of
+        ``down_order``.
+    """
+
+    __slots__ = ("id", "nodes", "slots", "cols", "diag", "sub", "at", "parent",
+                 "up", "children", "kids", "last", "lowest", "highest")
+
+
+class Level:
+    """The nodes of one tree depth d (children grouped by parent, in the
+    order of the parents) and their column slots, shape (k, d+1)."""
+
+    __slots__ = ("nodes", "slots")
+
+    def __init__(self, nodes, slots):
+        self.nodes, self.slots = nodes, slots
+
+
 class Structure:
     """Pattern + ordering + elimination tree compiled to column tables.
 
@@ -64,13 +144,21 @@ class Structure:
     depth : number of ancestors per position (= subdiagonal count).
     weights : 1.0 on diagonal slots, 2.0 on subdiagonal slots; makes the
         trace inner product a plain weighted dot.
+    levels : ``levels[d]`` is the :class:`Level` of the nodes at depth d.
+        Nodes of one depth have same-shape frontal blocks and are
+        independent, and a child's update block has its parent's frontal
+        shape, because anc(c) = {p} + anc(p).
+    batches, up_order, down_order : the level schedule every kernel runs:
+        the :class:`Batch` es, children's before their parents' (bottom-up
+        sweeps) and parents' before their children's (top-down sweeps).
     """
 
     __slots__ = (
         "pattern", "ordering", "etree", "n", "nnz",
-        "pos_parent", "pos_children", "depth",
+        "pos_parent", "depth", "levels", "batches", "up_order", "down_order",
         "bar_ptr", "bar_rows", "weights",
         "_row_vertex", "_col_vertex", "_snodes",
+        "_level_index", "_ends_deep_first", "_at_least",
     )
 
     def __init__(self, pattern: SparsityPattern, ordering: Ordering,
@@ -82,50 +170,166 @@ class Structure:
         if etree is None:
             etree = build_etree(pattern, ordering)
         n = pattern.n
-        sigma = ordering.sigma
         pos = ordering.sigma_inv
-        pos_parent = [pos[etree.parent[sigma[q]]] for q in range(n)]
-        children: list[list[int]] = [[] for _ in range(n)]
-        for q, p in enumerate(pos_parent):
-            if p != q:
-                if p < q:
-                    raise OrderingError("elimination tree points below the diagonal")
-                children[p].append(q)
-        depth = [0] * n
+        par = [pos[etree.parent[v]] for v in ordering.sigma]
+        if any(p < q for q, p in enumerate(par)):
+            raise OrderingError("elimination tree points below the diagonal")
+        dep = [0] * n
         for q in range(n - 1, -1, -1):
-            p = pos_parent[q]
-            if p != q:
-                depth[q] = depth[p] + 1
+            if par[q] != q:
+                dep[q] = dep[par[q]] + 1
+        depth = np.array(dep, dtype=np.int64)
         bar_ptr = np.zeros(n + 1, dtype=np.int64)
-        for q in range(n):
-            bar_ptr[q + 1] = bar_ptr[q] + 1 + depth[q]
-        nnz = int(bar_ptr[n]) - n
-        bar_rows = np.empty(n + nnz, dtype=np.int64)
-        col_ids = np.empty(n + nnz, dtype=np.int64)
-        for q in range(n):
-            w = q
-            base = bar_ptr[q]
-            for t in range(depth[q] + 1):
-                bar_rows[base + t] = w
-                w = pos_parent[w]
-            col_ids[base:bar_ptr[q + 1]] = q
-        weights = np.full(n + nnz, 2.0)
-        weights[bar_ptr[:-1]] = 1.0
-        sig = np.asarray(sigma, dtype=np.int64)
+        np.cumsum(depth + 1, out=bar_ptr[1:])
         self.pattern = pattern
         self.ordering = ordering
         self.etree = etree
         self.n = n
-        self.nnz = nnz
-        self.pos_parent = tuple(pos_parent)
-        self.pos_children = tuple(tuple(c) for c in children)
-        self.depth = tuple(depth)
+        self.nnz = int(bar_ptr[n]) - n
+        self.pos_parent = tuple(par)
+        self.depth = tuple(dep)
         self.bar_ptr = bar_ptr
-        self.bar_rows = bar_rows
-        self.weights = weights
-        self._row_vertex = sig[bar_rows]
-        self._col_vertex = sig[col_ids]
+        # slot t >= 1 of a column holds what slot t-1 of its parent's column
+        # holds, so a column's rows are its own index followed by its
+        # parent's rows; follow those links, doubling their reach, until
+        # every slot points at the diagonal of the column it names
+        col = np.repeat(np.arange(n), depth + 1)
+        link = np.arange(-1, self.dim - 1) + (bar_ptr[par] - bar_ptr[:-1])[col]
+        link[bar_ptr[:-1]] = bar_ptr[:-1]
+        reach, top = 1, max(dep, default=0)
+        while reach < top:
+            link = link[link]
+            reach *= 2
+        self.bar_rows = col[link]
+        self._compile(par)
+        self.weights = np.full(self.dim, 2.0)
+        self.weights[bar_ptr[:-1]] = 1.0
+        sig = np.asarray(ordering.sigma, dtype=np.int64)
+        self._row_vertex = sig[self.bar_rows]
+        self._col_vertex = sig[col]
         self._snodes = None
+
+    def _compile(self, par: list) -> None:
+        """Compile the level schedule.  Every index table is O(dim)."""
+        n, ptr = self.n, self.bar_ptr
+        kids = [[] for _ in range(n)]
+        roots = []
+        for q, p in enumerate(par):
+            (roots if p == q else kids[p]).append(q)
+        # levels: the roots, then each level's children grouped by parent
+        levels = [roots]
+        while True:
+            nxt = [c for p in levels[-1] for c in kids[p]]
+            if not nxt:
+                break
+            levels.append(nxt)
+        level_index = [0] * n
+        for lv in levels:
+            for i, q in enumerate(lv):
+                level_index[q] = i
+        order = np.array([q for lv in levels for q in lv], dtype=np.int64)
+        # the columns' slots in level order, where level d is a (k, d+1) block
+        width = ptr[order + 1] - ptr[order]
+        flat = np.arange(self.dim) + np.repeat(ptr[order] + width - np.cumsum(width), width)
+        self.levels, batches, batch_of = [], [], [0] * n
+        start, low, high = [], [], []  # per batch: level index, node range
+        col_at = ptr.tolist()
+        at = fat = 0
+        for d, lv in enumerate(levels):
+            k = len(lv)
+            nodes = order[at:at + k]
+            slots = flat[fat:fat + k * (d + 1)].reshape(k, d + 1)
+            at += k
+            fat += k * (d + 1)
+            self.levels.append(Level(nodes, slots))
+            # batches: runs of nodes under one parent batch, capped in size
+            cap = max(1, BATCH_FLOATS // (d + 1) ** 2)
+            if d:
+                up = [level_index[par[q]] for q in lv]
+                under = [batch_of[par[q]] for q in lv]
+                # children of one parent are consecutive, ascending by
+                # position; a child's rank among them orders its update
+                rank = [0] * k
+                for j in range(1, k):
+                    if up[j] == up[j - 1]:
+                        rank[j] = rank[j - 1] + 1
+            lo = 0
+            for i in range(1, k + 1):
+                if i < k and i - lo < cap and (d == 0 or under[i] == under[lo]):
+                    continue
+                b = Batch()
+                b.id, b.nodes, b.slots = len(batches), nodes[lo:i], slots[lo:i]
+                start.append(lo)
+                low.append(min(lv[lo:i]))
+                high.append(max(lv[lo:i]))
+                if i - lo == 1:
+                    # one column: index it by slices, which numpy serves
+                    # as views instead of gathers
+                    q = lv[lo]
+                    a = col_at[q]
+                    b.cols, b.diag = (None, slice(a, a + d + 1)), slice(a, a + 1)
+                    b.sub, b.at = (None, slice(a + 1, a + d + 1)), slice(q, q + 1)
+                else:
+                    b.cols, b.diag, b.sub, b.at = b.slots, b.slots[:, 0], b.slots[:, 1:], b.nodes
+                b.children, b.kids = [], []
+                if d:
+                    pb = batches[under[lo]]
+                    first = start[pb.id]
+                    b.parent = pb.id
+                    b.up = _index([u - first for u in up[lo:i]])
+                    pb.children.append(b.id)
+                    # the children's updates, one sibling rank at a time
+                    rk = rank[lo:i]
+                    if rk[0]:
+                        # the cap split a parent's children: renumber them
+                        rk = [r - rk[0] if u == up[lo] else r for r, u in zip(rk, up[lo:i])]
+                    top = max(rk)
+                    if not top:
+                        pb.kids.append((b.id, b.up, slice(0, i - lo)))
+                    else:
+                        for r in range(top + 1):
+                            ci = [j for j in range(i - lo) if rk[j] == r]
+                            pb.kids.append((b.id, _index([up[lo + j] - first for j in ci]),
+                                            _index(ci)))
+                else:
+                    b.parent, b.up = -1, None
+                for q in lv[lo:i]:
+                    batch_of[q] = b.id
+                batches.append(b)
+                lo = i
+        # sweep orders: children's batches before their parents' (up) and
+        # parents' before children's (down), each taking among the ready
+        # batches the one with the lowest (up) or highest (down) position,
+        # as close as the tree allows to the ascending and descending
+        # node-by-node sweeps, so a failure ends a sweep as early
+        up = _topological(batches, [b.id for b in batches if not b.children],
+                          lambda b: [b.parent] if b.parent >= 0 else [],
+                          low, [len(b.children) for b in batches])
+        down = _topological(batches, [b.id for b in batches if b.parent < 0],
+                            lambda b: b.children, [-h for h in high],
+                            [1] * len(batches))
+        final = {}
+        for b in down:
+            b.last, final[b.parent] = False, b
+        for b in final.values():
+            b.last = True
+        lo, hi = n, -1
+        for b in reversed(up):
+            lo = b.lowest = min(lo, low[b.id])
+        for b in reversed(down):
+            hi = b.highest = max(hi, high[b.id])
+        for b in batches:
+            b.children, b.kids = tuple(b.children), tuple(b.kids)
+        self.levels, self.batches = tuple(self.levels), tuple(batches)
+        self.up_order, self.down_order = tuple(up), tuple(down)
+        # chain tables: column ends deepest node first, and how many nodes
+        # have depth >= a, so the columns reaching depth a are a prefix
+        self._level_index = np.array(level_index, dtype=np.int64)
+        self._ends_deep_first = ptr[order[::-1] + 1]
+        at_least = [0]
+        for lv in reversed(levels):
+            at_least.append(at_least[-1] + len(lv))
+        self._at_least = np.array(at_least[::-1], dtype=np.int64)
 
     @classmethod
     def from_pattern(cls, pattern: SparsityPattern) -> "Structure":
@@ -300,44 +504,61 @@ def from_triplets(struct: Structure, entries: Iterable[tuple[int, int, float]],
     return (LowerSparse if lower else SymSparse)(struct, v)
 
 
+def _chain(s: Structure, lv: np.ndarray, x: np.ndarray, kind: str,
+           own: bool = False) -> np.ndarray:
+    """Products and substitutions with L restricted to every column's
+    chain, for all columns at once.
+
+    The chain of column i is its ancestors (``own=True``: i itself, then
+    its ancestors), and ``x`` holds a vector on each chain in i's value
+    slots.  ``kind`` is "mul" (L x), "mul_t" (L^T x), "solve" (L^-1 x) or
+    "solve_t" (L^-T x); the result is laid out like ``x``, whose other
+    slots it keeps ("mul": zeros).
+
+    Step a treats the chain member at depth a of every column that reaches
+    that depth: the last a+1 slots of those columns, against the column of
+    L at that member.  For each column this is one axpy or one dot per
+    chain member, in the order of the scalar column recurrence, so every
+    result is bitwise that of walking the chain alone.  Steps run from
+    the deepest member up ("solve_t": from the root down).
+    """
+    top = len(s.levels) - 1 if own else len(s.levels) - 2
+    steps = range(top + 1) if kind == "solve_t" else range(top, -1, -1)
+    y = np.zeros_like(x) if kind == "mul" else x.copy()
+    for a in steps:
+        at = s._ends_deep_first[:s._at_least[a + 1 - own]] - 1 - a
+        tail = at[:, None] + np.arange(a + 1)
+        col = lv[s.levels[a].slots][s._level_index[s.bar_rows[at]]]
+        if kind == "mul":
+            y[tail] += x[at, None] * col
+        elif kind == "mul_t":
+            y[at] = np.vecdot(col, x[tail])
+        elif kind == "solve":
+            y[at] /= col[:, 0]
+            y[tail[:, 1:]] -= y[at, None] * col[:, 1:]
+        else:
+            y[at] = (y[at] - np.vecdot(col[:, 1:], y[tail[:, 1:]])) / col[:, 0]
+    return y
+
+
 def tri_mul(L: LowerSparse, Lt: LowerSparse) -> LowerSparse:
     """Exact product of two pattern-restricted lower triangles.  Stays in
     the pattern because each column's ancestor chain contains the chains
-    of everything on it."""
+    of everything on it: column k of the product is L restricted to k's
+    chain times column k of ``Lt``."""
     _check_same(L, Lt)
     s = L.struct
-    ptr, rows = s.bar_ptr, s.bar_rows
-    out = np.zeros(s.dim)
-    lv, tv = L.vals, Lt.vals
-    for k in range(s.n):
-        a, b = int(ptr[k]), int(ptr[k + 1])
-        seg = out[a:b]
-        for t in range(b - a):
-            c = tv[a + t]
-            if c != 0.0:
-                j = rows[a + t]
-                seg[t:] += c * lv[ptr[j]:ptr[j + 1]]
-    return LowerSparse(s, out)
+    return LowerSparse(s, _chain(s, L.vals, Lt.vals, "mul", own=True))
 
 
 def tri_inverse(L: LowerSparse) -> LowerSparse:
     """Inverse of a pattern-restricted lower triangle, column by column by
     substitution along the ancestor chain."""
     s = L.struct
-    ptr, rows = s.bar_ptr, s.bar_rows
-    out = np.zeros(s.dim)
     lv = L.vals
-    for k in range(s.n):
-        a, b = int(ptr[k]), int(ptr[k + 1])
-        x = out[a:b]
-        x[0] = 1.0
-        for t in range(b - a):
-            j = rows[a + t]
-            ja = int(ptr[j])
-            d = lv[ja]
-            if d == 0.0:
-                raise SingularFactor(column=s.ordering.sigma[j])
-            x[t] /= d
-            if x[t] != 0.0 and t + 1 < b - a:
-                x[t + 1:] -= x[t] * lv[ja + 1:ptr[j + 1]]
-    return LowerSparse(s, out)
+    zero = lv[s.bar_ptr[:-1]] == 0.0
+    if zero.any():
+        # the first zero pivot that column-by-column substitution meets
+        rows = s.bar_rows
+        raise SingularFactor(column=s.ordering.sigma[rows[np.argmax(zero[rows])]])
+    return LowerSparse(s, _chain(s, lv, identity(s).vals, "solve", own=True))

@@ -130,8 +130,10 @@ def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9,
     xd = to_dense(xb)
     best_w, best_g = w, np.inf
     no_progress = 0
+    f = phi0 = None  # the accepted line-search point's factor and objective
     for _ in range(max_iter):
-        f = cholesky(w)
+        if f is None:
+            f = cholesky(w)
         g = sb - hess_apply(f, xb)
         gn = norm(g)
         if gn <= tol:
@@ -155,10 +157,12 @@ def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9,
         # of asking a sufficient-decrease test to certify it.
         basin = gn <= 1e-6
         if not basin:
-            phi0 = inner(projected_inverse(f), xb) + inner(sb, w)
+            if phi0 is None:
+                phi0 = inner(projected_inverse(f), xb) + inner(sb, w)
             slope = inner(g, dw)
         t = 1.0
         accepted = False
+        phi = None
         while t > 1e-12:
             cand = w + t * dw
             try:
@@ -176,7 +180,9 @@ def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9,
             t *= 0.5
         if not accepted:
             break  # line search bottomed out: numerical floor reached
-        w = w + t * dw
+        # the next iterate is this candidate, bit for bit: keep its factor
+        # and objective instead of computing them again
+        w, f, phi0 = cand, fc, phi
     if not strict:
         return back * best_w
     raise ScalingConvergenceError(

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from homcone.densecheck import dense_completable, dense_maxdet_completion
-from homcone.errors import NotCompletable, NotPositiveDefinite, StructuralError
+from homcone.errors import NotCompletable, NotPositiveDefinite
 from homcone.factor import (
     CholFactor,
-    FrontalWorkspace,
     adjoint_map,
     barrier,
     cholesky,
@@ -17,10 +16,18 @@ from homcone.factor import (
     inverse_adjoint_map,
     inverse_forward_map,
     maxdet_factor,
-    peak_frontal_footprint,
     projected_inverse,
 )
-from homcone.matrix import from_triplets, identity, inner, norm, project, to_dense
+from homcone.matrix import (
+    from_triplets,
+    identity,
+    inner,
+    norm,
+    project,
+    to_dense,
+    tri_inverse,
+    tri_mul,
+)
 
 from helpers import (
     random_completable,
@@ -342,30 +349,20 @@ class TestCompositions:
             assert np.allclose(lhs.vals, rhs.vals, rtol=1e-9, atol=1e-9)
 
 
-def test_workspace_double_push():
-    ws = FrontalWorkspace()
-    ws.push(3, np.zeros((2, 2)))
-    with pytest.raises(StructuralError):
-        ws.push(3, np.zeros((2, 2)))
-    assert not ws.drained()
-    ws.pop(3)
-    assert ws.drained()
-
-
-def test_peak_footprint_bounds_frontal(rng):
-    st = random_structure(40, seed=4)
-    peak = peak_frontal_footprint(st)
-    assert peak >= max((d + 1) ** 2 for d in st.depth)
-
-
 def test_kernels_leave_inputs_untouched(rng):
     st = random_structure(14, seed=11)
     x = random_spd(st, rng)
     ell = random_lower(st, rng)
     xs, ls = x.vals.copy(), ell.vals.copy()
+    f = CholFactor(ell)
     cholesky(x)
     forward_map(ell, x)
     adjoint_map(ell, x)
     inverse_forward_map(ell, x)
     inverse_adjoint_map(ell, x)
+    projected_inverse(f)
+    maxdet_factor(x)
+    dual_gradient(f)
+    tri_mul(ell, ell)
+    tri_inverse(ell)
     assert np.array_equal(x.vals, xs) and np.array_equal(ell.vals, ls)

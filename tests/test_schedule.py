@@ -1,0 +1,229 @@
+"""The level schedule: batch layout, failing-node rules, and all ten
+kernels on edge-case trees against the dense oracles."""
+
+import numpy as np
+import pytest
+
+from homcone import matrix
+from homcone.densecheck import dense_chol, dense_inverse, dense_maxdet_completion
+from homcone.errors import NotCompletable, NotPositiveDefinite, SingularFactor
+from homcone.factor import (
+    CholFactor,
+    adjoint_map,
+    cholesky,
+    dual_gradient,
+    forward_map,
+    inverse_adjoint_map,
+    inverse_forward_map,
+    maxdet_factor,
+    projected_inverse,
+)
+from homcone.matrix import (
+    LowerSparse,
+    Structure,
+    SymSparse,
+    identity,
+    project,
+    to_dense,
+    tri_inverse,
+    tri_mul,
+)
+from homcone.pattern import Ordering, SparsityPattern
+
+from helpers import random_completable, random_lower, random_spd, random_structure, random_sym
+
+
+def forest_structure(parent):
+    """Structure on the comparability graph of a rooted forest with
+    parent[v] > v (parent[v] == v at a root), in the identity ordering, so
+    positions are vertex labels and lower triangles stay triangular."""
+    edges = []
+    for v in range(len(parent)):
+        a = v
+        while parent[a] != a:
+            a = parent[a]
+            edges.append((v, a))
+    return Structure(SparsityPattern(len(parent), edges), Ordering.identity(len(parent)))
+
+
+EDGE_CASES = {
+    "single vertex": [0],
+    "diagonal only": [0, 1, 2, 3, 4],
+    "path": [1, 2, 3, 4, 5, 5],
+    "star": [5, 5, 5, 5, 5, 5],
+    # heights 3, 1, 0 and 2
+    "forest of unequal trees": [1, 2, 3, 3, 6, 6, 6, 7, 9, 11, 11, 11],
+}
+
+
+def close(got, want, tol=1e-10):
+    scale = max(1.0, float(np.max(np.abs(want))))
+    return np.allclose(got, want, rtol=tol, atol=tol * scale)
+
+
+def check_all_kernels(st, rng):
+    x = random_spd(st, rng)
+    xd = to_dense(x)
+    f = cholesky(x)
+    assert close(to_dense(f.L), dense_chol(xd))
+    assert close(projected_inverse(f).vals, project(dense_inverse(xd), st).vals)
+
+    ell = random_lower(st, rng)
+    ld = to_dense(ell)
+    li = np.linalg.inv(ld)
+    z, sm = random_sym(st, rng), random_sym(st, rng)
+    zd, sd = to_dense(z), to_dense(sm)
+    assert close(to_dense(forward_map(ell, z)), ld @ zd @ ld.T)
+    assert close(adjoint_map(ell, sm).vals, project(ld.T @ sd @ ld, st).vals)
+    assert close(to_dense(inverse_forward_map(ell, z)), li @ zd @ li.T)
+    assert close(inverse_adjoint_map(ell, sm).vals, project(li.T @ sd @ li, st).vals)
+    assert close(to_dense(dual_gradient(CholFactor(ell))), ld @ ld.T)
+    other = random_lower(st, rng)
+    assert close(to_dense(tri_mul(ell, other)), ld @ to_dense(other))
+    assert close(to_dense(tri_inverse(ell)), li)
+
+    s = random_completable(st, rng)
+    lhat = to_dense(maxdet_factor(s).L)
+    assert close(np.linalg.inv(lhat @ lhat.T), dense_maxdet_completion(s), 1e-8)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_edge_case_trees_match_dense_oracles(name, rng):
+    check_all_kernels(forest_structure(EDGE_CASES[name]), rng)
+
+
+def test_capped_batches_match_dense_oracles(rng, monkeypatch):
+    """A tiny batch cap cuts levels into many batches, including between
+    siblings, and the kernels still agree with the oracles."""
+    monkeypatch.setattr(matrix, "BATCH_FLOATS", 20)
+    for seed in range(4):
+        st = random_structure(30, seed=500 + seed, branching=4.0)
+        assert any(len(lv.nodes) > 1 for lv in st.levels)
+        check_all_kernels(st, rng)
+
+
+@pytest.mark.parametrize("cap", [20, matrix.BATCH_FLOATS])
+def test_schedule_layout(cap, monkeypatch):
+    monkeypatch.setattr(matrix, "BATCH_FLOATS", cap)
+    st = random_structure(60, seed=7, branching=3.0)
+    seen = np.concatenate([b.nodes for b in st.batches])
+    assert sorted(seen.tolist()) == list(range(st.n))
+    for b in st.batches:
+        d = int(st.depth[b.nodes[0]])
+        assert all(st.depth[q] == d for q in b.nodes)
+        assert len(b.nodes) <= max(1, cap // (d + 1) ** 2)
+        assert np.array_equal(st.bar_rows[b.slots[:, 0]], b.nodes)
+        if d:
+            parents = st.batches[b.parent].nodes[b.up]
+            assert np.array_equal(parents, [st.pos_parent[q] for q in b.nodes])
+    done = set()
+    for b in st.up_order:
+        assert all(c in done for c in b.children)
+        done.add(b.id)
+    done = set()
+    for b in st.down_order:
+        assert b.parent < 0 or b.parent in done
+        done.add(b.id)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES) + ["deep random"])
+def test_bar_rows_are_ancestor_chains(name):
+    if name == "deep random":
+        st = random_structure(60, seed=3, branching=1.05)
+    else:
+        st = forest_structure(EDGE_CASES[name])
+    for q in range(st.n):
+        chain = [q]
+        while st.pos_parent[chain[-1]] != chain[-1]:
+            chain.append(st.pos_parent[chain[-1]])
+        assert st.bar_rows[st.col(q)].tolist() == chain
+
+
+# Two subtrees under root 6: 0 -> 2, 1 -> 2, 2 -> 6 and 3 -> 4 -> 5 -> 6.
+# Depths: 3 at 3; 0, 1, 4 at 2; 2, 5 at 1; 6 at 0.
+TWO_SUBTREES = [2, 2, 6, 4, 5, 6, 6]
+
+
+def diagonal(st, negative):
+    v = identity(st).vals.copy()
+    v[st.bar_ptr[list(negative)]] = -1.0
+    return SymSparse(st, v)
+
+
+def test_bottom_up_failure_is_lowest_position():
+    """Nodes 2 (depth 1) and 3 (depth 3) both fail; an ascending sweep
+    stops at 2 although the deeper 3 is reached first level by level."""
+    st = forest_structure(TWO_SUBTREES)
+    with pytest.raises(NotPositiveDefinite) as e:
+        cholesky(diagonal(st, {2, 3}))
+    assert e.value.node == 2 and e.value.value == -1.0
+
+
+def test_top_down_failure_is_highest_position():
+    """Nodes 2 (depth 1) and 4 (depth 2) both fail; a descending sweep
+    stops at 4 although the shallower 2 is reached first level by level."""
+    st = forest_structure(TWO_SUBTREES)
+    with pytest.raises(NotCompletable) as e:
+        maxdet_factor(diagonal(st, {2, 4}))
+    assert e.value.node == 4 and e.value.value == -1.0
+
+
+@pytest.mark.parametrize("zeros, fwd, inv, adj", [
+    # inverse_forward_map: lowest zero pivot; tri_inverse: first zero on
+    # the chains taken column by column; inverse_adjoint_map: topmost zero
+    # ancestor of the first column that has one, else the highest zero
+    ({3, 5}, 3, 3, 5),
+    ({0, 3}, 0, 0, 3),
+    ({2, 4}, 2, 2, 2),
+])
+def test_singular_factor_column(zeros, fwd, inv, adj, rng):
+    st = forest_structure(TWO_SUBTREES)
+    v = random_lower(st, rng).vals.copy()
+    v[st.bar_ptr[list(zeros)]] = 0.0
+    ell = LowerSparse(st, v)
+    y = random_sym(st, rng)
+    for kernel, want in ((lambda: inverse_forward_map(ell, y), fwd),
+                         (lambda: tri_inverse(ell), inv),
+                         (lambda: inverse_adjoint_map(ell, y), adj)):
+        with pytest.raises(SingularFactor) as e:
+            kernel()
+        assert e.value.column == want
+
+
+# 0 -> 3 -> 4 and 1 -> 2 -> 4: a valid ordering that is not post-order.
+# Depth 2 is one batch whose nodes come grouped by parent, as [1, 0].
+UNSORTED_LEVEL = [3, 2, 4, 4, 4]
+
+
+def test_failure_in_unsorted_batch_is_chosen_by_position():
+    st = forest_structure(UNSORTED_LEVEL)
+    (b,) = [b for b in st.batches if st.depth[b.nodes[0]] == 2]
+    assert b.nodes.tolist() == [1, 0]
+    with pytest.raises(NotPositiveDefinite) as e:
+        cholesky(diagonal(st, {0, 1}))
+    assert e.value.node == 0
+    with pytest.raises(NotCompletable) as e:
+        maxdet_factor(diagonal(st, {0, 1}))
+    assert e.value.node == 1
+
+
+@pytest.mark.parametrize("cap", [20, matrix.BATCH_FLOATS])
+def test_failing_node_on_random_forests(cap, monkeypatch):
+    """Identity orderings of random forests are valid but rarely
+    post-order.  With only diagonal entries every pivot is its own, so
+    the failing nodes are the negated ones: cholesky reports the lowest,
+    maxdet_factor the highest."""
+    monkeypatch.setattr(matrix, "BATCH_FLOATS", cap)
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(2, 30))
+        parent = [int(rng.integers(v + 1, n)) if v < n - 1 and rng.random() < 0.8 else v
+                  for v in range(n)]
+        st = forest_structure(parent)
+        bad = set(rng.choice(n, size=int(rng.integers(1, n // 2 + 2)), replace=False).tolist())
+        with pytest.raises(NotPositiveDefinite) as e:
+            cholesky(diagonal(st, bad))
+        assert e.value.node == min(bad)
+        with pytest.raises(NotCompletable) as e:
+            maxdet_factor(diagonal(st, bad))
+        assert e.value.node == max(bad)
