@@ -4,11 +4,12 @@ Usage: python scripts/solve_random.py [--n 20] [--m 8] [--seed 0]
 """
 
 import argparse
+import logging
+import sys
 
 import numpy as np
 
-from homcone.io_cli import _random_problem
-from homcone.ipm import SolverOptions, solve
+from homcone.ipm import SolverOptions, random_problem, solve
 from homcone.matrix import Structure
 from homcone.pattern import random_homogeneous_pattern
 
@@ -22,12 +23,14 @@ def main():
     ap.add_argument("--tol", type=float, default=1e-8)
     args = ap.parse_args()
 
+    logging.basicConfig(stream=sys.stdout, format="%(message)s")
+    logging.getLogger("homcone.ipm").setLevel(logging.DEBUG)
     gen = random_homogeneous_pattern(args.n, seed=args.seed, branching=3.0)
     struct = Structure(gen.pattern, gen.ordering, gen.etree)
     rng = np.random.default_rng(args.seed)
-    problem = _random_problem(struct, args.m, rng)
+    problem = random_problem(struct, args.m, rng)
     rep = solve(problem, SolverOptions(gamma=args.gamma, tol_gap=args.tol,
-                                       tol_feas=args.tol, verbose=1))
+                                       tol_feas=args.tol))
     print(f"\nstatus            {rep.status.value}")
     print(f"iterations        {rep.iterations}")
     print(f"primal objective  {rep.primal_objective:.10f}")

@@ -5,7 +5,7 @@ log-det barrier calculus, primal-dual scalings, and a nonsymmetric
 interior-point solver over the cone and its completable dual.
 """
 
-from . import densecheck, errors, factor, io_cli, ipm, matrix, pattern, scaling
+from . import errors, factor, io_cli, ipm, matrix, pattern, scaling
 from .errors import (
     HomconeError,
     NonpositiveCurvature,
@@ -34,7 +34,14 @@ from .factor import (
     maxdet_factor,
     projected_inverse,
 )
-from .ipm import ConicProblem, SolveReport, SolverOptions, SolveStatus, solve
+from .ipm import (
+    ConicProblem,
+    SolveReport,
+    SolverOptions,
+    SolveStatus,
+    random_problem,
+    solve,
+)
 from .matrix import (
     LowerSparse,
     Structure,
@@ -45,6 +52,7 @@ from .matrix import (
     norm,
     project,
     to_dense,
+    to_triplets,
     tri_inverse,
     tri_mul,
 )

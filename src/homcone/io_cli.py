@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,10 +37,11 @@ from .errors import (
     OrderingError,
     ParseError,
     PatternError,
+    StructuralError,
 )
 from .factor import barrier, cholesky, maxdet_factor
-from .ipm import ConicProblem, SolveReport, SolverOptions, SolveStatus, solve
-from .matrix import Structure, SymSparse, from_triplets, inner, norm
+from .ipm import ConicProblem, SolveReport, SolverOptions, SolveStatus, random_problem, solve
+from .matrix import Structure, SymSparse, from_triplets, to_triplets
 from .pattern import (
     Ordering,
     OrderingClass,
@@ -73,9 +73,9 @@ def _content_lines(text: str):
             yield lineno, line
 
 
-def parse_pattern(text: str) -> SparsityPattern:
-    """Parse the text pattern format with line-numbered diagnostics."""
-    lines = _content_lines(text)
+def _read_pattern(lines) -> SparsityPattern:
+    """The ``N M`` header and the M edge lines it announces, taken from
+    ``lines``, an iterator of (line number, content) pairs."""
     try:
         lineno, head = next(lines)
     except StopIteration:
@@ -91,8 +91,11 @@ def parse_pattern(text: str) -> SparsityPattern:
         raise ParseError(f"bad sizes N={n} M={m}", line=lineno)
     edges = []
     seen = set()
-    count = 0
-    for lineno, line in lines:
+    for count in range(m):
+        try:
+            lineno, line = next(lines)
+        except StopIteration:
+            raise ParseError(f"header announced {m} edges, file has {count}") from None
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"edge line must be 'i j', got {line!r}", line=lineno)
@@ -111,10 +114,18 @@ def parse_pattern(text: str) -> SparsityPattern:
             raise ParseError(f"duplicate edge ({i},{j})", line=lineno)
         seen.add((i, j))
         edges.append((i - 1, j - 1))
-        count += 1
-    if count != m:
-        raise ParseError(f"header announced {m} edges, file has {count}")
     return SparsityPattern(n, edges)
+
+
+def parse_pattern(text: str) -> SparsityPattern:
+    """Parse the text pattern format with line-numbered diagnostics."""
+    lines = _content_lines(text)
+    pattern = _read_pattern(lines)
+    extra = next(lines, None)
+    if extra is not None:
+        raise ParseError(f"header announced {pattern.n_edges} edges, file has more",
+                         line=extra[0])
+    return pattern
 
 
 def format_pattern(pattern: SparsityPattern) -> str:
@@ -126,10 +137,33 @@ def format_pattern(pattern: SparsityPattern) -> str:
 
 # ----------------------------------------------------- matrix and problem io
 
-def _structure_for(n, edges_1b, ordering_1b) -> Structure:
-    pattern = SparsityPattern(n, [(i - 1, j - 1) for i, j in edges_1b])
-    if ordering_1b is not None:
-        ordering = Ordering.from_sigma([v - 1 for v in ordering_1b])
+def _json_document(text: str, keys) -> dict:
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise ParseError("JSON document must be an object")
+    for key in keys:
+        if key not in data:
+            raise ParseError(f"JSON document is missing {key!r}")
+    return data
+
+
+def _json_structure(data: dict) -> Structure:
+    """Structure of a JSON document's "n", "edges" and optional "ordering"."""
+    try:
+        pattern = SparsityPattern(data["n"], [(i - 1, j - 1) for i, j in data["edges"]])
+        sigma = data.get("ordering")
+        ordering = None if sigma is None else Ordering.from_sigma([v - 1 for v in sigma])
+    except (TypeError, ValueError):
+        raise ParseError("'n' must be a vertex count, 'edges' a list of [i, j] "
+                         "pairs and 'ordering' a list of vertices") from None
+    return _structure_for(pattern, ordering)
+
+
+def _structure_for(pattern: SparsityPattern, ordering: Optional[Ordering]) -> Structure:
+    if ordering is not None:
         if verify_ordering(pattern, ordering) is not OrderingClass.TRIVIALLY_PERFECT_PEO:
             raise ParseError("supplied ordering is not a trivially perfect "
                              "elimination ordering of the pattern")
@@ -142,75 +176,52 @@ def _structure_for(n, edges_1b, ordering_1b) -> Structure:
     return Structure(pattern, res.ordering, res.etree)
 
 
-def _triplets_to_sym(struct: Structure, trips) -> SymSparse:
+def _triplets_to_sym(struct: Structure, trips, where: str, base: int = 1) -> SymSparse:
+    """The matrix ``where`` of a file from its triplets; messages name
+    entries by the file's indices."""
     try:
-        return from_triplets(struct, [(i - 1, j - 1, v) for i, j, v in trips])
-    except HomconeError as e:
-        raise ParseError(f"bad matrix entry: {e}") from None
+        return from_triplets(struct, trips, base=base)
+    except (StructuralError, ValueError) as e:
+        raise ParseError(f"bad {where}: {e}") from None
 
 
 def parse_matrix(text: str):
     """Matrix file (text header+triplets, or JSON).  Returns
     (Structure, SymSparse)."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        data = json.loads(text)
-        struct = _structure_for(data["n"], data["edges"], data.get("ordering"))
-        return struct, _triplets_to_sym(struct, data["entries"])
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError("empty matrix file")
-    header_end = None
-    lineno, head = lines[0]
-    parts = head.split()
-    if len(parts) != 2:
-        raise ParseError(f"header must be 'N M', got {head!r}", line=lineno)
-    n, m = int(parts[0]), int(parts[1])
-    pattern_text = "\n".join([head] + [ln for _, ln in lines[1:m + 1]])
-    pattern = parse_pattern(pattern_text)
-    res = lbfs_order(pattern)
-    if not res.accepted:
-        raise ParseError("pattern is not homogeneous chordal; run 'extend' first")
-    struct = Structure(pattern, res.ordering, res.etree)
+    if text.lstrip().startswith("{"):
+        data = _json_document(text, ("n", "edges", "entries"))
+        struct = _json_structure(data)
+        return struct, _triplets_to_sym(struct, data["entries"], "'entries'")
+    lines = _content_lines(text)
+    struct = _structure_for(_read_pattern(lines), None)
     trips = []
-    for lineno, line in lines[m + 1:]:
-        parts = line.split()
-        if len(parts) != 3:
+    for lineno, line in lines:
+        try:
+            i, j, v = map(float, line.split())
+        except ValueError:
             raise ParseError(f"triplet line must be 'i j value', got {line!r}",
-                             line=lineno)
-        trips.append((int(parts[0]), int(parts[1]), float(parts[2])))
-    return struct, _triplets_to_sym(struct, trips)
+                             line=lineno) from None
+        trips.append((i, j, v))
+    return struct, _triplets_to_sym(struct, trips, "matrix")
 
 
 def parse_problem(text: str):
     """Native JSON conic problem.  Returns (ConicProblem, info dict)."""
+    data = _json_document(text, ("n", "edges", "b", "c", "A"))
+    struct = _json_structure(data)
+    c = _triplets_to_sym(struct, data["c"], "'c'")
+    if not isinstance(data["A"], list):
+        raise ParseError("'A' must be a list of triplet lists")
+    a_mats = tuple(_triplets_to_sym(struct, trips, f"'A'[{k}]")
+                   for k, trips in enumerate(data["A"]))
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e}") from None
-    for key in ("n", "edges", "b", "c", "A"):
-        if key not in data:
-            raise ParseError(f"problem file is missing {key!r}")
-    struct = _structure_for(data["n"], data["edges"], data.get("ordering"))
-    c = _triplets_to_sym(struct, data["c"])
-    a_mats = tuple(_triplets_to_sym(struct, trips) for trips in data["A"])
-    b = np.asarray(data["b"], dtype=float)
-    if len(a_mats) != b.shape[0]:
-        raise ParseError(f"{len(a_mats)} constraint matrices but {b.shape[0]} "
+        b = np.asarray(data["b"], dtype=float)
+    except (TypeError, ValueError):
+        raise ParseError("'b' must be a list of numbers") from None
+    if b.shape != (len(a_mats),):
+        raise ParseError(f"{len(a_mats)} constraint matrices but {b.size} "
                          "right-hand sides")
     return ConicProblem(struct, a_mats, b, c), {"format": "native"}
-
-
-def _sym_to_triplets(x: SymSparse):
-    st = x.struct
-    sigma = st.ordering.sigma
-    out = []
-    for q in range(st.n):
-        a, b = int(st.bar_ptr[q]), int(st.bar_ptr[q + 1])
-        for t in range(b - a):
-            out.append([sigma[st.bar_rows[a + t]] + 1, sigma[q] + 1,
-                        float(x.vals[a + t])])
-    return out
 
 
 def serialize_problem(problem: ConicProblem) -> dict:
@@ -220,8 +231,8 @@ def serialize_problem(problem: ConicProblem) -> dict:
         "edges": [[i + 1, j + 1] for i, j in sorted(st.pattern.edges)],
         "ordering": [v + 1 for v in st.ordering.sigma],
         "b": [float(t) for t in problem.b],
-        "c": _sym_to_triplets(problem.c),
-        "A": [_sym_to_triplets(a) for a in problem.a_mats],
+        "c": to_triplets(problem.c),
+        "A": [to_triplets(a) for a in problem.a_mats],
     }
 
 
@@ -246,17 +257,23 @@ def parse_sdpa(text: str):
         cvec = [float(t) for t in lines[3][1].replace(",", " ").split()[:m]]
     except (ValueError, IndexError) as e:
         raise ParseError(f"bad SDPA header: {e}") from None
+    if len(sizes) != nblocks or len(cvec) != m:
+        raise ParseError(f"SDPA header announces {nblocks} blocks and {m} constraints "
+                         f"but lists {len(sizes)} block sizes and {len(cvec)} costs")
     widths = [abs(t) for t in sizes]
     offsets = np.cumsum([0] + widths[:-1])
     n = int(sum(widths))
-    entries: dict = {}
+    entries: dict = {}  # (matrix, row, column) -> value, the last one given
     for lineno, line in lines[4:]:
         parts = line.replace(",", " ").split()
-        if len(parts) != 5:
-            raise ParseError(f"SDPA entry must have 5 fields, got {line!r}",
-                             line=lineno)
-        matno, blk, i, j, val = (int(parts[0]), int(parts[1]), int(parts[2]),
-                                 int(parts[3]), float(parts[4]))
+        try:
+            if len(parts) != 5:
+                raise ValueError
+            matno, blk, i, j = map(int, parts[:4])
+            val = float(parts[4])
+        except ValueError:
+            raise ParseError(f"SDPA entry must be 'matrix block i j value', "
+                             f"got {line!r}", line=lineno) from None
         if not (0 <= matno <= m and 1 <= blk <= nblocks):
             raise ParseError("matrix or block index out of range", line=lineno)
         if sizes[blk - 1] < 0 and i != j:
@@ -265,19 +282,21 @@ def parse_sdpa(text: str):
             raise ParseError("entry index outside its block", line=lineno)
         gi = int(offsets[blk - 1]) + i - 1
         gj = int(offsets[blk - 1]) + j - 1
-        lo, hi = min(gi, gj), max(gi, gj)
-        entries.setdefault(matno, {})[(hi, lo)] = val
-    agg_edges = sorted({(lo, hi) for mat in entries.values()
-                        for (hi, lo) in mat if hi != lo})
-    aggregate = SparsityPattern(n, agg_edges)
+        entries[matno, max(gi, gj), min(gi, gj)] = val
+    keys = np.array(list(entries), dtype=np.int64).reshape(-1, 3)
+    vals = np.array(list(entries.values()), dtype=np.float64)
+    off = keys[:, 1] != keys[:, 2]
+    aggregate = SparsityPattern(n, sorted(set(zip(keys[off, 2].tolist(),
+                                                  keys[off, 1].tolist()))))
     ext = homogeneous_extension(aggregate)
     struct = Structure(ext.extended, ext.ordering, ext.etree)
     exact = ext.extended.n_edges == aggregate.n_edges and _block_dense(aggregate)
 
     def build(matno, negate=False):
-        trips = [(hi + 1, lo + 1, -v if negate else v)
-                 for (hi, lo), v in entries.get(matno, {}).items()]
-        return _triplets_to_sym(struct, trips)
+        mine = keys[:, 0] == matno
+        v = -vals[mine] if negate else vals[mine]
+        return _triplets_to_sym(struct, np.column_stack((keys[mine, 1:], v)),
+                                f"matrix {matno}", base=0)
 
     c = build(0, negate=True)
     a_mats = tuple(build(k) for k in range(1, m + 1))
@@ -322,19 +341,27 @@ def _block_dense(pattern: SparsityPattern) -> bool:
 # ------------------------------------------------------------------ helpers
 
 def _is_chordal(pattern: SparsityPattern) -> bool:
-    """Maximum cardinality search followed by the elimination-order test."""
+    """Maximum cardinality search followed by the elimination-order test.
+    Unnumbered vertices sit in buckets by weight, so the search is linear."""
     n = pattern.n
     weight = [0] * n
     numbered = [False] * n
+    buckets = [set() for _ in range(n)]
+    buckets[0].update(range(n))
+    top = 0
     sigma = [0] * n
     for pos in range(n - 1, -1, -1):
-        v = max((u for u in range(n) if not numbered[u]),
-                key=lambda u: (weight[u], -u))
+        while not buckets[top]:
+            top -= 1
+        v = buckets[top].pop()
         sigma[pos] = v
         numbered[v] = True
         for w in pattern.adjacency[v]:
             if not numbered[w]:
+                buckets[weight[w]].remove(w)
                 weight[w] += 1
+                buckets[weight[w]].add(w)
+        top += 1  # a weight grows by at most one per step
     ordering = Ordering.from_sigma(sigma)
     return verify_ordering(pattern, ordering) is not OrderingClass.NOT_PEO
 
@@ -424,7 +451,7 @@ def _cmd_factor(args, stdout) -> int:
     except NotPositiveDefinite as e:
         stdout.write(f"NOT_POSITIVE_DEFINITE node={e.node + 1}\n")
         return 3
-    trips = _sym_to_triplets(f.L)
+    trips = to_triplets(f.L)
     if args.format == "json":
         stdout.write(json.dumps({"L": trips, "barrier": barrier(f)}) + "\n")
     else:
@@ -439,7 +466,7 @@ def _cmd_complete(args, stdout) -> int:
     except NotCompletable as e:
         stdout.write(f"NOT_COMPLETABLE node={e.node + 1}\n")
         return 3
-    trips = _sym_to_triplets(f.L)
+    trips = to_triplets(f.L)
     if args.format == "json":
         stdout.write(json.dumps({"L": trips,
                                  "dual_barrier": f.logdet() - struct.n}) + "\n")
@@ -493,171 +520,9 @@ def _cmd_gen(args, stdout) -> int:
     if m < args.m:
         print(f"homcone: capping m at the space dimension {struct.dim}",
               file=sys.stderr)
-    problem = _random_problem(struct, m, rng)
+    problem = random_problem(struct, m, rng)
     _emit(args.out, json.dumps(serialize_problem(problem), sort_keys=True) + "\n",
           stdout)
-    return 0
-
-
-def _random_problem(struct: Structure, m: int, rng) -> ConicProblem:
-    """Instance with a known interior primal-dual pair (so it is solvable
-    and its optimum is bracketed by the certified objectives)."""
-    def spd():
-        v = 0.3 * rng.standard_normal(struct.dim)
-        v[struct.bar_ptr[:-1]] = rng.uniform(0.8, 1.6, struct.n)
-        from .matrix import LowerSparse, project, to_dense
-
-        ld = to_dense(LowerSparse(struct, v))
-        return project(ld @ ld.T, struct)
-
-    x_feas = spd()
-    s_feas = spd()  # interior of K, hence of its superset dual cone
-    y_feas = rng.standard_normal(m)
-    a_mats = tuple(SymSparse(struct, rng.standard_normal(struct.dim))
-                   for _ in range(m))
-    b = np.array([inner(a, x_feas) for a in a_mats])
-    c = s_feas
-    for yi, a in zip(y_feas, a_mats):
-        c = c + float(yi) * a
-    return ConicProblem(struct, a_mats, b, c)
-
-
-def _cmd_selftest(args, stdout) -> int:
-    rng = np.random.default_rng(args.seed)
-    failures = 0
-
-    def check(name, fn):
-        nonlocal failures
-        try:
-            fn()
-            stdout.write(f"PASS {name}\n")
-        except Exception as e:  # report and keep going
-            failures += 1
-            stdout.write(f"FAIL {name}: {e}\n")
-
-    def recognition():
-        import itertools
-
-        from .densecheck import has_forbidden_subgraph
-
-        for _ in range(120):
-            n = int(rng.integers(2, 24))
-            pairs = list(itertools.combinations(range(n), 2))
-            bits = rng.integers(0, 2, size=len(pairs))
-            p = SparsityPattern(n, [e for e, b in zip(pairs, bits) if b])
-            assert lbfs_order(p).accepted == (not has_forbidden_subgraph(p))
-        for t in range(40):
-            gen = random_homogeneous_pattern(int(rng.integers(1, 60)),
-                                             seed=int(rng.integers(1 << 30)))
-            assert lbfs_order(gen.pattern).accepted
-
-    def kernels():
-        from .factor import (
-            adjoint_map,
-            forward_map,
-            inverse_adjoint_map,
-            inverse_forward_map,
-            projected_inverse,
-        )
-        from .matrix import LowerSparse, project, to_dense
-
-        for t in range(30):
-            gen = random_homogeneous_pattern(int(rng.integers(2, 30)),
-                                             seed=int(rng.integers(1 << 30)))
-            struct = Structure(gen.pattern, gen.ordering, gen.etree)
-            v = 0.3 * rng.standard_normal(struct.dim)
-            v[struct.bar_ptr[:-1]] = rng.uniform(0.6, 1.6, struct.n)
-            ell = LowerSparse(struct, v)
-            ld = to_dense(ell)
-            x = project(ld @ ld.T, struct)
-            f = cholesky(x)
-            assert np.allclose(to_dense(f.L), np.linalg.cholesky(to_dense(x)),
-                               rtol=1e-10, atol=1e-12)
-            got = projected_inverse(f)
-            want = project(np.linalg.inv(to_dense(x)), struct)
-            assert np.allclose(got.vals, want.vals, rtol=1e-9, atol=1e-10)
-            z = SymSparse(struct, rng.standard_normal(struct.dim))
-            assert np.allclose(
-                inverse_forward_map(ell, forward_map(ell, z)).vals, z.vals,
-                rtol=1e-10, atol=1e-10)
-            assert np.allclose(
-                inverse_adjoint_map(ell, adjoint_map(ell, z)).vals, z.vals,
-                rtol=1e-10, atol=1e-10)
-
-    def scaling_eqs():
-        from .scaling import apply_scaling, bfgs_update, pd_factor, scaling_point, shadow_state
-
-        for t in range(10):
-            gen = random_homogeneous_pattern(int(rng.integers(2, 14)),
-                                             seed=int(rng.integers(1 << 30)))
-            struct = Structure(gen.pattern, gen.ordering, gen.etree)
-            from .matrix import LowerSparse, project, to_dense
-
-            v = 0.3 * rng.standard_normal(struct.dim)
-            v[struct.bar_ptr[:-1]] = rng.uniform(0.8, 1.5, struct.n)
-            ld = to_dense(LowerSparse(struct, v))
-            x = project(ld @ ld.T, struct)
-            a = rng.standard_normal((struct.n, struct.n)) / np.sqrt(struct.n)
-            s = project(a @ a.T + 0.3 * np.eye(struct.n), struct)
-            state = shadow_state(x, s)
-            w = scaling_point(x, s, tol=1e-12)
-            op = bfgs_update(pd_factor(w, x, s), state)
-            scale = max(1.0, norm(x), norm(s))
-            vv = apply_scaling(op, "inverse", x)
-            assert norm(vv - apply_scaling(op, "adjoint", s)) <= 1e-9 * scale
-            if op.corrected:
-                assert norm(apply_scaling(op, "inverse", state.delta_p)
-                            - op.v_hat) <= 1e-9 * scale
-                assert norm(apply_scaling(op, "adjoint", state.delta_d)
-                            - op.v_hat) <= 1e-9 * scale
-
-    def ipm_end_to_end():
-        for t in range(3):
-            gen = random_homogeneous_pattern(int(rng.integers(4, 16)),
-                                             seed=int(rng.integers(1 << 30)))
-            struct = Structure(gen.pattern, gen.ordering, gen.etree)
-            m = int(rng.integers(1, min(6, struct.dim + 1)))
-            problem = _random_problem(struct, m, rng)
-            rep = solve(problem)
-            assert rep.status is SolveStatus.OPTIMAL
-            assert rep.gap / struct.n <= 1e-7
-
-    check("recognition-equivalence", recognition)
-    check("kernel-oracle-agreement", kernels)
-    check("scaling-equations", scaling_eqs)
-    check("ipm-end-to-end", ipm_end_to_end)
-    return 0 if failures == 0 else 3
-
-
-def _cmd_bench(args, stdout) -> int:
-    sizes = [int(t) for t in args.sizes.split(",")]
-    rows = []
-    for n in sizes:
-        gen = random_homogeneous_pattern(n, seed=args.seed, branching=args.branching)
-        t0 = time.perf_counter()
-        res = lbfs_order(gen.pattern)
-        t_lbfs = time.perf_counter() - t0
-        assert res.accepted
-        struct = Structure(gen.pattern, gen.ordering, gen.etree)
-        rng = np.random.default_rng(args.seed)
-        v = 0.1 * rng.standard_normal(struct.dim)
-        v[struct.bar_ptr[:-1]] = rng.uniform(1.0, 2.0, struct.n)
-        from .factor import CholFactor, dual_gradient
-        from .matrix import LowerSparse
-
-        x = dual_gradient(CholFactor(LowerSparse(struct, v)))
-        t0 = time.perf_counter()
-        cholesky(x)
-        t_chol = time.perf_counter() - t0
-        rows.append({"n": n, "edges": gen.pattern.n_edges,
-                     "lbfs_seconds": t_lbfs, "cholesky_seconds": t_chol})
-    if args.format == "json":
-        stdout.write(json.dumps(rows) + "\n")
-    else:
-        stdout.write(f"{'n':>9} {'edges':>10} {'lbfs_s':>10} {'chol_s':>10}\n")
-        for r in rows:
-            stdout.write(f"{r['n']:>9} {r['edges']:>10} "
-                         f"{r['lbfs_seconds']:>10.4f} {r['cholesky_seconds']:>10.4f}\n")
     return 0
 
 
@@ -723,15 +588,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--branching", type=float, default=3.0)
     sp.add_argument("--out")
-
-    sp = add("selftest", _cmd_selftest, help="run the property battery")
-    sp.add_argument("--seed", type=int, default=0)
-
-    sp = add("bench", _cmd_bench, help="time recognition and factorization")
-    sp.add_argument("--sizes", default="1000,10000")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--branching", type=float, default=4.0)
-    sp.add_argument("--format", choices=("text", "json"), default="text")
 
     return p
 

@@ -17,6 +17,7 @@ so feasibility is not required up front.
 from __future__ import annotations
 
 import enum
+import logging
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -25,7 +26,18 @@ import numpy as np
 
 from .errors import NotCompletable, NotPositiveDefinite, SingularNormalMatrix
 from .factor import cholesky, maxdet_factor
-from .matrix import Structure, SymSparse, identity, inner, norm, zeros
+from .matrix import (
+    LowerSparse,
+    Structure,
+    SymSparse,
+    identity,
+    inner,
+    norm,
+    project,
+    to_dense,
+    to_triplets,
+    zeros,
+)
 from .scaling import (
     ScalingOperator,
     apply_scaling,
@@ -37,6 +49,7 @@ from .scaling import (
 
 __all__ = [
     "ConicProblem",
+    "random_problem",
     "Iterate",
     "SolverOptions",
     "SolveStatus",
@@ -47,6 +60,13 @@ __all__ = [
     "max_step",
     "solve",
 ]
+
+log = logging.getLogger(__name__)
+
+#: target residual of the scaling point at each iteration
+SCALING_TOL = 1e-11
+#: bisection steps of the step search
+BISECT_DEPTH = 40
 
 
 class SolveStatus(enum.Enum):
@@ -100,6 +120,27 @@ class ConicProblem:
         return out
 
 
+def random_problem(struct: Structure, m: int, rng) -> ConicProblem:
+    """Instance with a known interior primal-dual pair (so it is solvable
+    and its optimum is bracketed by the certified objectives)."""
+    def spd():
+        v = 0.3 * rng.standard_normal(struct.dim)
+        v[struct.bar_ptr[:-1]] = rng.uniform(0.8, 1.6, struct.n)
+        ld = to_dense(LowerSparse(struct, v))
+        return project(ld @ ld.T, struct)
+
+    x_feas = spd()
+    s_feas = spd()  # interior of K, hence of its superset dual cone
+    y_feas = rng.standard_normal(m)
+    a_mats = tuple(SymSparse(struct, rng.standard_normal(struct.dim))
+                   for _ in range(m))
+    b = np.array([inner(a, x_feas) for a in a_mats])
+    c = s_feas
+    for yi, a in zip(y_feas, a_mats):
+        c = c + float(yi) * a
+    return ConicProblem(struct, a_mats, b, c)
+
+
 @dataclass(frozen=True)
 class Iterate:
     x: SymSparse
@@ -131,9 +172,6 @@ class SolverOptions:
     tol_feas: float = 1e-8
     max_iter: int = 100
     step_fraction: float = 0.99
-    scaling_tol: float = 1e-11
-    bisect_depth: int = 40
-    verbose: int = 0
 
     def __post_init__(self):
         if self.gamma is not None and not 0.0 <= self.gamma <= 1.0:
@@ -201,15 +239,14 @@ def _interior(x: SymSparse, s: SymSparse) -> bool:
         return False
 
 
-def max_step(it: Iterate, d_x: SymSparse, d_s: SymSparse, eta: float,
-             depth: int = 40) -> float:
+def max_step(it: Iterate, d_x: SymSparse, d_s: SymSparse, eta: float) -> float:
     """Fraction eta of the largest step in [0, 1] keeping both iterates
     strictly inside their cones, located by bisection with factorization
     feasibility tests."""
     if _interior(it.x + d_x, it.s + d_s):
         return eta
     lo, hi = 0.0, 1.0
-    for _ in range(depth):
+    for _ in range(BISECT_DEPTH):
         mid = 0.5 * (lo + hi)
         if _interior(it.x + mid * d_x, it.s + mid * d_s):
             lo = mid
@@ -235,19 +272,6 @@ class SolveReport:
     trace: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        st = self.x.struct
-        sigma = st.ordering.sigma
-
-        def triplets(v):
-            out = []
-            for q in range(st.n):
-                a, b = int(st.bar_ptr[q]), int(st.bar_ptr[q + 1])
-                rowsv = st.bar_rows[a:b]
-                for t in range(b - a):
-                    out.append([int(sigma[rowsv[t]]) + 1, int(sigma[q]) + 1,
-                                float(v.vals[a + t])])
-            return out
-
         return {
             "status": self.status.value,
             "iterations": self.iterations,
@@ -256,8 +280,8 @@ class SolveReport:
             "gap": self.gap,
             "primal_residual": self.primal_residual,
             "dual_residual": self.dual_residual,
-            "x": triplets(self.x),
-            "s": triplets(self.s),
+            "x": to_triplets(self.x),
+            "s": to_triplets(self.s),
             "y": [float(t) for t in self.y],
             "trace": self.trace,
         }
@@ -295,17 +319,17 @@ def solve(problem: ConicProblem, options: Optional[SolverOptions] = None) -> Sol
             break
         iterations = k + 1
         state = shadow_state(x, s)
-        w = scaling_point(x, s, tol=opt.scaling_tol, warm=w_prev, strict=False)
+        w = scaling_point(x, s, tol=SCALING_TOL, warm=w_prev, strict=False)
         w_prev = w
         base_op = pd_factor(w, x, s)
         op = bfgs_update(base_op, state)
         gamma = opt.gamma if opt.gamma is not None else \
             (0.1 if last_alpha >= 0.8 else 0.8)
         d_x, d_y, d_s = search_direction(problem, it, op, gamma)
-        alpha = max_step(it, d_x, d_s, opt.step_fraction, opt.bisect_depth)
+        alpha = max_step(it, d_x, d_s, opt.step_fraction)
         # |v - mu*vtilde|/mu collapses to |v_hat|/mu; informational only
         prox = norm(op.v_hat_or_zero())
-        trace.append({
+        row = {
             "iter": k,
             "mu": it.mu,
             "gap": res.gap,
@@ -315,10 +339,10 @@ def solve(problem: ConicProblem, options: Optional[SolverOptions] = None) -> Sol
             "gamma": gamma,
             "scaling_residual": base_op.residual,
             "proximity": prox / it.mu,
-        })
-        if opt.verbose:
-            print(f"it {k:3d}  mu {it.mu:9.3e}  rp {res.p_norm():9.3e}  "
-                  f"rd {res.d_norm():9.3e}  alpha {alpha:6.4f}  gamma {gamma:.2f}")
+        }
+        trace.append(row)
+        log.debug("it %3d  mu %9.3e  rp %9.3e  rd %9.3e  alpha %6.4f  gamma %.2f",
+                  k, it.mu, row["primal_residual"], row["dual_residual"], alpha, gamma)
         if alpha < 1e-10:
             stalls += 1
             if stalls >= 2:

@@ -19,7 +19,7 @@ operation writes to its inputs, so concurrent use is safe.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -47,6 +47,7 @@ __all__ = [
     "tri_inverse",
     "to_dense",
     "from_triplets",
+    "to_triplets",
     "identity",
     "zeros",
 ]
@@ -157,7 +158,7 @@ class Structure:
         "pattern", "ordering", "etree", "n", "nnz",
         "pos_parent", "depth", "levels", "batches", "up_order", "down_order",
         "bar_ptr", "bar_rows", "weights",
-        "_row_vertex", "_col_vertex", "_snodes",
+        "_row_vertex", "_col_vertex", "_position", "_depth", "_snodes",
         "_level_index", "_ends_deep_first", "_at_least",
     )
 
@@ -207,6 +208,8 @@ class Structure:
         sig = np.asarray(ordering.sigma, dtype=np.int64)
         self._row_vertex = sig[self.bar_rows]
         self._col_vertex = sig[col]
+        self._position = np.asarray(pos, dtype=np.int64)
+        self._depth = depth
         self._snodes = None
 
     def _compile(self, par: list) -> None:
@@ -359,16 +362,36 @@ class Structure:
     def slot(self, i: int, j: int) -> int:
         """Index of vertex pair (i, j) in the value array; diagonal for
         i == j.  Raises StructuralError when (i, j) is outside the pattern."""
-        pos = self.ordering.sigma_inv
-        qi, qj = pos[i], pos[j]
-        if qi == qj:
-            return int(self.bar_ptr[qj])
-        lo, hi = (qi, qj) if qi < qj else (qj, qi)
-        t = self.depth[lo] - self.depth[hi]
-        idx = int(self.bar_ptr[lo]) + t
-        if t <= 0 or self.bar_rows[idx] != hi:
-            raise StructuralError(f"entry ({i},{j}) is not in the pattern")
-        return idx
+        return int(self._slots(np.array([[i], [j]]), 0)[0])
+
+    def _slots(self, pairs: np.ndarray, base: int) -> np.ndarray:
+        """Value-array index of each vertex pair ``pairs[:, k]``, vertices
+        counted from ``base``.  Raises StructuralError, naming the first
+        offending pair as given, when an index is not an integer in range
+        or a pair is outside the pattern."""
+        if pairs.dtype.kind not in "iuf":
+            raise StructuralError("vertex indices must be numbers")
+        q = pairs - base
+        ok = (q >= 0) & (q < self.n)
+        if pairs.dtype.kind == "f":
+            ok &= q == np.floor(q)
+        ok = ok.all(axis=0)
+        if not ok.all():
+            raise StructuralError(
+                f"entry {_entry(pairs, np.argmin(ok))} needs integer vertex "
+                f"indices in {base}..{base + self.n - 1}")
+        qi, qj = self._position[q.astype(np.int64)]
+        lo, hi = np.minimum(qi, qj), np.maximum(qi, qj)
+        # hi is on lo's chain iff it is slot t of lo's column, where t is
+        # their depth difference; t = 0 is the diagonal, whose row is the
+        # column itself.  k >= -dim, so the lookup is in bounds for t < 0
+        t = self._depth[lo] - self._depth[hi]
+        k = self.bar_ptr[lo] + t
+        ok = (t >= 0) & (self.bar_rows[k] == hi)
+        if not ok.all():
+            raise StructuralError(
+                f"entry {_entry(pairs, np.argmin(ok))} is not in the pattern")
+        return k
 
     def __eq__(self, other):
         return (self is other) or (
@@ -489,19 +512,40 @@ def to_dense(x: _Values) -> np.ndarray:
     return d
 
 
-def from_triplets(struct: Structure, entries: Iterable[tuple[int, int, float]],
-                  lower: bool = False):
-    """Place (i, j, value) vertex triplets; any (i, j) outside the pattern
-    raises StructuralError.  Duplicate slots are an error too."""
+def _entry(pairs: np.ndarray, k: int) -> str:
+    """Pair ``pairs[:, k]`` as given, e.g. "(3,1)"."""
+    i, j = (int(v) if float(v).is_integer() else v for v in pairs[:, k].tolist())
+    return f"({i},{j})"
+
+
+def from_triplets(struct: Structure, entries, lower: bool = False, base: int = 0):
+    """Place (i, j, value) vertex triplets, given as one array-like of
+    shape (k, 3) with vertices counted from ``base``.  An index that is
+    not an integer in range, a pair outside the pattern and a slot given
+    twice raise StructuralError.  ``from_triplets(s, to_triplets(x),
+    base=1)`` rebuilds x."""
+    t = np.asarray(entries)
+    if t.size == 0:
+        t = t.reshape(0, 3)
+    if t.ndim != 2 or t.shape[1] != 3:
+        raise StructuralError(f"triplets must form a (k, 3) array, got shape {t.shape}")
+    pairs = t[:, :2].T
+    k = struct._slots(pairs, base)
+    order = np.argsort(k, kind="stable")
+    again = order[1:][k[order[1:]] == k[order[:-1]]]
+    if again.size:
+        raise StructuralError(f"duplicate entry {_entry(pairs, again.min())}")
     v = np.zeros(struct.dim)
-    filled = np.zeros(struct.dim, dtype=bool)
-    for i, j, val in entries:
-        k = struct.slot(i, j)
-        if filled[k]:
-            raise StructuralError(f"duplicate entry ({i},{j})")
-        filled[k] = True
-        v[k] = float(val)
+    v[k] = t[:, 2]
     return (LowerSparse if lower else SymSparse)(struct, v)
+
+
+def to_triplets(x: _Values) -> list:
+    """``[i, j, value]`` for every slot, column by column in position
+    order, with the 1-based vertex indices of the file formats."""
+    s = x.struct
+    return list(map(list, zip((s._row_vertex + 1).tolist(),
+                              (s._col_vertex + 1).tolist(), x.vals.tolist())))
 
 
 def _chain(s: Structure, lv: np.ndarray, x: np.ndarray, kind: str,

@@ -51,7 +51,7 @@ class SparsityPattern:
     already guarantees consistency.
     """
 
-    __slots__ = ("n", "adjacency", "_edges", "_edge_set")
+    __slots__ = ("n", "adjacency", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -72,7 +72,7 @@ class SparsityPattern:
         self.n = n
         self.adjacency = tuple(tuple(sorted(a)) for a in adj)
         self._edges = frozenset(seen)
-        self._edge_set = seen
+
     @classmethod
     def from_adjacency(cls, n: int, adjacency: Sequence[Sequence[int]],
                        validate: bool = True) -> "SparsityPattern":
@@ -89,7 +89,6 @@ class SparsityPattern:
         self.n = n
         self.adjacency = tuple(tuple(a) for a in adjacency)
         self._edges = None
-        self._edge_set = None
         return self
 
     @property
@@ -108,9 +107,7 @@ class SparsityPattern:
         return len(self.adjacency[v])
 
     def has_edge(self, i: int, j: int) -> bool:
-        if self._edge_set is None:
-            self._edge_set = set(self.edges)
-        return ((i, j) if i < j else (j, i)) in self._edge_set
+        return ((i, j) if i < j else (j, i)) in self.edges
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SparsityPattern)

@@ -36,7 +36,16 @@ from .factor import (
     maxdet_factor,
     projected_inverse,
 )
-from .matrix import LowerSparse, Structure, SymSparse, inner, norm, to_dense, zeros
+from .matrix import (
+    LowerSparse,
+    Structure,
+    SymSparse,
+    inner,
+    norm,
+    to_dense,
+    to_triplets,
+    zeros,
+)
 
 __all__ = [
     "ScalingState",
@@ -220,22 +229,10 @@ class ScalingOperator:
     def to_dict(self) -> dict:
         """Trace-dump form: triplets of the base factor plus the correction
         vectors when present (1-based vertex indices)."""
-        st = self.base.struct
-        sigma = st.ordering.sigma
-
-        def triplets(v):
-            out = []
-            for q in range(st.n):
-                a, b = int(st.bar_ptr[q]), int(st.bar_ptr[q + 1])
-                for t in range(b - a):
-                    out.append([sigma[st.bar_rows[a + t]] + 1, sigma[q] + 1,
-                                float(v.vals[a + t])])
-            return out
-
-        d = {"L": triplets(self.base), "residual": self.residual}
+        d = {"L": to_triplets(self.base), "residual": self.residual}
         if self.corrected:
-            d["v_hat"] = triplets(self.v_hat)
-            d["u_corr"] = triplets(self.u_corr)
+            d["v_hat"] = to_triplets(self.v_hat)
+            d["u_corr"] = to_triplets(self.u_corr)
             d["alpha"] = self.alpha
         return d
 

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 from homcone.errors import ParseError
 from homcone.io_cli import (
+    _is_chordal,
     format_pattern,
     parse_matrix,
     parse_pattern,
@@ -18,7 +20,7 @@ from homcone.io_cli import (
 )
 from homcone.ipm import solve
 from homcone.matrix import inner, to_dense
-from homcone.pattern import SparsityPattern
+from homcone.pattern import SparsityPattern, homogeneous_extension
 
 from conftest import FIG1_EDGES, PAPER12_EDGES, PAPER12_SIGMA
 
@@ -187,6 +189,11 @@ class TestSdpa:
         with pytest.raises(ParseError):
             parse_sdpa("1\n1\n2\n1.0\n0 1 5 5 1.0\n")
 
+    @pytest.mark.parametrize("head", ["2\n1\n2\n1.0\n", "1\n2\n2\n1.0\n"])
+    def test_short_header_lists(self, head):
+        with pytest.raises(ParseError, match="SDPA header announces"):
+            parse_sdpa(head + "0 1 1 1 1.0\n1 1 1 1 1.0\n")
+
 
 class TestCli:
     def test_order_vinberg(self, tmp_path):
@@ -330,13 +337,85 @@ class TestCli:
         assert rc == 3
         assert "REJECTED" in out
 
-    def test_bench_runs(self):
-        rc, out = cli("bench", "--sizes", "200,400", "--format", "json")
-        assert rc == 0
-        rows = json.loads(out)
-        assert [r["n"] for r in rows] == [200, 400]
+    @pytest.mark.parametrize("text, where", [
+        ("3 x\n1 3\n2 3\n1 1 2.0\n", "(line 1)"),
+        ("3 2\n1 3\n2 3\n1 1 2.0\n2 2 x\n", "(line 5)"),
+        ('{"n": 3, "edges": [[1, 3]', "invalid JSON"),
+        ('{"n": 3, "edges": [[1, 3], [2, 3]]}', "'entries'"),
+        ('{"n": 3, "edges": [[1, 3, 2]], "entries": []}', "'edges'"),
+        ('{"n": 3, "edges": [], "entries": [[1, 1]]}', "'entries'"),
+    ])
+    def test_malformed_matrix_is_input_error(self, tmp_path, capsys, text, where):
+        f = write(tmp_path, "bad.mat", text)
+        rc, out = cli("factor", f)
+        assert rc == 2 and out == ""
+        assert where in capsys.readouterr().err
 
-    def test_selftest(self):
-        rc, out = cli("selftest", "--seed", "1")
-        assert rc == 0, out
-        assert out.count("PASS") == 4
+    @pytest.mark.parametrize("entry, message", [
+        ("0 0 5.0", "entry (0,0) needs integer vertex indices in 1..3"),
+        ("4 4 1.0", "entry (4,4) needs integer vertex indices in 1..3"),
+        ("1.5 1 1.0", "entry (1.5,1) needs integer vertex indices in 1..3"),
+        ("2 1 1.0", "entry (2,1) is not in the pattern"),
+        ("3 3 1.0", "duplicate entry (3,3)"),
+    ])
+    def test_bad_vertex_index_names_file_entry(self, tmp_path, capsys, entry, message):
+        text = f"3 2\n1 3\n2 3\n1 1 2.0\n2 2 1.0\n3 3 2.0\n{entry}\n"
+        rc, out = cli("factor", write(tmp_path, "bad.mat", text))
+        assert rc == 2 and out == ""
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index", [0, 4, 1.5])
+    def test_solve_rejects_bad_vertex_index(self, tmp_path, capsys, index):
+        data = {"n": 3, "edges": [[1, 3], [2, 3]], "b": [1.0],
+                "c": [[1, 1, 1.0], [2, 2, 1.0], [3, 3, 1.0]],
+                "A": [[[1, 1, 1.0], [index, index, 1.0]]]}
+        rc, out = cli("solve", write(tmp_path, "p.json", json.dumps(data)))
+        assert rc == 2 and out == ""
+        assert f"bad 'A'[0]: entry ({index},{index})" in capsys.readouterr().err
+
+
+def _brute_force_chordal(p):
+    """No induced cycle of length >= 4, by scanning every vertex subset."""
+    for k in range(4, p.n + 1):
+        for sub in itertools.combinations(range(p.n), k):
+            inside = set(sub)
+            deg = {v: sum(w in inside for w in p.adjacency[v]) for v in sub}
+            if any(d != 2 for d in deg.values()):
+                continue
+            seen, stack = {sub[0]}, [sub[0]]
+            while stack:
+                for w in p.adjacency[stack.pop()]:
+                    if w in inside and w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            if len(seen) == k:
+                return False
+    return True
+
+
+class TestIsChordal:
+    def test_cycles_are_general(self, tmp_path):
+        for k in range(4, 10):
+            cycle = SparsityPattern(k, [(i, i + 1) for i in range(k - 1)] + [(0, k - 1)])
+            assert not _is_chordal(cycle)
+            rc, out = cli("check-pattern", write(tmp_path, "c.pat", format_pattern(cycle)))
+            assert rc == 0 and out.startswith("GENERAL")
+
+    def test_extensions_are_chordal(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(2, 40))
+            pairs = list(itertools.combinations(range(n), 2))
+            keep = rng.random(len(pairs)) < rng.uniform(0.05, 0.4)
+            p = SparsityPattern(n, [e for e, b in zip(pairs, keep) if b])
+            assert _is_chordal(homogeneous_extension(p).extended)
+
+    def test_matches_brute_force(self, rng):
+        verdicts = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            pairs = list(itertools.combinations(range(n), 2))
+            keep = rng.random(len(pairs)) < rng.uniform(0.2, 0.8)
+            p = SparsityPattern(n, [e for e, b in zip(pairs, keep) if b])
+            verdicts.add(_is_chordal(p))
+            assert _is_chordal(p) == _brute_force_chordal(p)
+        assert verdicts == {True, False}

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,14 @@ class TestSolve:
         assert d["status"] == "Optimal"
         assert len(d["x"]) == vinberg_struct.dim
         assert isinstance(d["trace"], list)
+
+    def test_debug_log_per_iteration(self, vinberg_struct, caplog):
+        prob = trace_one_problem(vinberg_struct, [1.0, 2.0, 3.0])
+        with caplog.at_level(logging.DEBUG, logger="homcone.ipm"):
+            rep = solve(prob)
+        lines = [r.getMessage() for r in caplog.records if r.name == "homcone.ipm"]
+        assert len(lines) == rep.iterations > 0
+        assert lines[0].startswith("it   0  mu 1.000e+00")
 
     def test_max_iter_status(self, vinberg_struct):
         prob = trace_one_problem(vinberg_struct, [1.0, 2.0, 3.0])

@@ -12,6 +12,7 @@ from homcone.matrix import (
     norm,
     project,
     to_dense,
+    to_triplets,
     tri_inverse,
     tri_mul,
 )
@@ -179,6 +180,46 @@ class TestTriplets:
     def test_duplicate(self, vinberg_struct):
         with pytest.raises(StructuralError):
             from_triplets(vinberg_struct, [(2, 0, 1.0), (0, 2, 2.0)])
+
+    @pytest.mark.parametrize("entry, base", [
+        ((3, 3, 1.0), 0), ((-1, -1, 1.0), 0), ((0.5, 0, 1.0), 0),
+        ((0, 0, 1.0), 1), ((4, 1, 1.0), 1), ((np.nan, 1, 1.0), 1),
+    ])
+    def test_rejects_bad_vertex_index(self, vinberg_struct, entry, base):
+        good = [(base, base, 1.0)]
+        with pytest.raises(StructuralError, match="needs integer vertex indices"):
+            from_triplets(vinberg_struct, good + [entry], base=base)
+
+    def test_messages_name_entries_as_given(self, vinberg_struct):
+        with pytest.raises(StructuralError, match=r"duplicate entry \(1,3\)"):
+            from_triplets(vinberg_struct, [(3, 1, 1.0), (1, 3, 2.0)], base=1)
+        with pytest.raises(StructuralError, match=r"entry \(2,1\) is not in"):
+            from_triplets(vinberg_struct, [(1, 1, 1.0), (2, 1, 2.0)], base=1)
+
+    def test_to_triplets_matches_slot_walk(self, rng):
+        for n, seed in ((1, 1), (9, 2), (30, 3)):
+            gen = random_structure(n, seed=seed).pattern
+            label = rng.permutation(n)
+            st = Structure.from_pattern(SparsityPattern(
+                n, [(label[i], label[j]) for i, j in gen.edges]))
+            x = random_sym(st, rng)
+            sigma = st.ordering.sigma
+            walk = [[sigma[st.bar_rows[k]] + 1, sigma[q] + 1, float(x.vals[k])]
+                    for q in range(n) for k in range(st.bar_ptr[q], st.bar_ptr[q + 1])]
+            trips = to_triplets(x)
+            assert trips == walk
+            assert all(type(i) is int and type(j) is int and type(v) is float
+                       for i, j, v in trips)
+            assert np.array_equal(from_triplets(st, trips, base=1).vals, x.vals)
+            rev = np.array(trips)[::-1]
+            assert np.array_equal(from_triplets(st, rev, base=1).vals, x.vals)
+
+    def test_empty_and_malformed(self, vinberg_struct):
+        assert not from_triplets(vinberg_struct, []).vals.any()
+        with pytest.raises(StructuralError):
+            from_triplets(vinberg_struct, [(0, 0)])
+        with pytest.raises(StructuralError):
+            from_triplets(vinberg_struct, [("a", 0, 1.0)])
 
     def test_round_trip(self, vinberg_struct, rng):
         x = random_sym(vinberg_struct, rng)
