@@ -164,10 +164,13 @@ def _json_structure(data: dict) -> Structure:
 
 def _structure_for(pattern: SparsityPattern, ordering: Optional[Ordering]) -> Structure:
     if ordering is not None:
-        if verify_ordering(pattern, ordering) is not OrderingClass.TRIVIALLY_PERFECT_PEO:
+        try:
+            return Structure(pattern, ordering)
+        except OrderingError:
+            if ordering.n != pattern.n:
+                raise
             raise ParseError("supplied ordering is not a trivially perfect "
-                             "elimination ordering of the pattern")
-        return Structure(pattern, ordering)
+                             "elimination ordering of the pattern") from None
     res = lbfs_order(pattern)
     if not res.accepted:
         raise ParseError(
@@ -290,7 +293,11 @@ def parse_sdpa(text: str):
                                                   keys[off, 1].tolist()))))
     ext = homogeneous_extension(aggregate)
     struct = Structure(ext.extended, ext.ordering, ext.etree)
-    exact = ext.extended.n_edges == aggregate.n_edges and _block_dense(aggregate)
+    # with no fill the aggregate is the comparability graph of the
+    # structure's forest, whose components are complete iff no node has
+    # two children
+    kids = [p for q, p in enumerate(struct.pos_parent) if p != q]
+    exact = ext.extended.n_edges == aggregate.n_edges and len(set(kids)) == len(kids)
 
     def build(matno, negate=False):
         mine = keys[:, 0] == matno
@@ -312,30 +319,6 @@ def parse_sdpa(text: str):
                  "is not block diagonal dense)"),
     }
     return problem, info
-
-
-def _block_dense(pattern: SparsityPattern) -> bool:
-    """True when every connected component induces a complete subgraph."""
-    n = pattern.n
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in pattern.adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        k = len(comp)
-        inside = sum(len(pattern.adjacency[v]) for v in comp) // 2
-        if inside != k * (k - 1) // 2:
-            return False
-    return True
 
 
 # ------------------------------------------------------------------ helpers
@@ -476,21 +459,17 @@ def _cmd_complete(args, stdout) -> int:
 
 
 def _cmd_solve(args, stdout) -> int:
+    try:
+        options = SolverOptions(gamma=args.gamma, tol_gap=args.tol, tol_feas=args.tol,
+                                max_iter=args.max_iter, step_fraction=args.eta)
+    except ValueError as e:
+        print(f"homcone solve: error: {e}", file=sys.stderr)
+        return 1
     text = _read(args.file)
-    if args.file.endswith(".dat-s") or args.file.endswith(".sdpa"):
+    if args.file.endswith((".dat-s", ".sdpa")) or not text.lstrip().startswith("{"):
         problem, info = parse_sdpa(text)
     else:
-        stripped = text.lstrip()
-        if not stripped.startswith("{"):
-            problem, info = parse_sdpa(text)
-        else:
-            problem, info = parse_problem(text)
-    options = SolverOptions(
-        gamma=args.gamma,
-        tol_gap=args.tol, tol_feas=args.tol,
-        max_iter=args.max_iter,
-        step_fraction=args.eta,
-    )
+        problem, info = parse_problem(text)
     rep = solve(problem, options)
     if args.trace:
         with open(args.trace, "w") as fh:
@@ -512,6 +491,9 @@ def _cmd_gen(args, stdout) -> int:
                                          branching=args.branching)
         _emit(args.out, format_pattern(gen.pattern), stdout)
         return 0
+    if args.m < 0:
+        print(f"homcone gen: error: --m must be non-negative, got {args.m}", file=sys.stderr)
+        return 1
     rng = np.random.default_rng(args.seed)
     gen = random_homogeneous_pattern(args.n, seed=args.seed,
                                      branching=args.branching)

@@ -178,6 +178,10 @@ class SolverOptions:
             raise ValueError("gamma must be in [0, 1]")
         if not 0.0 < self.step_fraction < 1.0:
             raise ValueError("step_fraction must be in (0, 1)")
+        if not (self.tol_gap > 0.0 and self.tol_feas > 0.0):
+            raise ValueError("tol_gap and tol_feas must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 def residuals(problem: ConicProblem, it: Iterate) -> Residuals:

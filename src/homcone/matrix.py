@@ -24,17 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import OrderingError, SingularFactor, StructuralError
-from .pattern import (
-    EliminationTree,
-    Ordering,
-    OrderingClass,
-    SparsityPattern,
-    SupernodePartition,
-    build_etree,
-    lbfs_order,
-    supernode_partition,
-    verify_ordering,
-)
+from .pattern import EliminationTree, Ordering, SparsityPattern, edges_and_parents, lbfs_order
 
 __all__ = [
     "Structure",
@@ -57,6 +47,9 @@ __all__ = [
 #: nodes at depth d has at most ``max(1, BATCH_FLOATS // (d+1)^2)`` nodes,
 #: so a step's blocks stay in cache on deep trees.
 BATCH_FLOATS = 1 << 15
+
+_NOT_TRIVIALLY_PERFECT = ("structure requires a trivially perfect elimination ordering; "
+                          "run lbfs_order or homogeneous_extension first")
 
 
 def _index(idx: list):
@@ -155,40 +148,43 @@ class Structure:
     """
 
     __slots__ = (
-        "pattern", "ordering", "etree", "n", "nnz",
+        "pattern", "ordering", "n", "nnz",
         "pos_parent", "depth", "levels", "batches", "up_order", "down_order",
         "bar_ptr", "bar_rows", "weights",
-        "_row_vertex", "_col_vertex", "_position", "_depth", "_snodes",
+        "_row_vertex", "_col_vertex", "_position", "_depth",
         "_level_index", "_ends_deep_first", "_at_least",
     )
 
     def __init__(self, pattern: SparsityPattern, ordering: Ordering,
                  etree: Optional[EliminationTree] = None):
-        if verify_ordering(pattern, ordering) is not OrderingClass.TRIVIALLY_PERFECT_PEO:
-            raise OrderingError(
-                "structure requires a trivially perfect elimination ordering; "
-                "run lbfs_order or homogeneous_extension first")
-        if etree is None:
-            etree = build_etree(pattern, ordering)
+        """The ordering is trivially perfect iff the pattern is the
+        comparability graph of the forest in which each vertex's parent is
+        its lowest-position higher neighbour; ``etree``, if given, must be
+        that forest.  Anything else raises OrderingError."""
         n = pattern.n
-        pos = ordering.sigma_inv
-        par = [pos[etree.parent[v]] for v in ordering.sigma]
-        if any(p < q for q, p in enumerate(par)):
-            raise OrderingError("elimination tree points below the diagonal")
-        dep = [0] * n
-        for q in range(n - 1, -1, -1):
-            if par[q] != q:
-                dep[q] = dep[par[q]] + 1
-        depth = np.array(dep, dtype=np.int64)
+        u, w, par = edges_and_parents(pattern, ordering)
+        pos = np.asarray(ordering.sigma_inv, dtype=np.int64)
+        sig = np.asarray(ordering.sigma, dtype=np.int64)
+        # depth by pointer jumping: ``up`` is ``depth`` levels above, and
+        # the reach doubles until every ``up`` is a root
+        depth, up = (par != np.arange(n)).astype(np.int64), par
+        while (up[up] != up).any():
+            depth += depth[up]
+            up = up[up]
+        # the pattern is the forest's comparability graph iff it has as many
+        # edges as the chains have slots (checked here, before the O(nnz)
+        # tables are built) and every edge is a chain slot (checked below)
+        if len(u) != depth.sum() or (
+                etree is not None and tuple(etree.parent) != tuple(sig[par[pos]].tolist())):
+            raise OrderingError(_NOT_TRIVIALLY_PERFECT)
         bar_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(depth + 1, out=bar_ptr[1:])
         self.pattern = pattern
         self.ordering = ordering
-        self.etree = etree
         self.n = n
         self.nnz = int(bar_ptr[n]) - n
-        self.pos_parent = tuple(par)
-        self.depth = tuple(dep)
+        self.pos_parent = tuple(par.tolist())
+        self.depth = tuple(depth.tolist())
         self.bar_ptr = bar_ptr
         # slot t >= 1 of a column holds what slot t-1 of its parent's column
         # holds, so a column's rows are its own index followed by its
@@ -197,20 +193,22 @@ class Structure:
         col = np.repeat(np.arange(n), depth + 1)
         link = np.arange(-1, self.dim - 1) + (bar_ptr[par] - bar_ptr[:-1])[col]
         link[bar_ptr[:-1]] = bar_ptr[:-1]
-        reach, top = 1, max(dep, default=0)
+        reach, top = 1, int(depth.max())
         while reach < top:
             link = link[link]
             reach *= 2
         self.bar_rows = col[link]
-        self._compile(par)
+        self._position = pos
+        self._depth = depth
+        try:
+            self._slots(np.array([u, w]), 0)
+        except StructuralError:
+            raise OrderingError(_NOT_TRIVIALLY_PERFECT) from None
+        self._compile(self.pos_parent)
         self.weights = np.full(self.dim, 2.0)
         self.weights[bar_ptr[:-1]] = 1.0
-        sig = np.asarray(ordering.sigma, dtype=np.int64)
         self._row_vertex = sig[self.bar_rows]
         self._col_vertex = sig[col]
-        self._position = np.asarray(pos, dtype=np.int64)
-        self._depth = depth
-        self._snodes = None
 
     def _compile(self, par: list) -> None:
         """Compile the level schedule.  Every index table is O(dim)."""
@@ -349,12 +347,6 @@ class Structure:
     def dim(self) -> int:
         """Dimension of the symmetric matrix space on this pattern."""
         return self.n + self.nnz
-
-    @property
-    def supernodes(self) -> SupernodePartition:
-        if self._snodes is None:
-            self._snodes = supernode_partition(self.pattern, self.ordering, self.etree)
-        return self._snodes
 
     def col(self, q: int) -> slice:
         return slice(int(self.bar_ptr[q]), int(self.bar_ptr[q + 1]))

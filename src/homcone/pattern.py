@@ -16,6 +16,7 @@ and all functions are pure.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -350,6 +351,23 @@ def verify_ordering(pattern: SparsityPattern, ordering: Ordering) -> OrderingCla
     return OrderingClass.TRIVIALLY_PERFECT_PEO
 
 
+def edges_and_parents(pattern: SparsityPattern, ordering: Ordering):
+    """Every edge once, as vertex arrays (u, w) with u < w, and the parent
+    of each position: the position of its lowest-position higher
+    neighbour, or itself at a root."""
+    n = pattern.n
+    if ordering.n != n:
+        raise OrderingError(f"ordering on {ordering.n} vertices, pattern has {n}")
+    pos = np.asarray(ordering.sigma_inv, dtype=np.int64)
+    deg = np.fromiter(map(len, pattern.adjacency), np.int64, n)
+    u = np.repeat(np.arange(n), deg)
+    w = np.fromiter(itertools.chain.from_iterable(pattern.adjacency), np.int64, len(u))
+    u, w = u[u < w], w[u < w]
+    par = np.full(n, n)
+    np.minimum.at(par, np.minimum(pos[u], pos[w]), np.maximum(pos[u], pos[w]))
+    return u, w, np.where(par == n, np.arange(n), par)
+
+
 def build_etree(pattern: SparsityPattern, ordering: Ordering,
                 check: bool = False) -> EliminationTree:
     """Parent of v is its first higher neighbor (v itself at a root).
@@ -359,15 +377,9 @@ def build_etree(pattern: SparsityPattern, ordering: Ordering,
     """
     if check and verify_ordering(pattern, ordering) is OrderingClass.NOT_PEO:
         raise OrderingError("ordering is not a perfect elimination ordering")
-    pos = ordering.sigma_inv
-    if ordering.n != pattern.n:
-        raise OrderingError(
-            f"ordering on {ordering.n} vertices, pattern has {pattern.n}")
-    parent = []
-    for v in range(pattern.n):
-        higher = [w for w in pattern.adjacency[v] if pos[w] > pos[v]]
-        parent.append(min(higher, key=lambda w: pos[w]) if higher else v)
-    return EliminationTree.from_parent(parent)
+    par = edges_and_parents(pattern, ordering)[2]
+    sig = np.asarray(ordering.sigma, dtype=np.int64)
+    return EliminationTree.from_parent(sig[par[list(ordering.sigma_inv)]].tolist())
 
 
 def is_postordering(etree: EliminationTree, ordering: Ordering) -> bool:

@@ -373,6 +373,36 @@ class TestCli:
         assert rc == 2 and out == ""
         assert f"bad 'A'[0]: entry ({index},{index})" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--eta", "1.5", "step_fraction must be in (0, 1)"),
+        ("--gamma", "2", "gamma must be in [0, 1]"),
+        ("--max-iter", "-3", "max_iter must be at least 1"),
+        ("--tol", "0", "tol_gap and tol_feas must be positive"),
+    ])
+    def test_solve_rejects_bad_option(self, tmp_path, capsys, flag, value, message):
+        pf = str(tmp_path / "prob.json")
+        assert cli("gen", "problem", "--n", "4", "--m", "1", "--out", pf)[0] == 0
+        rc, out = cli("solve", pf, flag, value)
+        assert rc == 1 and out == ""
+        assert capsys.readouterr().err == f"homcone solve: error: {message}\n"
+
+    def test_gen_rejects_negative_m(self, capsys):
+        rc, out = cli("gen", "problem", "--m", "-1")
+        assert rc == 1 and out == ""
+        assert capsys.readouterr().err == "homcone gen: error: --m must be non-negative, got -1\n"
+
+    @pytest.mark.parametrize("ordering, message", [
+        ([3, 1, 2], "supplied ordering is not a trivially perfect elimination "
+                    "ordering of the pattern"),
+        ([1, 2], "ordering on 2 vertices, pattern has 3"),
+    ])
+    def test_bad_supplied_ordering(self, tmp_path, capsys, ordering, message):
+        data = {"n": 3, "edges": [[1, 3], [2, 3]], "ordering": ordering,
+                "entries": [[1, 1, 2.0], [2, 2, 3.0], [3, 3, 2.0]]}
+        rc, out = cli("factor", write(tmp_path, "m.json", json.dumps(data)))
+        assert rc == 2 and out == ""
+        assert capsys.readouterr().err == f"homcone: input error: {message}\n"
+
 
 def _brute_force_chordal(p):
     """No induced cycle of length >= 4, by scanning every vertex subset."""

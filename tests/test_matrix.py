@@ -16,7 +16,15 @@ from homcone.matrix import (
     tri_inverse,
     tri_mul,
 )
-from homcone.pattern import Ordering, SparsityPattern
+from homcone.pattern import (
+    EliminationTree,
+    Ordering,
+    OrderingClass,
+    SparsityPattern,
+    build_etree,
+    lbfs_order,
+    verify_ordering,
+)
 
 from helpers import random_lower, random_structure, random_sym
 
@@ -36,6 +44,73 @@ class TestStructure:
         c4 = SparsityPattern(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         with pytest.raises(OrderingError):
             Structure.from_pattern(c4)
+
+    def test_rejects_inconsistent_etree(self):
+        # the tree 0 -> 1 -> 2 has three ancestor pairs; the pattern has two
+        pat = SparsityPattern(3, [(0, 2), (1, 2)])
+        with pytest.raises(OrderingError, match="trivially perfect"):
+            Structure(pat, Ordering.identity(3), EliminationTree.from_parent([1, 2, 2]))
+        assert Structure(pat, Ordering.identity(3),
+                         EliminationTree.from_parent([2, 2, 2])).nnz == 2
+
+    def test_rejects_size_mismatch(self, vinberg_pattern):
+        with pytest.raises(OrderingError, match="ordering on 4 vertices"):
+            Structure(vinberg_pattern, Ordering.identity(4))
+        with pytest.raises(OrderingError, match="ordering on 2 vertices"):
+            Structure(vinberg_pattern, Ordering.identity(2))
+
+    def test_single_vertex(self):
+        s = Structure(SparsityPattern(1, []), Ordering.identity(1))
+        assert s.nnz == 0 and s.depth == (0,) and list(s.bar_rows) == [0]
+
+    def test_accepts_exactly_trivially_perfect_orderings(self, rng):
+        """The edge-to-chain check agrees with verify_ordering, and with a
+        supplied tree accepts exactly the tree of lowest higher neighbours,
+        which is build_etree's."""
+        verdicts = []
+        for _ in range(400):
+            n = int(rng.integers(1, 8))
+            if rng.random() < 0.5:
+                pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+                edges = [e for e in pairs if rng.random() < rng.random()]
+            else:  # comparability graph of a random forest
+                parent = [int(rng.integers(v, n)) for v in range(n)]
+                edges = set()
+                for v in range(n):
+                    w = v
+                    while parent[w] != w:
+                        w = parent[w]
+                        edges.add((v, w))
+                label = rng.permutation(n)
+                edges = [(int(label[i]), int(label[j])) for i, j in edges]
+            pat = SparsityPattern(n, edges)
+            res = lbfs_order(pat)
+            if res.accepted and rng.random() < 0.5:
+                ordering = res.ordering
+            else:
+                ordering = Ordering.from_sigma([int(v) for v in rng.permutation(n)])
+            good = verify_ordering(pat, ordering) is OrderingClass.TRIVIALLY_PERFECT_PEO
+            verdicts.append(good)
+            if good:
+                s = Structure(pat, ordering)
+                assert s.nnz == len(edges)
+                assert all(s.slot(i, j) >= 0 for i, j in edges)
+            else:
+                with pytest.raises(OrderingError):
+                    Structure(pat, ordering)
+            pos = ordering.sigma_inv
+            lowest = [min((w for w in pat.adjacency[v] if pos[w] > pos[v]),
+                          key=pos.__getitem__, default=v) for v in range(n)]
+            assert build_etree(pat, ordering).parent == tuple(lowest)
+            # a random tree in the ordering: accepted iff it is that tree
+            parent = [ordering.sigma[int(rng.integers(pos[v], n))] for v in range(n)]
+            tree = EliminationTree.from_parent(parent)
+            if good and tree.parent == tuple(lowest):
+                Structure(pat, ordering, tree)
+            else:
+                with pytest.raises(OrderingError):
+                    Structure(pat, ordering, tree)
+        assert min(sum(verdicts), len(verdicts) - sum(verdicts)) > 100
 
     def test_from_pattern(self, paper12_pattern):
         s = Structure.from_pattern(paper12_pattern)
