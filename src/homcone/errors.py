@@ -51,7 +51,8 @@ class NonpositiveCurvature(HomconeError):
 
 
 class SingularNormalMatrix(HomconeError):
-    """Normal equations are rank deficient (linearly dependent constraints)."""
+    """Normal matrix not numerically positive definite; the message says
+    whether the constraints are dependent or the iterates degenerated."""
 
 
 class ScalingConvergenceError(HomconeError):

@@ -215,16 +215,16 @@ def parse_problem(text: str):
     c = _triplets_to_sym(struct, data["c"], "'c'")
     if not isinstance(data["A"], list):
         raise ParseError("'A' must be a list of triplet lists")
-    a_mats = tuple(_triplets_to_sym(struct, trips, f"'A'[{k}]")
-                   for k, trips in enumerate(data["A"]))
+    a = np.reshape([_triplets_to_sym(struct, trips, f"'A'[{k}]").vals
+                    for k, trips in enumerate(data["A"])], (len(data["A"]), struct.dim))
     try:
         b = np.asarray(data["b"], dtype=float)
     except (TypeError, ValueError):
         raise ParseError("'b' must be a list of numbers") from None
-    if b.shape != (len(a_mats),):
-        raise ParseError(f"{len(a_mats)} constraint matrices but {b.size} "
+    if b.shape != (len(a),):
+        raise ParseError(f"{len(a)} constraint matrices but {b.size} "
                          "right-hand sides")
-    return ConicProblem(struct, a_mats, b, c), {"format": "native"}
+    return ConicProblem(struct, a, b, c), {"format": "native"}
 
 
 def serialize_problem(problem: ConicProblem) -> dict:
@@ -235,7 +235,7 @@ def serialize_problem(problem: ConicProblem) -> dict:
         "ordering": [v + 1 for v in st.ordering.sigma],
         "b": [float(t) for t in problem.b],
         "c": to_triplets(problem.c),
-        "A": [to_triplets(a) for a in problem.a_mats],
+        "A": [to_triplets(SymSparse(st, a)) for a in problem.A],
     }
 
 
@@ -306,8 +306,8 @@ def parse_sdpa(text: str):
                                 f"matrix {matno}", base=0)
 
     c = build(0, negate=True)
-    a_mats = tuple(build(k) for k in range(1, m + 1))
-    problem = ConicProblem(struct, a_mats, np.asarray(cvec), c)
+    a = np.reshape([build(k).vals for k in range(1, m + 1)], (m, struct.dim))
+    problem = ConicProblem(struct, a, np.asarray(cvec), c)
     info = {
         "format": "sdpa",
         "aggregate_edges": aggregate.n_edges,

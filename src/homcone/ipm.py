@@ -25,19 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotCompletable, NotPositiveDefinite, SingularNormalMatrix
-from .factor import cholesky, maxdet_factor
-from .matrix import (
-    LowerSparse,
-    Structure,
-    SymSparse,
-    identity,
-    inner,
-    norm,
-    project,
-    to_dense,
-    to_triplets,
-    zeros,
-)
+from .factor import cholesky, forward_map, maxdet_factor
+from .matrix import LowerSparse, Structure, SymSparse, identity, inner, norm, to_triplets
 from .scaling import (
     ScalingOperator,
     apply_scaling,
@@ -56,6 +45,7 @@ __all__ = [
     "SolveReport",
     "Residuals",
     "residuals",
+    "normal_matrix",
     "search_direction",
     "max_step",
     "solve",
@@ -77,47 +67,49 @@ class SolveStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class ConicProblem:
-    """Problem data: m constraint matrices, right-hand side b, cost c,
-    all on one structure.  Warns (once) on linearly dependent constraints;
-    the normal matrix later fails hard if they are exactly dependent."""
+    """Problem data on one structure: constraint matrices as the rows of
+    one read-only (m, dim) array A of slot values, right-hand side b, cost
+    c.  Warns if the constraints look linearly dependent."""
 
     struct: Structure
-    a_mats: tuple
+    A: np.ndarray
     b: np.ndarray
     c: SymSparse
 
     def __post_init__(self):
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
-        if len(self.a_mats) != self.b.shape[0]:
-            raise ValueError(
-                f"{len(self.a_mats)} constraint matrices but b has {self.b.shape[0]} entries")
-        for a in self.a_mats:
-            if a.struct != self.struct:
-                raise ValueError("constraint matrix on a different structure")
+        b = np.asarray(self.b, dtype=np.float64)
+        a = np.array(self.A, dtype=np.float64)
+        if a.ndim != 2 or a.shape[1] != self.struct.dim:
+            raise ValueError(f"A has shape {a.shape}, rows must have the "
+                             f"structure's dim {self.struct.dim}")
+        if a.shape[0] != b.shape[0]:
+            raise ValueError(f"A has {a.shape[0]} rows but b has {b.shape[0]} entries")
         if self.c.struct != self.struct:
             raise ValueError("cost matrix on a different structure")
-        m = len(self.a_mats)
-        if m:
-            gram = np.array([[inner(ai, aj) for aj in self.a_mats]
-                             for ai in self.a_mats])
-            eig = np.linalg.eigvalsh(gram)
-            if eig[0] <= 1e-12 * max(1.0, eig[-1]):
-                warnings.warn("constraint matrices look linearly dependent; "
-                              "the normal system may be singular", stacklevel=2)
+        a.flags.writeable = False
+        object.__setattr__(self, "A", a)
+        object.__setattr__(self, "b", b)
+        if self.constraints_dependent():
+            warnings.warn("constraint matrices look linearly dependent; "
+                          "the normal system may be singular", stacklevel=2)
 
     @property
     def m(self) -> int:
-        return len(self.a_mats)
+        return self.A.shape[0]
+
+    def constraints_dependent(self) -> bool:
+        """Whether the Gram matrix <A_i, A_j> is numerically singular."""
+        if not self.m:
+            return False
+        eig = np.linalg.eigvalsh((self.A * self.struct.weights) @ self.A.T)
+        return bool(eig[0] <= 1e-12 * max(1.0, eig[-1]))
 
     def apply_a(self, x: SymSparse) -> np.ndarray:
-        return np.array([inner(a, x) for a in self.a_mats])
+        return np.vecdot(self.A * self.struct.weights, x.vals)
 
     def apply_at(self, y: np.ndarray) -> SymSparse:
-        out = zeros(self.struct)
-        for yi, a in zip(y, self.a_mats):
-            if yi != 0.0:
-                out = out + float(yi) * a
-        return out
+        # rows added in order onto +0.0, as a loop of axpys would
+        return SymSparse(self.struct, (y[:, None] * self.A).sum(axis=0, initial=0.0))
 
 
 def random_problem(struct: Structure, m: int, rng) -> ConicProblem:
@@ -126,19 +118,16 @@ def random_problem(struct: Structure, m: int, rng) -> ConicProblem:
     def spd():
         v = 0.3 * rng.standard_normal(struct.dim)
         v[struct.bar_ptr[:-1]] = rng.uniform(0.8, 1.6, struct.n)
-        ld = to_dense(LowerSparse(struct, v))
-        return project(ld @ ld.T, struct)
+        # with zero fill, L L^T lies on the pattern
+        return forward_map(LowerSparse(struct, v), identity(struct))
 
     x_feas = spd()
     s_feas = spd()  # interior of K, hence of its superset dual cone
     y_feas = rng.standard_normal(m)
-    a_mats = tuple(SymSparse(struct, rng.standard_normal(struct.dim))
-                   for _ in range(m))
-    b = np.array([inner(a, x_feas) for a in a_mats])
-    c = s_feas
-    for yi, a in zip(y_feas, a_mats):
-        c = c + float(yi) * a
-    return ConicProblem(struct, a_mats, b, c)
+    a = rng.standard_normal((m, struct.dim))
+    b = np.vecdot(a * struct.weights, x_feas.vals)
+    c = SymSparse(struct, s_feas.vals + (y_feas[:, None] * a).sum(axis=0))
+    return ConicProblem(struct, a, b, c)
 
 
 @dataclass(frozen=True)
@@ -192,6 +181,17 @@ def residuals(problem: ConicProblem, it: Iterate) -> Residuals:
     )
 
 
+def normal_matrix(problem: ConicProblem, op: ScalingOperator) -> np.ndarray:
+    """M_ij = <A_i, fwd(adj(A_j))>, symmetrized; symmetric positive
+    definite for independent constraints."""
+    st = problem.struct
+    images = np.reshape([apply_scaling(op, "forward",
+                                       apply_scaling(op, "adjoint", SymSparse(st, a))).vals
+                         for a in problem.A], problem.A.shape)
+    nm = np.vecdot((problem.A * st.weights)[:, None, :], images[None, :, :])
+    return 0.5 * (nm + nm.T)
+
+
 def search_direction(problem: ConicProblem, it: Iterate, op: ScalingOperator,
                      gamma: float):
     """Solve the scaled Newton system
@@ -200,38 +200,31 @@ def search_direction(problem: ConicProblem, it: Iterate, op: ScalingOperator,
         A*(d_y) + d_s = -r_d
         inv(d_x) + adj(d_s) = -v + gamma mu vtilde
 
-    by eliminating through the normal matrix M_ij = <A_i, fwd(adj(A_j))>,
-    which is symmetric positive definite for independent constraints."""
+    by eliminating through the normal matrix.  If that is not numerically
+    positive definite, SingularNormalMatrix says whether the constraints
+    are dependent or the iterates degenerated."""
     res = residuals(problem, it)
     v = op.v
     vtilde = (1.0 / it.mu) * (v - op.v_hat_or_zero())
     rv = -1.0 * v + (gamma * it.mu) * vtilde
-    m = problem.m
-    images = [apply_scaling(op, "forward", apply_scaling(op, "adjoint", a))
-              for a in problem.a_mats]
-    nm = np.array([[inner(ai, img) for img in images] for ai in problem.a_mats])
-    nm = 0.5 * (nm + nm.T)
+    nm = normal_matrix(problem, op)
     carry = rv + apply_scaling(op, "adjoint", res.r_d)
     rhs = -res.r_p - problem.apply_a(apply_scaling(op, "forward", carry))
     try:
         low = np.linalg.cholesky(nm)
-    except np.linalg.LinAlgError as e:
+    except np.linalg.LinAlgError:
+        low = None
+    if low is None or np.any(np.diag(low) <= 1e-7 * np.sqrt(np.diag(nm))):
+        if problem.constraints_dependent():
+            raise SingularNormalMatrix(
+                "normal matrix is not positive definite; constraints are rank deficient")
         raise SingularNormalMatrix(
-            "normal matrix is not positive definite; constraints are "
-            "rank deficient") from e
-    if m and np.any(np.diag(low) <= 1e-7 * np.sqrt(np.diag(nm))):
-        raise SingularNormalMatrix(
-            "normal matrix is numerically singular; constraints are "
-            "rank deficient")
-    d_y = _chol_solve(low, rhs) if m else np.zeros(0)
+            f"normal matrix lost positive definiteness (mu = {it.mu:.3e}) although "
+            "the constraints are independent; the problem may be infeasible")
+    d_y = np.linalg.solve(low.T, np.linalg.solve(low, rhs))
     d_s = -1.0 * res.r_d - problem.apply_at(d_y)
     d_x = apply_scaling(op, "forward", rv - apply_scaling(op, "adjoint", d_s))
     return d_x, d_y, d_s
-
-
-def _chol_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    z = np.linalg.solve(low, rhs)
-    return np.linalg.solve(low.T, z)
 
 
 def _interior(x: SymSparse, s: SymSparse) -> bool:
@@ -329,7 +322,10 @@ def solve(problem: ConicProblem, options: Optional[SolverOptions] = None) -> Sol
         op = bfgs_update(base_op, state)
         gamma = opt.gamma if opt.gamma is not None else \
             (0.1 if last_alpha >= 0.8 else 0.8)
-        d_x, d_y, d_s = search_direction(problem, it, op, gamma)
+        try:
+            d_x, d_y, d_s = search_direction(problem, it, op, gamma)
+        except SingularNormalMatrix as e:
+            raise SingularNormalMatrix(f"at iteration {k}: {e}") from None
         alpha = max_step(it, d_x, d_s, opt.step_fraction)
         # |v - mu*vtilde|/mu collapses to |v_hat|/mu; informational only
         prox = norm(op.v_hat_or_zero())

@@ -452,10 +452,6 @@ class SymSparse(_Values):
 class LowerSparse(_Values):
     """Lower-triangular matrix (in position space) on the pattern."""
 
-    @property
-    def nonsingular(self) -> bool:
-        return bool(np.all(self.diag != 0.0))
-
 
 def identity(struct: Structure) -> SymSparse:
     v = np.zeros(struct.dim)

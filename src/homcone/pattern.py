@@ -444,10 +444,6 @@ class Extension:
     ordering: Ordering
     etree: EliminationTree
 
-    @property
-    def fill_edges(self) -> int:
-        return self.extended.n_edges
-
 
 def _minimum_degree(pattern: SparsityPattern):
     """Elimination-graph minimum degree ordering with the fill recorded

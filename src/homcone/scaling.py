@@ -214,8 +214,6 @@ class ScalingOperator:
     residual: float = 0.0                # |L^{-1}(x) - L*(s)|
     v_hat: Optional[SymSparse] = None
     u_corr: Optional[SymSparse] = None   # delta_p - L(v_hat)
-    v_hat_inv: Optional[SymSparse] = None  # L^{-*}(v_hat)
-    dp_image: Optional[SymSparse] = None   # L^{-1}(delta_p)
     alpha: float = 1.0
     vhat_norm2: float = 0.0              # <delta_p, delta_d>
 
@@ -265,17 +263,19 @@ def apply_scaling(op: ScalingOperator, mode: str, z: SymSparse) -> SymSparse:
         if op.corrected:
             out = out + (inner(op.u_corr, z) / op.vhat_norm2) * op.v_hat
         return out
+    # the inverse modes use L^{-*}(v_hat) and v_hat - L^{-1}(delta_p),
+    # which is -L^{-1}(u_corr)
     if mode == "inverse":
         out = inverse_forward_map(ell, z)
         if op.corrected:
-            coef = op.alpha * inner(op.v_hat_inv, z) / op.vhat_norm2
-            out = out + coef * (op.v_hat - op.dp_image)
+            coef = op.alpha * inner(inverse_adjoint_map(ell, op.v_hat), z) / op.vhat_norm2
+            out = out - coef * inverse_forward_map(ell, op.u_corr)
         return out
     if mode == "inverse_adjoint":
         out = inverse_adjoint_map(ell, z)
         if op.corrected:
-            coef = op.alpha * inner(op.v_hat - op.dp_image, z) / op.vhat_norm2
-            out = out + coef * op.v_hat_inv
+            coef = op.alpha * inner(inverse_forward_map(ell, op.u_corr), z) / op.vhat_norm2
+            out = out - coef * inverse_adjoint_map(ell, op.v_hat)
         return out
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -312,8 +312,6 @@ def bfgs_update(op: ScalingOperator, state: ScalingState,
         op,
         v_hat=v_hat,
         u_corr=dp - forward_map(ell, v_hat),
-        v_hat_inv=inverse_adjoint_map(ell, v_hat),
-        dp_image=inverse_forward_map(ell, dp),
         alpha=alpha,
         vhat_norm2=curv,
     )

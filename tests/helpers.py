@@ -65,15 +65,13 @@ def random_feasible_problem(struct, m, rng):
     """Conic program with a known interior primal-dual pair, so the optimum
     is bracketed by the certified objectives (weak duality)."""
     from homcone.ipm import ConicProblem
-    from homcone.matrix import inner
 
     x_feas = random_spd(struct, rng)
     s_feas = random_completable(struct, rng, zero_fill_pd=False)
     y_feas = rng.standard_normal(m)
-    a_mats = tuple(random_sym(struct, rng) for _ in range(m))
-    b = np.array([inner(a, x_feas) for a in a_mats])
-    c = s_feas
-    for yi, a in zip(y_feas, a_mats):
-        c = c + float(yi) * a
-    problem = ConicProblem(struct, a_mats, b, c)
+    a = rng.standard_normal((m, struct.dim))
+    b = np.vecdot(a * struct.weights, x_feas.vals)
+    # c = s_feas + y_0 A_0 + y_1 A_1 + ..., added in that order
+    c = SymSparse(struct, np.vstack([s_feas.vals, y_feas[:, None] * a]).sum(axis=0))
+    problem = ConicProblem(struct, a, b, c)
     return problem, x_feas, y_feas, s_feas

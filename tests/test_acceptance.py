@@ -446,7 +446,7 @@ def test_c8_ipm_end_to_end(rng, vinberg_struct):
         assert rep.primal_objective >= rep.dual_objective - slack
 
     c = from_triplets(vinberg_struct, [(0, 0, 1.0), (1, 1, 2.0), (2, 2, 3.0)])
-    prob = ConicProblem(vinberg_struct, (identity(vinberg_struct),),
+    prob = ConicProblem(vinberg_struct, identity(vinberg_struct).vals[None],
                         np.array([1.0]), c)
     rep = solve(prob)
     assert abs(rep.primal_objective - 1.0) <= 1e-6
@@ -454,9 +454,8 @@ def test_c8_ipm_end_to_end(rng, vinberg_struct):
     st = random_structure(10, seed=81999)
     x = random_spd(st, rng)
     s = 0.4 * projected_inverse(cholesky(x))
-    a_mats = tuple(random_sym(st, rng) for _ in range(4))
-    prob = ConicProblem(st, a_mats, np.array([inner(a, x) for a in a_mats]),
-                        s.copy())
+    a = rng.standard_normal((4, st.dim))
+    prob = ConicProblem(st, a, np.vecdot(a * st.weights, x.vals), s.copy())
     it = Iterate(x=x, y=np.zeros(4), s=s, mu=inner(s, x) / st.n)
     state = shadow_state(x, s)
     op = bfgs_update(pd_factor(scaling_point(x, s, tol=1e-13), x, s), state)

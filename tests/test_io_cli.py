@@ -19,7 +19,7 @@ from homcone.io_cli import (
     serialize_problem,
 )
 from homcone.ipm import solve
-from homcone.matrix import inner, to_dense
+from homcone.matrix import SymSparse, inner, to_dense
 from homcone.pattern import SparsityPattern, homogeneous_extension
 
 from conftest import FIG1_EDGES, PAPER12_EDGES, PAPER12_SIGMA
@@ -114,8 +114,19 @@ class TestProblemIO:
         assert back.struct.pattern == prob.struct.pattern
         assert np.allclose(back.b, prob.b)
         assert np.allclose(back.c.vals, prob.c.vals)
-        for a1, a2 in zip(back.a_mats, prob.a_mats):
-            assert np.allclose(a1.vals, a2.vals)
+        for a1, a2 in zip(back.A, prob.A):
+            assert np.allclose(a1, a2)
+
+    def test_round_trip_without_constraints(self, rng):
+        from helpers import random_feasible_problem, random_structure
+
+        st = random_structure(6, seed=52)
+        prob, *_ = random_feasible_problem(st, 0, rng)
+        doc = serialize_problem(prob)
+        assert doc["A"] == [] and doc["b"] == []
+        back, _ = parse_problem(json.dumps(doc))
+        assert back.A.shape == (0, st.dim)
+        assert np.array_equal(back.c.vals, prob.c.vals)
 
     def test_identity_instance(self):
         data = {"n": 3, "edges": [[1, 3], [2, 3]], "b": [1.0],
@@ -123,7 +134,7 @@ class TestProblemIO:
                 "A": [[[1, 1, 1.0], [2, 2, 1.0], [3, 3, 1.0]]]}
         prob, _ = parse_problem(json.dumps(data))
         assert prob.m == 1
-        assert inner(prob.c, prob.a_mats[0]) == 3.0
+        assert inner(prob.c, SymSparse(prob.struct, prob.A[0])) == 3.0
 
     def test_schema_validates_serialized(self, rng):
         from helpers import random_feasible_problem, random_structure

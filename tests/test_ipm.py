@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from homcone import ipm, matrix
 from homcone.errors import SingularNormalMatrix
 from homcone.factor import cholesky, maxdet_factor, projected_inverse
 from homcone.ipm import (
@@ -12,11 +13,13 @@ from homcone.ipm import (
     SolveStatus,
     SolverOptions,
     max_step,
+    normal_matrix,
+    random_problem,
     residuals,
     search_direction,
     solve,
 )
-from homcone.matrix import from_triplets, identity, inner, norm, zeros
+from homcone.matrix import SymSparse, from_triplets, identity, inner, norm, zeros
 from homcone.scaling import apply_scaling, bfgs_update, pd_factor, scaling_point, shadow_state
 
 from helpers import (
@@ -29,16 +32,15 @@ from helpers import (
 
 def trace_one_problem(struct, costs):
     c = from_triplets(struct, [(i, i, ci) for i, ci in enumerate(costs)])
-    return ConicProblem(struct, (identity(struct),), np.array([1.0]), c)
+    return ConicProblem(struct, identity(struct).vals[None], np.array([1.0]), c)
 
 
 def central_iterate(struct, rng, mu=0.5):
     """Feasible, exactly central iterate and a problem built around it."""
     x = random_spd(struct, rng)
     s = mu * projected_inverse(cholesky(x))
-    a_mats = tuple(random_sym(struct, rng) for _ in range(3))
-    b = np.array([inner(a, x) for a in a_mats])
-    prob = ConicProblem(struct, a_mats, b, s.copy())
+    a = rng.standard_normal((3, struct.dim))
+    prob = ConicProblem(struct, a, np.vecdot(a * struct.weights, x.vals), s.copy())
     it = Iterate(x=x, y=np.zeros(3), s=s, mu=inner(s, x) / struct.n)
     return prob, it
 
@@ -63,7 +65,7 @@ def direction_equation_residuals(problem, it, op, gamma, d):
 
 class TestResiduals:
     def test_identity_instance(self, vinberg_struct):
-        prob = ConicProblem(vinberg_struct, (identity(vinberg_struct),),
+        prob = ConicProblem(vinberg_struct, identity(vinberg_struct).vals[None],
                             np.array([3.0]), identity(vinberg_struct))
         it = Iterate(x=identity(vinberg_struct), y=np.zeros(1),
                      s=identity(vinberg_struct), mu=1.0)
@@ -140,9 +142,10 @@ class TestSearchDirection:
         prob, *_ = random_feasible_problem(st, 4, rng)
         x, s = identity(st), identity(st)
         op, _ = build_operator(x, s)
+        rows = [SymSparse(st, a) for a in prob.A]
         images = [apply_scaling(op, "forward", apply_scaling(op, "adjoint", a))
-                  for a in prob.a_mats]
-        nm = np.array([[inner(ai, img) for img in images] for ai in prob.a_mats])
+                  for a in rows]
+        nm = np.array([[inner(ai, img) for img in images] for ai in rows])
         assert np.max(np.abs(nm - nm.T)) <= 1e-12 * max(1.0, np.max(np.abs(nm)))
         assert np.min(np.linalg.eigvalsh(0.5 * (nm + nm.T))) > 0
 
@@ -150,11 +153,11 @@ class TestSearchDirection:
         st = random_structure(6, seed=37)
         a = random_sym(st, rng)
         with pytest.warns(UserWarning):
-            prob = ConicProblem(st, (a, 2.0 * a), np.array([1.0, 2.0]),
-                                identity(st))
+            prob = ConicProblem(st, np.array([a.vals, 2.0 * a.vals]),
+                                np.array([1.0, 2.0]), identity(st))
         it = Iterate(x=identity(st), y=np.zeros(2), s=identity(st), mu=1.0)
         op, _ = build_operator(it.x, it.s)
-        with pytest.raises(SingularNormalMatrix):
+        with pytest.raises(SingularNormalMatrix, match="rank deficient"):
             search_direction(prob, it, op, gamma=0.5)
 
 
@@ -203,7 +206,7 @@ class TestSolve:
 
     def test_fixed_trace_objective(self, rng):
         st = random_structure(6, seed=38)
-        prob = ConicProblem(st, (identity(st),), np.array([float(st.n)]),
+        prob = ConicProblem(st, identity(st).vals[None], np.array([float(st.n)]),
                             identity(st))
         rep = solve(prob)
         assert rep.status is SolveStatus.OPTIMAL
@@ -277,3 +280,103 @@ class TestSolve:
         rep = solve(prob, SolverOptions(max_iter=2))
         assert rep.status is SolveStatus.MAX_ITER
         assert rep.iterations == 2
+
+
+def per_matrix_maps(prob, x, y, op):
+    """A(x), A*(y) and the normal matrix computed one constraint matrix
+    (or one pair) at a time, as a tuple of SymSparse would."""
+    mats = [SymSparse(prob.struct, a) for a in prob.A]
+    a_x = np.array([inner(a, x) for a in mats])
+    at_y = zeros(prob.struct)
+    for yi, a in zip(y, mats):
+        if yi != 0.0:
+            at_y = at_y + float(yi) * a
+    images = [apply_scaling(op, "forward", apply_scaling(op, "adjoint", a))
+              for a in mats]
+    nm = np.array([[inner(ai, img) for img in images] for ai in mats])
+    nm = nm.reshape(prob.m, prob.m)
+    return a_x, at_y, 0.5 * (nm + nm.T)
+
+
+class TestConstraintArray:
+    def test_maps_bitwise_per_matrix(self, rng):
+        for trial, m in enumerate((0, 1, 1, 2, 5, 9)):
+            st = random_structure(int(rng.integers(3, 16)), seed=6300 + trial)
+            prob, *_ = random_feasible_problem(st, m, rng)
+            x, s = random_spd(st, rng), random_spd(st, rng)
+            op, _ = build_operator(x, s)
+            assert op.corrected
+            y = rng.standard_normal(m)
+            y[::3] = 0.0
+            want = per_matrix_maps(prob, x, y, op)
+            got = (prob.apply_a(x), prob.apply_at(y).vals, normal_matrix(prob, op))
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1].vals)
+            assert np.array_equal(np.signbit(got[1]), np.signbit(want[1].vals))
+            assert np.array_equal(got[2], want[2])
+
+    def test_array_is_a_read_only_copy(self, rng):
+        st = random_structure(7, seed=6310)
+        a = rng.standard_normal((2, st.dim))
+        prob = ConicProblem(st, a, np.zeros(2), identity(st))
+        a[0, 0] = 99.0
+        assert prob.A[0, 0] != 99.0
+        assert prob.A.dtype == np.float64 and not prob.A.flags.writeable
+        with pytest.raises(ValueError):
+            prob.A[0, 0] = 1.0
+
+    def test_wrong_shape_names_both_sizes(self, rng):
+        st = random_structure(7, seed=6311)
+        dim = st.dim
+        with pytest.raises(ValueError, match=rf"\(2, {dim + 1}\).*dim {dim}"):
+            ConicProblem(st, np.zeros((2, dim + 1)), np.zeros(2), identity(st))
+        with pytest.raises(ValueError, match=rf"\({dim},\).*dim {dim}"):
+            ConicProblem(st, np.zeros(dim), np.zeros(1), identity(st))
+        with pytest.raises(ValueError, match="3 rows but b has 2 entries"):
+            ConicProblem(st, rng.standard_normal((3, dim)), np.zeros(2), identity(st))
+
+    def test_no_constraints_solves(self, rng):
+        st = random_structure(12, seed=6312)
+        prob, *_ = random_feasible_problem(st, 0, rng)
+        assert prob.A.shape == (0, st.dim) and prob.m == 0
+        rep = solve(prob)
+        assert rep.status is SolveStatus.OPTIMAL
+        assert rep.y.shape == (0,)
+        # with c interior to K*, the optimum of <c, x> over K is x = 0
+        assert abs(rep.primal_objective) <= 1e-6
+
+    def test_gram_check(self, rng):
+        st = random_structure(6, seed=6313)
+        a = rng.standard_normal((3, st.dim))
+        assert not ConicProblem(st, a, np.zeros(3), identity(st)).constraints_dependent()
+        a[2] = a[0] - 0.5 * a[1]
+        with pytest.warns(UserWarning, match="linearly dependent"):
+            prob = ConicProblem(st, a, np.zeros(3), identity(st))
+        assert prob.constraints_dependent()
+
+    @pytest.mark.parametrize("n,seed", [(10, 0), (10, 1), (20, 1)])
+    def test_singular_normal_matrix_not_blamed_on_constraints(self, n, seed):
+        # min <I, x> s.t. <I, x> = -1 is infeasible; the constraints are not
+        # dependent, so the failure must not say they are
+        st = random_structure(n, seed=seed)
+        rng = np.random.default_rng(seed)
+        a = np.array([identity(st).vals, rng.standard_normal(st.dim)])
+        prob = ConicProblem(st, a, np.array([-1.0, 0.0]), identity(st))
+        assert not prob.constraints_dependent()
+        with pytest.raises(SingularNormalMatrix) as err:
+            solve(prob)
+        msg = str(err.value)
+        assert "rank deficient" not in msg
+        assert "at iteration" in msg and "mu =" in msg and "may be infeasible" in msg
+
+
+def test_random_problem_without_dense_algebra(monkeypatch, rng):
+    def refuse(x):
+        raise AssertionError("random_problem built a dense matrix")
+
+    monkeypatch.setattr(matrix, "to_dense", refuse)
+    monkeypatch.setattr(ipm, "to_dense", refuse, raising=False)
+    st = random_structure(20, seed=6320)
+    prob = random_problem(st, 3, rng)
+    assert prob.A.shape == (3, st.dim)
+    assert solve(prob).status is SolveStatus.OPTIMAL
