@@ -26,18 +26,38 @@ and every batched product reproduces the per-node BLAS call.  Results are
 therefore bitwise those of visiting the nodes one at a time, and a failing
 pivot is reported at the node where that one-at-a-time sweep stops.
 
+``forward_map``, ``adjoint_map``, ``cholesky`` and ``maxdet_factor`` also
+take a stack: a SymSparse whose values have shape (m, dim).  The stack is a
+leading axis on every frontal block, so one sweep does all m members with
+the same numpy calls as one matrix, and each member's result is bitwise that
+of its own call.  The single-matrix call is the same code without the axis.
+The other kernels take one matrix and raise StructuralError on a stack.
+A stacked ``cholesky`` or ``maxdet_factor`` does not raise: the factor's
+``ok`` says which members succeeded, and the sweep stops early only once
+every member has failed.  A stack is swept
+:attr:`~homcone.matrix.Structure.stack_rows` members at a time, so a
+stacked step holds no more than the largest one-matrix step or
+:data:`~homcone.matrix.BATCH_FLOATS` floats.  Contiguity rule: a numpy
+reduction (``vecdot``, ``matvec``, ``vecmat``) repeats the one-matrix
+bits only if its operands are laid out as in the one-matrix call, with
+the reduced axis contiguous.  So values are stored C-contiguous, and a
+stack is gathered by ``np.take`` (``x[:, idx]`` would put the stack axis
+innermost) or, for one-node batches, by slice views.
+
 Kernels never modify their inputs and keep all sweep state in locals, so
 concurrent calls on shared inputs are safe.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import NotCompletable, NotPositiveDefinite, SingularFactor
-from .matrix import LowerSparse, Structure, SymSparse, _chain, _check_same
+from .matrix import LowerSparse, Structure, SymSparse, _chain, _check_same, _one, _put, _take
 
 __all__ = [
     "CholFactor",
@@ -61,17 +81,79 @@ PIVOT_EPS = 1e-13
 
 @dataclass(frozen=True)
 class CholFactor:
-    """Triangular factor X = L L^T with positive diagonal."""
+    """Triangular factor X = L L^T with positive diagonal.
+
+    For a stack, ``ok`` says per member whether its factorization
+    succeeded; the rows of ``L`` of failed members mean nothing.  One
+    matrix has ``ok=None``: its failure raises instead."""
 
     L: LowerSparse
+    ok: Optional[np.ndarray] = None
 
     @property
     def struct(self) -> Structure:
         return self.L.struct
 
     def logdet(self) -> float:
-        """log det X = 2 sum(log L_ii)."""
+        """log det X = 2 sum(log L_ii), for one matrix."""
+        _one(self.L)
         return 2.0 * float(np.sum(np.log(self.L.diag)))
+
+
+def _stacked(arg: int):
+    """Run the decorated kernel on a stack given as its ``arg``-th
+    positional argument in chunks of ``Structure.stack_rows`` members,
+    joining the results, so a stacked sweep holds no more frontal block at
+    a time than ``stack_rows`` allows."""
+    def wrap(kernel):
+        @functools.wraps(kernel)
+        def run(*args, **kwargs):
+            x = args[arg]
+            if x.vals.ndim == 1:
+                return kernel(*args, **kwargs)
+            rows = x.struct.stack_rows
+            return _join([kernel(*args[:arg], type(x)(x.struct, x.vals[i:i + rows]),
+                                 *args[arg + 1:], **kwargs)
+                          for i in range(0, max(len(x.vals), 1), rows)])
+        return run
+    return wrap
+
+
+def _join(parts):
+    """One stacked result from the results of consecutive chunks."""
+    if len(parts) == 1:
+        return parts[0]
+    if isinstance(parts[0], CholFactor):
+        return CholFactor(_join([p.L for p in parts]),
+                          np.concatenate([p.ok for p in parts]))
+    return type(parts[0])(parts[0].struct, np.concatenate([p.vals for p in parts]))
+
+
+def _failures(seen, fail, nodes, value, lowest: bool, n: int):
+    """Fold a batch's failing pivots (``fail``, ``value``: shape (..., k))
+    into ``seen``, the (position, value) per member of the failure where
+    a one-node-at-a-time sweep stops: the lowest failing position for a
+    bottom-up sweep (``lowest``), the highest for a top-down one.  A
+    member without a failure holds position n (bottom-up) or -1."""
+    cand = np.where(fail, nodes, n if lowest else -1)
+    i = (np.argmin if lowest else np.argmax)(cand, axis=-1, keepdims=True)
+    node = np.take_along_axis(cand, i, -1)[..., 0]
+    val = np.take_along_axis(value, i, -1)[..., 0]
+    if seen is None:
+        return node, val
+    keep = seen[0] < node if lowest else seen[0] > node
+    return np.where(keep, seen[0], node), np.where(keep, seen[1], val)
+
+
+def _factor(st: Structure, out: np.ndarray, seen, none: int, error) -> CholFactor:
+    """The factor of a sweep's result ``out``: one matrix raises ``error``
+    at its failing node; a stack marks its failed members."""
+    if out.ndim == 1:
+        if seen is not None:
+            raise error(node=st.ordering.sigma[int(seen[0])], value=float(seen[1]))
+        return CholFactor(LowerSparse(st, out))
+    ok = np.ones(len(out), dtype=bool) if seen is None else seen[0] == none
+    return CholFactor(LowerSparse(st, out), ok)
 
 
 def _up(s: Structure):
@@ -86,20 +168,24 @@ def _up(s: Structure):
             del done[c]
 
 
-def _down(s: Structure):
+def _down(s: Structure, stack: tuple = ()):
     """Top-down sweep, parents' batches first.  Yields each batch with its
-    nodes' parent blocks, shape (k, d, d), and a (k, d+1, d+1) block the
-    kernel fills (see :func:`_finish`)."""
+    nodes' parent blocks, shape (*stack, k, d, d), and a (*stack, k, d+1,
+    d+1) block the kernel fills (see :func:`_finish`)."""
     done = {}
     for b in s.down_order:
         k, d1 = b.slots.shape
         if b.parent < 0:
-            v = np.zeros((k, 0, 0))
+            v = np.zeros(stack + (k, 0, 0))
         else:
-            v = done[b.parent][b.up]
+            p = done[b.parent]
+            if type(b.up) is slice:
+                v = p[..., b.up, :, :]
+            else:
+                v = np.take(p, b.up, axis=-3)
             if b.last:
                 del done[b.parent]
-        pack = np.empty((k, d1, d1))
+        pack = np.empty(stack + (k, d1, d1))
         yield b, v, pack
         if b.children:
             done[b.id] = pack
@@ -110,20 +196,21 @@ def _add_kids(f, b, done):
     batch by child batch and one sibling rank at a time, so each parent
     takes its children in ascending position order."""
     for c, pl, ci in b.kids:
-        f[pl] += done[c][ci, 1:, 1:]
+        f[..., pl, :, :] += done[c][..., ci, 1:, 1:]
 
 
 def _finish(out, b, pack, a00, a10, a01, v):
     """Store a top-down batch's result column [a00; a10] and, when the
     batch has children, border their block: [[a00, a01^T], [a10, v]]."""
-    pack[:, 0, 0] = a00
-    pack[:, 1:, 0] = a10
-    out[b.cols] = pack[:, :, 0]
+    pack[..., 0, 0] = a00
+    pack[..., 1:, 0] = a10
+    _put(out, b.cols, pack[..., 0])
     if b.children:
-        pack[:, 0, 1:] = a01
-        pack[:, 1:, 1:] = v
+        pack[..., 0, 1:] = a01
+        pack[..., 1:, 1:] = v
 
 
+@_stacked(0)
 def cholesky(X: SymSparse, eps: float = PIVOT_EPS) -> CholFactor:
     """Zero-fill Cholesky factorization X = L L^T by a bottom-up sweep.
 
@@ -132,85 +219,87 @@ def cholesky(X: SymSparse, eps: float = PIVOT_EPS) -> CholFactor:
     raises :class:`NotPositiveDefinite`, which is exactly the test for X
     lying in the interior of the sparse PSD cone.  The node reported is
     the lowest failing position: every node below it succeeded, so it is
-    where a sweep in ascending position order stops.
+    where a sweep in ascending position order stops.  A stack reports
+    each member's success in ``ok`` instead of raising.
     """
     s = X.struct
     xv = X.vals
-    floor = eps * (1.0 + np.abs(xv[s.bar_ptr[:-1]]))
-    out = np.zeros(s.dim)
-    failed = None
+    floor = eps * (1.0 + np.abs(_take(xv, s.bar_ptr[:-1])))
+    out = np.zeros(xv.shape)
+    seen = None
     for b, done in _up(s):
-        if failed is not None and failed[0] < b.lowest:
+        if seen is not None and (seen[0] < b.lowest).all():
             break
-        f = np.zeros(b.slots.shape + b.slots.shape[1:])
-        f[:, :, 0] = xv[b.cols]
+        f = np.zeros(xv.shape[:-1] + b.slots.shape + b.slots.shape[1:])
+        f[..., 0] = _take(xv, b.cols)
         _add_kids(f, b, done)
-        pivot = f[:, 0, 0]
-        fail = pivot <= floor[b.at]
+        pivot = f[..., 0, 0]
+        fail = pivot <= _take(floor, b.at)
         if np.count_nonzero(fail):
-            # batches are grouped by parent, not sorted by position
-            i = np.flatnonzero(fail)
-            i = i[np.argmin(b.nodes[i])]
-            if failed is None or b.nodes[i] < failed[0]:
-                failed = (b.nodes[i], pivot[i])
-            # the sweep goes on only to find lower failures
+            seen = _failures(seen, fail, b.nodes, pivot, True, s.n)
+            # the sweep goes on only to find lower failures, or for
+            # the other members of a stack
             pivot = np.where(fail, np.inf, pivot)
         lii = np.sqrt(pivot)
-        f[:, 1:, 0] /= lii[:, None]
-        f[:, 0, 0] = lii
-        out[b.cols] = f[:, :, 0]
-        f[:, 1:, 1:] -= f[:, 1:, :1] * f[:, None, 1:, 0]
+        f[..., 1:, 0] /= lii[..., None]
+        f[..., 0, 0] = lii
+        _put(out, b.cols, f[..., 0])
+        f[..., 1:, 1:] -= f[..., 1:, :1] * f[..., None, 1:, 0]
         done[b.id] = f
-    if failed is not None:
-        raise NotPositiveDefinite(node=s.ordering.sigma[failed[0]], value=failed[1])
-    return CholFactor(LowerSparse(s, out))
+    return _factor(s, out, seen, s.n, NotPositiveDefinite)
 
 
+@_stacked(1)
 def forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
-    """Y = L X L^T, exactly, staying on the pattern."""
+    """Y = L X L^T, exactly, staying on the pattern; for each member of a
+    stack X."""
     _check_same(L, X)
+    _one(L)
     s = L.struct
     lv, xv = L.vals, X.vals
-    out = np.zeros(s.dim)
+    out = np.zeros(xv.shape)
     chain_x = _chain(s, lv, xv, "mul")
     for b, done in _up(s):
         lc = lv[b.cols]
         lii, lsub = lc[:, 0], lc[:, 1:]
-        xii = xv[b.diag]
-        w = chain_x[b.sub]
-        f = np.empty(lc.shape + lc.shape[1:])
-        f[:, 0, 0] = lii * lii * xii
-        f[:, 1:, 0] = lii[:, None] * (xii[:, None] * lsub + w)
-        f[:, 0, 1:] = f[:, 1:, 0]
-        f[:, 1:, 1:] = xii[:, None, None] * (lsub[:, :, None] * lsub[:, None, :])
-        f[:, 1:, 1:] += w[:, :, None] * lsub[:, None, :]
-        f[:, 1:, 1:] += lsub[:, :, None] * w[:, None, :]
+        xii = _take(xv, b.diag)
+        w = _take(chain_x, b.sub)
+        f = np.empty(xv.shape[:-1] + lc.shape + lc.shape[1:])
+        f[..., 0, 0] = lii * lii * xii
+        f[..., 1:, 0] = lii[:, None] * (xii[..., None] * lsub + w)
+        f[..., 0, 1:] = f[..., 1:, 0]
+        f[..., 1:, 1:] = xii[..., None, None] * (lsub[:, :, None] * lsub[:, None, :])
+        f[..., 1:, 1:] += w[..., None] * lsub[:, None, :]
+        f[..., 1:, 1:] += lsub[:, :, None] * w[..., None, :]
         _add_kids(f, b, done)
-        out[b.cols] = f[:, :, 0]
+        _put(out, b.cols, f[..., 0])
         done[b.id] = f
     return SymSparse(s, out)
 
 
+@_stacked(1)
 def adjoint_map(L: LowerSparse, S: SymSparse) -> SymSparse:
     """Y = projection of L^T S L onto the pattern (the adjoint of
-    forward_map under the trace inner product)."""
+    forward_map under the trace inner product); for each member of a
+    stack S."""
     _check_same(L, S)
+    _one(L)
     st = L.struct
     lv, sv = L.vals, S.vals
-    wv = np.empty(st.dim)
-    for b, v, pack in _down(st):
+    wv = np.empty(sv.shape)
+    for b, v, pack in _down(st, sv.shape[:-1]):
         lc = lv[b.cols]
         lii, lsub = lc[:, 0], lc[:, 1:]
-        sc = sv[b.cols]
-        sii, ssub = sc[:, 0], sc[:, 1:]
+        sc = _take(sv, b.cols)
+        sii, ssub = sc[..., 0], sc[..., 1:]
         vl = np.matvec(v, lsub)
-        wv[b.diag] = (lii * lii * sii + 2.0 * lii * np.vecdot(lsub, ssub)
-                      + np.vecdot(lsub, vl))
-        wv[b.sub] = lii[:, None] * ssub + vl
+        _put(wv, b.diag, lii * lii * sii + 2.0 * lii * np.vecdot(lsub, ssub)
+             + np.vecdot(lsub, vl))
+        _put(wv, b.sub, lii[:, None] * ssub + vl)
         if b.children:
-            pack[:, :, 0] = sc
-            pack[:, 0, 1:] = ssub
-            pack[:, 1:, 1:] = v
+            pack[..., 0] = sc
+            pack[..., 0, 1:] = ssub
+            pack[..., 1:, 1:] = v
     return SymSparse(st, _chain(st, lv, wv, "mul_t"))
 
 
@@ -218,6 +307,7 @@ def inverse_forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
     """Y = L^{-1} X L^{-T} without forming the inverse explicitly: the
     update blocks are rescaled so each node only divides by its own pivot
     and solves one chain system."""
+    _one(L, X)
     _check_same(L, X)
     s = L.struct
     lv, xv = L.vals, X.vals
@@ -246,6 +336,7 @@ def inverse_forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
 
 def inverse_adjoint_map(L: LowerSparse, S: SymSparse) -> SymSparse:
     """Y = projection of L^{-T} S L^{-1} onto the pattern."""
+    _one(L, S)
     _check_same(L, S)
     st = L.struct
     lv, sv = L.vals, S.vals
@@ -280,6 +371,7 @@ def inverse_adjoint_map(L: LowerSparse, S: SymSparse) -> SymSparse:
 def projected_inverse(F: CholFactor) -> SymSparse:
     """Y = projection of X^{-1} onto the pattern, from the factor of X.
     This is the negated barrier gradient."""
+    _one(F.L)
     st = F.struct
     lv = F.L.vals
     out = np.zeros(st.dim)
@@ -292,6 +384,7 @@ def projected_inverse(F: CholFactor) -> SymSparse:
     return SymSparse(st, out)
 
 
+@_stacked(0)
 def maxdet_factor(S: SymSparse, eps: float = PIVOT_EPS) -> CholFactor:
     """Factor L of the inverse of the maximum-determinant positive definite
     completion of S: the projection of (L L^T)^{-1} onto the pattern
@@ -302,40 +395,38 @@ def maxdet_factor(S: SymSparse, eps: float = PIVOT_EPS) -> CholFactor:
     which is exactly the test for S lying in the interior of the
     completable cone.  The node reported is the highest failing position:
     every node above it succeeded, so it is where a sweep in descending
-    position order stops.
+    position order stops.  A stack reports each member's success in
+    ``ok`` instead of raising.
     """
     st = S.struct
     sv = S.vals
-    floor = eps * (1.0 + np.abs(sv[st.bar_ptr[:-1]]))
-    out = np.zeros(st.dim)
-    failed = None
-    for b, v, pack in _down(st):
-        if failed is not None and failed[0] > b.highest:
+    floor = eps * (1.0 + np.abs(_take(sv, st.bar_ptr[:-1])))
+    out = np.zeros(sv.shape)
+    seen = None
+    for b, v, pack in _down(st, sv.shape[:-1]):
+        if seen is not None and (seen[0] > b.highest).all():
             break
-        sc = sv[b.cols]
-        sii, ssub = sc[:, 0], sc[:, 1:]
+        sc = _take(sv, b.cols)
+        sii, ssub = sc[..., 0], sc[..., 1:]
         u = np.vecmat(ssub, v)
         r = sii - np.vecdot(u, u)
-        fail = r <= floor[b.at]
+        fail = r <= _take(floor, b.at)
         if np.count_nonzero(fail):
-            i = np.flatnonzero(fail)
-            i = i[np.argmax(b.nodes[i])]
-            if failed is None or b.nodes[i] > failed[0]:
-                failed = (b.nodes[i], r[i])
-            # the sweep goes on only to find higher failures
+            seen = _failures(seen, fail, b.nodes, r, False, st.n)
+            # the sweep goes on only to find higher failures, or for
+            # the other members of a stack
             r = np.where(fail, np.inf, r)
         lii = 1.0 / np.sqrt(r)
-        lsub = -lii[:, None] * np.matvec(v, u)
+        lsub = -lii[..., None] * np.matvec(v, u)
         _finish(out, b, pack, lii, lsub, 0.0, v)
-    if failed is not None:
-        raise NotCompletable(node=st.ordering.sigma[failed[0]], value=failed[1])
-    return CholFactor(LowerSparse(st, out))
+    return _factor(st, out, seen, -1, NotCompletable)
 
 
 def dual_gradient(Lhat: CholFactor) -> SymSparse:
     """Y = L L^T from a completion factor: the inverse of the
     maximum-determinant completion, i.e. the negated dual-barrier
     gradient."""
+    _one(Lhat.L)
     st = Lhat.struct
     lv = Lhat.L.vals
     out = np.zeros(st.dim)

@@ -249,19 +249,27 @@ def pd_factor(w: SymSparse, x: Optional[SymSparse] = None,
     return ScalingOperator(base=ell, v=v, residual=res)
 
 
+def _rank_one(a: SymSparse, z: SymSparse, scale: float, u: SymSparse) -> SymSparse:
+    """(<a, z> / scale) u for z and for each member of a stack z, the inner
+    products taken by one np.vecdot."""
+    coef = np.vecdot(a.struct.weights * a.vals, z.vals) / scale
+    return SymSparse(u.struct, coef[..., None] * u.vals)
+
+
 def apply_scaling(op: ScalingOperator, mode: str, z: SymSparse) -> SymSparse:
     """Apply one of the four modes of the (possibly corrected) operator:
-    forward, adjoint, inverse, or inverse_adjoint."""
+    forward, adjoint, inverse, or inverse_adjoint.  The forward and
+    adjoint modes also take a stack z and apply to each member."""
     ell = op.base
     if mode == "forward":
         out = forward_map(ell, z)
         if op.corrected:
-            out = out + (inner(op.v_hat, z) / op.vhat_norm2) * op.u_corr
+            out = out + _rank_one(op.v_hat, z, op.vhat_norm2, op.u_corr)
         return out
     if mode == "adjoint":
         out = adjoint_map(ell, z)
         if op.corrected:
-            out = out + (inner(op.u_corr, z) / op.vhat_norm2) * op.v_hat
+            out = out + _rank_one(op.u_corr, z, op.vhat_norm2, op.v_hat)
         return out
     # the inverse modes use L^{-*}(v_hat) and v_hat - L^{-1}(delta_p),
     # which is -L^{-1}(u_corr)

@@ -9,6 +9,9 @@ can start.
 
 import numpy as np
 
+from homcone import ipm
+from homcone.errors import NotCompletable, NotPositiveDefinite
+from homcone.factor import cholesky, maxdet_factor
 from homcone.matrix import LowerSparse, Structure, SymSparse, project, to_dense
 from homcone.pattern import random_homogeneous_pattern
 
@@ -75,3 +78,30 @@ def random_feasible_problem(struct, m, rng):
     c = SymSparse(struct, np.vstack([s_feas.vals, y_feas[:, None] * a]).sum(axis=0))
     problem = ConicProblem(struct, a, b, c)
     return problem, x_feas, y_feas, s_feas
+
+
+def sequential_max_step(it, d_x, d_s, eta):
+    """Reference step search, one probe at a time: the full step, then
+    bisection of [0, 1] with one cholesky and (if that succeeds) one
+    maxdet_factor per probe, until the bracket is 1e-12 wide or
+    ipm.BISECT_DEPTH steps are done."""
+    def interior(a):
+        try:
+            cholesky(it.x + a * d_x)
+            maxdet_factor(it.s + a * d_s)
+            return True
+        except (NotPositiveDefinite, NotCompletable):
+            return False
+
+    if interior(1.0):
+        return eta
+    lo, hi = 0.0, 1.0
+    for _ in range(ipm.BISECT_DEPTH):
+        mid = 0.5 * (lo + hi)
+        if interior(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12:
+            break
+    return eta * lo

@@ -325,6 +325,17 @@ class TestConstraintArray:
         with pytest.raises(ValueError):
             prob.A[0, 0] = 1.0
 
+    def test_identity_equality_and_hash(self, rng):
+        """Equal-valued distinct problems with m >= 2 compare unequal
+        instead of raising on an array truth value, and problems hash."""
+        st = random_structure(7, seed=6313)
+        p, *_ = random_feasible_problem(st, 3, rng)
+        q = ConicProblem(st, p.A, p.b, p.c)
+        assert p == p
+        assert p != q
+        assert hash(p) == hash(p)
+        assert len({p, q, p}) == 2
+
     def test_wrong_shape_names_both_sizes(self, rng):
         st = random_structure(7, seed=6311)
         dim = st.dim

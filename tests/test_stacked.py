@@ -1,0 +1,308 @@
+"""Stacked kernel sweeps: a leading stack axis runs every member through
+one sweep, and each member's result is bitwise that of its own call."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+from homcone import ipm, matrix
+from homcone.errors import NotCompletable, NotPositiveDefinite, StructuralError
+from homcone.factor import (
+    adjoint_map,
+    cholesky,
+    dual_gradient,
+    forward_map,
+    inverse_adjoint_map,
+    inverse_forward_map,
+    maxdet_factor,
+    projected_inverse,
+)
+from homcone.ipm import Iterate, max_step
+from homcone.matrix import (
+    LowerSparse,
+    SymSparse,
+    _chain,
+    inner,
+    to_dense,
+    to_triplets,
+    tri_inverse,
+    tri_mul,
+)
+
+from helpers import (
+    random_completable,
+    random_lower,
+    random_spd,
+    random_structure,
+    random_sym,
+    sequential_max_step,
+)
+
+
+def capped_structure(n, seed, branching, cap):
+    """A structure compiled under batch cap ``cap``: a small cap splits
+    levels into many batches and makes stacks split into chunks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix, "BATCH_FLOATS", cap)
+        return random_structure(n, seed=seed, branching=branching)
+
+
+def laid_out(vals, layout):
+    """The same stack as C-ordered, Fortran-ordered or row-strided array."""
+    if layout == "fortran":
+        return np.asfortranarray(vals)
+    if layout == "strided":
+        wide = np.zeros((2 * len(vals), vals.shape[1]))
+        wide[::2] = vals
+        return wide[::2]
+    return vals
+
+
+def depressed(st, vals, rng):
+    """Copies of the rows of ``vals`` with a diagonal entry far below the
+    rest at random positions of every other row, and those positions."""
+    vals = vals.copy()
+    bad = [set() for _ in vals]
+    big = 10.0 * (1.0 + np.abs(vals).max(initial=0.0))
+    for i in range(0, len(vals), 2):
+        bad[i] = set(rng.choice(st.n, size=int(rng.integers(1, st.n + 1)), replace=False).tolist())
+        vals[i, st.bar_ptr[sorted(bad[i])]] -= big
+    return vals, bad
+
+
+instances = hs.tuples(
+    hs.integers(1, 40),                                   # n
+    hs.sampled_from([1.05, 2.0, 4.0]),                    # branching; 1.05 makes deep chains
+    hs.integers(0, 10_000),                               # pattern and value seed
+    hs.sampled_from([matrix.BATCH_FLOATS, 60, 20]),       # batch cap
+    hs.integers(0, 9),                                    # stack size
+    hs.sampled_from(["C", "fortran", "strided"]),         # stack layout
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances)
+def test_stacked_maps_equal_row_by_row(case):
+    n, branching, seed, cap, m, layout = case
+    st = capped_structure(n, seed, branching, cap)
+    rng = np.random.default_rng(seed)
+    ell = random_lower(st, rng)
+    stack = laid_out(rng.standard_normal((m, st.dim)), layout)
+    for kernel in (forward_map, adjoint_map):
+        got = kernel(ell, SymSparse(st, stack)).vals
+        want = np.array([kernel(ell, SymSparse(st, row)).vals for row in stack])
+        assert got.shape == (m, st.dim)
+        assert np.array_equal(got, want.reshape(m, st.dim))
+    for kind in ("mul", "mul_t", "solve", "solve_t"):
+        for own in (False, True):
+            got = _chain(st, ell.vals, stack, kind, own)
+            want = [_chain(st, ell.vals, row, kind, own) for row in stack]
+            assert np.array_equal(got, np.reshape(want, (m, st.dim)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances)
+def test_stacked_factorizations_report_each_member(case):
+    """Members that fail do not disturb the others, and a failing member
+    called alone still raises at the node a one-node-at-a-time sweep stops
+    at: below the lowest depressed position every pivot is untouched
+    (cholesky), above the highest every Schur complement (maxdet_factor)."""
+    n, branching, seed, cap, m, layout = case
+    st = capped_structure(n, seed, branching, cap)
+    rng = np.random.default_rng(seed)
+    xs = np.array([random_spd(st, rng).vals for _ in range(m)]).reshape(m, st.dim)
+    ss = np.array([projected_inverse(cholesky(SymSparse(st, x))).vals for x in xs])
+    ss = ss.reshape(m, st.dim)
+    sigma = st.ordering.sigma
+    for kernel, vals, error, stop in ((cholesky, xs, NotPositiveDefinite, min),
+                                      (maxdet_factor, ss, NotCompletable, max)):
+        vals, bad = depressed(st, vals, rng)
+        f = kernel(SymSparse(st, laid_out(vals, layout)))
+        assert f.ok.shape == (m,) and f.L.vals.shape == (m, st.dim)
+        for i, row in enumerate(vals):
+            assert f.ok[i] == (not bad[i])
+            if bad[i]:
+                with pytest.raises(error) as e:
+                    kernel(SymSparse(st, row))
+                assert e.value.node == sigma[stop(bad[i])]
+            else:
+                one = kernel(SymSparse(st, row))
+                assert one.ok is None
+                assert np.array_equal(f.L.vals[i], one.L.vals)
+
+
+def test_coverage_of_the_stack_cases():
+    """The strategies above reach what they are meant to: single-column
+    batches on deep chains, split levels, and stacks split into chunks."""
+    deep = capped_structure(40, 3, 1.05, matrix.BATCH_FLOATS)
+    assert any(len(b.nodes) == 1 and deep.depth[b.nodes[0]] > 5 for b in deep.batches)
+    split = capped_structure(30, 3, 4.0, 20)
+    assert any(len(lv.nodes) > 1 for lv in split.levels)
+    assert len(split.batches) > len(split.levels)
+    assert split.stack_rows < 9
+    floats = max(b.slots.size * b.slots.shape[1] for b in split.batches)
+    assert split.stack_rows == max(1, 20 // floats)
+    assert split.sweep_floats == sum((d + 1) ** 2 for d in split.depth)
+
+
+def test_empty_stack(rng):
+    st = random_structure(9, seed=3)
+    ell = random_lower(st, rng)
+    empty = SymSparse(st, np.zeros((0, st.dim)))
+    assert forward_map(ell, empty).vals.shape == (0, st.dim)
+    assert adjoint_map(ell, empty).vals.shape == (0, st.dim)
+    assert cholesky(empty).ok.shape == (0,)
+    assert maxdet_factor(empty).ok.shape == (0,)
+
+
+def test_stack_input_is_not_written(rng):
+    st = capped_structure(20, 5, 2.0, 20)
+    ell = random_lower(st, rng)
+    stack = rng.standard_normal((5, st.dim))
+    stack.flags.writeable = False
+    forward_map(ell, SymSparse(st, stack))
+    adjoint_map(ell, SymSparse(st, stack))
+    cholesky(SymSparse(st, stack))
+    maxdet_factor(SymSparse(st, stack))
+
+
+# ------------------------------------------------------------ step search
+
+def random_step_problem(rng, n, seed, scale, **attrs):
+    """A random interior pair and directions on a random structure, whose
+    ``attrs`` are overridden: ``sweep_floats`` sets the round depth of
+    max_step, ``stack_rows`` how many steps one sweep of a round takes."""
+    st = random_structure(n, seed=seed)
+    for name, value in attrs.items():
+        setattr(st, name, value)
+    x, s = random_spd(st, rng), random_completable(st, rng)
+    it = Iterate(x=x, y=np.zeros(0), s=s, mu=1.0)
+    return it, scale * random_sym(st, rng), scale * random_sym(st, rng)
+
+
+def floats_for(round_depth):
+    """A sweep_floats that gives rounds of ``round_depth`` steps."""
+    return matrix.BATCH_FLOATS // (2 ** round_depth - 1)
+
+
+@pytest.mark.parametrize("depth, attrs", [
+    (40, {}),
+    (40, {"sweep_floats": floats_for(2)}),
+    (40, {"sweep_floats": 10 * matrix.BATCH_FLOATS}),
+    (40, {"stack_rows": 2}),
+    (45, {"sweep_floats": floats_for(3)}),
+    (13, {}),
+    (7, {"sweep_floats": floats_for(3)}),
+])
+def test_max_step_is_the_sequential_bisection(depth, attrs, monkeypatch):
+    """Bitwise the one-probe-at-a-time search on random pairs: full steps
+    and partial ones, in rounds of 4, 2, 1 and 3 steps, and in rounds of 4
+    swept 2 steps at a time, with the bisection ending by the 1e-12 stop
+    (45 steps allowed, the stop fires at step 40, inside a round of 3) or
+    by running out of steps (13 and 7 steps, rounds cut short)."""
+    monkeypatch.setattr(ipm, "BISECT_DEPTH", depth)
+    rng = np.random.default_rng(depth)
+    full = partial = 0
+    for trial in range(24):
+        it, d_x, d_s = random_step_problem(rng, int(rng.integers(2, 20)), 7000 + trial,
+                                           [0.05, 1.0, 10.0][trial % 3], **attrs)
+        a = max_step(it, d_x, d_s, 0.99)
+        assert a == sequential_max_step(it, d_x, d_s, 0.99)
+        full += a == 0.99
+        partial += 0.0 < a < 0.99
+    assert full and partial
+
+
+def test_max_step_zero(rng):
+    """Every probe fails: the bracket shrinks to [0, 2^-40] and the step is
+    exactly 0."""
+    it, _, d_s = random_step_problem(rng, 12, 7100, 1.0)
+    d_x = -1e15 * it.x
+    assert max_step(it, d_x, d_s, 0.99) == 0.0
+    assert sequential_max_step(it, d_x, d_s, 0.99) == 0.0
+
+
+def spy_on_factorizations(monkeypatch):
+    """Record max_step's factorizations as (kernel, members, ok): members
+    is 0 for a one-matrix call, ok which members succeeded."""
+    calls = []
+
+    def spy(kernel):
+        def run(x):
+            members = len(x.vals) if x.vals.ndim == 2 else 0
+            try:
+                f = kernel(x)
+            except (NotPositiveDefinite, NotCompletable):
+                calls.append((kernel.__name__, members, np.array([False])))
+                raise
+            ok = np.array([True]) if f.ok is None else f.ok.copy()
+            calls.append((kernel.__name__, members, ok))
+            return f
+        return run
+
+    monkeypatch.setattr(ipm, "cholesky", spy(ipm.cholesky))
+    monkeypatch.setattr(ipm, "maxdet_factor", spy(ipm.maxdet_factor))
+    return calls
+
+
+@pytest.mark.parametrize("sweep_floats, depth", [
+    (None, 4),
+    (floats_for(4), 4),
+    (floats_for(4) + 1, 3),
+    (floats_for(2), 2),
+    (matrix.BATCH_FLOATS // 3 + 1, 1),
+    (10 * matrix.BATCH_FLOATS, 1),
+])
+def test_max_step_rounds_follow_the_sweep_size(sweep_floats, depth, rng, monkeypatch):
+    """Each round is one stacked cholesky over 2^r - 1 steps, r the most up
+    to 4 whose sweeps make at most BATCH_FLOATS floats together (4 on the
+    small test structures), then one stacked maxdet_factor over exactly
+    the steps whose cholesky succeeded (none when all failed).  A sweep of
+    over BATCH_FLOATS / 3 floats gives the plain bisection, and a round of
+    one step, as the last of 40 steps in rounds of 3, makes one-matrix
+    calls."""
+    attrs = {} if sweep_floats is None else {"sweep_floats": sweep_floats}
+    it, d_x, d_s = random_step_problem(rng, 10, 7200, 10.0, **attrs)
+    calls = spy_on_factorizations(monkeypatch)
+    assert max_step(it, d_x, d_s, 0.99) < 0.99
+    assert calls[0][:2] == ("cholesky", 0)  # the full step, alone
+    rounds = [i for i, c in enumerate(calls) if c[0] == "cholesky"][1:]
+    sizes = [calls[i][1] for i in rounds]
+    last = ipm.BISECT_DEPTH % depth or depth
+    stacked = [2 ** r - 1 if r > 1 else 0 for r in (depth, last)]
+    assert sizes == [stacked[0]] * (len(rounds) - 1) + [stacked[1]]
+    for i in rounds:
+        kernel, members, ok = calls[i]
+        if ok.any():
+            assert calls[i + 1][:2] == ("maxdet_factor", ok.sum() if members else 0)
+        else:
+            assert i + 1 == len(calls) or calls[i + 1][0] == "cholesky"
+
+
+def test_single_factor_has_no_ok(rng):
+    st = random_structure(6, seed=2)
+    assert cholesky(random_spd(st, rng)).ok is None
+    assert maxdet_factor(random_completable(st, rng)).ok is None
+    with pytest.raises(StructuralError):
+        LowerSparse(st, np.zeros((2, 3, st.dim)))
+
+
+def test_one_matrix_operations_reject_a_stack(rng):
+    """Only the stacked kernels take a stack; the rest raise instead of
+    mixing the members, e.g. a stacked factor's logdet would sum the
+    diagonals of all members, failed ones included."""
+    st = random_structure(8, seed=4)
+    one = random_lower(st, rng)
+    stack = LowerSparse(st, np.array([one.vals, one.vals]))
+    sym = SymSparse(st, stack.vals)
+    f = cholesky(SymSparse(st, np.array([random_spd(st, rng).vals] * 2)))
+    for call in (f.logdet, lambda: projected_inverse(f), lambda: dual_gradient(f),
+                 lambda: inverse_forward_map(one, sym), lambda: inverse_adjoint_map(one, sym),
+                 lambda: forward_map(stack, random_sym(st, rng)),
+                 lambda: adjoint_map(stack, random_sym(st, rng)),
+                 lambda: inner(sym, sym), lambda: inner(SymSparse(st, one.vals[None]), sym),
+                 lambda: tri_mul(one, stack), lambda: tri_inverse(stack),
+                 lambda: to_dense(sym), lambda: to_triplets(sym)):
+        with pytest.raises(StructuralError, match="stack"):
+            call()
