@@ -211,11 +211,11 @@ def _finish(out, b, pack, a00, a10, a01, v):
 
 
 @_stacked(0)
-def cholesky(X: SymSparse, eps: float = PIVOT_EPS) -> CholFactor:
+def cholesky(X: SymSparse) -> CholFactor:
     """Zero-fill Cholesky factorization X = L L^T by a bottom-up sweep.
 
     At each node the frontal block is the node's column bordered by the
-    children's update blocks; a pivot at or below ``eps * (1 + |X_ii|)``
+    children's update blocks; a pivot at or below ``PIVOT_EPS * (1 + |X_ii|)``
     raises :class:`NotPositiveDefinite`, which is exactly the test for X
     lying in the interior of the sparse PSD cone.  The node reported is
     the lowest failing position: every node below it succeeded, so it is
@@ -224,7 +224,7 @@ def cholesky(X: SymSparse, eps: float = PIVOT_EPS) -> CholFactor:
     """
     s = X.struct
     xv = X.vals
-    floor = eps * (1.0 + np.abs(_take(xv, s.bar_ptr[:-1])))
+    floor = PIVOT_EPS * (1.0 + np.abs(_take(xv, s.bar_ptr[:-1])))
     out = np.zeros(xv.shape)
     seen = None
     for b, done in _up(s):
@@ -385,7 +385,7 @@ def projected_inverse(F: CholFactor) -> SymSparse:
 
 
 @_stacked(0)
-def maxdet_factor(S: SymSparse, eps: float = PIVOT_EPS) -> CholFactor:
+def maxdet_factor(S: SymSparse) -> CholFactor:
     """Factor L of the inverse of the maximum-determinant positive definite
     completion of S: the projection of (L L^T)^{-1} onto the pattern
     reproduces S.
@@ -400,7 +400,7 @@ def maxdet_factor(S: SymSparse, eps: float = PIVOT_EPS) -> CholFactor:
     """
     st = S.struct
     sv = S.vals
-    floor = eps * (1.0 + np.abs(_take(sv, st.bar_ptr[:-1])))
+    floor = PIVOT_EPS * (1.0 + np.abs(_take(sv, st.bar_ptr[:-1])))
     out = np.zeros(sv.shape)
     seen = None
     for b, v, pack in _down(st, sv.shape[:-1]):

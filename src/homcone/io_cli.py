@@ -29,7 +29,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .densecheck import find_forbidden_subgraph
 from .errors import (
     HomconeError,
     NotCompletable,
@@ -43,6 +42,7 @@ from .factor import barrier, cholesky, maxdet_factor
 from .ipm import ConicProblem, SolveReport, SolverOptions, SolveStatus, random_problem, solve
 from .matrix import Structure, SymSparse, from_triplets, to_triplets
 from .pattern import (
+    LbfsReject,
     Ordering,
     OrderingClass,
     SparsityPattern,
@@ -173,9 +173,8 @@ def _structure_for(pattern: SparsityPattern, ordering: Optional[Ordering]) -> St
                              "elimination ordering of the pattern") from None
     res = lbfs_order(pattern)
     if not res.accepted:
-        raise ParseError(
-            "pattern is not homogeneous chordal (rejected at pivot "
-            f"{res.pivot + 1}); run 'extend' first")
+        raise ParseError(f"pattern is not homogeneous chordal (induced {_witness_text(res)}); "
+                         "run 'extend' first")
     return Structure(pattern, res.ordering, res.etree)
 
 
@@ -349,6 +348,11 @@ def _is_chordal(pattern: SparsityPattern) -> bool:
     return verify_ordering(pattern, ordering) is not OrderingClass.NOT_PEO
 
 
+def _witness_text(res: LbfsReject) -> str:
+    """A rejection's induced subgraph as "P4 (a, b, c, d)", 1-based."""
+    return f"{res.kind} ({', '.join(str(v + 1) for v in res.witness)})"
+
+
 def _report_text(rep: SolveReport) -> str:
     d = rep.to_dict()
     lines = [f"status: {d['status']}",
@@ -390,12 +394,7 @@ def _cmd_check_pattern(args, stdout) -> int:
         stdout.write("HOMOGENEOUS_CHORDAL\n")
         return 0
     kind = "CHORDAL_ONLY" if _is_chordal(pattern) else "GENERAL"
-    if pattern.n <= 64:
-        w = find_forbidden_subgraph(pattern)
-        witness = f"{w.kind} ({', '.join(str(v + 1) for v in w.vertices)})"
-    else:
-        witness = "unavailable (witness scan capped at 64 vertices)"
-    stdout.write(f"{kind} witness: {witness}\n")
+    stdout.write(f"{kind} witness: {_witness_text(res)}\n")
     return 0
 
 
@@ -403,7 +402,7 @@ def _cmd_order(args, stdout) -> int:
     pattern = parse_pattern(_read(args.file))
     res = lbfs_order(pattern)
     if not res.accepted:
-        stdout.write(f"REJECTED pivot={res.pivot + 1} set={res.set_index + 1}\n")
+        stdout.write(f"REJECTED pivot={res.pivot + 1} witness: {_witness_text(res)}\n")
         return 3
     sigma = " ".join(str(v + 1) for v in res.ordering.sigma)
     parent = " ".join(str(res.etree.parent[v] + 1) for v in range(pattern.n))
@@ -427,32 +426,27 @@ def _cmd_extend(args, stdout) -> int:
     return 0
 
 
+#: for ``factor`` and ``complete``: the kernel, its failure and how it is
+#: printed, and the JSON key and value of the barrier at the factor
+_FACTOR_COMMANDS = {
+    "factor": (cholesky, NotPositiveDefinite, "NOT_POSITIVE_DEFINITE",
+               "barrier", lambda f, n: barrier(f)),
+    "complete": (maxdet_factor, NotCompletable, "NOT_COMPLETABLE",
+                 "dual_barrier", lambda f, n: f.logdet() - n),
+}
+
+
 def _cmd_factor(args, stdout) -> int:
+    kernel, failure, label, key, value = _FACTOR_COMMANDS[args.command]
     struct, x = parse_matrix(_read(args.file))
     try:
-        f = cholesky(x)
-    except NotPositiveDefinite as e:
-        stdout.write(f"NOT_POSITIVE_DEFINITE node={e.node + 1}\n")
+        f = kernel(x)
+    except failure as e:
+        stdout.write(f"{label} node={e.node + 1}\n")
         return 3
     trips = to_triplets(f.L)
     if args.format == "json":
-        stdout.write(json.dumps({"L": trips, "barrier": barrier(f)}) + "\n")
-    else:
-        stdout.write(_fmt_triplets_text(trips))
-    return 0
-
-
-def _cmd_complete(args, stdout) -> int:
-    struct, s = parse_matrix(_read(args.file))
-    try:
-        f = maxdet_factor(s)
-    except NotCompletable as e:
-        stdout.write(f"NOT_COMPLETABLE node={e.node + 1}\n")
-        return 3
-    trips = to_triplets(f.L)
-    if args.format == "json":
-        stdout.write(json.dumps({"L": trips,
-                                 "dual_barrier": f.logdet() - struct.n}) + "\n")
+        stdout.write(json.dumps({"L": trips, key: value(f, struct.n)}) + "\n")
     else:
         stdout.write(_fmt_triplets_text(trips))
     return 0
@@ -549,7 +543,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("file")
     sp.add_argument("--format", choices=("text", "json"), default="text")
 
-    sp = add("complete", _cmd_complete,
+    sp = add("complete", _cmd_factor,
              help="max-determinant completion factor of a matrix file")
     sp.add_argument("file")
     sp.add_argument("--format", choices=("text", "json"), default="text")

@@ -356,8 +356,8 @@ class Structure:
         res = lbfs_order(pattern)
         if not res.accepted:
             raise OrderingError(
-                "pattern is not homogeneous chordal "
-                f"(recognition failed at pivot {res.pivot}); extend it first")
+                f"pattern is not homogeneous chordal (induced {res.kind} on "
+                f"vertices {res.witness}); extend it first")
         return cls(pattern, res.ordering, res.etree)
 
     @property
@@ -480,9 +480,6 @@ class _Values:
 
 class SymSparse(_Values):
     """Symmetric matrix restricted to the pattern (lower half stored)."""
-
-    def norm(self) -> float:
-        return float(np.sqrt(inner(self, self)))
 
 
 class LowerSparse(_Values):

@@ -1,12 +1,15 @@
 """Sparsity-pattern graphs and their combinatorics.
 
 A pattern is homogeneous chordal (equivalently: trivially perfect, the
-comparability graph of a rooted forest) exactly when it admits an ordering
-whose higher neighborhoods satisfy adj+(u) = {p(u)} | adj+(p(u)).  This
-module recognizes such patterns with a lexicographic breadth-first search,
-classifies orderings, builds elimination trees and fundamental supernode
-partitions, extends arbitrary patterns to homogeneous chordal ones, and
-samples random instances from rooted forests.
+comparability graph of a rooted forest, free of induced P4 and C4)
+exactly when it admits an ordering whose higher neighborhoods satisfy
+adj+(u) = {p(u)} | adj+(p(u)), p(u) the lowest higher neighbor of u.
+This module recognizes such patterns by checking that equation in
+(degree, index) order, certifying a rejection with an induced P4 or C4;
+classifies orderings by the same check in position order; builds
+elimination trees and fundamental supernode partitions; extends arbitrary
+patterns to homogeneous chordal ones; and samples random instances from
+rooted forests.
 
 Vertices are 0-based everywhere in this module; file formats are 1-based
 and converted in the io layer.  All types are immutable after construction
@@ -15,7 +18,9 @@ and all functions are pure.
 
 from __future__ import annotations
 
+import bisect
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -163,15 +168,15 @@ class EliminationTree:
 
     @classmethod
     def from_parent(cls, parent: Sequence[int]) -> "EliminationTree":
-        n = len(parent)
-        ch: list[list[int]] = [[] for _ in range(n)]
-        roots = []
-        for v, p in enumerate(parent):
-            if p == v:
-                roots.append(v)
-            else:
-                ch[p].append(v)
-        return cls(tuple(parent), tuple(tuple(c) for c in ch), tuple(roots))
+        """Children ascend by index; only a parent gets a tuple, sparing
+        the garbage collector."""
+        parent = tuple(parent)
+        children = [()] * len(parent)
+        kids = sorted((v for v, p in enumerate(parent) if p != v), key=parent.__getitem__)
+        for p, group in itertools.groupby(kids, key=parent.__getitem__):
+            children[p] = tuple(group)
+        roots = tuple(v for v, p in enumerate(parent) if p == v)
+        return cls(parent, tuple(children), roots)
 
     @property
     def n(self) -> int:
@@ -227,128 +232,126 @@ class LbfsAccept:
 
 @dataclass(frozen=True)
 class LbfsReject:
-    """Certificate that step 2 of the search fired: while numbering
-    ``pivot``, an unnumbered neighbor sat in list slot ``set_index``
-    instead of the active (last) slot."""
+    """Certificate of rejection: ``pivot`` is the first vertex, parents
+    first, whose higher neighborhood is not its parent plus the parent's;
+    ``witness`` is four vertices through it inducing a ``kind`` ("P4" or
+    "C4") subgraph, listed along the path or cycle, found on first use."""
 
     pivot: int
-    set_index: int
-    neighbor: int
+    pattern: SparsityPattern
     accepted: bool = False
+
+    @property
+    def kind(self) -> str:
+        a, _, _, d = self.witness
+        return "C4" if d in self.pattern.adjacency[a] else "P4"
+
+    @functools.cached_property
+    def witness(self) -> tuple:
+        """With v the pivot and p its parent, in O(deg): either some higher
+        neighbor w != p of v misses p, and x in N(p) - N[v] (nonempty as
+        deg p >= deg v) gives x-p-v-w; or some higher neighbor y of p
+        misses v, and x in N(y) - N[p] gives v-p-y-x."""
+        adj = self.pattern.adjacency
+        v = self.pivot
+
+        def key(u):
+            return len(adj[u]), u
+
+        p = min((w for w in adj[v] if key(w) > key(v)), key=key)
+        near_p = set(adj[p])
+        missed = [w for w in adj[v] if key(w) > key(p) and w not in near_p]
+        if missed:
+            return min(near_p.difference(adj[v], (v,))), p, v, min(missed, key=key)
+        near_v = set(adj[v])
+        y = min((y for y in adj[p] if key(y) > key(p) and y not in near_v), key=key)
+        return v, p, y, min(set(adj[y]).difference(near_p, (p,)))
 
 
 def lbfs_order(pattern: SparsityPattern):
-    """Recognize a homogeneous chordal pattern by lexicographic BFS.
+    """Recognize a homogeneous chordal pattern: its trivially perfect
+    elimination ordering and elimination forest, or a :class:`LbfsReject`.
 
-    Vertices are numbered n-1 down to 0, each time taking the vertex of
-    highest degree in the most recently split part and splitting that part
-    into non-neighbors followed by neighbors.  On acceptance the returned
-    ordering is a trivially perfect elimination ordering and a postordering
-    of the returned elimination tree; the parent of w is the last pivot
-    adjacent to w before w itself is numbered.  On rejection a
-    :class:`LbfsReject` certificate is returned.
+    Key each vertex by (degree, index).  In a trivially perfect graph the
+    closed neighborhoods of adjacent vertices are nested, so the key order
+    is a trivially perfect elimination ordering (Yan, Chen & Chang, 1996):
+    v's parent p is its lowest-key higher neighbor and adj+(v) = {p} |
+    adj+(p).  The pattern is accepted iff that holds at every non-root;
+    the check runs parents first and stops at the first failing vertex,
+    through which the rejection names an induced P4 or C4.
 
-    Ties in degree are broken by ascending vertex index, and splits keep
-    relative order, so the result is a pure function of the pattern.
+    sigma is the forest's postorder, roots and children ascending by key
+    (a subtree's size is 1 plus the number of lower-key neighbors).  That
+    is the paper's lexicographic BFS ordering: numbering positions n-1 down
+    to 0, the search takes the highest-key vertex of the newest part, a
+    subtree's root, and splits its unnumbered neighbors, the rest of the
+    subtree, off as the next part: it walks the forest depth first by
+    descending key, each vertex's last adjacent pivot being its parent.
     Runs in O(|V| + |E| log deg).
     """
     n = pattern.n
     adj = pattern.adjacency
-    deg = [len(a) for a in adj]
-
-    # One global doubly linked list threads every unnumbered vertex; parts
-    # of the partition are (head, tail, stack position) windows onto it.
-    order = sorted(range(n), key=lambda v: (deg[v], v))
-    nxt = [-1] * n
-    prv = [-1] * n
-    for a, b in zip(order, order[1:]):
-        nxt[a] = b
-        prv[b] = a
-    stack = [[order[0], order[-1], 0]]
-    part_of = [stack[0]] * n
-    numbered = [False] * n
-    sigma = [0] * n
+    order = sorted(range(n), key=[len(a) for a in adj].__getitem__)  # stable: ties by index
+    rank = [0] * n
+    for r, v in enumerate(order):
+        rank[v] = r
+    up = [None] * n  # ranks of the higher neighbors, kept for possible parents
     parent = list(range(n))
-
-    for i in range(n - 1, -1, -1):
-        top = stack[-1]
-        v = top[1]
-        sigma[i] = v
-        numbered[v] = True
-        before = prv[v]
-        if before >= 0:
-            nxt[before] = -1
-            top[1] = before
+    pos = [0] * n
+    sigma = [0] * n
+    below = [0] * n  # next free position under each rank
+    free = n - 1     # next free position for a root
+    for r in range(n - 1, -1, -1):
+        v = order[r]
+        ranks = sorted(map(rank.__getitem__, adj[v]))
+        lower = bisect.bisect(ranks, r)
+        hv = ranks[lower:]
+        if hv:
+            p = hv[0]
+            if hv[1:] != up[p]:
+                return LbfsReject(pivot=v, pattern=pattern)
+            parent[v] = order[p]
+            at = below[p]
+            below[p] = at - lower - 1
         else:
-            stack.pop()
-        wprime = []
-        for w in adj[v]:
-            if not numbered[w]:
-                part = part_of[w]
-                if part is not top:
-                    return LbfsReject(pivot=v, set_index=part[2], neighbor=w)
-                wprime.append(w)
-        if not wprime:
-            continue
-        if len(wprime) > 1:
-            wprime.sort(key=lambda u: (deg[u], u))
-        for w in wprime:
-            a, b = prv[w], nxt[w]
-            if a >= 0:
-                nxt[a] = b
-            else:
-                top[0] = b
-            if b >= 0:
-                prv[b] = a
-            else:
-                top[1] = a
-        if top[0] < 0:
-            stack.pop()
-        first, last = wprime[0], wprime[-1]
-        prv[first] = -1
-        nxt[last] = -1
-        for a, b in zip(wprime, wprime[1:]):
-            nxt[a] = b
-            prv[b] = a
-        new_part = [first, last, len(stack)]
-        for w in wprime:
-            part_of[w] = new_part
-            parent[w] = v
-        stack.append(new_part)
-
-    return LbfsAccept(ordering=Ordering.from_sigma(sigma),
+            at = free
+            free = at - lower - 1
+        if lower:  # only a vertex with lower neighbors can be a parent
+            up[r] = hv
+            below[r] = at - 1
+        pos[v] = at
+        sigma[at] = v
+    return LbfsAccept(ordering=Ordering(tuple(sigma), tuple(pos)),
                       etree=EliminationTree.from_parent(parent))
-
-
-def _higher_neighborhoods(pattern: SparsityPattern, ordering: Ordering):
-    if ordering.n != pattern.n:
-        raise OrderingError(
-            f"ordering on {ordering.n} vertices, pattern has {pattern.n}")
-    pos = ordering.sigma_inv
-    return [
-        frozenset(w for w in pattern.adjacency[v] if pos[w] > pos[v])
-        for v in range(pattern.n)
-    ]
 
 
 def verify_ordering(pattern: SparsityPattern, ordering: Ordering) -> OrderingClass:
     """Classify an ordering of the pattern.
 
-    PEO means every higher neighborhood induces a clique; trivially perfect
-    additionally requires adj+(u) = {p(u)} | adj+(p(u)) for every non-root,
-    which is what makes inverse Cholesky factors fill-free.
+    With p(u) the lowest higher neighbor of u: PEO means adj+(u) - {p(u)}
+    is a subset of adj+(p(u)) for every non-root u, which makes every
+    higher neighborhood a clique; trivially perfect additionally requires
+    adj+(u) = {p(u)} | adj+(p(u)), which makes inverse Cholesky factors
+    fill-free: the check of :func:`lbfs_order`, keyed by position.
     """
+    if ordering.n != pattern.n:
+        raise OrderingError(
+            f"ordering on {ordering.n} vertices, pattern has {pattern.n}")
     pos = ordering.sigma_inv
-    adjp = _higher_neighborhoods(pattern, ordering)
-    parent = [min(a, key=lambda w: pos[w]) if a else v
-              for v, a in enumerate(adjp)]
-    for v in range(pattern.n):
-        if adjp[v] and not (adjp[v] - {parent[v]}) <= adjp[parent[v]]:
-            return OrderingClass.NOT_PEO
-    for v in range(pattern.n):
-        if adjp[v] and adjp[v] != adjp[parent[v]] | {parent[v]}:
-            return OrderingClass.PEO
-    return OrderingClass.TRIVIALLY_PERFECT_PEO
+    up = [None] * pattern.n  # positions of the higher neighbors, ascending
+    above = {}  # set of up[p] for each parent p whose list did not match
+    found = OrderingClass.TRIVIALLY_PERFECT_PEO
+    for q in range(pattern.n - 1, -1, -1):
+        positions = sorted(map(pos.__getitem__, pattern.adjacency[ordering.sigma[q]]))
+        hv = up[q] = positions[bisect.bisect(positions, q):]
+        if hv and hv[1:] != up[hv[0]]:
+            p = hv[0]
+            if p not in above:
+                above[p] = set(up[p])
+            if not above[p].issuperset(hv[1:]):
+                return OrderingClass.NOT_PEO
+            found = OrderingClass.PEO
+    return found
 
 
 def edges_and_parents(pattern: SparsityPattern, ordering: Ordering):

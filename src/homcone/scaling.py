@@ -58,6 +58,12 @@ __all__ = [
 ]
 
 
+#: Newton steps the scaling-point search may take
+NEWTON_STEPS = 100
+#: relative size below which bfgs_update takes both displacements as zero
+ZERO_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class ScalingState:
     """Iterate pair with shadow points and displacement directions.
@@ -109,8 +115,7 @@ def _newton_system(struct: Structure, w_dense, x_dense):
 
 
 def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9,
-                  max_iter: int = 100, warm: Optional[SymSparse] = None,
-                  strict: bool = True) -> SymSparse:
+                  warm: Optional[SymSparse] = None, strict: bool = True) -> SymSparse:
     """Interior point w at which the barrier Hessian maps x to s.
 
     Damped Newton on the convex objective
@@ -119,8 +124,8 @@ def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9,
     are rescaled to unit norm internally (an exact change of variables) and
     the default start is x/sqrt(mu), which is exact on the central path.
 
-    Raises ScalingConvergenceError when the budget runs out or the
-    iteration hits its numerical floor above ``tol``.  With strict=False
+    Raises ScalingConvergenceError when the NEWTON_STEPS budget runs out
+    or the iteration hits its numerical floor above ``tol``.  With strict=False
     the best iterate found is returned instead (useful deep inside a
     path-following run, where the floor rises as the iterates approach
     the boundary; the caller can read the achieved residual off
@@ -140,7 +145,7 @@ def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9,
     best_w, best_g = w, np.inf
     no_progress = 0
     f = phi0 = None  # the accepted line-search point's factor and objective
-    for _ in range(max_iter):
+    for _ in range(NEWTON_STEPS):
         if f is None:
             f = cholesky(w)
         g = sb - hess_apply(f, xb)
@@ -196,7 +201,7 @@ def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9,
         return back * best_w
     raise ScalingConvergenceError(
         f"scaling point stalled at residual {best_g:.3e} (target {tol:g}) "
-        f"within {max_iter} steps")
+        f"within {NEWTON_STEPS} steps")
 
 
 @dataclass(frozen=True)
@@ -235,15 +240,12 @@ class ScalingOperator:
         return d
 
 
-def pd_factor(w: SymSparse, x: Optional[SymSparse] = None,
-              s: Optional[SymSparse] = None) -> ScalingOperator:
-    """Factor the scaling point into the congruence operator (no rank-one
-    correction).  When the pair (x, s) is supplied, the common v-space
-    image L^{-1}(x) is stored on the operator along with the achieved
-    residual |L^{-1}(x) - L*(s)|."""
+def pd_factor(w: SymSparse, x: SymSparse, s: SymSparse) -> ScalingOperator:
+    """Factor the scaling point of the pair (x, s) into the congruence
+    operator (no rank-one correction).  The common v-space image
+    L^{-1}(x) is stored on the operator along with the achieved residual
+    |L^{-1}(x) - L*(s)|."""
     ell = cholesky(w).L
-    if x is None or s is None:
-        return ScalingOperator(base=ell)
     v = inverse_forward_map(ell, x)
     res = norm(v - adjoint_map(ell, s))
     return ScalingOperator(base=ell, v=v, residual=res)
@@ -288,8 +290,7 @@ def apply_scaling(op: ScalingOperator, mode: str, z: SymSparse) -> SymSparse:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def bfgs_update(op: ScalingOperator, state: ScalingState,
-                zero_tol: float = 1e-12) -> ScalingOperator:
+def bfgs_update(op: ScalingOperator, state: ScalingState) -> ScalingOperator:
     """Rank-one update aligning the shadow iterates.
 
     On a central pair (both displacements vanish) the operator is returned
@@ -306,7 +307,7 @@ def bfgs_update(op: ScalingOperator, state: ScalingState,
     # too, or roundoff-sized deltas near convergence masquerade as data.
     p_scale = max(mu, norm(state.x))
     d_scale = max(mu, norm(state.s))
-    if norm(dp) <= zero_tol * p_scale and norm(dd) <= zero_tol * d_scale:
+    if norm(dp) <= ZERO_TOL * p_scale and norm(dd) <= ZERO_TOL * d_scale:
         return op
     curv = inner(dd, dp)
     if curv <= 0.0:

@@ -105,3 +105,12 @@ def sequential_max_step(it, d_x, d_s, eta):
         if hi - lo <= 1e-12:
             break
     return eta * lo
+
+
+def is_induced_witness(pattern, kind, quad):
+    """True when the four vertices of ``quad`` induce the path (kind "P4")
+    or cycle (kind "C4") they are listed along."""
+    a, b, c, d = quad
+    edge = pattern.has_edge
+    return (len(set(quad)) == 4 and edge(a, b) and edge(b, c) and edge(c, d)
+            and not edge(a, c) and not edge(b, d) and edge(a, d) == (kind == "C4"))

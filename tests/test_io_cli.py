@@ -20,9 +20,10 @@ from homcone.io_cli import (
 )
 from homcone.ipm import solve
 from homcone.matrix import SymSparse, inner, to_dense
-from homcone.pattern import SparsityPattern, homogeneous_extension
+from homcone.pattern import SparsityPattern, homogeneous_extension, random_homogeneous_pattern
 
 from conftest import FIG1_EDGES, PAPER12_EDGES, PAPER12_SIGMA
+from helpers import is_induced_witness
 
 SCHEMA_DIR = Path(__file__).parent.parent / "src" / "homcone" / "schemas"
 
@@ -37,6 +38,12 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def printed_witness(out):
+    """The 0-based vertices of the "(a, b, c, d)" a command printed."""
+    inside = out[out.index("(") + 1:out.index(")")]
+    return tuple(int(t) - 1 for t in inside.split(", "))
 
 
 VINBERG_PAT = "3 2\n1 3\n2 3\n"
@@ -225,8 +232,19 @@ class TestCli:
         f = write(tmp_path, "fig1.pat", format_pattern(fig1_pattern))
         rc, out = cli("check-pattern", f)
         assert rc == 0
-        assert out.startswith("CHORDAL_ONLY")
-        assert "P4 (1, 2, 5, 3)" in out
+        assert out.startswith("CHORDAL_ONLY witness: P4 (")
+        assert is_induced_witness(fig1_pattern, "P4", printed_witness(out))
+
+    def test_check_pattern_witness_has_no_size_cap(self, tmp_path):
+        """A 100-vertex forest pattern with one edge removed is rejected
+        with an induced P4 or C4 of the file's pattern."""
+        gen = random_homogeneous_pattern(100, seed=5, branching=3.0)
+        edges = sorted(gen.pattern.edges)
+        pattern = SparsityPattern(100, edges[:40] + edges[41:])
+        rc, out = cli("check-pattern", write(tmp_path, "big.pat", format_pattern(pattern)))
+        assert rc == 0
+        kind = out.split(" witness: ")[1][:2]
+        assert is_induced_witness(pattern, kind, printed_witness(out))
 
     def test_check_pattern_general(self, tmp_path):
         f = write(tmp_path, "c4.pat", "4 4\n1 2\n1 4\n2 3\n3 4\n")
@@ -346,7 +364,10 @@ class TestCli:
         f = write(tmp_path, "p4.pat", "4 3\n1 2\n2 3\n3 4\n")
         rc, out = cli("order", f)
         assert rc == 3
-        assert "REJECTED" in out
+        assert out.startswith("REJECTED pivot=")
+        assert " witness: P4 (" in out
+        p4 = SparsityPattern(4, [(0, 1), (1, 2), (2, 3)])
+        assert is_induced_witness(p4, "P4", printed_witness(out))
 
     @pytest.mark.parametrize("text, where", [
         ("3 x\n1 3\n2 3\n1 1 2.0\n", "(line 1)"),

@@ -22,6 +22,7 @@ from homcone.pattern import (
 )
 
 from conftest import PAPER12_PARENT, PAPER12_SIGMA
+from helpers import is_induced_witness
 
 
 def test_pattern_validation():
@@ -69,13 +70,17 @@ class TestLbfs:
         assert all(res.etree.parent[v] == v for v in range(5))
 
     def test_rejects_c4(self):
-        res = lbfs_order(SparsityPattern(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+        c4 = SparsityPattern(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        res = lbfs_order(c4)
         assert not res.accepted
-        assert 0 <= res.pivot < 4
+        assert res.kind == "C4" and sorted(res.witness) == [0, 1, 2, 3]
+        assert res.pivot in res.witness and is_induced_witness(c4, "C4", res.witness)
 
     def test_rejects_p4(self):
-        res = lbfs_order(SparsityPattern(4, [(0, 1), (1, 2), (2, 3)]))
+        p4 = SparsityPattern(4, [(0, 1), (1, 2), (2, 3)])
+        res = lbfs_order(p4)
         assert not res.accepted
+        assert res.kind == "P4" and is_induced_witness(p4, "P4", res.witness)
 
     def test_deterministic(self, paper12_pattern):
         a = lbfs_order(paper12_pattern)
@@ -280,3 +285,85 @@ def test_rejection_always_has_witness(rng):
             assert has_forbidden_subgraph(p)
             w = find_forbidden_subgraph(p)
             assert w is not None and w.kind in ("P4", "C4")
+            assert is_induced_witness(p, res.kind, res.witness)
+
+
+def test_witness_is_induced_on_every_small_graph():
+    """Every rejected graph on up to 6 vertices gets an induced P4 or C4
+    through its pivot."""
+    for n in range(4, 7):
+        pairs = list(itertools.combinations(range(n), 2))
+        for code in range(1 << len(pairs)):
+            p = SparsityPattern(n, [e for k, e in enumerate(pairs) if code >> k & 1])
+            res = lbfs_order(p)
+            if not res.accepted:
+                assert res.pivot in res.witness
+                assert is_induced_witness(p, res.kind, res.witness), (n, code)
+
+
+def _relabelled_forest(n, seed, rng, flip):
+    """A random forest comparability pattern under a random relabelling,
+    with one vertex pair's adjacency flipped when ``flip``."""
+    gen = random_homogeneous_pattern(n, seed=seed, branching=float(rng.uniform(1.05, 6.0)))
+    label = rng.permutation(n).tolist()
+    edges = {tuple(sorted((label[u], label[w]))) for u, w in gen.pattern.edges}
+    if flip:
+        edges ^= {tuple(sorted(rng.choice(n, size=2, replace=False).tolist()))}
+    return SparsityPattern(n, sorted(edges))
+
+
+def test_witness_is_induced_on_random_rejections(rng):
+    """Random forest patterns with one pair flipped, and sparse random
+    graphs, up to 300 vertices: every rejection certifies itself."""
+    rejected = 0
+    for trial in range(120):
+        n = int(rng.integers(4, 301))
+        if trial % 2:
+            p = _relabelled_forest(n, trial, rng, flip=True)
+        else:
+            pairs = list(itertools.combinations(range(n), 2))
+            take = rng.choice(len(pairs), size=min(2 * n, len(pairs)), replace=False)
+            p = SparsityPattern(n, [pairs[t] for t in take])
+        res = lbfs_order(p)
+        if not res.accepted:
+            rejected += 1
+            assert res.kind in ("P4", "C4") and res.pivot in res.witness
+            assert is_induced_witness(p, res.kind, res.witness)
+    assert rejected > 60
+
+
+def _brute_force_class(pattern, ordering):
+    """PEO: every higher neighbourhood is a clique.  Trivially perfect:
+    also, along every edge, the higher end's higher neighbourhood lies in
+    the lower end's."""
+    pos = ordering.sigma_inv
+    up = [{w for w in pattern.adjacency[v] if pos[w] > pos[v]} for v in range(pattern.n)]
+    if any(not pattern.has_edge(a, b) for h in up for a, b in itertools.combinations(h, 2)):
+        return OrderingClass.NOT_PEO
+    if all(up[w] <= up[v] for v in range(pattern.n) for w in up[v]):
+        return OrderingClass.TRIVIALLY_PERFECT_PEO
+    return OrderingClass.PEO
+
+
+def test_verify_ordering_matches_brute_force(rng):
+    """Random graphs and (flipped) forest patterns under random orderings
+    and under recognition orderings with a few swaps."""
+    seen = set()
+    for trial in range(600):
+        n = int(rng.integers(1, 16))
+        if trial % 3 == 0:
+            pairs = list(itertools.combinations(range(n), 2))
+            keep = rng.random(len(pairs)) < rng.uniform(0.1, 0.9)
+            p = SparsityPattern(n, [e for e, k in zip(pairs, keep) if k])
+        else:
+            p = _relabelled_forest(n, trial, rng, flip=trial % 3 == 2 and n > 1)
+        res = lbfs_order(p)
+        sigma = list(res.ordering.sigma) if res.accepted else rng.permutation(n).tolist()
+        for _ in range(int(rng.integers(0, 3))):
+            i, j = rng.integers(0, n, size=2)
+            sigma[i], sigma[j] = sigma[j], sigma[i]
+        ordering = Ordering.from_sigma(sigma)
+        got = verify_ordering(p, ordering)
+        assert got is _brute_force_class(p, ordering), (p.adjacency, sigma)
+        seen.add(got)
+    assert seen == set(OrderingClass)
