@@ -56,8 +56,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotCompletable, NotPositiveDefinite, SingularFactor
-from .matrix import LowerSparse, Structure, SymSparse, _chain, _check_same, _one, _put, _take
+from .errors import NotCompletable, NotPositiveDefinite
+from .matrix import (LowerSparse, Structure, SymSparse, _chain, _check_same, _nonsingular, _one,
+                     _put, _take)
 
 __all__ = [
     "CholFactor",
@@ -309,11 +310,9 @@ def inverse_forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
     and solves one chain system."""
     _one(L, X)
     _check_same(L, X)
+    _nonsingular(L)
     s = L.struct
     lv, xv = L.vals, X.vals
-    zero = lv[s.bar_ptr[:-1]] == 0.0
-    if zero.any():
-        raise SingularFactor(column=s.ordering.sigma[np.argmax(zero)])
     wv = np.empty(s.dim)
     for b, done in _up(s):
         lc = lv[b.cols]
@@ -338,22 +337,9 @@ def inverse_adjoint_map(L: LowerSparse, S: SymSparse) -> SymSparse:
     """Y = projection of L^{-T} S L^{-1} onto the pattern."""
     _one(L, S)
     _check_same(L, S)
+    _nonsingular(L)
     st = L.struct
     lv, sv = L.vals, S.vals
-    zero = lv[st.bar_ptr[:-1]] == 0.0
-    if zero.any():
-        # the scalar sweep first solves every chain, columns ascending and
-        # each chain from the top, then divides by pivots descending
-        ptr, rows = st.bar_ptr, st.bar_rows
-        hit = zero[rows]
-        hit[ptr[:-1]] = False
-        if hit.any():
-            k = np.searchsorted(ptr, np.argmax(hit), side="right") - 1
-            chain = rows[ptr[k] + 1:ptr[k + 1]]
-            j = chain[zero[chain]][-1]
-        else:
-            j = np.flatnonzero(zero)[-1]
-        raise SingularFactor(column=st.ordering.sigma[j])
     wv = _chain(st, lv, sv, "solve_t")
     out = np.zeros(st.dim)
     for b, v, pack in _down(st):

@@ -203,18 +203,18 @@ def normal_matrix(problem: ConicProblem, op: ScalingOperator) -> np.ndarray:
     return 0.5 * (nm + nm.T)
 
 
-def search_direction(problem: ConicProblem, it: Iterate, op: ScalingOperator,
-                     gamma: float):
+def search_direction(problem: ConicProblem, it: Iterate, res: Residuals,
+                     op: ScalingOperator, gamma: float):
     """Solve the scaled Newton system
 
         A(d_x) = -r_p
         A*(d_y) + d_s = -r_d
         inv(d_x) + adj(d_s) = -v + gamma mu vtilde
 
-    by eliminating through the normal matrix.  If that is not numerically
-    positive definite, SingularNormalMatrix says whether the constraints
-    are dependent or the iterates degenerated."""
-    res = residuals(problem, it)
+    by eliminating through the normal matrix, ``res`` being the residuals
+    of ``it``.  If that is not numerically positive definite,
+    SingularNormalMatrix says whether the constraints are dependent or the
+    iterates degenerated."""
     v = op.v
     vtilde = (1.0 / it.mu) * (v - op.v_hat_or_zero())
     rv = -1.0 * v + (gamma * it.mu) * vtilde
@@ -376,7 +376,7 @@ def solve(problem: ConicProblem, options: Optional[SolverOptions] = None) -> Sol
         gamma = opt.gamma if opt.gamma is not None else \
             (0.1 if last_alpha >= 0.8 else 0.8)
         try:
-            d_x, d_y, d_s = search_direction(problem, it, op, gamma)
+            d_x, d_y, d_s = search_direction(problem, it, res, op, gamma)
         except SingularNormalMatrix as e:
             raise SingularNormalMatrix(f"at iteration {k}: {e}") from None
         alpha = max_step(it, d_x, d_s, opt.step_fraction)

@@ -420,6 +420,14 @@ def _check_same(a, b):
         raise StructuralError("operands live on different structures")
 
 
+def _nonsingular(L) -> None:
+    """Raise SingularFactor at the lowest-position zero pivot of ``L``."""
+    s = L.struct
+    zero = L.vals[s.bar_ptr[:-1]] == 0.0
+    if zero.any():
+        raise SingularFactor(column=s.ordering.sigma[np.argmax(zero)])
+
+
 def _one(*xs) -> None:
     """Raise StructuralError if an operand is a stack: only the kernels
     :class:`_Values` names take one."""
@@ -649,11 +657,6 @@ def tri_inverse(L: LowerSparse) -> LowerSparse:
     """Inverse of a pattern-restricted lower triangle, column by column by
     substitution along the ancestor chain."""
     _one(L)
+    _nonsingular(L)
     s = L.struct
-    lv = L.vals
-    zero = lv[s.bar_ptr[:-1]] == 0.0
-    if zero.any():
-        # the first zero pivot that column-by-column substitution meets
-        rows = s.bar_rows
-        raise SingularFactor(column=s.ordering.sigma[rows[np.argmax(zero[rows])]])
-    return LowerSparse(s, _chain(s, lv, identity(s).vals, "solve", own=True))
+    return LowerSparse(s, _chain(s, L.vals, identity(s).vals, "solve", own=True))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import bisect
 import enum
 import functools
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -80,17 +81,9 @@ class SparsityPattern:
         self._edges = frozenset(seen)
 
     @classmethod
-    def from_adjacency(cls, n: int, adjacency: Sequence[Sequence[int]],
-                       validate: bool = True) -> "SparsityPattern":
-        """Wrap prebuilt neighbor lists.  With ``validate=False`` the lists
-        must already be sorted, symmetric, and loop-free."""
-        if validate:
-            edges = []
-            for v, nbrs in enumerate(adjacency):
-                for w in nbrs:
-                    if v < w:
-                        edges.append((v, w))
-            return cls(n, edges)
+    def from_adjacency(cls, n: int, adjacency: Sequence[Sequence[int]]) -> "SparsityPattern":
+        """Wrap prebuilt neighbor lists, which must already be sorted,
+        symmetric, and loop-free."""
         self = cls.__new__(cls)
         self.n = n
         self.adjacency = tuple(tuple(a) for a in adjacency)
@@ -449,40 +442,44 @@ class Extension:
 
 
 def _minimum_degree(pattern: SparsityPattern):
-    """Elimination-graph minimum degree ordering with the fill recorded
-    through the resulting parent function.  Ties break on vertex index."""
+    """Minimum-degree elimination, ties broken on vertex index: each
+    vertex's parent in the filled graph, its first-eliminated higher
+    neighbor (itself at a root).
+
+    Pivots come off one heap keyed (degree, index); eliminating v pushes
+    its neighbors again under their new degrees, and stale entries are
+    skipped on pop.  An eliminated vertex's set is never touched again, so
+    it stays its higher neighborhood.  O((n + fill) log n) for the heap
+    plus the sum of squared elimination degrees for the fill.
+    """
     n = pattern.n
     live: list[set] = [set(a) for a in pattern.adjacency]
-    eliminated = [False] * n
-    sigma = []
-    higher: list[set] = [set() for _ in range(n)]
-    remaining = set(range(n))
-    for _ in range(n):
-        v = min(remaining, key=lambda u: (len(live[u]), u))
-        remaining.discard(v)
-        sigma.append(v)
-        eliminated[v] = True
-        nbrs = live[v]
-        higher[v] = set(nbrs)
-        for w in nbrs:
+    heap = [(len(a), v) for v, a in enumerate(live)]
+    heapq.heapify(heap)
+    pos = [n] * n  # elimination step of each vertex, n while live
+    for q in range(n):
+        d, v = heapq.heappop(heap)
+        while pos[v] < n or d != len(live[v]):
+            d, v = heapq.heappop(heap)
+        pos[v] = q
+        nb = list(live[v])
+        for w in nb:
             live[w].discard(v)
-        nb = list(nbrs)
         for a_i, a in enumerate(nb):
             for b in nb[a_i + 1:]:
                 if b not in live[a]:
                     live[a].add(b)
                     live[b].add(a)
-    pos = {v: q for q, v in enumerate(sigma)}
-    parent = [min(higher[v], key=lambda w: pos[w]) if higher[v] else v
-              for v in range(n)]
-    return parent
+        for w in nb:
+            heapq.heappush(heap, (len(live[w]), w))
+    return [min(up, key=pos.__getitem__) if up else v for v, up in enumerate(live)]
 
 
 def _postorder(etree: EliminationTree) -> list:
     """Postorder with children visited in ascending vertex index."""
     out = []
-    for r in sorted(etree.roots):
-        stack = [(r, iter(sorted(etree.children[r])))]
+    for r in etree.roots:
+        stack = [(r, iter(etree.children[r]))]
         while stack:
             v, it = stack[-1]
             child = next(it, None)
@@ -490,7 +487,7 @@ def _postorder(etree: EliminationTree) -> list:
                 out.append(v)
                 stack.pop()
             else:
-                stack.append((child, iter(sorted(etree.children[child]))))
+                stack.append((child, iter(etree.children[child])))
     return out
 
 
@@ -517,7 +514,9 @@ def homogeneous_extension(pattern: SparsityPattern) -> Extension:
     that ordering, and the ancestor closure of the filled elimination tree
     (the comparability graph of that tree), which is trivially perfect by
     construction.  The returned ordering is a postordering of the tree.
-    Heuristic only: minimizing added edges is NP-hard.
+    Heuristic only: minimizing added edges is NP-hard.  The ordering costs
+    O((n + fill) log n) for the heap plus the sum of squared elimination
+    degrees for the fill; the closure adds O(E log n), E the extended edges.
     """
     res = lbfs_order(pattern)
     if res.accepted:
@@ -526,7 +525,7 @@ def homogeneous_extension(pattern: SparsityPattern) -> Extension:
     etree = EliminationTree.from_parent(parent)
     sigma = _postorder(etree)
     adj = _comparability_adjacency(parent)
-    extended = SparsityPattern.from_adjacency(pattern.n, adj, validate=False)
+    extended = SparsityPattern.from_adjacency(pattern.n, adj)
     return Extension(extended, Ordering.from_sigma(sigma), etree)
 
 
@@ -570,6 +569,6 @@ def random_homogeneous_pattern(n: int, seed: int,
             if root > a:
                 stack.append((a, root - 1, root))
     adj = _comparability_adjacency(parent)
-    pat = SparsityPattern.from_adjacency(n, adj, validate=False)
+    pat = SparsityPattern.from_adjacency(n, adj)
     return GeneratedPattern(pat, Ordering.identity(n),
                             EliminationTree.from_parent(parent))

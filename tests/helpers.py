@@ -114,3 +114,31 @@ def is_induced_witness(pattern, kind, quad):
     edge = pattern.has_edge
     return (len(set(quad)) == 4 and edge(a, b) and edge(b, c) and edge(c, d)
             and not edge(a, c) and not edge(b, d) and edge(a, d) == (kind == "C4"))
+
+
+def scan_minimum_degree(pattern):
+    """Reference minimum-degree elimination that picks each pivot by
+    scanning every remaining vertex for the least (degree, index); returns
+    each vertex's first-eliminated higher neighbor (itself at a root)."""
+    n = pattern.n
+    live = [set(a) for a in pattern.adjacency]
+    sigma = []
+    higher = [set() for _ in range(n)]
+    remaining = set(range(n))
+    for _ in range(n):
+        v = min(remaining, key=lambda u: (len(live[u]), u))
+        remaining.discard(v)
+        sigma.append(v)
+        nbrs = live[v]
+        higher[v] = set(nbrs)
+        for w in nbrs:
+            live[w].discard(v)
+        nb = list(nbrs)
+        for a_i, a in enumerate(nb):
+            for b in nb[a_i + 1:]:
+                if b not in live[a]:
+                    live[a].add(b)
+                    live[b].add(a)
+    pos = {v: q for q, v in enumerate(sigma)}
+    return [min(higher[v], key=lambda w: pos[w]) if higher[v] else v
+            for v in range(n)]

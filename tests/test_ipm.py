@@ -108,7 +108,7 @@ class TestSearchDirection:
         st = random_structure(9, seed=34)
         prob, it = central_iterate(st, rng)
         op, _ = build_operator(it.x, it.s)
-        d_x, d_y, d_s = search_direction(prob, it, op, gamma=1.0)
+        d_x, d_y, d_s = search_direction(prob, it, residuals(prob, it), op, gamma=1.0)
         scale = max(1.0, norm(it.x))
         assert norm(d_x) <= 1e-10 * scale
         assert float(np.linalg.norm(d_y)) <= 1e-10 * scale
@@ -118,7 +118,7 @@ class TestSearchDirection:
         st = random_structure(9, seed=35)
         prob, it = central_iterate(st, rng)
         op, _ = build_operator(it.x, it.s)
-        d = search_direction(prob, it, op, gamma=0.0)
+        d = search_direction(prob, it, residuals(prob, it), op, gamma=0.0)
         e1, e2, e3 = direction_equation_residuals(prob, it, op, 0.0, d)
         assert max(e1, e2, e3) <= 1e-10 * max(1.0, norm(op.v))
 
@@ -132,7 +132,7 @@ class TestSearchDirection:
                          mu=inner(s, x) / st.n)
             op, _ = build_operator(x, s)
             gamma = float(rng.uniform(0, 1))
-            d = search_direction(prob, it, op, gamma)
+            d = search_direction(prob, it, residuals(prob, it), op, gamma)
             e1, e2, e3 = direction_equation_residuals(prob, it, op, gamma, d)
             scale = max(1.0, norm(op.v), norm(x), norm(s))
             assert max(e1, e2, e3) <= 1e-9 * scale
@@ -158,7 +158,7 @@ class TestSearchDirection:
         it = Iterate(x=identity(st), y=np.zeros(2), s=identity(st), mu=1.0)
         op, _ = build_operator(it.x, it.s)
         with pytest.raises(SingularNormalMatrix, match="rank deficient"):
-            search_direction(prob, it, op, gamma=0.5)
+            search_direction(prob, it, residuals(prob, it), op, gamma=0.5)
 
 
 class TestMaxStep:

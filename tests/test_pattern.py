@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -19,10 +20,11 @@ from homcone.pattern import (
     random_homogeneous_pattern,
     supernode_partition,
     verify_ordering,
+    _minimum_degree,
 )
 
 from conftest import PAPER12_PARENT, PAPER12_SIGMA
-from helpers import is_induced_witness
+from helpers import is_induced_witness, scan_minimum_degree
 
 
 def test_pattern_validation():
@@ -222,6 +224,33 @@ class TestExtension:
         assert ext.extended.edges >= fig1_pattern.edges
         assert lbfs_order(ext.extended).accepted
         assert is_postordering(ext.etree, ext.ordering)
+
+    def test_minimum_degree_matches_scan_on_small_graphs(self):
+        for n in range(1, 7):
+            pairs = list(itertools.combinations(range(n), 2))
+            for code in range(1 << len(pairs)):
+                p = SparsityPattern(n, [e for k, e in enumerate(pairs) if code >> k & 1])
+                assert _minimum_degree(p) == scan_minimum_degree(p)
+
+    def test_minimum_degree_matches_scan_on_random_graphs(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(2, 41))
+            prob = rng.uniform(0.02, 0.3)
+            p = SparsityPattern(n, [e for e in itertools.combinations(range(n), 2)
+                                    if rng.random() < prob])
+            assert _minimum_degree(p) == scan_minimum_degree(p)
+
+    def test_star_of_paths_extends_fast(self):
+        """Centre 0 with arms 1-2-3, 4-5-6, ...: a scan for each pivot
+        made this quadratic (about 25 s at 16000 vertices)."""
+        n = 20_000
+        star = SparsityPattern(n, [(0 if v % 3 == 1 else v - 1, v) for v in range(1, n)])
+        t0 = time.perf_counter()
+        ext = homogeneous_extension(star)
+        elapsed = time.perf_counter() - t0
+        assert lbfs_order(ext.extended).accepted
+        assert ext.extended.edges >= star.edges
+        assert elapsed < 5.0, f"extension took {elapsed:.2f} s"
 
 
 class TestRandomPattern:
