@@ -27,7 +27,6 @@ import numpy as np
 from .errors import NotCompletable, NotPositiveDefinite, SingularNormalMatrix
 from .factor import cholesky, forward_map, maxdet_factor
 from .matrix import (
-    BATCH_FLOATS,
     LowerSparse,
     Structure,
     SymSparse,
@@ -286,12 +285,12 @@ def max_step(it: Iterate, d_x: SymSparse, d_s: SymSparse, eta: float) -> float:
     as the one-at-a-time bisection would, so the result is that
     bisection's bit for bit.  Stacking saves the Python overhead of all
     but one sweep and costs the arithmetic of 2^r - 1 - r extra probes, so
-    r is the most, up to 4, whose 2^r - 1 sweeps together make at most
-    BATCH_FLOATS floats of frontal block: 4 on small structures, and 1,
-    the plain bisection, where one sweep makes more than BATCH_FLOATS / 3."""
+    r is the most, up to 4, with 2^r - 1 at most ``Structure.round_sweeps``:
+    4 on small structures, and 1, the plain bisection, where fewer than 3
+    sweeps fit in one round."""
     if _interior(it.x + d_x, it.s + d_s):
         return eta
-    depth = min(4, max(1, (BATCH_FLOATS // it.x.struct.sweep_floats + 1).bit_length() - 1))
+    depth = min(4, (it.x.struct.round_sweeps + 1).bit_length() - 1)
     lo, hi = 0.0, 1.0
     inside = {}
     for k in range(BISECT_DEPTH):

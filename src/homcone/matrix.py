@@ -365,6 +365,12 @@ class Structure:
         """Dimension of the symmetric matrix space on this pattern."""
         return self.n + self.nnz
 
+    @property
+    def round_sweeps(self) -> int:
+        """How many one-matrix sweeps one stacked round of a search takes:
+        as many as make at most BATCH_FLOATS floats of frontal block, or 1."""
+        return max(1, BATCH_FLOATS // self.sweep_floats)
+
     def col(self, q: int) -> slice:
         return slice(int(self.bar_ptr[q]), int(self.bar_ptr[q + 1]))
 

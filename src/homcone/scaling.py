@@ -26,6 +26,7 @@ from .errors import (
     ScalingConvergenceError,
 )
 from .factor import (
+    CholFactor,
     adjoint_map,
     cholesky,
     dual_gradient,
@@ -101,17 +102,47 @@ def _newton_system(struct: Structure, w_dense, x_dense):
     """Coefficient matrix of the scaling-point Newton step on the entry
     coordinates of the pattern: the linearization of the map
     W -> projection of W^{-1} x W^{-1}, written with the weighted trace
-    inner product so the system is symmetric."""
+    inner product so the system is symmetric.  Of its four terms, the
+    fourth is the transpose of the second, product for product."""
     p = np.linalg.inv(w_dense)
     q = p @ x_dense @ p
     r = struct._row_vertex
     c = struct._col_vertex
-    t1 = q[np.ix_(r, r)] * p[np.ix_(c, c)].T
-    t2 = q[np.ix_(r, c)] * p[np.ix_(r, c)].T
-    t3 = p[np.ix_(r, r)] * q[np.ix_(c, c)].T
-    t4 = p[np.ix_(r, c)] * q[np.ix_(r, c)].T
+    pr, qr = p.take(r, 0), q.take(r, 0)
+    t2 = qr.take(c, 1) * pr.take(c, 1).T
+    terms = (qr.take(r, 1) * p.take(c, 0).take(c, 1).T + t2
+             + pr.take(r, 1) * q.take(c, 0).take(c, 1).T + t2.T)
     half = np.where(r == c, 0.5, 1.0)
-    return struct.weights[:, None] * (t1 + t2 + t3 + t4) * half[None, :]
+    return struct.weights[:, None] * terms * half[None, :]
+
+
+def _line_points(w: SymSparse, dw: SymSparse, rounds: int):
+    """(t, w + t dw, its factor) for each t = 1, 1/2, 1/4, ... above 1e-12
+    at which w + t dw factors, in that order.  t = 1 is tested alone and
+    the halvings after it ``rounds`` at a time by one stacked cholesky;
+    a member's factor is bitwise its own call, so every point and factor
+    is that of one cholesky per t."""
+    st = w.struct
+    t, size = 1.0, 1
+    while t > 1e-12:
+        ts = []
+        while t > 1e-12 and len(ts) < size:
+            ts.append(t)
+            t *= 0.5
+        size = rounds
+        if len(ts) == 1:
+            cand = w + ts[0] * dw
+            try:
+                fc = cholesky(cand)
+            except NotPositiveDefinite:
+                continue
+            yield ts[0], cand, fc
+        else:
+            cands = w.vals + np.array(ts)[:, None] * dw.vals
+            fs = cholesky(SymSparse(st, cands))
+            for i in np.flatnonzero(fs.ok):
+                yield (ts[i], SymSparse(st, cands[i].copy()),
+                       CholFactor(LowerSparse(st, fs.L.vals[i].copy())))
 
 
 def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9,
@@ -124,9 +155,18 @@ def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9,
     are rescaled to unit norm internally (an exact change of variables) and
     the default start is x/sqrt(mu), which is exact on the central path.
 
-    Raises ScalingConvergenceError when the NEWTON_STEPS budget runs out
-    or the iteration hits its numerical floor above ``tol``.  With strict=False
-    the best iterate found is returned instead (useful deep inside a
+    The backtracking tests the full step alone, then the halvings after
+    it in rounds of min(8, ``Structure.round_sweeps``), each round by one
+    stacked cholesky, walked in order as a one-halving-at-a-time search
+    would.  A member's factor is bitwise its own cholesky, so every
+    iterate is that search's bit for bit; a round saves the Python
+    overhead of all but one sweep, for the sweeps past the accepted step.
+
+    Raises ScalingConvergenceError, naming the reason and the Newton steps
+    taken, when the NEWTON_STEPS budget runs out, 8 steps in a row make no
+    progress, the line search reaches its floor t <= 1e-12 or the Newton
+    system is singular, all above ``tol``.  With strict=False the best
+    iterate found is returned instead (useful deep inside a
     path-following run, where the floor rises as the iterates approach
     the boundary; the caller can read the achieved residual off
     :func:`pd_factor`).
@@ -142,10 +182,11 @@ def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9,
         mu = inner(sb, xb) / st.n
         w = xb / float(np.sqrt(mu))
     xd = to_dense(xb)
+    rounds = min(8, st.round_sweeps)
     best_w, best_g = w, np.inf
     no_progress = 0
     f = phi0 = None  # the accepted line-search point's factor and objective
-    for _ in range(NEWTON_STEPS):
+    for steps in range(NEWTON_STEPS):
         if f is None:
             f = cholesky(w)
         g = sb - hess_apply(f, xb)
@@ -159,12 +200,14 @@ def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9,
         if gn < best_g:
             best_w, best_g = w, gn
         if no_progress >= 8:
+            why = "8 steps in a row made no progress"
             break
         m = _newton_system(st, to_dense(w), xd)
         rhs = -st.weights * g.vals
         try:
             dw = SymSparse(st, np.linalg.solve(m, rhs))
         except np.linalg.LinAlgError:
+            why = "the Newton system is singular"
             break
         # In the quadratic basin the objective decrease is ~|g|^2, beneath
         # evaluation noise, so there accept any feasible full step instead
@@ -174,34 +217,26 @@ def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9,
             if phi0 is None:
                 phi0 = inner(projected_inverse(f), xb) + inner(sb, w)
             slope = inner(g, dw)
-        t = 1.0
-        accepted = False
         phi = None
-        while t > 1e-12:
-            cand = w + t * dw
-            try:
-                fc = cholesky(cand)
-            except NotPositiveDefinite:
-                t *= 0.5
-                continue
+        for t, cand, fc in _line_points(w, dw, rounds):
             if basin:
-                accepted = True
                 break
             phi = inner(projected_inverse(fc), xb) + inner(sb, cand)
             if phi <= phi0 + 1e-4 * t * slope:
-                accepted = True
                 break
-            t *= 0.5
-        if not accepted:
-            break  # line search bottomed out: numerical floor reached
+        else:
+            why = "the line search reached its numerical floor t <= 1e-12"
+            break
         # the next iterate is this candidate, bit for bit: keep its factor
         # and objective instead of computing them again
         w, f, phi0 = cand, fc, phi
+    else:
+        steps, why = NEWTON_STEPS, "the step budget ran out"
     if not strict:
         return back * best_w
     raise ScalingConvergenceError(
-        f"scaling point stalled at residual {best_g:.3e} (target {tol:g}) "
-        f"within {NEWTON_STEPS} steps")
+        f"scaling point stopped at residual {best_g:.3e} (target {tol:g}) "
+        f"after {steps} Newton steps: {why}")
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,18 @@ can start.
 
 import numpy as np
 
-from homcone import ipm
-from homcone.errors import NotCompletable, NotPositiveDefinite
-from homcone.factor import cholesky, maxdet_factor
-from homcone.matrix import LowerSparse, Structure, SymSparse, project, to_dense
+from homcone import ipm, scaling
+from homcone.errors import NotCompletable, NotPositiveDefinite, ScalingConvergenceError
+from homcone.factor import cholesky, hess_apply, maxdet_factor, projected_inverse
+from homcone.matrix import (
+    LowerSparse,
+    Structure,
+    SymSparse,
+    inner,
+    norm,
+    project,
+    to_dense,
+)
 from homcone.pattern import random_homogeneous_pattern
 
 
@@ -142,3 +150,119 @@ def scan_minimum_degree(pattern):
     pos = {v: q for q, v in enumerate(sigma)}
     return [min(higher[v], key=lambda w: pos[w]) if higher[v] else v
             for v in range(n)]
+
+
+def ix_newton_system(struct, w_dense, x_dense):
+    """Reference scaling-point Newton matrix gathered by np.ix_, one
+    gather per factor of each of the four terms."""
+    p = np.linalg.inv(w_dense)
+    q = p @ x_dense @ p
+    r = struct._row_vertex
+    c = struct._col_vertex
+    t1 = q[np.ix_(r, r)] * p[np.ix_(c, c)].T
+    t2 = q[np.ix_(r, c)] * p[np.ix_(r, c)].T
+    t3 = p[np.ix_(r, r)] * q[np.ix_(c, c)].T
+    t4 = p[np.ix_(r, c)] * q[np.ix_(r, c)].T
+    half = np.where(r == c, 0.5, 1.0)
+    return struct.weights[:, None] * (t1 + t2 + t3 + t4) * half[None, :]
+
+
+def sequential_scaling_point(x, s, tol=1e-9, warm=None, strict=True, halvings=None):
+    """Reference scaling-point search, one cholesky per line-search probe:
+    the full step, then t = 1/2, 1/4, ... down to 1e-12, with the Newton
+    matrix from ix_newton_system.  ``halvings``, if given, collects how
+    many times each line search halved t (40 when it bottomed out)."""
+    st = x.struct
+    nx, ns = norm(x), norm(s)
+    xb = x / nx
+    sb = s / ns
+    back = float(np.sqrt(nx / ns))
+    if warm is not None:
+        w = warm / back
+    else:
+        mu = inner(sb, xb) / st.n
+        w = xb / float(np.sqrt(mu))
+    xd = to_dense(xb)
+    best_w, best_g = w, np.inf
+    no_progress = 0
+    f = phi0 = None
+    for _ in range(scaling.NEWTON_STEPS):
+        if f is None:
+            f = cholesky(w)
+        g = sb - hess_apply(f, xb)
+        gn = norm(g)
+        if gn <= tol:
+            return back * w
+        if gn < 0.99 * best_g:
+            no_progress = 0
+        else:
+            no_progress += 1
+        if gn < best_g:
+            best_w, best_g = w, gn
+        if no_progress >= 8:
+            break
+        m = ix_newton_system(st, to_dense(w), xd)
+        rhs = -st.weights * g.vals
+        try:
+            dw = SymSparse(st, np.linalg.solve(m, rhs))
+        except np.linalg.LinAlgError:
+            break
+        basin = gn <= 1e-6
+        if not basin:
+            if phi0 is None:
+                phi0 = inner(projected_inverse(f), xb) + inner(sb, w)
+            slope = inner(g, dw)
+        t = 1.0
+        accepted = False
+        phi = None
+        halved = 0
+        while t > 1e-12:
+            cand = w + t * dw
+            try:
+                fc = cholesky(cand)
+            except NotPositiveDefinite:
+                t *= 0.5
+                halved += 1
+                continue
+            if basin:
+                accepted = True
+                break
+            phi = inner(projected_inverse(fc), xb) + inner(sb, cand)
+            if phi <= phi0 + 1e-4 * t * slope:
+                accepted = True
+                break
+            t *= 0.5
+            halved += 1
+        if halvings is not None:
+            halvings.append(halved)
+        if not accepted:
+            break
+        w, f, phi0 = cand, fc, phi
+    if not strict:
+        return back * best_w
+    raise ScalingConvergenceError(
+        f"scaling point stalled at residual {best_g:.3e} (target {tol:g}) "
+        f"within {scaling.NEWTON_STEPS} steps")
+
+
+def solve_scaling_calls(seed):
+    """(x, s, keyword arguments) of each scaling_point call, in order, that
+    a solve of a random problem on 6-19 vertices with 1-5 constraints
+    makes.  Its late calls meet iterates near the boundary, where line
+    searches halve 17 times or more and some bottom out."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(6, 20)), int(rng.integers(1, 6))
+    problem = random_feasible_problem(random_structure(n, seed=300 + seed), m, rng)[0]
+    calls = []
+    real = ipm.scaling_point
+
+    def record(x, s, **kwargs):
+        calls.append((x, s, kwargs))
+        return real(x, s, **kwargs)
+
+    ipm.scaling_point = record
+    try:
+        ipm.solve(problem)
+    finally:
+        ipm.scaling_point = real
+    return calls

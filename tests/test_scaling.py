@@ -1,8 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
+import helpers
+from homcone import scaling
 from homcone.densecheck import dense_scaling_point
-from homcone.errors import NonpositiveCurvature, NotCompletable, NotPositiveDefinite
+from homcone.errors import (
+    NonpositiveCurvature,
+    NotCompletable,
+    NotPositiveDefinite,
+    ScalingConvergenceError,
+)
 from homcone.factor import cholesky, hess_apply
 from homcone.matrix import (
     Structure,
@@ -16,6 +25,7 @@ from homcone.matrix import (
 from homcone.pattern import Ordering, SparsityPattern
 from homcone.scaling import (
     ScalingOperator,
+    _newton_system,
     apply_scaling,
     bfgs_update,
     pd_factor,
@@ -23,7 +33,15 @@ from homcone.scaling import (
     shadow_state,
 )
 
-from helpers import random_interior_pair, random_structure, random_sym
+from helpers import (
+    ix_newton_system,
+    random_interior_pair,
+    random_spd,
+    random_structure,
+    random_sym,
+    sequential_scaling_point,
+    solve_scaling_calls,
+)
 
 
 def interior_pairs(rng, count, lo=2, hi=16, seed0=5000):
@@ -98,6 +116,107 @@ class TestScalingPoint:
             w1 = scaling_point(x, s, tol=1e-11)
             w2 = scaling_point(x, s, tol=1e-11, warm=w1)
             assert np.allclose(w1.vals, w2.vals, rtol=1e-8, atol=1e-10)
+
+
+def outcome(search, x, s, **kwargs):
+    """What a scaling-point search gives: w's values, or the residual a
+    ScalingConvergenceError reports."""
+    try:
+        return search(x, s, **kwargs).vals
+    except ScalingConvergenceError as e:
+        return re.search(r"residual (\S+)", str(e)).group(1)
+
+
+def assert_sequential(x, s, **kwargs):
+    """scaling_point returns the sequential search's w bit for bit, or
+    both raise at the same residual."""
+    got = outcome(scaling_point, x, s, **kwargs)
+    want = outcome(sequential_scaling_point, x, s, **kwargs)
+    assert type(got) is type(want) and np.array_equal(got, want)
+
+
+class TestBitwise:
+    """The take-gathered Newton system and the stacked line-search rounds
+    change no bit of the one-probe-at-a-time search they replace."""
+
+    def test_newton_system_is_the_ix_gather(self, rng):
+        structs = [
+            Structure(SparsityPattern(1, []), Ordering.identity(1)),
+            Structure.from_pattern(SparsityPattern(3, [(0, 1), (1, 2)])),
+            Structure.from_pattern(SparsityPattern(7, [(0, k) for k in range(1, 7)])),
+        ] + [random_structure(int(rng.integers(2, 30)), seed=5050 + t, branching=b)
+             for t, b in enumerate([1.05, 3.0, 4.0] * 3)]
+        for st in structs:
+            w, x = to_dense(random_spd(st, rng)), to_dense(random_spd(st, rng))
+            assert np.array_equal(_newton_system(st, w, x), ix_newton_system(st, w, x))
+
+    def test_random_pairs(self, rng):
+        for t, (_, x, s) in enumerate(interior_pairs(rng, 12, seed0=5150)):
+            assert_sequential(x, s, tol=[1e-9, 1e-12, 0.0][t % 3])
+
+    def test_warm_starts(self, rng):
+        for _, x, s in interior_pairs(rng, 6, seed0=5250):
+            w = scaling_point(x, s, tol=1e-4)
+            assert_sequential(x, s, tol=1e-11, warm=w)
+            assert_sequential(1.5 * x, s, tol=1e-11, warm=w)
+
+    def test_late_solve_iterates(self):
+        """Every scaling_point call of two solves, strict and not,
+        including iterates near the boundary whose searches halve 17 times
+        or more, some of them down to the floor."""
+        longest = []
+        for x, s, kwargs in solve_scaling_calls(0) + solve_scaling_calls(2):
+            halvings = []
+            sequential_scaling_point(x, s, **kwargs, halvings=halvings)
+            longest.append(max(halvings, default=0))
+            assert_sequential(x, s, **kwargs)
+            assert_sequential(x, s, **dict(kwargs, strict=True))
+        assert any(17 <= h < 40 for h in longest) and 40 in longest
+
+
+class TestScalingConvergenceError:
+    """The error names why the search stopped and after how many Newton
+    steps; strict=False returns the sequential search's best iterate in
+    every case."""
+
+    def assert_stops(self, x, s, why, **kwargs):
+        with pytest.raises(ScalingConvergenceError, match=why):
+            scaling_point(x, s, **kwargs)
+        assert_sequential(x, s, **kwargs, strict=False)
+
+    def pair(self, rng):
+        _, x, s = next(interior_pairs(rng, 1, lo=8, seed0=5350))
+        return x, s
+
+    def test_step_budget(self, rng, monkeypatch):
+        monkeypatch.setattr(scaling, "NEWTON_STEPS", 2)
+        self.assert_stops(*self.pair(rng), "after 2 Newton steps: the step budget ran out",
+                          tol=1e-12)
+
+    def test_no_progress(self, rng):
+        self.assert_stops(*self.pair(rng), r"after \d+ Newton steps: 8 steps in a row made no "
+                          "progress", tol=0.0)
+
+    def test_line_search_floor(self):
+        floors = 0
+        for x, s, kwargs in solve_scaling_calls(0):
+            halvings = []
+            sequential_scaling_point(x, s, **kwargs, halvings=halvings)
+            if halvings[-1:] == [40]:
+                floors += 1
+                self.assert_stops(x, s, r"after \d+ Newton steps: the line search reached its "
+                                  r"numerical floor t <= 1e-12", tol=kwargs["tol"],
+                                  warm=kwargs["warm"])
+        assert floors
+
+    def test_singular_newton_system(self, rng, monkeypatch):
+        def singular(struct, w_dense, x_dense):
+            return np.zeros((struct.dim, struct.dim))
+
+        monkeypatch.setattr(scaling, "_newton_system", singular)
+        monkeypatch.setattr(helpers, "ix_newton_system", singular)
+        self.assert_stops(*self.pair(rng), "after 0 Newton steps: the Newton system is "
+                          "singular", tol=1e-12)
 
 
 class TestPdFactor:

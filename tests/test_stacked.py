@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from homcone import ipm, matrix
+from homcone import ipm, matrix, scaling
 from homcone.errors import NotCompletable, NotPositiveDefinite, StructuralError
 from homcone.factor import (
     adjoint_map,
@@ -37,6 +37,8 @@ from helpers import (
     random_structure,
     random_sym,
     sequential_max_step,
+    sequential_scaling_point,
+    solve_scaling_calls,
 )
 
 
@@ -278,6 +280,34 @@ def test_max_step_rounds_follow_the_sweep_size(sweep_floats, depth, rng, monkeyp
             assert calls[i + 1][:2] == ("maxdet_factor", ok.sum() if members else 0)
         else:
             assert i + 1 == len(calls) or calls[i + 1][0] == "cholesky"
+
+
+@pytest.mark.parametrize("sweep_floats, rounds", [
+    (None, 8),
+    (matrix.BATCH_FLOATS // 3, 3),
+    (matrix.BATCH_FLOATS // 2 + 1, 1),
+    (10 * matrix.BATCH_FLOATS, 1),
+])
+def test_line_search_rounds_follow_the_sweep_size(sweep_floats, rounds, monkeypatch):
+    """scaling_point tests each full step alone and the halvings after it
+    in stacked rounds of min(8, Structure.round_sweeps) (8 on the small
+    test structures); where one round takes one sweep, every call is a
+    one-matrix call.  Either way w is the sequential search's."""
+    calls = solve_scaling_calls(0)
+    if sweep_floats is not None:
+        monkeypatch.setattr(calls[0][0].struct, "sweep_floats", sweep_floats)
+    sizes = []
+
+    def spy(x):
+        sizes.append(len(x.vals) if x.vals.ndim == 2 else 0)
+        return cholesky(x)
+
+    monkeypatch.setattr(scaling, "cholesky", spy)
+    for x, s, kwargs in calls:
+        w = scaling.scaling_point(x, s, **kwargs)
+        assert np.array_equal(w.vals, sequential_scaling_point(x, s, **kwargs).vals)
+    stacked = {k for k in sizes if k}
+    assert max(stacked, default=1) == rounds and 1 not in stacked
 
 
 def test_single_factor_has_no_ok(rng):
