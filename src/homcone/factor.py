@@ -21,8 +21,10 @@ the order of node positions; only the blocks of batches whose consumer is
 still pending are held.
 Children's update blocks reach their parent by a scatter in ascending
 sibling order; the ancestor-chain products and substitutions run for all
-columns at once in one loop over depths (:func:`~homcone.matrix._chain`);
-and every batched product reproduces the per-node BLAS call.  Results are
+columns at once, one step per depth that gathers and scatters each
+column's chain and L's column as whole contiguous runs through strided
+window views (:func:`~homcone.matrix._chain`); and every batched product
+reproduces the per-node BLAS call.  Results are
 therefore bitwise those of visiting the nodes one at a time, and a failing
 pivot is reported at the node where that one-at-a-time sweep stops.
 

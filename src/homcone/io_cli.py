@@ -356,6 +356,7 @@ def _witness_text(res: LbfsReject) -> str:
 def _report_text(rep: SolveReport) -> str:
     d = rep.to_dict()
     lines = [f"status: {d['status']}",
+             f"stop_reason: {d['stop_reason']}",
              f"iterations: {d['iterations']}",
              f"primal_objective: {d['primal_objective']!r}",
              f"dual_objective: {d['dual_objective']!r}",

@@ -24,7 +24,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotCompletable, NotPositiveDefinite, SingularNormalMatrix
+from .errors import (
+    NotCompletable,
+    NotPositiveDefinite,
+    ScalingConvergenceError,
+    SingularNormalMatrix,
+)
 from .factor import cholesky, forward_map, maxdet_factor
 from .matrix import (
     LowerSparse,
@@ -318,11 +323,13 @@ class SolveReport:
     x: SymSparse
     y: np.ndarray
     s: SymSparse
+    stop_reason: str
     trace: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
             "status": self.status.value,
+            "stop_reason": self.stop_reason,
             "iterations": self.iterations,
             "primal_objective": self.primal_objective,
             "dual_objective": self.dual_objective,
@@ -341,9 +348,12 @@ def solve(problem: ConicProblem, options: Optional[SolverOptions] = None) -> Sol
 
     Stops at Optimal when gap/N <= tol_gap and both residual norms fall
     under tol_feas * (1 + |b| + |c|); at Stalled after two consecutive
-    vanishing steps; at MaxIter otherwise.  The trace records mu, residual
-    norms, step length, centering weight, the scaling residual, and the
-    proximity |v - mu vtilde| / mu per iteration.
+    steps below 1e-10; at MaxIter otherwise.  ``stop_reason`` says which
+    in one sentence.  The trace records mu, residual norms, step length,
+    centering weight, the scaling residual, why the scaling-point search
+    gave up (``scaling_stop``, null when it met its target; the search's
+    best iterate is then used), and the proximity |v - mu vtilde| / mu
+    per iteration.
     """
     opt = options or SolverOptions()
     st = problem.struct
@@ -357,6 +367,7 @@ def solve(problem: ConicProblem, options: Optional[SolverOptions] = None) -> Sol
     stalls = 0
     trace: list = []
     status = SolveStatus.MAX_ITER
+    reason = f"the iteration limit of {opt.max_iter} was reached"
     iterations = 0
     for k in range(opt.max_iter):
         it = Iterate(x=x, y=y, s=s, mu=inner(s, x) / n)
@@ -365,10 +376,17 @@ def solve(problem: ConicProblem, options: Optional[SolverOptions] = None) -> Sol
                 and res.p_norm() <= opt.tol_feas * feas_scale
                 and res.d_norm() <= opt.tol_feas * feas_scale):
             status = SolveStatus.OPTIMAL
+            reason = (f"gap/N {res.gap / n:.3e} <= {opt.tol_gap:g} and residual norms "
+                      f"{res.p_norm():.3e}, {res.d_norm():.3e} <= "
+                      f"{opt.tol_feas * feas_scale:.3e} at iteration {k}")
             break
         iterations = k + 1
         state = shadow_state(x, s)
-        w = scaling_point(x, s, tol=SCALING_TOL, warm=w_prev, strict=False)
+        try:
+            w, scaling_stop = scaling_point(x, s, tol=SCALING_TOL, warm=w_prev), None
+        except ScalingConvergenceError as e:
+            w, scaling_stop = e.best, e.reason
+            log.info("it %3d  %s; going on with its best iterate", k, e)
         w_prev = w
         base_op = pd_factor(w, x, s)
         op = bfgs_update(base_op, state)
@@ -390,6 +408,7 @@ def solve(problem: ConicProblem, options: Optional[SolverOptions] = None) -> Sol
             "alpha": alpha,
             "gamma": gamma,
             "scaling_residual": base_op.residual,
+            "scaling_stop": scaling_stop,
             "proximity": prox / it.mu,
         }
         trace.append(row)
@@ -399,6 +418,7 @@ def solve(problem: ConicProblem, options: Optional[SolverOptions] = None) -> Sol
             stalls += 1
             if stalls >= 2:
                 status = SolveStatus.STALLED
+                reason = f"steps {trace[-2]['alpha']:.1e} and {alpha:.1e} in a row were below 1e-10"
                 break
             last_alpha = 0.0
             continue
@@ -417,5 +437,5 @@ def solve(problem: ConicProblem, options: Optional[SolverOptions] = None) -> Sol
         gap=res.gap,
         primal_residual=res.p_norm(),
         dual_residual=res.d_norm(),
-        x=x, y=y, s=s, trace=trace,
+        x=x, y=y, s=s, stop_reason=reason, trace=trace,
     )

@@ -120,12 +120,12 @@ class Batch:
 
 class Level:
     """The nodes of one tree depth d (children grouped by parent, in the
-    order of the parents) and their column slots, shape (k, d+1)."""
+    order of the parents)."""
 
-    __slots__ = ("nodes", "slots")
+    __slots__ = ("nodes",)
 
-    def __init__(self, nodes, slots):
-        self.nodes, self.slots = nodes, slots
+    def __init__(self, nodes):
+        self.nodes = nodes
 
 
 class Structure:
@@ -164,7 +164,7 @@ class Structure:
         "stack_rows", "sweep_floats",
         "bar_ptr", "bar_rows", "weights",
         "_row_vertex", "_col_vertex", "_position", "_depth",
-        "_level_index", "_ends_deep_first", "_at_least",
+        "_ends_deep_first", "_at_least",
     )
 
     def __init__(self, pattern: SparsityPattern, ordering: Ordering,
@@ -254,7 +254,7 @@ class Structure:
             slots = flat[fat:fat + k * (d + 1)].reshape(k, d + 1)
             at += k
             fat += k * (d + 1)
-            self.levels.append(Level(nodes, slots))
+            self.levels.append(Level(nodes))
             # batches: runs of nodes under one parent batch, capped in size
             cap = max(1, BATCH_FLOATS // (d + 1) ** 2)
             if d:
@@ -342,7 +342,6 @@ class Structure:
         self.sweep_floats = sum(floats)
         # chain tables: column ends deepest node first, and how many nodes
         # have depth >= a, so the columns reaching depth a are a prefix
-        self._level_index = np.array(level_index, dtype=np.int64)
         self._ends_deep_first = ptr[order[::-1] + 1]
         at_least = [0]
         for lv in reversed(levels):
@@ -607,6 +606,15 @@ def _put(x: np.ndarray, ix, v) -> None:
         x[..., ix] = v
 
 
+def _runs(v: np.ndarray, w: int) -> np.ndarray:
+    """View of the C-contiguous ``v`` whose row i along the second-last
+    axis is the run ``v[..., i:i + w]``.  Indexing that axis by columns'
+    run starts gathers or scatters each run whole."""
+    t = v.strides[-1]
+    return np.ndarray(v.shape[:-1] + (v.shape[-1] - w + 1, w), v.dtype, v, 0,
+                      v.strides + (t,))
+
+
 def _chain(s: Structure, lv: np.ndarray, x: np.ndarray, kind: str,
            own: bool = False) -> np.ndarray:
     """Products and substitutions with L restricted to every column's
@@ -616,35 +624,46 @@ def _chain(s: Structure, lv: np.ndarray, x: np.ndarray, kind: str,
     its ancestors), and ``x`` holds a vector on each chain in i's value
     slots; a stack of such arrays, shape (m, dim), is done member by
     member in the same steps.  ``kind`` is "mul" (L x), "mul_t" (L^T x),
-    "solve" (L^-1 x) or "solve_t" (L^-T x); the result is laid out like
-    ``x``, whose other slots it keeps ("mul": zeros).
+    "solve" (L^-1 x) or "solve_t" (L^-T x); the result, C-contiguous,
+    has ``x``'s shape and keeps its other slots ("mul": zeros).
 
     Step a treats the chain member at depth a of every column that reaches
     that depth: the last a+1 slots of those columns, against the column of
-    L at that member.  For each column this is one axpy or one dot per
-    chain member, in the order of the scalar column recurrence, so every
-    result is bitwise that of walking the chain alone.  Steps run from
-    the deepest member up ("solve_t": from the root down).
+    L at that member.  Both are contiguous runs of a+1 slots, so a step
+    moves them whole through :func:`_runs` windows, one row per column;
+    the columns' runs are disjoint.  For each column this is one axpy or
+    one dot per chain member, in the order of the scalar column
+    recurrence, so every result is bitwise that of walking the chain
+    alone.  Steps run from the deepest member up ("solve_t": from the root
+    down).
     """
     top = len(s.levels) - 1 if own else len(s.levels) - 2
     steps = range(top + 1) if kind == "solve_t" else range(top, -1, -1)
-    y = np.zeros_like(x) if kind == "mul" else x.copy()
+    y = np.zeros(x.shape) if kind == "mul" else np.array(x, order="C")
+    lv = np.ascontiguousarray(lv)
+    # a stack's runs are gathered by a (member, column) index pair, which
+    # lays them out C-contiguous as (m, k, a+1)
+    member = np.arange(len(y))[:, None] if y.ndim > 1 else None
     for a in steps:
-        at = s._ends_deep_first[:s._at_least[a + 1 - own]] - 1 - a
-        tail = at[:, None] + np.arange(a + 1)
-        col = lv[s.levels[a].slots][s._level_index[s.bar_rows[at]]]
+        at = s._ends_deep_first[:s._at_least[a + 1 - own]] - (a + 1)
+        col = _runs(lv, a + 1)[s.bar_ptr[s.bar_rows[at]]]
+        runs = _runs(y, a + 1)
+        ix = at if member is None else (member, at)
+        # the columns' last a+1 slots; steps so far wrote only slots deeper
+        # than a, so "mul_t" reads x's values there
+        tail = runs[ix]
         if kind == "mul":
-            acc = _take(y, tail)
-            acc += _take(x, at)[..., None] * col
-            _put(y, tail, acc)
+            tail += _take(x, at)[..., None] * col
+            runs[ix] = tail
         elif kind == "mul_t":
-            _put(y, at, np.vecdot(col, _take(x, tail)))
+            _put(y, at, np.vecdot(col, tail))
         elif kind == "solve":
-            _put(y, at, _take(y, at) / col[:, 0])
-            _put(y, tail[:, 1:], _take(y, tail[:, 1:]) - _take(y, at)[..., None] * col[:, 1:])
+            head = tail[..., 0] / col[:, 0]
+            tail -= head[..., None] * col
+            tail[..., 0] = head
+            runs[ix] = tail
         else:
-            _put(y, at, (_take(y, at) - np.vecdot(col[:, 1:], _take(y, tail[:, 1:])))
-                 / col[:, 0])
+            _put(y, at, (tail[..., 0] - np.vecdot(col[:, 1:], tail[..., 1:])) / col[:, 0])
     return y
 
 

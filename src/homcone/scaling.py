@@ -146,7 +146,7 @@ def _line_points(w: SymSparse, dw: SymSparse, rounds: int):
 
 
 def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9,
-                  warm: Optional[SymSparse] = None, strict: bool = True) -> SymSparse:
+                  warm: Optional[SymSparse] = None) -> SymSparse:
     """Interior point w at which the barrier Hessian maps x to s.
 
     Damped Newton on the convex objective
@@ -162,14 +162,13 @@ def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9,
     iterate is that search's bit for bit; a round saves the Python
     overhead of all but one sweep, for the sweeps past the accepted step.
 
-    Raises ScalingConvergenceError, naming the reason and the Newton steps
-    taken, when the NEWTON_STEPS budget runs out, 8 steps in a row make no
-    progress, the line search reaches its floor t <= 1e-12 or the Newton
-    system is singular, all above ``tol``.  With strict=False the best
-    iterate found is returned instead (useful deep inside a
-    path-following run, where the floor rises as the iterates approach
-    the boundary; the caller can read the achieved residual off
-    :func:`pd_factor`).
+    Raises ScalingConvergenceError when the NEWTON_STEPS budget runs out,
+    8 steps in a row make no progress, the line search reaches its floor
+    t <= 1e-12 or the Newton system is singular, all above ``tol``.  The
+    error carries the best iterate found, its residual, the Newton steps
+    taken and the reason: deep inside a path-following run, where the
+    floor rises as the iterates approach the boundary, the caller may go
+    on with that iterate.
     """
     st = x.struct
     nx, ns = norm(x), norm(s)
@@ -232,11 +231,7 @@ def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9,
         w, f, phi0 = cand, fc, phi
     else:
         steps, why = NEWTON_STEPS, "the step budget ran out"
-    if not strict:
-        return back * best_w
-    raise ScalingConvergenceError(
-        f"scaling point stopped at residual {best_g:.3e} (target {tol:g}) "
-        f"after {steps} Newton steps: {why}")
+    raise ScalingConvergenceError(back * best_w, best_g, tol, steps, why)
 
 
 @dataclass(frozen=True)

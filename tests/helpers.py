@@ -167,11 +167,45 @@ def ix_newton_system(struct, w_dense, x_dense):
     return struct.weights[:, None] * (t1 + t2 + t3 + t4) * half[None, :]
 
 
-def sequential_scaling_point(x, s, tol=1e-9, warm=None, strict=True, halvings=None):
+def element_chain(s, lv, x, kind, own=False):
+    """Reference ancestor-chain product and substitution, gathering and
+    scattering every chain slot through its own index: step a indexes
+    the last a+1 slots of each column reaching depth a element by
+    element, Sigma depth^2 / 2 index entries per call."""
+    def take(v, ix):
+        return v[ix] if v.ndim == 1 else np.take(v, ix, axis=-1)
+
+    def put(v, ix, val):
+        v[..., ix] = val
+
+    top = len(s.levels) - 1 if own else len(s.levels) - 2
+    steps = range(top + 1) if kind == "solve_t" else range(top, -1, -1)
+    y = np.zeros_like(x) if kind == "mul" else x.copy()
+    for a in steps:
+        at = s._ends_deep_first[:s._at_least[a + 1 - own]] - 1 - a
+        tail = at[:, None] + np.arange(a + 1)
+        col = lv[s.bar_ptr[s.bar_rows[at]][:, None] + np.arange(a + 1)]
+        if kind == "mul":
+            acc = take(y, tail)
+            acc += take(x, at)[..., None] * col
+            put(y, tail, acc)
+        elif kind == "mul_t":
+            put(y, at, np.vecdot(col, take(x, tail)))
+        elif kind == "solve":
+            put(y, at, take(y, at) / col[:, 0])
+            put(y, tail[:, 1:], take(y, tail[:, 1:]) - take(y, at)[..., None] * col[:, 1:])
+        else:
+            put(y, at, (take(y, at) - np.vecdot(col[:, 1:], take(y, tail[:, 1:]))) / col[:, 0])
+    return y
+
+
+def sequential_scaling_point(x, s, tol=1e-9, warm=None, halvings=None):
     """Reference scaling-point search, one cholesky per line-search probe:
     the full step, then t = 1/2, 1/4, ... down to 1e-12, with the Newton
     matrix from ix_newton_system.  ``halvings``, if given, collects how
-    many times each line search halved t (40 when it bottomed out)."""
+    many times each line search halved t (40 when it bottomed out).  A
+    search that stops above ``tol`` raises ScalingConvergenceError with
+    its best iterate, residual, steps and reason."""
     st = x.struct
     nx, ns = norm(x), norm(s)
     xb = x / nx
@@ -186,7 +220,7 @@ def sequential_scaling_point(x, s, tol=1e-9, warm=None, strict=True, halvings=No
     best_w, best_g = w, np.inf
     no_progress = 0
     f = phi0 = None
-    for _ in range(scaling.NEWTON_STEPS):
+    for steps in range(scaling.NEWTON_STEPS):
         if f is None:
             f = cholesky(w)
         g = sb - hess_apply(f, xb)
@@ -200,12 +234,14 @@ def sequential_scaling_point(x, s, tol=1e-9, warm=None, strict=True, halvings=No
         if gn < best_g:
             best_w, best_g = w, gn
         if no_progress >= 8:
+            why = "8 steps in a row made no progress"
             break
         m = ix_newton_system(st, to_dense(w), xd)
         rhs = -st.weights * g.vals
         try:
             dw = SymSparse(st, np.linalg.solve(m, rhs))
         except np.linalg.LinAlgError:
+            why = "the Newton system is singular"
             break
         basin = gn <= 1e-6
         if not basin:
@@ -236,13 +272,22 @@ def sequential_scaling_point(x, s, tol=1e-9, warm=None, strict=True, halvings=No
         if halvings is not None:
             halvings.append(halved)
         if not accepted:
+            why = "the line search reached its numerical floor t <= 1e-12"
             break
         w, f, phi0 = cand, fc, phi
-    if not strict:
-        return back * best_w
-    raise ScalingConvergenceError(
-        f"scaling point stalled at residual {best_g:.3e} (target {tol:g}) "
-        f"within {scaling.NEWTON_STEPS} steps")
+    else:
+        steps, why = scaling.NEWTON_STEPS, "the step budget ran out"
+    raise ScalingConvergenceError(back * best_w, best_g, tol, steps, why)
+
+
+def scaling_outcome(search, x, s, **kwargs):
+    """What a scaling-point search gives: w's values, or the best
+    iterate's values, residual, steps and reason that a
+    ScalingConvergenceError carries."""
+    try:
+        return search(x, s, **kwargs).vals, None
+    except ScalingConvergenceError as e:
+        return e.best.vals, (e.residual, e.steps, e.reason)
 
 
 def solve_scaling_calls(seed):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from homcone import ipm, matrix
-from homcone.errors import SingularNormalMatrix
+from homcone.errors import ScalingConvergenceError, SingularNormalMatrix
 from homcone.factor import cholesky, maxdet_factor, projected_inverse
 from homcone.ipm import (
     ConicProblem,
@@ -280,6 +280,53 @@ class TestSolve:
         rep = solve(prob, SolverOptions(max_iter=2))
         assert rep.status is SolveStatus.MAX_ITER
         assert rep.iterations == 2
+        assert rep.stop_reason == "the iteration limit of 2 was reached"
+
+    def test_stop_reasons(self, vinberg_struct, monkeypatch):
+        prob = trace_one_problem(vinberg_struct, [1.0, 2.0, 3.0])
+        rep = solve(prob)
+        assert rep.to_dict()["stop_reason"] == rep.stop_reason
+        assert rep.stop_reason == (
+            f"gap/N {rep.gap / 3:.3e} <= 1e-08 and residual norms "
+            f"{rep.primal_residual:.3e}, {rep.dual_residual:.3e} <= "
+            f"{1e-8 * (1.0 + 1.0 + norm(prob.c)):.3e} at iteration {rep.iterations}")
+        monkeypatch.setattr(ipm, "max_step", lambda *args: 1e-11)
+        rep = solve(prob)
+        assert rep.status is SolveStatus.STALLED and rep.iterations == 2
+        assert rep.stop_reason == "steps 1.0e-11 and 1.0e-11 in a row were below 1e-10"
+
+    def test_scaling_stops_are_reported(self, caplog, monkeypatch):
+        """A scaling-point search that gives up is named in the trace row
+        and the log, and the solve goes on with its best iterate."""
+        rng = np.random.default_rng(0)
+        n, m = int(rng.integers(6, 20)), int(rng.integers(1, 6))
+        prob = random_feasible_problem(random_structure(n, seed=300), m, rng)[0]
+        bests, used = {}, []
+
+        def search(x, s, **kwargs):
+            try:
+                return scaling_point(x, s, **kwargs)
+            except ScalingConvergenceError as e:
+                bests[len(used)] = e.best
+                raise
+
+        def factor(w, x, s):
+            used.append(w)
+            return pd_factor(w, x, s)
+
+        monkeypatch.setattr(ipm, "scaling_point", search)
+        monkeypatch.setattr(ipm, "pd_factor", factor)
+        with caplog.at_level(logging.INFO, logger="homcone.ipm"):
+            rep = solve(prob)
+        stops = [row["scaling_stop"] for row in rep.trace]
+        assert sorted(bests) == [k for k, stop in enumerate(stops) if stop is not None]
+        assert all(used[k] is best for k, best in bests.items())
+        logged = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert None in stops
+        assert "the line search reached its numerical floor t <= 1e-12" in stops
+        assert len(logged) == sum(stop is not None for stop in stops)
+        for line, stop in zip(logged, (stop for stop in stops if stop is not None)):
+            assert line.endswith(f"{stop}; going on with its best iterate")
 
 
 def per_matrix_maps(prob, x, y, op):

@@ -6,6 +6,7 @@ from homcone.matrix import (
     LowerSparse,
     Structure,
     SymSparse,
+    _chain,
     from_triplets,
     identity,
     inner,
@@ -26,7 +27,7 @@ from homcone.pattern import (
     verify_ordering,
 )
 
-from helpers import random_lower, random_structure, random_sym
+from helpers import element_chain, random_lower, random_structure, random_sym
 
 
 def vinberg_lower(struct, l11, l22, l31, l32, l33):
@@ -327,3 +328,45 @@ def test_operations_leave_inputs_untouched(rng):
     tri_mul(l, l)
     tri_inverse(l)
     assert np.array_equal(l.vals, snapshot)
+
+
+CHAIN_STRUCTURES = {
+    "n=1": lambda: Structure(SparsityPattern(1, []), Ordering.identity(1)),
+    "2-path": lambda: Structure.from_pattern(SparsityPattern(2, [(0, 1)])),
+    "7-star": lambda: Structure.from_pattern(SparsityPattern(7, [(0, k) for k in range(1, 7)])),
+    # the complete graph on 301 vertices: its elimination tree is a path
+    # 300 deep
+    "300-deep": lambda: Structure.from_pattern(
+        SparsityPattern(301, [(i, j) for i in range(301) for j in range(i)])),
+    "branching 1.05": lambda: random_structure(80, seed=71, branching=1.05),
+    "branching 4": lambda: random_structure(200, seed=72, branching=4.0),
+}
+
+
+def chain_inputs(dim, rng):
+    """One array, stacks of 0, 1 and 3 members, and a one-member stack
+    whose row stride is not its length (numpy flags it C-contiguous)."""
+    wide = np.zeros((2, dim))
+    wide[0] = rng.standard_normal(dim)
+    yield rng.standard_normal(dim)
+    for m in (0, 1, 3):
+        yield rng.standard_normal((m, dim))
+    yield wide[::2]
+
+
+@pytest.mark.parametrize("name", CHAIN_STRUCTURES)
+def test_chain_windows_are_the_element_chain(name, rng):
+    """Every chain kind moved through contiguous-run windows is bitwise
+    the element-by-element chain, on one array and on stacks of any
+    layout, and writes neither L nor x."""
+    st = CHAIN_STRUCTURES[name]()
+    lv = random_lower(st, rng, 1.0, 2.0, 0.3 / np.sqrt(st.n)).vals
+    lv.flags.writeable = False
+    for x in chain_inputs(st.dim, rng):
+        x.flags.writeable = False
+        for kind in ("mul", "mul_t", "solve", "solve_t"):
+            for own in (False, True):
+                got = _chain(st, lv, x, kind, own)
+                want = element_chain(st, lv, x, kind, own)
+                assert got.shape == x.shape and np.isfinite(got).all()
+                assert np.array_equal(got, want), (kind, own, x.shape)

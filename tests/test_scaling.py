@@ -39,6 +39,7 @@ from helpers import (
     random_spd,
     random_structure,
     random_sym,
+    scaling_outcome,
     sequential_scaling_point,
     solve_scaling_calls,
 )
@@ -118,21 +119,13 @@ class TestScalingPoint:
             assert np.allclose(w1.vals, w2.vals, rtol=1e-8, atol=1e-10)
 
 
-def outcome(search, x, s, **kwargs):
-    """What a scaling-point search gives: w's values, or the residual a
-    ScalingConvergenceError reports."""
-    try:
-        return search(x, s, **kwargs).vals
-    except ScalingConvergenceError as e:
-        return re.search(r"residual (\S+)", str(e)).group(1)
-
-
 def assert_sequential(x, s, **kwargs):
     """scaling_point returns the sequential search's w bit for bit, or
-    both raise at the same residual."""
-    got = outcome(scaling_point, x, s, **kwargs)
-    want = outcome(sequential_scaling_point, x, s, **kwargs)
-    assert type(got) is type(want) and np.array_equal(got, want)
+    both raise with the same best iterate, bit for bit, at the same
+    residual, step and reason."""
+    (got, stop), (want, want_stop) = (scaling_outcome(scaling_point, x, s, **kwargs),
+                                      scaling_outcome(sequential_scaling_point, x, s, **kwargs))
+    assert np.array_equal(got, want) and stop == want_stop
 
 
 class TestBitwise:
@@ -161,28 +154,30 @@ class TestBitwise:
             assert_sequential(1.5 * x, s, tol=1e-11, warm=w)
 
     def test_late_solve_iterates(self):
-        """Every scaling_point call of two solves, strict and not,
-        including iterates near the boundary whose searches halve 17 times
-        or more, some of them down to the floor."""
+        """Every scaling_point call of two solves, including iterates near
+        the boundary whose searches halve 17 times or more, some of them
+        down to the floor."""
         longest = []
         for x, s, kwargs in solve_scaling_calls(0) + solve_scaling_calls(2):
             halvings = []
-            sequential_scaling_point(x, s, **kwargs, halvings=halvings)
+            scaling_outcome(sequential_scaling_point, x, s, **kwargs, halvings=halvings)
             longest.append(max(halvings, default=0))
             assert_sequential(x, s, **kwargs)
-            assert_sequential(x, s, **dict(kwargs, strict=True))
         assert any(17 <= h < 40 for h in longest) and 40 in longest
 
 
 class TestScalingConvergenceError:
     """The error names why the search stopped and after how many Newton
-    steps; strict=False returns the sequential search's best iterate in
-    every case."""
+    steps, and carries the sequential search's best iterate in every
+    case."""
 
     def assert_stops(self, x, s, why, **kwargs):
-        with pytest.raises(ScalingConvergenceError, match=why):
+        with pytest.raises(ScalingConvergenceError, match=why) as e:
             scaling_point(x, s, **kwargs)
-        assert_sequential(x, s, **kwargs, strict=False)
+        assert re.search(why, f"after {e.value.steps} Newton steps: {e.value.reason}")
+        assert e.value.residual > kwargs["tol"]
+        assert e.value.best.struct is x.struct
+        assert_sequential(x, s, **kwargs)
 
     def pair(self, rng):
         _, x, s = next(interior_pairs(rng, 1, lo=8, seed0=5350))
@@ -201,7 +196,7 @@ class TestScalingConvergenceError:
         floors = 0
         for x, s, kwargs in solve_scaling_calls(0):
             halvings = []
-            sequential_scaling_point(x, s, **kwargs, halvings=halvings)
+            scaling_outcome(sequential_scaling_point, x, s, **kwargs, halvings=halvings)
             if halvings[-1:] == [40]:
                 floors += 1
                 self.assert_stops(x, s, r"after \d+ Newton steps: the line search reached its "

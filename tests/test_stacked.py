@@ -36,6 +36,7 @@ from helpers import (
     random_spd,
     random_structure,
     random_sym,
+    scaling_outcome,
     sequential_max_step,
     sequential_scaling_point,
     solve_scaling_calls,
@@ -304,8 +305,9 @@ def test_line_search_rounds_follow_the_sweep_size(sweep_floats, rounds, monkeypa
 
     monkeypatch.setattr(scaling, "cholesky", spy)
     for x, s, kwargs in calls:
-        w = scaling.scaling_point(x, s, **kwargs)
-        assert np.array_equal(w.vals, sequential_scaling_point(x, s, **kwargs).vals)
+        w, stop = scaling_outcome(scaling.scaling_point, x, s, **kwargs)
+        want, want_stop = scaling_outcome(sequential_scaling_point, x, s, **kwargs)
+        assert np.array_equal(w, want) and stop == want_stop
     stacked = {k for k in sizes if k}
     assert max(stacked, default=1) == rounds and 1 not in stacked
 
