@@ -11,10 +11,15 @@ inputs, which is what trivially perfect orderings buy.  Factorization
 success doubles as the interior membership test for the sparse PSD cone
 (`cholesky`) and for the completable cone (`maxdet_factor`).
 
-Each sweep runs the level schedule of its :class:`~homcone.matrix.Structure`:
-one batched numpy step per batch of same-depth nodes, on stacked
+Each sweep runs the schedule of its :class:`~homcone.matrix.Structure`.
+A level batch of same-depth nodes is one batched numpy step on stacked
 ``(k, d+1, d+1)`` frontal blocks of at most
-:data:`~homcone.matrix.BATCH_FLOATS` floats.  The batches form a tree (a
+:data:`~homcone.matrix.BATCH_FLOATS` floats.  A chain block, a fundamental
+chain of k columns under d ancestors whose node-by-node frontal blocks
+reach BATCH_FLOATS floats, is one dense step on its ``(k+d, k+d)`` block
+and the ``(k+d, k)`` trapezoid of its columns: ``matmul``,
+``np.linalg.cholesky`` and ``np.linalg.inv`` (numpy has no triangular
+solve) in place of k per-depth steps.  The batches form a tree (a
 batch's parents sit in one batch), swept children's batches before their
 parents' bottom-up and parents' before children's top-down, otherwise in
 the order of node positions; only the blocks of batches whose consumer is
@@ -24,9 +29,14 @@ sibling order; the ancestor-chain products and substitutions run for all
 columns at once, one step per depth that gathers and scatters each
 column's chain and L's column as whole contiguous runs through strided
 window views (:func:`~homcone.matrix._chain`); and every batched product
-reproduces the per-node BLAS call.  Results are
-therefore bitwise those of visiting the nodes one at a time, and a failing
-pivot is reported at the node where that one-at-a-time sweep stops.
+in a level batch reproduces the per-node BLAS call.  So on a structure
+without chain blocks (every structure whose fundamental chains are short
+or shallow) results are bitwise those of visiting the nodes one at a
+time; a chain block sums in another order and agrees with that to about
+1e-12 relative on well-conditioned inputs.  A failing pivot is reported
+at the node where the one-at-a-time sweep stops: a chain block whose
+factor LAPACK refuses, or one of whose pivots does not clear the floor,
+is redone column by column to find it.
 
 ``forward_map``, ``adjoint_map``, ``cholesky`` and ``maxdet_factor`` also
 take a stack: a SymSparse whose values have shape (m, dim).  The stack is a
@@ -44,7 +54,10 @@ reduction (``vecdot``, ``matvec``, ``vecmat``) repeats the one-matrix
 bits only if its operands are laid out as in the one-matrix call, with
 the reduced axis contiguous.  So values are stored C-contiguous, and a
 stack is gathered by ``np.take`` (``x[:, idx]`` would put the stack axis
-innermost) or, for one-node batches, by slice views.
+innermost) or, for one-node batches, by slice views.  Stacked ``matmul``
+and ``np.linalg`` calls run each member's matrices as the one-matrix call
+does, and a chain block redoes column by column only the members that
+failed in it.
 
 Kernels never modify their inputs and keep all sweep state in locals, so
 concurrent calls on shared inputs are safe.
@@ -177,9 +190,8 @@ def _down(s: Structure, stack: tuple = ()):
     d+1) block the kernel fills (see :func:`_finish`)."""
     done = {}
     for b in s.down_order:
-        k, d1 = b.slots.shape
         if b.parent < 0:
-            v = np.zeros(stack + (k, 0, 0))
+            v = np.zeros(stack + (b.shape[0], 0, 0))
         else:
             p = done[b.parent]
             if type(b.up) is slice:
@@ -188,7 +200,7 @@ def _down(s: Structure, stack: tuple = ()):
                 v = np.take(p, b.up, axis=-3)
             if b.last:
                 del done[b.parent]
-        pack = np.empty(stack + (k, d1, d1))
+        pack = np.empty(stack + b.shape)
         yield b, v, pack
         if b.children:
             done[b.id] = pack
@@ -213,6 +225,80 @@ def _finish(out, b, pack, a00, a10, a01, v):
         pack[..., 1:, 1:] = v
 
 
+def _gather(v, b, square=False):
+    """Chain block ``b``'s columns of ``v`` (one value array or a stack) in
+    the lower trapezoid of a zero (..., k+d, k) array, or of a zero
+    (..., k+d, k+d) block with ``square``: column i holds the column of
+    c_i from row i down."""
+    slots, flat = b.chain[0], b.chain[2 if square else 1]
+    w = b.shape[-1]
+    shape = v.shape[:-1] + (w, w if square else len(b.nodes))
+    t = np.zeros(shape[:-2] + (shape[-2] * shape[-1],))
+    t[..., flat] = _take(v, slots)
+    return t.reshape(shape)
+
+
+def _store(out, b, t):
+    """Store the lower trapezoid of ``t``, a (..., k+d, k) array or
+    (..., k+d, k+d) block, as chain block ``b``'s columns of ``out``."""
+    w, k = t.shape[-2:]
+    flat = b.chain[1 if k == len(b.nodes) else 2]
+    _put(out, b.chain[0], np.take(t.reshape(t.shape[:-2] + (w * k,)), flat, axis=-1))
+
+
+def _sym(a):
+    """The symmetric matrices with the lower triangles of ``a``."""
+    return np.where(np.tri(a.shape[-1], dtype=bool), a, np.swapaxes(a, -1, -2))
+
+
+def _block(t, v, out):
+    """Fill ``out`` with the symmetric (..., k+d, k+d) blocks whose first k
+    columns hold the lower trapezoid of ``t``, shape (..., k+d, k), and
+    whose trailing d x d blocks are ``v``."""
+    k = t.shape[-1]
+    out[..., k:, :k] = t[..., k:, :]
+    out[..., :k, :k] = _sym(t[..., :k, :])
+    out[..., :k, k:] = np.swapaxes(t[..., k:, :], -1, -2)
+    out[..., k:, k:] = v
+
+
+def _abt(a, b):
+    """``a @ b^T`` over the last two axes, by a general product even when
+    ``b`` is ``a`` (numpy's symmetric rank-k path is slower on these thin
+    blocks)."""
+    return a @ np.ascontiguousarray(np.swapaxes(b, -1, -2))
+
+
+def _potrf(a, floor):
+    """``np.linalg.cholesky`` of each matrix of ``a`` and which members
+    failed, LAPACK refusing them or a pivot L_ii^2 not clearing
+    ``floor[..., i]``; a failed member's factor is the identity, so later
+    products and inverses stay finite."""
+    try:
+        c = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        if a.ndim == 2:
+            return np.eye(len(a)), np.True_
+        parts = [_potrf(m, f) for m, f in zip(a, floor)]
+        return np.array([p[0] for p in parts]), np.array([p[1] for p in parts])
+    bad = ~(np.diagonal(c, 0, -2, -1) ** 2 > floor).all(-1)
+    if np.count_nonzero(bad):
+        c = np.where(bad[..., None, None], np.eye(a.shape[-1]), c)
+    return c, bad
+
+
+def _chain_failures(seen, bad, fail, value, b, lowest, n):
+    """Fold the pivots ``fail``, ``value`` that the column-by-column redo
+    of chain block ``b`` found for the members ``bad`` into ``seen``."""
+    if not np.count_nonzero(fail):
+        return seen
+    every = np.zeros(bad.shape + fail.shape[-1:], dtype=bool)
+    every[bad] = fail
+    val = np.zeros(every.shape)
+    val[bad] = value
+    return _failures(seen, every, b.nodes, val, lowest, n)
+
+
 @_stacked(0)
 def cholesky(X: SymSparse) -> CholFactor:
     """Zero-fill Cholesky factorization X = L L^T by a bottom-up sweep.
@@ -233,7 +319,10 @@ def cholesky(X: SymSparse) -> CholFactor:
     for b, done in _up(s):
         if seen is not None and (seen[0] < b.lowest).all():
             break
-        f = np.zeros(xv.shape[:-1] + b.slots.shape + b.slots.shape[1:])
+        if b.chain:
+            seen = _cholesky_chain(xv, floor, out, b, done, seen, s.n)
+            continue
+        f = np.zeros(xv.shape[:-1] + b.shape)
         f[..., 0] = _take(xv, b.cols)
         _add_kids(f, b, done)
         pivot = f[..., 0, 0]
@@ -252,6 +341,38 @@ def cholesky(X: SymSparse) -> CholFactor:
     return _factor(s, out, seen, s.n, NotPositiveDefinite)
 
 
+def _cholesky_chain(xv, floor, out, b, done, seen, n):
+    """A chain block of :func:`cholesky`: L11 = chol(F11), L21 = F21
+    L11^-T, and the update F22 - L21 L21^T.  Members that fail in
+    :func:`_potrf` are redone column by column, as a node-by-node sweep
+    does them, to find the failing node and pivot; returns ``seen`` with
+    those folded in."""
+    k = len(b.nodes)
+    f = _gather(xv, b, square=True)
+    _add_kids(f[..., None, :, :], b, done)
+    floor = _take(floor, b.at)
+    l11, bad = _potrf(f[..., :k, :k], floor)
+    redo = f[bad]
+    l21 = _abt(f[..., k:, :k], np.linalg.inv(l11))
+    f[..., :k, :k] = l11
+    f[..., k:, :k] = l21
+    f[..., k:, k:] -= _abt(l21, l21)
+    if np.count_nonzero(bad):
+        floor = floor[bad]
+        pivot = np.empty(floor.shape)
+        for i in range(k):
+            pivot[..., i] = p = redo[..., i, i]
+            lii = np.sqrt(np.where(p <= floor[..., i], np.inf, p))
+            redo[..., i + 1:, i] /= lii[..., None]
+            redo[..., i, i] = lii
+            redo[..., i + 1:, i + 1:] -= redo[..., i + 1:, i:i + 1] * redo[..., None, i + 1:, i]
+        f[bad] = redo
+        seen = _chain_failures(seen, bad, pivot <= floor, pivot, b, True, n)
+    _store(out, b, f)
+    done[b.id] = f[..., None, k - 1:, k - 1:]
+    return seen
+
+
 @_stacked(1)
 def forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
     """Y = L X L^T, exactly, staying on the pattern; for each member of a
@@ -263,6 +384,18 @@ def forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
     out = np.zeros(xv.shape)
     chain_x = _chain(s, lv, xv, "mul")
     for b, done in _up(s):
+        if b.chain:
+            # F = (T X_diag + U) T^T + T U^T, U the chain products below
+            # the diagonal of their columns
+            t = _gather(lv, b)
+            u = _gather(chain_x, b)
+            f = _abt(np.concatenate([t * _take(xv, b.diag)[..., None, :] + u,
+                                     np.broadcast_to(t, u.shape)], -1),
+                     np.concatenate([np.broadcast_to(t, u.shape), u], -1))
+            _add_kids(f[..., None, :, :], b, done)
+            _store(out, b, f)
+            done[b.id] = f[..., None, len(b.nodes) - 1:, len(b.nodes) - 1:]
+            continue
         lc = lv[b.cols]
         lii, lsub = lc[:, 0], lc[:, 1:]
         xii = _take(xv, b.diag)
@@ -291,6 +424,15 @@ def adjoint_map(L: LowerSparse, S: SymSparse) -> SymSparse:
     lv, sv = L.vals, S.vals
     wv = np.empty(sv.shape)
     for b, v, pack in _down(st, sv.shape[:-1]):
+        if b.chain:
+            # W = S T, with (T^T S T)_ii on the diagonal
+            t = _gather(lv, b)
+            sb = pack[..., 0, :, :]
+            _block(_gather(sv, b), v[..., 0, :, :], sb)
+            g = sb @ t
+            _store(wv, b, g)
+            _put(wv, b.diag, np.vecdot(t, g, axis=-2))
+            continue
         lc = lv[b.cols]
         lii, lsub = lc[:, 0], lc[:, 1:]
         sc = _take(sv, b.cols)
@@ -317,6 +459,26 @@ def inverse_forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
     lv, xv = L.vals, X.vals
     wv = np.empty(s.dim)
     for b, done in _up(s):
+        if b.chain:
+            # C = E^-1 F E^-T with E = [[L11, 0], [L21, I]]: C22 is the
+            # update, and the chain's columns get what the node-by-node
+            # sweep leaves for the chain solve, diag(C11) and below it
+            # T tril(C11, -1) + [0; C21]
+            k = len(b.nodes)
+            t = _gather(lv, b)
+            f = _gather(xv, b, square=True)
+            _add_kids(f[None], b, done)
+            li = np.linalg.inv(t[:k])
+            q = f[k:, :k] @ li.T
+            c11 = li @ _sym(f[:k, :k]) @ li.T
+            c21 = q - t[k:] @ c11
+            f[k:, k:] -= _abt(np.hstack([c21, t[k:]]), np.hstack([t[k:], q]))
+            w = t @ np.tril(c11, -1)
+            w[k:] += c21
+            _store(wv, b, w)
+            wv[b.diag] = np.diagonal(c11)
+            done[b.id] = f[None, k - 1:, k - 1:]
+            continue
         lc = lv[b.cols]
         lii, lsub = lc[:, 0], lc[:, 1:]
         f = np.zeros(lc.shape + lc.shape[1:])
@@ -345,6 +507,20 @@ def inverse_adjoint_map(L: LowerSparse, S: SymSparse) -> SymSparse:
     wv = _chain(st, lv, sv, "solve_t")
     out = np.zeros(st.dim)
     for b, v, pack in _down(st):
+        if b.chain:
+            # Y21 = (W2 - V L21) L11^-1, W2 the chain-solved S21, and
+            # Y11 = L11^-T (S11 - L21^T W2 - R^T L21) L11^-1, R = W2 - V L21
+            k = len(b.nodes)
+            t = _gather(lv, b)
+            w2 = _gather(wv, b)[k:]
+            li = np.linalg.inv(t[:k])
+            r = w2 - v[0] @ t[k:]
+            y = np.vstack([li.T @ (_sym(_gather(sv, b)[:k]) - t[k:].T @ w2 - r.T @ t[k:]) @ li,
+                           r @ li])
+            _store(out, b, y)
+            if b.children:
+                _block(y, v[0], pack[0])
+            continue
         lc = lv[b.cols]
         lii, lsub = lc[:, 0], lc[:, 1:]
         wc = wv[b.cols]
@@ -364,6 +540,18 @@ def projected_inverse(F: CholFactor) -> SymSparse:
     lv = F.L.vals
     out = np.zeros(st.dim)
     for b, v, pack in _down(st):
+        if b.chain:
+            # Y21 = -V P and Y11 = L11^-T L11^-1 - P^T Y21, P = L21 L11^-1
+            k = len(b.nodes)
+            t = _gather(lv, b)
+            li = np.linalg.inv(t[:k])
+            p = t[k:] @ li
+            y21 = -v[0] @ p
+            y = np.vstack([li.T @ li - p.T @ y21, y21])
+            _store(out, b, y)
+            if b.children:
+                _block(y, v[0], pack[0])
+            continue
         lc = lv[b.cols]
         lii, lsub = lc[:, 0], lc[:, 1:]
         ysub = -np.matvec(v, lsub) / lii[:, None]
@@ -394,6 +582,9 @@ def maxdet_factor(S: SymSparse) -> CholFactor:
     for b, v, pack in _down(st, sv.shape[:-1]):
         if seen is not None and (seen[0] > b.highest).all():
             break
+        if b.chain:
+            seen = _maxdet_chain(sv, floor, out, b, v[..., 0, :, :], pack[..., 0, :, :], seen, st.n)
+            continue
         sc = _take(sv, b.cols)
         sii, ssub = sc[..., 0], sc[..., 1:]
         u = np.vecmat(ssub, v)
@@ -410,6 +601,41 @@ def maxdet_factor(S: SymSparse) -> CholFactor:
     return _factor(st, out, seen, -1, NotCompletable)
 
 
+def _maxdet_chain(sv, floor, out, b, v, pack, seen, n):
+    """A chain block of :func:`maxdet_factor`: with U = V^T S21 and R =
+    S11 - U^T U, L11 L11^T = R^-1 by the Cholesky factor K of R with rows
+    and columns reversed, L11 = rev(K^-T), and L21 = -V U L11; ``pack``
+    gets [[L11, 0], [L21, V]].  Members that fail in :func:`_potrf` (K_ii^2
+    is the pivot of node k-1-i) are redone column by column, top down, as
+    a node-by-node sweep does them, to find the failing node and Schur
+    complement; returns ``seen`` with those folded in."""
+    k = len(b.nodes)
+    t = _gather(sv, b)
+    u = np.swapaxes(v, -1, -2) @ t[..., k:, :]
+    r = _sym(t[..., :k, :]) - np.swapaxes(u, -1, -2) @ u
+    floor = _take(floor, b.at)
+    kc, bad = _potrf(r[..., ::-1, ::-1], floor[..., ::-1])
+    l11 = np.tril(np.swapaxes(np.linalg.inv(kc), -1, -2)[..., ::-1, ::-1])
+    pack[...] = 0.0
+    pack[..., k:, k:] = v
+    pack[..., :k, :k] = l11
+    pack[..., k:, :k] = -(v @ (u @ l11))
+    if np.count_nonzero(bad):
+        redo, t, floor = pack[bad], t[bad], floor[bad]
+        value = np.empty(floor.shape)
+        for i in range(k - 1, -1, -1):
+            vi = redo[..., i + 1:, i + 1:]
+            ui = np.vecmat(t[..., i + 1:, i], vi)
+            value[..., i] = q = t[..., i, i] - np.vecdot(ui, ui)
+            lii = 1.0 / np.sqrt(np.where(q <= floor[..., i], np.inf, q))
+            redo[..., i, i] = lii
+            redo[..., i + 1:, i] = -lii[..., None] * np.matvec(vi, ui)
+        pack[bad] = redo
+        seen = _chain_failures(seen, bad, value <= floor, value, b, False, n)
+    _store(out, b, pack)
+    return seen
+
+
 def dual_gradient(Lhat: CholFactor) -> SymSparse:
     """Y = L L^T from a completion factor: the inverse of the
     maximum-determinant completion, i.e. the negated dual-barrier
@@ -419,6 +645,13 @@ def dual_gradient(Lhat: CholFactor) -> SymSparse:
     lv = Lhat.L.vals
     out = np.zeros(st.dim)
     for b, done in _up(st):
+        if b.chain:
+            t = _gather(lv, b)
+            f = _abt(t, t)
+            _add_kids(f[None], b, done)
+            _store(out, b, f)
+            done[b.id] = f[None, len(b.nodes) - 1:, len(b.nodes) - 1:]
+            continue
         ell = lv[b.cols]
         f = ell[:, :, None] * ell[:, None, :]
         _add_kids(f, b, done)

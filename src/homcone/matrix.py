@@ -4,7 +4,8 @@ Matrices are stored column-compressed: column j holds the diagonal entry
 followed by the entries on the ancestor chain of j, so every kernel reads
 exactly the (j, ancestors-of-j) slices it recurses over.  A ``Structure``
 compiles a pattern plus a trivially perfect elimination ordering into those
-slice tables, and into the level schedule the kernels sweep, once;
+slice tables, and into the schedule of level batches and chain blocks the
+kernels sweep, once;
 symmetric (:class:`SymSparse`) and lower-triangular (:class:`LowerSparse`)
 values share it.
 
@@ -24,7 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import OrderingError, SingularFactor, StructuralError
-from .pattern import EliminationTree, Ordering, SparsityPattern, edges_and_parents, lbfs_order
+from .pattern import (EliminationTree, Ordering, SparsityPattern, edges_and_parents, lbfs_order,
+                      single_child_runs)
 
 __all__ = [
     "Structure",
@@ -46,7 +48,9 @@ __all__ = [
 #: Floats of stacked frontal block one kernel step may hold: a batch of
 #: nodes at depth d has at most ``max(1, BATCH_FLOATS // (d+1)^2)`` nodes,
 #: so a step's blocks stay in cache on deep trees, and a stacked sweep
-#: takes ``Structure.stack_rows`` matrices at a time.
+#: takes ``Structure.stack_rows`` matrices at a time.  A fundamental chain
+#: of two or more columns whose node-by-node frontal blocks make at least
+#: this many floats is swept as one chain block instead.
 BATCH_FLOATS = 1 << 15
 
 _NOT_TRIVIALLY_PERFECT = ("structure requires a trivially perfect elimination ordering; "
@@ -80,26 +84,39 @@ def _topological(batches, ready, after, key, waits) -> list:
 
 
 class Batch:
-    """Same-depth nodes that one kernel step handles together.
+    """One kernel step: same-depth nodes, or one chain block.
 
-    Every node of a batch has its parent in the same batch one level up,
-    so batches form a tree.  Kernels sweep it in ``Structure.up_order`` /
-    ``down_order``, which follow node positions as closely as the tree
-    allows; on deep trees a batch is one node and the sweep is the
-    node-by-node one, so a batch's blocks are consumed soon after they are
-    made and only those of batches whose consumer is pending are held.
+    A level batch holds nodes of one depth d, each with its parent in the
+    same batch one level up.  A chain block holds a fundamental chain
+    c_0, ..., c_{k-1} (each c_i the only child of c_{i+1}, c_0 a leaf or a
+    branch point) under d ancestors, as one dense (k+d) x (k+d) frontal
+    block on rows [c_0, ..., c_{k-1}, ancestors]: towards its children it
+    acts as the node c_0, towards its parent as c_{k-1}.  Batches form a
+    tree.  Kernels sweep it in ``Structure.up_order`` / ``down_order``,
+    which follow node positions as closely as the tree allows, so a
+    batch's blocks are consumed soon after they are made and only those of
+    batches whose consumer is pending are held.
 
     Attributes
     ----------
     id : index in ``Structure.batches``.
-    nodes : positions of the batch's nodes, shape (k,).
-    slots : value slots of their columns, shape (k, d+1), diagonal first.
-    cols, diag, sub, at : indices selecting, as (k, d+1), (k,) and (k, d)
-        arrays, the batch's columns, their diagonal and subdiagonal slots
-        from a value array, and its nodes from a per-position array.  For
-        a one-node batch they are view-making tuples ``(..., None,
-        slice)`` and ``(..., slice)``, which also index a stack of arrays
-        (see :func:`_take`).
+    nodes : positions of the batch's nodes, shape (k,); a chain bottom up.
+    shape : shape of the batch's stacked frontal blocks: (k, d+1, d+1), or
+        (1, k+d, k+d) for a chain block.
+    chain : None for a level batch; for a chain block the value slots of
+        its columns, flattened (a view-making ``(..., slice)`` when they
+        are consecutive, as they are in a postorder), and where each lies
+        in the lower trapezoid of a flattened (k+d, k) array and of a
+        flattened (k+d, k+d) block.
+    slots : value slots of a level batch's columns, shape (k, d+1),
+        diagonal first (None for a chain block).
+    cols, diag, sub : indices selecting, as (k, d+1), (k,) and (k, d)
+        arrays, a level batch's columns, their diagonal and subdiagonal
+        slots from a value array (a chain block has only ``diag``).  For a
+        one-node batch they are view-making tuples ``(..., None, slice)``
+        and ``(..., slice)``, which also index a stack of arrays (see
+        :func:`_take`).
+    at : index selecting the batch's nodes from a per-position array.
     parent : id of the batch holding the parents (-1 for roots).
     up : index (or slice) of each node's parent within that batch.
     children : ids of the batches holding the children.
@@ -114,18 +131,8 @@ class Batch:
         ``down_order``.
     """
 
-    __slots__ = ("id", "nodes", "slots", "cols", "diag", "sub", "at", "parent",
-                 "up", "children", "kids", "last", "lowest", "highest")
-
-
-class Level:
-    """The nodes of one tree depth d (children grouped by parent, in the
-    order of the parents)."""
-
-    __slots__ = ("nodes",)
-
-    def __init__(self, nodes):
-        self.nodes = nodes
+    __slots__ = ("id", "nodes", "shape", "chain", "slots", "cols", "diag", "sub", "at",
+                 "parent", "up", "children", "kids", "last", "lowest", "highest")
 
 
 class Structure:
@@ -140,27 +147,31 @@ class Structure:
     bar_ptr, bar_rows : column j occupies ``bar_rows[bar_ptr[j]:bar_ptr[j+1]]``,
         which is ``[j, parent(j), parent^2(j), ...]`` in position space.
     depth : number of ancestors per position (= subdiagonal count).
+    height : number of tree levels, one more than the largest depth.
     weights : 1.0 on diagonal slots, 2.0 on subdiagonal slots; makes the
         trace inner product a plain weighted dot.
-    levels : ``levels[d]`` is the :class:`Level` of the nodes at depth d.
-        Nodes of one depth have same-shape frontal blocks and are
-        independent, and a child's update block has its parent's frontal
-        shape, because anc(c) = {p} + anc(p).
-    batches, up_order, down_order : the level schedule every kernel runs:
-        the :class:`Batch` es, children's before their parents' (bottom-up
+    batches, up_order, down_order : the schedule every kernel runs: the
+        :class:`Batch` es, children's before their parents' (bottom-up
         sweeps) and parents' before their children's (top-down sweeps).
+        A fundamental chain of two or more columns whose node-by-node
+        frontal blocks make at least BATCH_FLOATS floats is one chain
+        block; every other node is in a level batch.  Nodes of one depth
+        have same-shape frontal blocks and are independent, and a child's
+        update block has its parent's frontal shape, because anc(c) = {p}
+        + anc(p).
     stack_rows : how many matrices of a stack one sweep takes at a time,
         ``max(1, BATCH_FLOATS // f)`` with f the floats of the largest
-        batch's frontal blocks, so a stacked step holds no more than the
+        step's frontal blocks, so a stacked step holds no more than the
         largest one-matrix step or BATCH_FLOATS, whichever is more.
     sweep_floats : floats of frontal block one sweep of one matrix makes,
-        sum over nodes of (depth+1)^2: its arithmetic, against the Python
-        overhead of its ``len(batches)`` steps.
+        a level batch's nodes (depth+1)^2 each and a chain block its
+        (k+d)^2: its arithmetic, against the Python overhead of its
+        ``len(batches)`` steps.
     """
 
     __slots__ = (
         "pattern", "ordering", "n", "nnz",
-        "pos_parent", "depth", "levels", "batches", "up_order", "down_order",
+        "pos_parent", "depth", "height", "batches", "up_order", "down_order",
         "stack_rows", "sweep_floats",
         "bar_ptr", "bar_rows", "weights",
         "_row_vertex", "_col_vertex", "_position", "_depth",
@@ -223,8 +234,8 @@ class Structure:
         self._col_vertex = sig[col]
 
     def _compile(self, par: list) -> None:
-        """Compile the level schedule.  Every index table is O(dim)."""
-        n, ptr = self.n, self.bar_ptr
+        """Compile the schedule.  Every index table is O(dim)."""
+        n, ptr, depth = self.n, self.bar_ptr, self.depth
         kids = [[] for _ in range(n)]
         roots = []
         for q, p in enumerate(par):
@@ -236,45 +247,78 @@ class Structure:
             if not nxt:
                 break
             levels.append(nxt)
-        level_index = [0] * n
-        for lv in levels:
-            for i, q in enumerate(lv):
-                level_index[q] = i
-        order = np.array([q for lv in levels for q in lv], dtype=np.int64)
-        # the columns' slots in level order, where level d is a (k, d+1) block
+        # chain blocks, by the position of their top
+        chains = {run[-1]: run for run in single_child_runs(par)
+                  if len(run) > 1 and sum((depth[q] + 1) ** 2 for q in run) >= BATCH_FLOATS}
+        inside = {q for run in chains.values() for q in run}
+        rest = [[q for q in lv if q not in inside] for lv in levels] if chains else levels
+        # the level-batched columns' slots in level order, where level d is
+        # a (k, d+1) block
+        order = np.array([q for lv in rest for q in lv], dtype=np.int64)
         width = ptr[order + 1] - ptr[order]
-        flat = np.arange(self.dim) + np.repeat(ptr[order] + width - np.cumsum(width), width)
-        self.levels, batches, batch_of = [], [], [0] * n
-        start, low, high = [], [], []  # per batch: level index, node range
+        flat = np.arange(int(width.sum())) + np.repeat(ptr[order] + width - np.cumsum(width), width)
+        batches, batch_of, index_in = [], [0] * n, [0] * n
+        low, high = [], []  # per batch: node range
         col_at = ptr.tolist()
-        at = fat = 0
+        fat = 0
+
+        def add(b, nodes, parent, up, kids=()):
+            """Register batch ``b`` of ``nodes`` under batch ``parent``,
+            which takes the updates of ``kids``, (parents, children) pairs
+            as in ``Batch.kids``; the nodes are ``index_in`` their batch
+            in order (a chain block's bottom is its index 0)."""
+            b.id, b.nodes = len(batches), np.array(nodes, dtype=np.int64)
+            b.parent, b.up = parent, up
+            b.children, b.kids = [], []
+            if parent >= 0:
+                batches[parent].children.append(b.id)
+                batches[parent].kids.extend((b.id, pl, ci) for pl, ci in kids)
+            for j, q in enumerate(nodes):
+                batch_of[q], index_in[q] = b.id, j
+            low.append(min(nodes))
+            high.append(max(nodes))
+            batches.append(b)
+
         for d, lv in enumerate(levels):
+            for run in [chains[q] for q in lv if q in chains]:
+                q = run[-1]
+                k, w = len(run), d + len(run)
+                b = Batch()
+                b.shape, b.slots, b.cols, b.sub, b.diag = (1, w, w), None, None, None, ptr[run]
+                # column i holds rows i..w-1, from entry ``start[i]`` on
+                size = np.arange(w, w - k, -1)
+                start = np.cumsum(size) - size
+                entry = np.arange(int(size.sum()))
+                rows = entry - np.repeat(start - np.arange(k), size)
+                cols = np.repeat(np.arange(k), size)
+                if run == list(range(run[0], run[0] + k)):
+                    slots = (Ellipsis, slice(col_at[run[0]], col_at[run[0]] + len(entry)))
+                else:
+                    slots = entry + np.repeat(ptr[run] - start, size)
+                b.chain = (slots, rows * k + cols, rows * w + cols)
+                up = _index([index_in[par[q]]]) if d else None
+                add(b, run, batch_of[par[q]] if d else -1, up, [(up, slice(0, 1))])
+                b.at = b.nodes
+            lv = rest[d]
             k = len(lv)
-            nodes = order[at:at + k]
-            slots = flat[fat:fat + k * (d + 1)].reshape(k, d + 1)
-            at += k
-            fat += k * (d + 1)
-            self.levels.append(Level(nodes))
-            # batches: runs of nodes under one parent batch, capped in size
+            # level batches: runs of nodes under one parent batch, capped in size
             cap = max(1, BATCH_FLOATS // (d + 1) ** 2)
             if d:
-                up = [level_index[par[q]] for q in lv]
                 under = [batch_of[par[q]] for q in lv]
                 # children of one parent are consecutive, ascending by
                 # position; a child's rank among them orders its update
                 rank = [0] * k
                 for j in range(1, k):
-                    if up[j] == up[j - 1]:
+                    if par[lv[j]] == par[lv[j - 1]]:
                         rank[j] = rank[j - 1] + 1
+            slots = flat[fat:fat + k * (d + 1)].reshape(k, d + 1)
+            fat += k * (d + 1)
             lo = 0
             for i in range(1, k + 1):
                 if i < k and i - lo < cap and (d == 0 or under[i] == under[lo]):
                     continue
                 b = Batch()
-                b.id, b.nodes, b.slots = len(batches), nodes[lo:i], slots[lo:i]
-                start.append(lo)
-                low.append(min(lv[lo:i]))
-                high.append(max(lv[lo:i]))
+                b.shape, b.chain, b.slots = (i - lo, d + 1, d + 1), None, slots[lo:i]
                 if i - lo == 1:
                     # one column: index it by slices, which numpy serves
                     # as views instead of gathers, on one array or a stack
@@ -285,32 +329,24 @@ class Structure:
                     b.sub = (Ellipsis, None, slice(a + 1, a + d + 1))
                     b.at = (Ellipsis, slice(q, q + 1))
                 else:
-                    b.cols, b.diag, b.sub, b.at = b.slots, b.slots[:, 0], b.slots[:, 1:], b.nodes
-                b.children, b.kids = [], []
+                    b.cols, b.diag, b.sub = b.slots, b.slots[:, 0], b.slots[:, 1:]
                 if d:
-                    pb = batches[under[lo]]
-                    first = start[pb.id]
-                    b.parent = pb.id
-                    b.up = _index([u - first for u in up[lo:i]])
-                    pb.children.append(b.id)
+                    up = [index_in[par[q]] for q in lv[lo:i]]
                     # the children's updates, one sibling rank at a time
                     rk = rank[lo:i]
                     if rk[0]:
                         # the cap split a parent's children: renumber them
-                        rk = [r - rk[0] if u == up[lo] else r for r, u in zip(rk, up[lo:i])]
-                    top = max(rk)
-                    if not top:
-                        pb.kids.append((b.id, b.up, slice(0, i - lo)))
-                    else:
-                        for r in range(top + 1):
-                            ci = [j for j in range(i - lo) if rk[j] == r]
-                            pb.kids.append((b.id, _index([up[lo + j] - first for j in ci]),
-                                            _index(ci)))
+                        p0 = par[lv[lo]]
+                        rk = [r - rk[0] if par[q] == p0 else r for r, q in zip(rk, lv[lo:i])]
+                    ranks = [[] for _ in range(max(rk) + 1)]
+                    for j, r in enumerate(rk):
+                        ranks[r].append(j)
+                    pairs = [(_index([up[j] for j in ci]), _index(ci)) for ci in ranks]
+                    add(b, lv[lo:i], under[lo], _index(up), pairs)
                 else:
-                    b.parent, b.up = -1, None
-                for q in lv[lo:i]:
-                    batch_of[q] = b.id
-                batches.append(b)
+                    add(b, lv[lo:i], -1, None)
+                if i - lo > 1:
+                    b.at = b.nodes
                 lo = i
         # sweep orders: children's batches before their parents' (up) and
         # parents' before children's (down), each taking among the ready
@@ -335,13 +371,15 @@ class Structure:
             hi = b.highest = max(hi, high[b.id])
         for b in batches:
             b.children, b.kids = tuple(b.children), tuple(b.kids)
-        self.levels, self.batches = tuple(self.levels), tuple(batches)
+        self.batches = tuple(batches)
         self.up_order, self.down_order = tuple(up), tuple(down)
-        floats = [b.slots.size * b.slots.shape[1] for b in batches]
+        floats = [int(np.prod(b.shape)) for b in batches]
         self.stack_rows = max(1, BATCH_FLOATS // max(floats))
         self.sweep_floats = sum(floats)
         # chain tables: column ends deepest node first, and how many nodes
         # have depth >= a, so the columns reaching depth a are a prefix
+        self.height = len(levels)
+        order = np.array([q for lv in levels for q in lv], dtype=np.int64)
         self._ends_deep_first = ptr[order[::-1] + 1]
         at_least = [0]
         for lv in reversed(levels):
@@ -637,7 +675,7 @@ def _chain(s: Structure, lv: np.ndarray, x: np.ndarray, kind: str,
     alone.  Steps run from the deepest member up ("solve_t": from the root
     down).
     """
-    top = len(s.levels) - 1 if own else len(s.levels) - 2
+    top = s.height - 1 if own else s.height - 2
     steps = range(top + 1) if kind == "solve_t" else range(top, -1, -1)
     y = np.zeros(x.shape) if kind == "mul" else np.array(x, order="C")
     lv = np.ascontiguousarray(lv)
@@ -652,14 +690,17 @@ def _chain(s: Structure, lv: np.ndarray, x: np.ndarray, kind: str,
         # the columns' last a+1 slots; steps so far wrote only slots deeper
         # than a, so "mul_t" reads x's values there
         tail = runs[ix]
+        # one array's products overwrite the gathered columns of L, which
+        # nothing reads again; a stack's products have the stack's shape
+        prod = col if member is None else None
         if kind == "mul":
-            tail += _take(x, at)[..., None] * col
+            tail += np.multiply(_take(x, at)[..., None], col, out=prod)
             runs[ix] = tail
         elif kind == "mul_t":
             _put(y, at, np.vecdot(col, tail))
         elif kind == "solve":
             head = tail[..., 0] / col[:, 0]
-            tail -= head[..., None] * col
+            tail -= np.multiply(head[..., None], col, out=prod)
             tail[..., 0] = head
             runs[ix] = tail
         else:

@@ -44,6 +44,7 @@ __all__ = [
     "verify_ordering",
     "build_etree",
     "supernode_partition",
+    "single_child_runs",
     "homogeneous_extension",
     "random_homogeneous_pattern",
     "is_postordering",
@@ -391,6 +392,27 @@ def is_postordering(etree: EliminationTree, ordering: Ordering) -> bool:
     return all(low[v] == pos[v] - size[v] + 1 for v in range(etree.n))
 
 
+def single_child_runs(parent: Sequence[int]) -> list:
+    """The fundamental supernodes of the forest ``parent`` (``parent[v] ==
+    v`` at a root): one run per representative, a leaf or a vertex with
+    several children, holding it and then its ancestors up to (excluding)
+    the next representative, bottom up.  Runs come in ascending order of
+    their representatives."""
+    parent = np.asarray(parent, dtype=np.int64)
+    up = parent != np.arange(len(parent))
+    children = np.bincount(parent[up], minlength=len(parent))
+    # a run goes on from v to its parent when v is that parent's only child
+    goes = up & (children[parent] == 1)
+    reps = np.flatnonzero(children != 1)
+    runs = [[v] for v in reps.tolist()]
+    par, on = parent.tolist(), goes.tolist()
+    for i in np.flatnonzero(goes[reps]).tolist():
+        run = runs[i]
+        while on[run[-1]]:
+            run.append(par[run[-1]])
+    return runs
+
+
 def supernode_partition(pattern: SparsityPattern, ordering: Ordering,
                         etree: EliminationTree) -> SupernodePartition:
     """Group vertices into fundamental supernodes.
@@ -405,27 +427,15 @@ def supernode_partition(pattern: SparsityPattern, ordering: Ordering,
         raise OrderingError("supernodes need a trivially perfect elimination ordering")
     if not is_postordering(etree, ordering):
         raise OrderingError("supernodes need a postordering of the elimination tree")
-    n = pattern.n
     pos = ordering.sigma_inv
-    is_rep = [len(etree.children[v]) != 1 for v in range(n)]
-    reps = sorted((v for v in range(n) if is_rep[v]), key=lambda v: pos[v])
-    snode_id = {r: k for k, r in enumerate(reps)}
-    member_of = [-1] * n
-    members = []
-    for k, r in enumerate(reps):
-        group = [r]
-        w = etree.parent[r]
-        while w != group[-1] and not is_rep[w]:
-            group.append(w)
-            w = etree.parent[w]
+    members = sorted((tuple(run) for run in single_child_runs(etree.parent)),
+                     key=lambda run: pos[run[0]])
+    member_of = [-1] * pattern.n
+    for k, group in enumerate(members):
         for v in group:
             member_of[v] = k
-        members.append(tuple(group))
-    snode_parent = []
-    for k, r in enumerate(reps):
-        top = members[k][-1]
-        p = etree.parent[top]
-        snode_parent.append(k if p == top else snode_id[p])
+    reps = [group[0] for group in members]
+    snode_parent = [member_of[etree.parent[group[-1]]] for group in members]
     return SupernodePartition(
         representatives=tuple(reps),
         member_of=tuple(member_of),

@@ -21,12 +21,25 @@ from homcone.matrix import (
     project,
     to_dense,
 )
-from homcone.pattern import random_homogeneous_pattern
+from homcone.pattern import Ordering, SparsityPattern, random_homogeneous_pattern
 
 
 def random_structure(n, seed, branching=3.0):
     gen = random_homogeneous_pattern(n, seed, branching)
     return Structure(gen.pattern, gen.ordering, gen.etree)
+
+
+def forest_structure(parent):
+    """Structure on the comparability graph of a rooted forest with
+    parent[v] > v (parent[v] == v at a root), in the identity ordering, so
+    positions are vertex labels and lower triangles stay triangular."""
+    edges = []
+    for v in range(len(parent)):
+        a = v
+        while parent[a] != a:
+            a = parent[a]
+            edges.append((v, a))
+    return Structure(SparsityPattern(len(parent), edges), Ordering.identity(len(parent)))
 
 
 def random_lower(struct, rng, diag_lo=0.6, diag_hi=1.6, off_scale=0.3):
@@ -178,7 +191,7 @@ def element_chain(s, lv, x, kind, own=False):
     def put(v, ix, val):
         v[..., ix] = val
 
-    top = len(s.levels) - 1 if own else len(s.levels) - 2
+    top = s.height - 1 if own else s.height - 2
     steps = range(top + 1) if kind == "solve_t" else range(top, -1, -1)
     y = np.zeros_like(x) if kind == "mul" else x.copy()
     for a in steps:

@@ -1,0 +1,239 @@
+"""Chain blocks: every kernel against the level schedule compiled without
+them, the failing node and value inside a block, and stacked blocks
+member by member."""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from homcone import matrix
+from homcone.errors import NotCompletable, NotPositiveDefinite
+from homcone.factor import (
+    CholFactor,
+    adjoint_map,
+    cholesky,
+    dual_gradient,
+    forward_map,
+    inverse_adjoint_map,
+    inverse_forward_map,
+    maxdet_factor,
+    projected_inverse,
+)
+from homcone.matrix import LowerSparse, Structure, SymSparse, identity, tri_inverse, tri_mul
+
+from helpers import forest_structure, random_structure
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def level_schedule(st):
+    """``st`` compiled with a batch cap no chain reaches, so it has no
+    chain block; its level batches are bitwise the node-by-node sweep."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix, "BATCH_FLOATS", 1 << 62)
+        ref = Structure(st.pattern, st.ordering)
+    assert not any(b.chain is not None for b in ref.batches)
+    return ref
+
+
+def chain_blocks(st):
+    return [b for b in st.batches if b.chain is not None]
+
+
+def well_conditioned_lower(st, rng):
+    """A factor with unit-scale diagonal and subdiagonal entries shrinking
+    with the column's depth, so that solves along long chains stay
+    accurate."""
+    depth = np.asarray(st.depth, dtype=float)
+    lv = 0.3 * rng.standard_normal(st.dim) / np.sqrt(np.repeat(depth, depth.astype(int) + 1) + 1.0)
+    lv[st.bar_ptr[:-1]] = rng.uniform(1.0, 2.0, st.n)
+    return lv
+
+
+def ten_kernels(st, lv, lv2, xv, zv, sv):
+    """The ten kernels on ``st``, each on the same value arrays."""
+    ell, x, z, s = LowerSparse(st, lv), SymSparse(st, xv), SymSparse(st, zv), SymSparse(st, sv)
+    return {
+        "cholesky": cholesky(x).L.vals,
+        "forward_map": forward_map(ell, z).vals,
+        "adjoint_map": adjoint_map(ell, z).vals,
+        "inverse_forward_map": inverse_forward_map(ell, z).vals,
+        "inverse_adjoint_map": inverse_adjoint_map(ell, z).vals,
+        "projected_inverse": projected_inverse(CholFactor(ell)).vals,
+        "maxdet_factor": maxdet_factor(s).L.vals,
+        "dual_gradient": dual_gradient(CholFactor(ell)).vals,
+        "tri_mul": tri_mul(ell, LowerSparse(st, lv2)).vals,
+        "tri_inverse": tri_inverse(ell).vals,
+    }
+
+
+def kernel_inputs(ref, rng):
+    """Two factors, X = L L^T, a symmetric Z and a completable S, all made
+    on the level schedule."""
+    lv, lv2 = well_conditioned_lower(ref, rng), well_conditioned_lower(ref, rng)
+    xv = dual_gradient(CholFactor(LowerSparse(ref, lv))).vals
+    sv = projected_inverse(cholesky(SymSparse(ref, xv))).vals
+    return lv, lv2, xv, rng.standard_normal(ref.dim), sv
+
+
+@pytest.mark.parametrize("n, seed", [(300, 1), (600, 2), (1200, 6)])
+def test_kernels_agree_with_the_level_schedule(n, seed):
+    st = random_structure(n, seed=seed, branching=1.05)
+    assert chain_blocks(st)
+    ref = level_schedule(st)
+    inputs = kernel_inputs(ref, np.random.default_rng(seed))
+    got, want = ten_kernels(st, *inputs), ten_kernels(ref, *inputs)
+    for name in want:
+        scale = np.max(np.abs(want[name]))
+        assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale, name
+
+
+def benchmark_structures():
+    """(workload, structure) for every structure the benchmark sweeps:
+    each workload's conic instances and its sweep patterns."""
+    sys.path.insert(0, str(ROOT))
+    try:
+        from perfbench.workloads import WORKLOADS, make_inputs, set_up
+    finally:
+        sys.path.remove(str(ROOT))
+    for w in WORKLOADS.values():
+        problems, structs = set_up(make_inputs(w, ROOT), lambda: None)
+        yield from ((w.name, p.struct) for p in problems)
+        yield from ((w.name, st) for st in structs)
+
+
+def test_benchmark_structures_without_chain_blocks_are_bitwise():
+    """Only the kernels-deep sweep tree has a chain long and deep enough
+    to be blocked; on the other structures all ten kernels are bitwise
+    those of the level schedule (whose batches the large cap leaves
+    uncapped: level batching is bitwise node by node)."""
+    blocked, plain = [], 0
+    for name, st in benchmark_structures():
+        if chain_blocks(st):
+            blocked.append((name, st.n))
+            continue
+        plain += 1
+        ref = level_schedule(st)
+        inputs = kernel_inputs(ref, np.random.default_rng(st.n))
+        got, want = ten_kernels(st, *inputs), ten_kernels(ref, *inputs)
+        for kernel in want:
+            assert np.array_equal(got[kernel], want[kernel]), (name, st.n, kernel)
+    assert blocked == [("kernels-deep", 1200)] and plain == 6
+
+
+# Two 40-node chains, 0..39 and 40..79, under the path 80..119: the path
+# (depths 0-39) stays in level batches, and each chain (depths 40-79) is
+# one chain block of k = 40 columns under d = 40 ancestors, whose 80 x 80
+# blocks let a stack sweep 5 members at a time.
+TWO_CHAINS = [*range(1, 40), 80, *range(41, 80), 80, *range(81, 120), 119]
+
+
+@pytest.fixture(scope="module")
+def two_chains():
+    st = forest_structure(TWO_CHAINS)
+    assert [b.nodes.tolist() for b in chain_blocks(st)] == [list(range(40)), list(range(40, 80))]
+    assert st.stack_rows == 5
+    return st, level_schedule(st)
+
+
+def diagonal(st, pivots):
+    """The identity with the diagonal entries ``pivots`` ({node: value})."""
+    v = identity(st).vals.copy()
+    for q, a in pivots.items():
+        v[st.bar_ptr[q]] = a
+    return SymSparse(st, v)
+
+
+def failure(kernel, error, x):
+    with pytest.raises(error) as e:
+        kernel(x)
+    return e.value.node, e.value.value
+
+
+@pytest.mark.parametrize("kernel, error", [(cholesky, NotPositiveDefinite),
+                                           (maxdet_factor, NotCompletable)])
+@pytest.mark.parametrize("pivots", [
+    {20: -1.0},                 # a negative pivot mid-chain
+    {20: 5e-14},                # a positive one below the floor, which LAPACK accepts
+    {20: -1.0, 60: 5e-14},      # one in each chain block
+    {60: -2.0, 100: 5e-14},     # one in a chain block, one in a level batch
+])
+def test_failure_inside_a_chain_block_is_the_level_schedules(kernel, error, pivots, two_chains):
+    st, ref = two_chains
+    assert failure(kernel, error, diagonal(st, pivots)) == failure(kernel, error,
+                                                                   diagonal(ref, pivots))
+
+
+@pytest.mark.parametrize("kernel, error, below", [(cholesky, NotPositiveDefinite, 19),
+                                                  (maxdet_factor, NotCompletable, 21)])
+def test_floor_inside_a_chain_block_is_each_nodes_own(kernel, error, below, two_chains):
+    """Node 20 has a diagonal entry of 1e6 and a pivot of about 1e-8
+    (cholesky: after its child 19; maxdet_factor: after its parent 21,
+    each coupled to it by 1e3): below its own floor of 1e-7, above every
+    other node's."""
+    st, ref = two_chains
+    got = []
+    for s in (st, ref):
+        x = diagonal(s, {20: 1e6 + 1e-8})
+        x.vals[s.slot(20, below)] = 1e3
+        got.append(failure(kernel, error, x))
+    assert got[0] == got[1] and got[0][0] == 20 and 0 < got[0][1] < 1e-7
+
+
+@pytest.mark.parametrize("node", [5, 20, 39, 60])
+def test_failure_inside_a_chain_block_on_dense_values(node, two_chains):
+    """A depressed diagonal entry in a dense interior point: the same node
+    fails, with the level schedule's pivot to roundoff."""
+    st, ref = two_chains
+    _, _, xv, _, sv = kernel_inputs(ref, np.random.default_rng(node))
+    for kernel, error, v in ((cholesky, NotPositiveDefinite, xv),
+                             (maxdet_factor, NotCompletable, sv)):
+        v = v.copy()
+        v[st.bar_ptr[node]] -= 10.0 * (1.0 + np.abs(v).max())
+        got = failure(kernel, error, SymSparse(st, v))
+        want = failure(kernel, error, SymSparse(ref, v))
+        assert got[0] == want[0] == node
+        assert abs(got[1] - want[1]) <= 1e-12 * abs(want[1])
+
+
+def test_stack_mixing_passing_and_failing_members(two_chains):
+    """LAPACK refuses the whole stack for one member, and accepts the tiny
+    pivot of another: ``ok`` is the level schedule's, the passing members
+    are bitwise their own calls, and each failing member alone fails at
+    the level schedule's node with its value."""
+    st, ref = two_chains
+    rng = np.random.default_rng(3)
+    for kernel, error, pick in ((cholesky, NotPositiveDefinite, 2),
+                                (maxdet_factor, NotCompletable, 4)):
+        good = [kernel_inputs(ref, rng)[pick] for _ in range(2)]
+        bad = [diagonal(ref, {20: -1.0}).vals, diagonal(ref, {60: 5e-14}).vals]
+        stack = np.array([good[0], bad[0], good[1], bad[1]])
+        f = kernel(SymSparse(st, stack))
+        ok = [True, False, True, False]
+        assert f.ok.tolist() == kernel(SymSparse(ref, stack)).ok.tolist() == ok
+        for i in (0, 2):
+            assert np.array_equal(f.L.vals[i], kernel(SymSparse(st, stack[i])).L.vals)
+        for i in (1, 3):
+            assert failure(kernel, error, SymSparse(st, stack[i])) == failure(
+                kernel, error, SymSparse(ref, stack[i]))
+
+
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_stacked_chain_blocks_are_each_members_own_call(m, two_chains):
+    st, _ = two_chains
+    rng = np.random.default_rng(m)
+    ell = LowerSparse(st, well_conditioned_lower(st, rng))
+    inputs = [kernel_inputs(st, rng) for _ in range(m)]
+    zs = rng.standard_normal((m, st.dim))
+    for kernel, stack, part in (
+            (lambda v: forward_map(ell, v), zs, lambda r: r.vals),
+            (lambda v: adjoint_map(ell, v), zs, lambda r: r.vals),
+            (cholesky, [i[2] for i in inputs], lambda f: f.L.vals),
+            (maxdet_factor, [i[4] for i in inputs], lambda f: f.L.vals)):
+        stack = np.reshape(stack, (m, st.dim))
+        got = part(kernel(SymSparse(st, stack)))
+        assert got.shape == (m, st.dim)
+        for row, one in zip(got, stack):
+            assert np.array_equal(row, part(kernel(SymSparse(st, one))))

@@ -20,7 +20,6 @@ from homcone.factor import (
 )
 from homcone.matrix import (
     LowerSparse,
-    Structure,
     SymSparse,
     identity,
     project,
@@ -28,22 +27,9 @@ from homcone.matrix import (
     tri_inverse,
     tri_mul,
 )
-from homcone.pattern import Ordering, SparsityPattern
 
-from helpers import random_completable, random_lower, random_spd, random_structure, random_sym
-
-
-def forest_structure(parent):
-    """Structure on the comparability graph of a rooted forest with
-    parent[v] > v (parent[v] == v at a root), in the identity ordering, so
-    positions are vertex labels and lower triangles stay triangular."""
-    edges = []
-    for v in range(len(parent)):
-        a = v
-        while parent[a] != a:
-            a = parent[a]
-            edges.append((v, a))
-    return Structure(SparsityPattern(len(parent), edges), Ordering.identity(len(parent)))
+from helpers import (forest_structure, random_completable, random_lower, random_spd,
+                     random_structure, random_sym)
 
 
 EDGE_CASES = {
@@ -98,7 +84,7 @@ def test_capped_batches_match_dense_oracles(rng, monkeypatch):
     monkeypatch.setattr(matrix, "BATCH_FLOATS", 20)
     for seed in range(4):
         st = random_structure(30, seed=500 + seed, branching=4.0)
-        assert any(len(lv.nodes) > 1 for lv in st.levels)
+        assert np.bincount(st.depth).max() > 1
         check_all_kernels(st, rng)
 
 
@@ -108,14 +94,31 @@ def test_schedule_layout(cap, monkeypatch):
     st = random_structure(60, seed=7, branching=3.0)
     seen = np.concatenate([b.nodes for b in st.batches])
     assert sorted(seen.tolist()) == list(range(st.n))
+    children = np.bincount([p for q, p in enumerate(st.pos_parent) if p != q], minlength=st.n)
     for b in st.batches:
+        if b.chain is not None:
+            # a fundamental chain bottom up, big enough to be blocked
+            run = b.nodes.tolist()
+            assert len(run) > 1 and sum((st.depth[q] + 1) ** 2 for q in run) >= cap
+            assert [st.pos_parent[q] for q in run[:-1]] == run[1:]
+            assert all(children[q] == 1 for q in run[1:]) and children[run[0]] != 1
+            assert st.pos_parent[run[-1]] == run[-1] or children[st.pos_parent[run[-1]]] > 1
+            w = st.depth[run[0]] + 1
+            assert b.shape == (1, w, w)
+            assert np.array_equal(np.arange(st.dim)[b.chain[0]],
+                                  np.concatenate([np.arange(st.dim)[st.col(q)] for q in run]))
+            if b.parent >= 0:
+                assert st.batches[b.parent].nodes[b.up].tolist() == [st.pos_parent[run[-1]]]
+            continue
         d = int(st.depth[b.nodes[0]])
         assert all(st.depth[q] == d for q in b.nodes)
         assert len(b.nodes) <= max(1, cap // (d + 1) ** 2)
+        assert b.shape == (len(b.nodes), d + 1, d + 1)
         assert np.array_equal(st.bar_rows[b.slots[:, 0]], b.nodes)
         if d:
             parents = st.batches[b.parent].nodes[b.up]
             assert np.array_equal(parents, [st.pos_parent[q] for q in b.nodes])
+    assert any(b.chain is not None for b in st.batches) == (cap == 20)
     done = set()
     for b in st.up_order:
         assert all(c in done for c in b.children)

@@ -137,16 +137,23 @@ def test_stacked_factorizations_report_each_member(case):
 
 def test_coverage_of_the_stack_cases():
     """The strategies above reach what they are meant to: single-column
-    batches on deep chains, split levels, and stacks split into chunks."""
+    batches on deep chains, chain blocks, split levels, and stacks split
+    into chunks."""
     deep = capped_structure(40, 3, 1.05, matrix.BATCH_FLOATS)
     assert any(len(b.nodes) == 1 and deep.depth[b.nodes[0]] > 5 for b in deep.batches)
+    assert any(b.chain is not None for b in capped_structure(40, 3, 1.05, 60).batches)
     split = capped_structure(30, 3, 4.0, 20)
-    assert any(len(lv.nodes) > 1 for lv in split.levels)
-    assert len(split.batches) > len(split.levels)
+    assert np.bincount(split.depth).max() > 1
+    assert len(split.batches) > split.height
     assert split.stack_rows < 9
-    floats = max(b.slots.size * b.slots.shape[1] for b in split.batches)
+    floats = max(int(np.prod(b.shape)) for b in split.batches)
     assert split.stack_rows == max(1, 20 // floats)
-    assert split.sweep_floats == sum((d + 1) ** 2 for d in split.depth)
+    # a chain block counts as its (k+d)^2 floats, a level node as (d+1)^2
+    chains = [b for b in split.batches if b.chain is not None]
+    level = [q for b in split.batches if b.chain is None for q in b.nodes]
+    assert chains
+    assert split.sweep_floats == (sum((split.depth[q] + 1) ** 2 for q in level)
+                                  + sum(b.shape[-1] ** 2 for b in chains))
 
 
 def test_empty_stack(rng):
