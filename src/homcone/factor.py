@@ -25,15 +25,18 @@ parents' bottom-up and parents' before children's top-down, otherwise in
 the order of node positions; only the blocks of batches whose consumer is
 still pending are held.
 Children's update blocks reach their parent by a scatter in ascending
-sibling order; the ancestor-chain products and substitutions run for all
-columns at once, one step per depth that gathers and scatters each
-column's chain and L's column as whole contiguous runs through strided
-window views (:func:`~homcone.matrix._chain`); and every batched product
-in a level batch reproduces the per-node BLAS call.  So on a structure
-without chain blocks (every structure whose fundamental chains are short
-or shallow) results are bitwise those of visiting the nodes one at a
-time; a chain block sums in another order and agrees with that to about
-1e-12 relative on well-conditioned inputs.  A failing pivot is reported
+sibling order, and every batched product in a level batch reproduces the
+per-node BLAS call.  The ancestor-chain products and substitutions
+(:func:`~homcone.matrix._chain`) run for all columns at once: a member
+in a level batch in one step per depth that moves each column's chain
+and L's column as whole contiguous runs through strided window views, a
+chain block's members in one ``matmul`` step against its trapezoid (and
+``np.linalg.inv`` of its triangle for the substitutions), for its own
+columns and every column below it.  So on a structure without chain
+blocks (every structure whose fundamental chains are short or shallow)
+results are bitwise those of visiting the nodes one at a time; a chain
+block sums in another order and agrees with that to about 1e-12
+relative on well-conditioned inputs.  A failing pivot is reported
 at the node where the one-at-a-time sweep stops: a chain block whose
 factor LAPACK refuses, or one of whose pivots does not clear the floor,
 is redone column by column to find it.
@@ -72,8 +75,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotCompletable, NotPositiveDefinite
-from .matrix import (LowerSparse, Structure, SymSparse, _chain, _check_same, _nonsingular, _one,
-                     _put, _take)
+from .matrix import (LowerSparse, Structure, SymSparse, _chain, _check_same, _gather,
+                     _nonsingular, _one, _put, _store, _take)
 
 __all__ = [
     "CholFactor",
@@ -223,27 +226,6 @@ def _finish(out, b, pack, a00, a10, a01, v):
     if b.children:
         pack[..., 0, 1:] = a01
         pack[..., 1:, 1:] = v
-
-
-def _gather(v, b, square=False):
-    """Chain block ``b``'s columns of ``v`` (one value array or a stack) in
-    the lower trapezoid of a zero (..., k+d, k) array, or of a zero
-    (..., k+d, k+d) block with ``square``: column i holds the column of
-    c_i from row i down."""
-    slots, flat = b.chain[0], b.chain[2 if square else 1]
-    w = b.shape[-1]
-    shape = v.shape[:-1] + (w, w if square else len(b.nodes))
-    t = np.zeros(shape[:-2] + (shape[-2] * shape[-1],))
-    t[..., flat] = _take(v, slots)
-    return t.reshape(shape)
-
-
-def _store(out, b, t):
-    """Store the lower trapezoid of ``t``, a (..., k+d, k) array or
-    (..., k+d, k+d) block, as chain block ``b``'s columns of ``out``."""
-    w, k = t.shape[-2:]
-    flat = b.chain[1 if k == len(b.nodes) else 2]
-    _put(out, b.chain[0], np.take(t.reshape(t.shape[:-2] + (w * k,)), flat, axis=-1))
 
 
 def _sym(a):

@@ -110,6 +110,9 @@ class Batch:
         flattened (k+d, k+d) block.
     slots : value slots of a level batch's columns, shape (k, d+1),
         diagonal first (None for a chain block).
+    below : for a chain block, the slot of c_0 in each column below c_0,
+        where that column's last k+d slots, the block's path, start (None
+        for a level batch).
     cols, diag, sub : indices selecting, as (k, d+1), (k,) and (k, d)
         arrays, a level batch's columns, their diagonal and subdiagonal
         slots from a value array (a chain block has only ``diag``).  For a
@@ -131,8 +134,8 @@ class Batch:
         ``down_order``.
     """
 
-    __slots__ = ("id", "nodes", "shape", "chain", "slots", "cols", "diag", "sub", "at",
-                 "parent", "up", "children", "kids", "last", "lowest", "highest")
+    __slots__ = ("id", "nodes", "shape", "chain", "slots", "below", "cols", "diag", "sub",
+                 "at", "parent", "up", "children", "kids", "last", "lowest", "highest")
 
 
 class Structure:
@@ -167,6 +170,11 @@ class Structure:
         a level batch's nodes (depth+1)^2 each and a chain block its
         (k+d)^2: its arithmetic, against the Python overhead of its
         ``len(batches)`` steps.
+    _chain_steps : the ancestor-chain steps of :func:`_chain`, per depth a:
+        the run ends (``bar_ptr[i+1]``) of the columns i whose member at
+        depth a (i itself or an ancestor) is in a level batch, deepest
+        column first; how many of them lie below that member; and the chain
+        blocks whose top has depth a.
     """
 
     __slots__ = (
@@ -175,7 +183,7 @@ class Structure:
         "stack_rows", "sweep_floats",
         "bar_ptr", "bar_rows", "weights",
         "_row_vertex", "_col_vertex", "_position", "_depth",
-        "_ends_deep_first", "_at_least",
+        "_chain_steps",
     )
 
     def __init__(self, pattern: SparsityPattern, ordering: Ordering,
@@ -318,7 +326,7 @@ class Structure:
                 if i < k and i - lo < cap and (d == 0 or under[i] == under[lo]):
                     continue
                 b = Batch()
-                b.shape, b.chain, b.slots = (i - lo, d + 1, d + 1), None, slots[lo:i]
+                b.shape, b.chain, b.slots, b.below = (i - lo, d + 1, d + 1), None, slots[lo:i], None
                 if i - lo == 1:
                     # one column: index it by slices, which numpy serves
                     # as views instead of gathers, on one array or a stack
@@ -376,15 +384,36 @@ class Structure:
         floats = [int(np.prod(b.shape)) for b in batches]
         self.stack_rows = max(1, BATCH_FLOATS // max(floats))
         self.sweep_floats = sum(floats)
-        # chain tables: column ends deepest node first, and how many nodes
-        # have depth >= a, so the columns reaching depth a are a prefix
         self.height = len(levels)
+        self._chain_steps = self._chain_tables(levels, [b for b in batches if b.chain])
+
+    def _chain_tables(self, levels: list, blocks: list) -> tuple:
+        """``_chain_steps``, and each chain block's ``below``: the slots
+        holding its bottom c_0 in columns other than c_0's own."""
+        ptr, rows, depth = self.bar_ptr, self.bar_rows, self.depth
         order = np.array([q for lv in levels for q in lv], dtype=np.int64)
-        self._ends_deep_first = ptr[order[::-1] + 1]
-        at_least = [0]
-        for lv in reversed(levels):
-            at_least.append(at_least[-1] + len(lv))
-        self._at_least = np.array(at_least[::-1], dtype=np.int64)
+        ends = ptr[order[::-1] + 1]
+        # how many columns have depth >= a, a prefix of ``ends``
+        at_least = np.cumsum([0] + [len(lv) for lv in reversed(levels)])[::-1].tolist()
+        steps = [[ends[:at_least[a]], at_least[a + 1], []] for a in range(len(levels))]
+        if blocks:
+            inside = np.zeros(self.n, dtype=bool)
+            bottom = np.full(self.n, -1)
+            for i, b in enumerate(blocks):
+                inside[b.nodes] = True
+                bottom[b.nodes[0]] = i
+                steps[depth[b.nodes[-1]]][2].append(b)
+            hit = bottom[rows]
+            hit[ptr[:-1]] = -1
+            slot = np.flatnonzero(hit >= 0)
+            slot = slot[np.argsort(hit[slot], kind="stable")]
+            split = np.cumsum(np.bincount(hit[slot], minlength=len(blocks)))[:-1]
+            for b, below in zip(blocks, np.split(slot, split)):
+                b.below = below
+            for a, step in enumerate(steps):
+                keep = ~inside[rows[step[0] - 1 - a]]
+                step[:2] = step[0][keep], int(np.count_nonzero(keep[:step[1]]))
+        return tuple((e, k, tuple(bs)) for e, k, bs in steps)
 
     @classmethod
     def from_pattern(cls, pattern: SparsityPattern) -> "Structure":
@@ -653,6 +682,27 @@ def _runs(v: np.ndarray, w: int) -> np.ndarray:
                       v.strides + (t,))
 
 
+def _gather(v, b, square=False):
+    """Chain block ``b``'s columns of ``v`` (one value array or a stack) in
+    the lower trapezoid of a zero (..., k+d, k) array, or of a zero
+    (..., k+d, k+d) block with ``square``: column i holds the column of
+    c_i from row i down."""
+    slots, flat = b.chain[0], b.chain[2 if square else 1]
+    w = b.shape[-1]
+    shape = v.shape[:-1] + (w, w if square else len(b.nodes))
+    t = np.zeros(shape[:-2] + (shape[-2] * shape[-1],))
+    t[..., flat] = _take(v, slots)
+    return t.reshape(shape)
+
+
+def _store(out, b, t):
+    """Store the lower trapezoid of ``t``, a (..., k+d, k) array or
+    (..., k+d, k+d) block, as chain block ``b``'s columns of ``out``."""
+    w, k = t.shape[-2:]
+    flat = b.chain[1 if k == len(b.nodes) else 2]
+    _put(out, b.chain[0], np.take(t.reshape(t.shape[:-2] + (w * k,)), flat, axis=-1))
+
+
 def _chain(s: Structure, lv: np.ndarray, x: np.ndarray, kind: str,
            own: bool = False) -> np.ndarray:
     """Products and substitutions with L restricted to every column's
@@ -665,25 +715,34 @@ def _chain(s: Structure, lv: np.ndarray, x: np.ndarray, kind: str,
     "solve" (L^-1 x) or "solve_t" (L^-T x); the result, C-contiguous,
     has ``x``'s shape and keeps its other slots ("mul": zeros).
 
-    Step a treats the chain member at depth a of every column that reaches
-    that depth: the last a+1 slots of those columns, against the column of
-    L at that member.  Both are contiguous runs of a+1 slots, so a step
-    moves them whole through :func:`_runs` windows, one row per column;
-    the columns' runs are disjoint.  For each column this is one axpy or
-    one dot per chain member, in the order of the scalar column
-    recurrence, so every result is bitwise that of walking the chain
-    alone.  Steps run from the deepest member up ("solve_t": from the root
-    down).
+    Each chain member is treated once for every column it lies on, from
+    the deepest member up ("solve_t": from the root down).  A member in a
+    level batch, at depth a, is treated for all those columns in one step:
+    their last a+1 slots against the column of L at that member, both
+    contiguous runs of a+1 slots moved whole through :func:`_runs`
+    windows, one row per column; the columns' runs are disjoint.  For each
+    column that is one axpy or one dot, in the order of the scalar column
+    recurrence.  The k members of a chain block are treated together by
+    :func:`_chain_block`, in one or two ``matmul`` calls, at the depth of
+    its top: no step at the depths of its other members reaches the
+    columns the block lies on, so any of them would do.  So on a
+    structure without chain blocks every result is bitwise that of
+    walking the chain alone; a chain block sums in another order and
+    agrees with that to about 1e-12 relative on well-conditioned inputs.
     """
-    top = s.height - 1 if own else s.height - 2
-    steps = range(top + 1) if kind == "solve_t" else range(top, -1, -1)
     y = np.zeros(x.shape) if kind == "mul" else np.array(x, order="C")
+    x = np.ascontiguousarray(x)
     lv = np.ascontiguousarray(lv)
     # a stack's runs are gathered by a (member, column) index pair, which
     # lays them out C-contiguous as (m, k, a+1)
     member = np.arange(len(y))[:, None] if y.ndim > 1 else None
-    for a in steps:
-        at = s._ends_deep_first[:s._at_least[a + 1 - own]] - (a + 1)
+    for a in (range(s.height) if kind == "solve_t" else range(s.height - 1, -1, -1)):
+        ends, below, blocks = s._chain_steps[a]
+        for b in blocks:
+            _chain_block(b, lv, x, y, kind, own, member)
+        at = (ends if own else ends[:below]) - (a + 1)
+        if not len(at):
+            continue
         col = _runs(lv, a + 1)[s.bar_ptr[s.bar_rows[at]]]
         runs = _runs(y, a + 1)
         ix = at if member is None else (member, at)
@@ -708,6 +767,62 @@ def _chain(s: Structure, lv: np.ndarray, x: np.ndarray, kind: str,
     return y
 
 
+def _chain_block(b, lv, x, y, kind, own, member) -> None:
+    """The step of :func:`_chain` for chain block ``b``'s members C =
+    c_0, ..., c_{k-1}, on path P = C + A (its d ancestors), with T =
+    L[P, C] and Z the values it solves for on C:
+
+    - "mul": Y[P] += T X[C];
+    - "mul_t": Y[C] = T^T X[P];
+    - "solve": Z = T_CC^-1 Y[C], Y[A] -= T_AC Z;
+    - "solve_t": Z = T_CC^-T (Y[C] - T_AC^T Y[A]).
+
+    A column below c_0 holds P as its last k+d slots, so those columns
+    take these as one product of their runs, one row per column.  Column
+    c_j of the block lies on c_j, ..., c_{k-1} (``own``) or c_{j+1}, ...,
+    and takes them on the block's trapezoid with X[C] masked to its lower
+    (strictly lower) triangle: the trailing blocks of T_CC^-1 are the
+    inverses of T_CC's trailing blocks."""
+    t = _gather(lv, b)
+    k = t.shape[-1]
+    ta = t[k:]
+    if kind.startswith("solve"):
+        li = np.tril(np.linalg.inv(t[:k]))
+    if len(b.below):
+        w = t.shape[0]
+        ix = b.below if member is None else (member, b.below)
+        runs = _runs(y, w)
+        r = runs[ix]
+        if kind == "mul":
+            r += _runs(x, k)[ix] @ t.T
+            runs[ix] = r
+        elif kind == "mul_t":
+            _runs(y, k)[ix] = r @ t
+        elif kind == "solve":
+            z = r[..., :k] @ li.T
+            r[..., k:] -= z @ ta.T
+            r[..., :k] = z
+            runs[ix] = r
+        else:
+            _runs(y, k)[ix] = (r[..., :k] - r[..., k:] @ ta) @ li
+    # the block's own columns; "mul" writes them first, the others find
+    # there what the steps so far left
+    v = _gather(x if kind == "mul" else y, b)
+    keep = np.tri(k, k, own - 1, dtype=bool)
+    vc = v[..., :k, :]
+    if kind == "mul":
+        v = t @ np.where(keep, vc, 0.0)
+    elif kind == "mul_t":
+        v[..., :k, :] = np.where(keep, t.T @ v, vc)
+    elif kind == "solve":
+        z = li @ np.where(keep, vc, 0.0)
+        v[..., k:, :] -= ta @ z
+        v[..., :k, :] = np.where(keep, z, vc)
+    else:
+        v[..., :k, :] = np.where(keep, li.T @ (vc - ta.T @ v[..., k:, :]), vc)
+    _store(y, b, v)
+
+
 def tri_mul(L: LowerSparse, Lt: LowerSparse) -> LowerSparse:
     """Exact product of two pattern-restricted lower triangles.  Stays in
     the pattern because each column's ancestor chain contains the chains
@@ -720,8 +835,9 @@ def tri_mul(L: LowerSparse, Lt: LowerSparse) -> LowerSparse:
 
 
 def tri_inverse(L: LowerSparse) -> LowerSparse:
-    """Inverse of a pattern-restricted lower triangle, column by column by
-    substitution along the ancestor chain."""
+    """Inverse of a pattern-restricted lower triangle: each column solved
+    along its ancestor chain, by substitution one member at a time and
+    through the inverse of each chain block's triangle (:func:`_chain`)."""
     _one(L)
     _nonsingular(L)
     s = L.struct

@@ -8,14 +8,16 @@ can start.
 """
 
 import numpy as np
+import pytest
 
-from homcone import ipm, scaling
+from homcone import ipm, matrix, scaling
 from homcone.errors import NotCompletable, NotPositiveDefinite, ScalingConvergenceError
 from homcone.factor import cholesky, hess_apply, maxdet_factor, projected_inverse
 from homcone.matrix import (
     LowerSparse,
     Structure,
     SymSparse,
+    _chain,
     inner,
     norm,
     project,
@@ -40,6 +42,16 @@ def forest_structure(parent):
             a = parent[a]
             edges.append((v, a))
     return Structure(SparsityPattern(len(parent), edges), Ordering.identity(len(parent)))
+
+
+def level_schedule(st):
+    """``st`` compiled with a batch cap no chain reaches, so it has no
+    chain block; its level batches are bitwise the node-by-node sweep."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix, "BATCH_FLOATS", 1 << 62)
+        ref = Structure(st.pattern, st.ordering)
+    assert not any(b.chain is not None for b in ref.batches)
+    return ref
 
 
 def random_lower(struct, rng, diag_lo=0.6, diag_hi=1.6, off_scale=0.3):
@@ -184,18 +196,20 @@ def element_chain(s, lv, x, kind, own=False):
     """Reference ancestor-chain product and substitution, gathering and
     scattering every chain slot through its own index: step a indexes
     the last a+1 slots of each column reaching depth a element by
-    element, Sigma depth^2 / 2 index entries per call."""
+    element, Sigma depth^2 / 2 index entries per call.  The columns of a
+    step come from ``depth`` and ``bar_ptr`` alone."""
     def take(v, ix):
         return v[ix] if v.ndim == 1 else np.take(v, ix, axis=-1)
 
     def put(v, ix, val):
         v[..., ix] = val
 
-    top = s.height - 1 if own else s.height - 2
+    depth = np.asarray(s.depth)
+    top = int(depth.max()) - (not own)
     steps = range(top + 1) if kind == "solve_t" else range(top, -1, -1)
     y = np.zeros_like(x) if kind == "mul" else x.copy()
     for a in steps:
-        at = s._ends_deep_first[:s._at_least[a + 1 - own]] - 1 - a
+        at = s.bar_ptr[np.flatnonzero(depth >= a + 1 - own) + 1] - 1 - a
         tail = at[:, None] + np.arange(a + 1)
         col = lv[s.bar_ptr[s.bar_rows[at]][:, None] + np.arange(a + 1)]
         if kind == "mul":
@@ -210,6 +224,42 @@ def element_chain(s, lv, x, kind, own=False):
         else:
             put(y, at, (take(y, at) - np.vecdot(col[:, 1:], take(y, tail[:, 1:]))) / col[:, 0])
     return y
+
+
+def chain_inputs(dim, rng):
+    """One array, stacks of 0, 1 and 3 members, and a one-member stack
+    whose row stride is not its length (numpy flags it C-contiguous)."""
+    wide = np.zeros((2, dim))
+    wide[0] = rng.standard_normal(dim)
+    yield rng.standard_normal(dim)
+    for m in (0, 1, 3):
+        yield rng.standard_normal((m, dim))
+    yield wide[::2]
+
+
+def check_chain(st, rng):
+    """Every ``_chain`` kind, with and without each column's own slot, on
+    one array and on stacks of any layout, against element_chain, writing
+    neither L nor x: bitwise on a structure without chain blocks; on one
+    with them within 1e-12 relative (a block sums in another order), and
+    bitwise on its level schedule."""
+    blocked = any(b.chain is not None for b in st.batches)
+    ref = level_schedule(st) if blocked else st
+    lv = random_lower(st, rng, 1.0, 2.0, 0.3 / np.sqrt(st.n)).vals
+    lv.flags.writeable = False
+    for x in chain_inputs(st.dim, rng):
+        x.flags.writeable = False
+        for kind in ("mul", "mul_t", "solve", "solve_t"):
+            for own in (False, True):
+                want = element_chain(st, lv, x, kind, own)
+                got = _chain(ref, lv, x, kind, own)
+                assert got.shape == x.shape and np.isfinite(got).all()
+                assert np.array_equal(got, want), (kind, own, x.shape)
+                if blocked:
+                    got = _chain(st, lv, x, kind, own)
+                    assert got.shape == x.shape
+                    err = np.abs(got - want).max(initial=0.0)
+                    assert err <= 1e-12 * np.abs(want).max(initial=0.0), (kind, own, x.shape)
 
 
 def sequential_scaling_point(x, s, tol=1e-9, warm=None, halvings=None):

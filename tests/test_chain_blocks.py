@@ -1,6 +1,6 @@
-"""Chain blocks: every kernel against the level schedule compiled without
-them, the failing node and value inside a block, and stacked blocks
-member by member."""
+"""Chain blocks: every kernel and the ancestor-chain products against
+the level schedule compiled without them, the failing node and value
+inside a block, and stacked blocks member by member."""
 
 import sys
 from pathlib import Path
@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from homcone import matrix
 from homcone.errors import NotCompletable, NotPositiveDefinite
 from homcone.factor import (
     CholFactor,
@@ -21,21 +20,11 @@ from homcone.factor import (
     maxdet_factor,
     projected_inverse,
 )
-from homcone.matrix import LowerSparse, Structure, SymSparse, identity, tri_inverse, tri_mul
+from homcone.matrix import LowerSparse, SymSparse, identity, tri_inverse, tri_mul
 
-from helpers import forest_structure, random_structure
+from helpers import check_chain, forest_structure, level_schedule, random_structure
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def level_schedule(st):
-    """``st`` compiled with a batch cap no chain reaches, so it has no
-    chain block; its level batches are bitwise the node-by-node sweep."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(matrix, "BATCH_FLOATS", 1 << 62)
-        ref = Structure(st.pattern, st.ordering)
-    assert not any(b.chain is not None for b in ref.batches)
-    return ref
 
 
 def chain_blocks(st):
@@ -88,6 +77,19 @@ def test_kernels_agree_with_the_level_schedule(n, seed):
     for name in want:
         scale = np.max(np.abs(want[name]))
         assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("n, seed", [(300, 1), (600, 2), (1200, 6)])
+def test_chain_products_agree_with_the_element_chain(n, seed):
+    """``_chain`` runs each chain block's members as one step for the
+    block's columns and every column below it."""
+    st = random_structure(n, seed=seed, branching=1.05)
+    assert any(len(b.below) for b in chain_blocks(st))
+    check_chain(st, np.random.default_rng(seed))
+
+
+def test_chain_products_on_two_chains(two_chains):
+    check_chain(two_chains[0], np.random.default_rng(7))
 
 
 def benchmark_structures():

@@ -6,7 +6,6 @@ from homcone.matrix import (
     LowerSparse,
     Structure,
     SymSparse,
-    _chain,
     from_triplets,
     identity,
     inner,
@@ -27,7 +26,7 @@ from homcone.pattern import (
     verify_ordering,
 )
 
-from helpers import element_chain, random_lower, random_structure, random_sym
+from helpers import check_chain, random_lower, random_structure, random_sym
 
 
 def vinberg_lower(struct, l11, l22, l31, l32, l33):
@@ -343,30 +342,11 @@ CHAIN_STRUCTURES = {
 }
 
 
-def chain_inputs(dim, rng):
-    """One array, stacks of 0, 1 and 3 members, and a one-member stack
-    whose row stride is not its length (numpy flags it C-contiguous)."""
-    wide = np.zeros((2, dim))
-    wide[0] = rng.standard_normal(dim)
-    yield rng.standard_normal(dim)
-    for m in (0, 1, 3):
-        yield rng.standard_normal((m, dim))
-    yield wide[::2]
-
-
 @pytest.mark.parametrize("name", CHAIN_STRUCTURES)
 def test_chain_windows_are_the_element_chain(name, rng):
-    """Every chain kind moved through contiguous-run windows is bitwise
-    the element-by-element chain, on one array and on stacks of any
-    layout, and writes neither L nor x."""
+    """Every chain kind is the element-by-element chain: bitwise where
+    every member is in a level batch, within 1e-12 relative where a chain
+    block takes some (the 300-deep path is one)."""
     st = CHAIN_STRUCTURES[name]()
-    lv = random_lower(st, rng, 1.0, 2.0, 0.3 / np.sqrt(st.n)).vals
-    lv.flags.writeable = False
-    for x in chain_inputs(st.dim, rng):
-        x.flags.writeable = False
-        for kind in ("mul", "mul_t", "solve", "solve_t"):
-            for own in (False, True):
-                got = _chain(st, lv, x, kind, own)
-                want = element_chain(st, lv, x, kind, own)
-                assert got.shape == x.shape and np.isfinite(got).all()
-                assert np.array_equal(got, want), (kind, own, x.shape)
+    assert any(b.chain is not None for b in st.batches) == (name in ("300-deep", "branching 1.05"))
+    check_chain(st, rng)
