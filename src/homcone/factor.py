@@ -19,7 +19,11 @@ chain of k columns under d ancestors whose node-by-node frontal blocks
 reach BATCH_FLOATS floats, is one dense step on its ``(k+d, k+d)`` block
 and the ``(k+d, k)`` trapezoid of its columns: ``matmul``,
 ``np.linalg.cholesky`` and ``np.linalg.inv`` (numpy has no triangular
-solve) in place of k per-depth steps.  The batches form a tree (a
+solve) in place of k per-depth steps.  What a chain block derives from
+a factor L alone, its trapezoid and the inverse of its triangle, is made
+once per factor (:func:`~homcone.matrix._panel`): a one-matrix
+``cholesky`` leaves its own in the factor it returns, and every kernel
+and chain product on that factor reads them.  The batches form a tree (a
 batch's parents sit in one batch), swept children's batches before their
 parents' bottom-up and parents' before children's top-down, otherwise in
 the order of node positions; only the blocks of batches whose consumer is
@@ -62,8 +66,9 @@ and ``np.linalg`` calls run each member's matrices as the one-matrix call
 does, and a chain block redoes column by column only the members that
 failed in it.
 
-Kernels never modify their inputs and keep all sweep state in locals, so
-concurrent calls on shared inputs are safe.
+Kernels never modify their inputs' values and keep all sweep state in
+locals (but for a factor's panels, cached with the same bits by any
+call), so concurrent calls on shared inputs are safe.
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ import numpy as np
 
 from .errors import NotCompletable, NotPositiveDefinite
 from .matrix import (LowerSparse, Structure, SymSparse, _chain, _check_same, _gather,
-                     _nonsingular, _one, _put, _store, _take)
+                     _nonsingular, _one, _panel, _put, _store, _take, _tri)
 
 __all__ = [
     "CholFactor",
@@ -230,7 +235,7 @@ def _finish(out, b, pack, a00, a10, a01, v):
 
 def _sym(a):
     """The symmetric matrices with the lower triangles of ``a``."""
-    return np.where(np.tri(a.shape[-1], dtype=bool), a, np.swapaxes(a, -1, -2))
+    return np.where(_tri(a.shape[-1]), a, np.swapaxes(a, -1, -2))
 
 
 def _block(t, v, out):
@@ -298,11 +303,12 @@ def cholesky(X: SymSparse) -> CholFactor:
     floor = PIVOT_EPS * (1.0 + np.abs(_take(xv, s.bar_ptr[:-1])))
     out = np.zeros(xv.shape)
     seen = None
+    panels = {} if xv.ndim == 1 else None
     for b, done in _up(s):
         if seen is not None and (seen[0] < b.lowest).all():
             break
         if b.chain:
-            seen = _cholesky_chain(xv, floor, out, b, done, seen, s.n)
+            seen = _cholesky_chain(xv, floor, out, b, done, seen, s.n, panels)
             continue
         f = np.zeros(xv.shape[:-1] + b.shape)
         f[..., 0] = _take(xv, b.cols)
@@ -320,24 +326,31 @@ def cholesky(X: SymSparse) -> CholFactor:
         _put(out, b.cols, f[..., 0])
         f[..., 1:, 1:] -= f[..., 1:, :1] * f[..., None, 1:, 0]
         done[b.id] = f
-    return _factor(s, out, seen, s.n, NotPositiveDefinite)
+    chol = _factor(s, out, seen, s.n, NotPositiveDefinite)
+    if panels:
+        chol.L._panels.update(panels)
+    return chol
 
 
-def _cholesky_chain(xv, floor, out, b, done, seen, n):
+def _cholesky_chain(xv, floor, out, b, done, seen, n, panels):
     """A chain block of :func:`cholesky`: L11 = chol(F11), L21 = F21
     L11^-T, and the update F22 - L21 L21^T.  Members that fail in
     :func:`_potrf` are redone column by column, as a node-by-node sweep
     does them, to find the failing node and pivot; returns ``seen`` with
-    those folded in."""
+    those folded in.  One matrix leaves in ``panels`` the block's panel
+    [[L11; L21], L11^-1], which :func:`~homcone.matrix._panel` reads."""
     k = len(b.nodes)
     f = _gather(xv, b, square=True)
     _add_kids(f[..., None, :, :], b, done)
     floor = _take(floor, b.at)
     l11, bad = _potrf(f[..., :k, :k], floor)
     redo = f[bad]
-    l21 = _abt(f[..., k:, :k], np.linalg.inv(l11))
+    li = np.linalg.inv(l11)
+    l21 = _abt(f[..., k:, :k], li)
     f[..., :k, :k] = l11
     f[..., k:, :k] = l21
+    if panels is not None:
+        panels[b] = [f[:, :k].copy(), li]
     f[..., k:, k:] -= _abt(l21, l21)
     if np.count_nonzero(bad):
         floor = floor[bad]
@@ -364,12 +377,12 @@ def forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
     s = L.struct
     lv, xv = L.vals, X.vals
     out = np.zeros(xv.shape)
-    chain_x = _chain(s, lv, xv, "mul")
+    chain_x = _chain(s, L, xv, "mul")
     for b, done in _up(s):
         if b.chain:
             # F = (T X_diag + U) T^T + T U^T, U the chain products below
             # the diagonal of their columns
-            t = _gather(lv, b)
+            t = _panel(L, b)[0]
             u = _gather(chain_x, b)
             f = _abt(np.concatenate([t * _take(xv, b.diag)[..., None, :] + u,
                                      np.broadcast_to(t, u.shape)], -1),
@@ -408,7 +421,7 @@ def adjoint_map(L: LowerSparse, S: SymSparse) -> SymSparse:
     for b, v, pack in _down(st, sv.shape[:-1]):
         if b.chain:
             # W = S T, with (T^T S T)_ii on the diagonal
-            t = _gather(lv, b)
+            t = _panel(L, b)[0]
             sb = pack[..., 0, :, :]
             _block(_gather(sv, b), v[..., 0, :, :], sb)
             g = sb @ t
@@ -427,7 +440,7 @@ def adjoint_map(L: LowerSparse, S: SymSparse) -> SymSparse:
             pack[..., 0] = sc
             pack[..., 0, 1:] = ssub
             pack[..., 1:, 1:] = v
-    return SymSparse(st, _chain(st, lv, wv, "mul_t"))
+    return SymSparse(st, _chain(st, L, wv, "mul_t"))
 
 
 def inverse_forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
@@ -447,15 +460,14 @@ def inverse_forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
             # sweep leaves for the chain solve, diag(C11) and below it
             # T tril(C11, -1) + [0; C21]
             k = len(b.nodes)
-            t = _gather(lv, b)
+            t, li = _panel(L, b, True)
             f = _gather(xv, b, square=True)
             _add_kids(f[None], b, done)
-            li = np.linalg.inv(t[:k])
             q = f[k:, :k] @ li.T
             c11 = li @ _sym(f[:k, :k]) @ li.T
             c21 = q - t[k:] @ c11
             f[k:, k:] -= _abt(np.hstack([c21, t[k:]]), np.hstack([t[k:], q]))
-            w = t @ np.tril(c11, -1)
+            w = t @ np.where(_tri(k, False), c11, 0.0)
             w[k:] += c21
             _store(wv, b, w)
             wv[b.diag] = np.diagonal(c11)
@@ -476,7 +488,7 @@ def inverse_forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
                     + lsub[:, :, None] * b01[:, None, :] / lii[:, None, None],
                     out=b22)
         done[b.id] = f
-    return SymSparse(s, _chain(s, lv, wv, "solve"))
+    return SymSparse(s, _chain(s, L, wv, "solve"))
 
 
 def inverse_adjoint_map(L: LowerSparse, S: SymSparse) -> SymSparse:
@@ -486,16 +498,15 @@ def inverse_adjoint_map(L: LowerSparse, S: SymSparse) -> SymSparse:
     _nonsingular(L)
     st = L.struct
     lv, sv = L.vals, S.vals
-    wv = _chain(st, lv, sv, "solve_t")
+    wv = _chain(st, L, sv, "solve_t")
     out = np.zeros(st.dim)
     for b, v, pack in _down(st):
         if b.chain:
             # Y21 = (W2 - V L21) L11^-1, W2 the chain-solved S21, and
             # Y11 = L11^-T (S11 - L21^T W2 - R^T L21) L11^-1, R = W2 - V L21
             k = len(b.nodes)
-            t = _gather(lv, b)
+            t, li = _panel(L, b, True)
             w2 = _gather(wv, b)[k:]
-            li = np.linalg.inv(t[:k])
             r = w2 - v[0] @ t[k:]
             y = np.vstack([li.T @ (_sym(_gather(sv, b)[:k]) - t[k:].T @ w2 - r.T @ t[k:]) @ li,
                            r @ li])
@@ -525,8 +536,7 @@ def projected_inverse(F: CholFactor) -> SymSparse:
         if b.chain:
             # Y21 = -V P and Y11 = L11^-T L11^-1 - P^T Y21, P = L21 L11^-1
             k = len(b.nodes)
-            t = _gather(lv, b)
-            li = np.linalg.inv(t[:k])
+            t, li = _panel(F.L, b, True)
             p = t[k:] @ li
             y21 = -v[0] @ p
             y = np.vstack([li.T @ li - p.T @ y21, y21])
@@ -597,7 +607,7 @@ def _maxdet_chain(sv, floor, out, b, v, pack, seen, n):
     r = _sym(t[..., :k, :]) - np.swapaxes(u, -1, -2) @ u
     floor = _take(floor, b.at)
     kc, bad = _potrf(r[..., ::-1, ::-1], floor[..., ::-1])
-    l11 = np.tril(np.swapaxes(np.linalg.inv(kc), -1, -2)[..., ::-1, ::-1])
+    l11 = np.where(_tri(k), np.swapaxes(np.linalg.inv(kc), -1, -2)[..., ::-1, ::-1], 0.0)
     pack[...] = 0.0
     pack[..., k:, k:] = v
     pack[..., :k, :k] = l11
@@ -628,7 +638,7 @@ def dual_gradient(Lhat: CholFactor) -> SymSparse:
     out = np.zeros(st.dim)
     for b, done in _up(st):
         if b.chain:
-            t = _gather(lv, b)
+            t = _panel(Lhat.L, b)[0]
             f = _abt(t, t)
             _add_kids(f[None], b, done)
             _store(out, b, f)

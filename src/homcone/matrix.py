@@ -13,12 +13,14 @@ General chordal orderings are rejected at construction: the closure
 properties used by every operation here (triangular products and inverses
 staying inside the pattern) fail for them.
 
-Values are 64-bit floats.  All objects are immutable in practice: no
-operation writes to its inputs, so concurrent use is safe.
+Values are 64-bit floats.  No operation writes to its inputs, so
+concurrent use is safe; a :class:`LowerSparse` holds its values read-only,
+as it caches what its chain blocks derive from them (:func:`_panel`).
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from typing import Optional
 
@@ -519,7 +521,8 @@ class _Values:
     matrix and raises StructuralError on a stack.  ``vals`` is kept
     C-contiguous (copied if it is not): kernels read one-node batches
     through views, and a reduction over a strided view is not bitwise one
-    over a contiguous array."""
+    over a contiguous array.  No operation writes to it; a
+    :class:`LowerSparse` also makes it a read-only view."""
 
     __slots__ = ("struct", "vals")
 
@@ -563,7 +566,17 @@ class SymSparse(_Values):
 
 
 class LowerSparse(_Values):
-    """Lower-triangular matrix (in position space) on the pattern."""
+    """Lower-triangular matrix (in position space) on the pattern.
+
+    ``vals`` is a read-only view, so writing into it raises: the object
+    caches each chain block's panel (:func:`_panel`), which a write would
+    leave stale.  The cache lives and dies with the object."""
+
+    def __init__(self, struct: Structure, vals: np.ndarray):
+        super().__init__(struct, vals)
+        self.vals = self.vals.view()
+        self.vals.setflags(write=False)
+        self._panels = {}
 
 
 def identity(struct: Structure) -> SymSparse:
@@ -703,10 +716,31 @@ def _store(out, b, t):
     _put(out, b.chain[0], np.take(t.reshape(t.shape[:-2] + (w * k,)), flat, axis=-1))
 
 
-def _chain(s: Structure, lv: np.ndarray, x: np.ndarray, kind: str,
-           own: bool = False) -> np.ndarray:
-    """Products and substitutions with L restricted to every column's
-    chain, for all columns at once.
+def _panel(L: LowerSparse, b: Batch, inverse: bool = False) -> list:
+    """Chain block ``b``'s panel of one matrix ``L``, made once and kept
+    in ``L``'s cache (a one-matrix ``cholesky`` fills it with the same
+    bits): [T, T_CC^-1], T = L[P, C] its (k+d, k) trapezoid and T_CC^-1 =
+    ``np.linalg.inv(T[:k])``, None until a caller asks for ``inverse``."""
+    p = L._panels.get(b)
+    if p is None:
+        p = L._panels[b] = [_gather(L.vals, b), None]
+    if inverse and p[1] is None:
+        p[1] = np.linalg.inv(p[0][:len(b.nodes)])
+    return p
+
+
+@functools.lru_cache(maxsize=None)
+def _tri(k: int, own: bool = True) -> np.ndarray:
+    """``np.tri(k, k, own - 1, dtype=bool)``, read-only and made once per
+    size: the lower (``own``) or strictly lower triangle of a k x k block."""
+    m = np.tri(k, k, own - 1, dtype=bool)
+    m.flags.writeable = False
+    return m
+
+
+def _chain(s: Structure, L, x: np.ndarray, kind: str, own: bool = False) -> np.ndarray:
+    """Products and substitutions with L (a LowerSparse, or one value
+    array) restricted to every column's chain, for all columns at once.
 
     The chain of column i is its ancestors (``own=True``: i itself, then
     its ancestors), and ``x`` holds a vector on each chain in i's value
@@ -732,18 +766,18 @@ def _chain(s: Structure, lv: np.ndarray, x: np.ndarray, kind: str,
     """
     y = np.zeros(x.shape) if kind == "mul" else np.array(x, order="C")
     x = np.ascontiguousarray(x)
-    lv = np.ascontiguousarray(lv)
+    L = L if isinstance(L, LowerSparse) else LowerSparse(s, L)
     # a stack's runs are gathered by a (member, column) index pair, which
     # lays them out C-contiguous as (m, k, a+1)
     member = np.arange(len(y))[:, None] if y.ndim > 1 else None
     for a in (range(s.height) if kind == "solve_t" else range(s.height - 1, -1, -1)):
         ends, below, blocks = s._chain_steps[a]
         for b in blocks:
-            _chain_block(b, lv, x, y, kind, own, member)
+            _chain_block(b, L, x, y, kind, own, member)
         at = (ends if own else ends[:below]) - (a + 1)
         if not len(at):
             continue
-        col = _runs(lv, a + 1)[s.bar_ptr[s.bar_rows[at]]]
+        col = _runs(L.vals, a + 1)[s.bar_ptr[s.bar_rows[at]]]
         runs = _runs(y, a + 1)
         ix = at if member is None else (member, at)
         # the columns' last a+1 slots; steps so far wrote only slots deeper
@@ -767,7 +801,7 @@ def _chain(s: Structure, lv: np.ndarray, x: np.ndarray, kind: str,
     return y
 
 
-def _chain_block(b, lv, x, y, kind, own, member) -> None:
+def _chain_block(b, L, x, y, kind, own, member) -> None:
     """The step of :func:`_chain` for chain block ``b``'s members C =
     c_0, ..., c_{k-1}, on path P = C + A (its d ancestors), with T =
     L[P, C] and Z the values it solves for on C:
@@ -782,12 +816,15 @@ def _chain_block(b, lv, x, y, kind, own, member) -> None:
     c_j of the block lies on c_j, ..., c_{k-1} (``own``) or c_{j+1}, ...,
     and takes them on the block's trapezoid with X[C] masked to its lower
     (strictly lower) triangle: the trailing blocks of T_CC^-1 are the
-    inverses of T_CC's trailing blocks."""
-    t = _gather(lv, b)
+    inverses of T_CC's trailing blocks.  T and T_CC^-1 are ``L``'s panel
+    (:func:`_panel`), made once per factor; T_CC^-1 is masked here to
+    its lower triangle."""
+    solve = kind.startswith("solve")
+    t, li = _panel(L, b, solve)
     k = t.shape[-1]
     ta = t[k:]
-    if kind.startswith("solve"):
-        li = np.tril(np.linalg.inv(t[:k]))
+    if solve:
+        li = np.where(_tri(k), li, 0.0)
     if len(b.below):
         w = t.shape[0]
         ix = b.below if member is None else (member, b.below)
@@ -808,7 +845,7 @@ def _chain_block(b, lv, x, y, kind, own, member) -> None:
     # the block's own columns; "mul" writes them first, the others find
     # there what the steps so far left
     v = _gather(x if kind == "mul" else y, b)
-    keep = np.tri(k, k, own - 1, dtype=bool)
+    keep = _tri(k, own)
     vc = v[..., :k, :]
     if kind == "mul":
         v = t @ np.where(keep, vc, 0.0)
@@ -831,7 +868,7 @@ def tri_mul(L: LowerSparse, Lt: LowerSparse) -> LowerSparse:
     _check_same(L, Lt)
     _one(L, Lt)
     s = L.struct
-    return LowerSparse(s, _chain(s, L.vals, Lt.vals, "mul", own=True))
+    return LowerSparse(s, _chain(s, L, Lt.vals, "mul", own=True))
 
 
 def tri_inverse(L: LowerSparse) -> LowerSparse:
@@ -841,4 +878,4 @@ def tri_inverse(L: LowerSparse) -> LowerSparse:
     _one(L)
     _nonsingular(L)
     s = L.struct
-    return LowerSparse(s, _chain(s, L.vals, identity(s).vals, "solve", own=True))
+    return LowerSparse(s, _chain(s, L, identity(s).vals, "solve", own=True))

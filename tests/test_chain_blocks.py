@@ -1,6 +1,7 @@
 """Chain blocks: every kernel and the ancestor-chain products against
 the level schedule compiled without them, the failing node and value
-inside a block, and stacked blocks member by member."""
+inside a block, stacked blocks member by member, and the panels a
+factor caches."""
 
 import sys
 from pathlib import Path
@@ -20,7 +21,8 @@ from homcone.factor import (
     maxdet_factor,
     projected_inverse,
 )
-from homcone.matrix import LowerSparse, SymSparse, identity, tri_inverse, tri_mul
+from homcone.matrix import (LowerSparse, SymSparse, _chain, _panel, identity, tri_inverse,
+                            tri_mul)
 
 from helpers import check_chain, forest_structure, level_schedule, random_structure
 
@@ -90,6 +92,99 @@ def test_chain_products_agree_with_the_element_chain(n, seed):
 
 def test_chain_products_on_two_chains(two_chains):
     check_chain(two_chains[0], np.random.default_rng(7))
+
+
+def on_factor(ell, inputs):
+    """The kernels that read a factor's chain-block panels on ``ell``,
+    each output feeding a later one as in the benchmark sweep, and the
+    four ``_chain`` kinds, with and without each column's own slot."""
+    st = ell.struct
+    lv, lv2, xv, zv, sv = inputs
+    z, s = SymSparse(st, zv), SymSparse(st, sv)
+    proj = projected_inverse(CholFactor(ell))
+    completed = maxdet_factor(proj)
+    inv = tri_inverse(ell)
+    out = {
+        "forward_map": forward_map(ell, z).vals,
+        "adjoint_map": adjoint_map(ell, s).vals,
+        "inverse_forward_map": inverse_forward_map(ell, z).vals,
+        "inverse_adjoint_map": inverse_adjoint_map(ell, s).vals,
+        "projected_inverse": proj.vals,
+        "maxdet_factor": completed.L.vals,
+        "dual_gradient": dual_gradient(completed).vals,
+        "own_dual_gradient": dual_gradient(CholFactor(ell)).vals,
+        "tri_inverse": inv.vals,
+        "tri_mul": tri_mul(ell, inv).vals,
+        "tri_mul_other": tri_mul(ell, LowerSparse(st, lv2)).vals,
+    }
+    for kind in ("mul", "mul_t", "solve", "solve_t"):
+        for own in (False, True):
+            out[kind, own] = _chain(st, ell, zv, kind, own)
+    return out
+
+
+def factor_cases():
+    """(structure, kernel inputs) on the branching-1.05 forests and the
+    two chains."""
+    for n, seed in ((300, 1), (600, 2), (1200, 6)):
+        st = random_structure(n, seed=seed, branching=1.05)
+        yield st, kernel_inputs(level_schedule(st), np.random.default_rng(seed))
+    st = forest_structure(TWO_CHAINS)
+    yield st, kernel_inputs(level_schedule(st), np.random.default_rng(4))
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_cholesky_panels_are_the_ones_made_from_its_values(case):
+    """``cholesky`` leaves each chain block's trapezoid and triangle
+    inverse in its factor's cache; every kernel reading them gives what it
+    gives on a copy of the factor's values, whose panels ``_panel`` makes
+    itself from L."""
+    st, inputs = list(factor_cases())[case]
+    ell = cholesky(SymSparse(st, inputs[2])).L
+    fresh = LowerSparse(st, ell.vals.copy())
+    assert set(ell._panels) == set(chain_blocks(st))
+    for b in chain_blocks(st):
+        for mine, made in zip(ell._panels[b], _panel(fresh, b, True)):
+            assert mine.tobytes() == made.tobytes()
+    # an empty cache again, filled by the kernels as they ask
+    fresh = LowerSparse(st, ell.vals.copy())
+    got, want = on_factor(ell, inputs), on_factor(fresh, inputs)
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
+def test_one_sweep_inverts_each_block_twice(monkeypatch):
+    """One sweep of the ten kernels on one factor inverts two matrices per
+    chain block: ``cholesky``'s triangle, whose inverse the other kernels
+    on its factor share, and ``maxdet_factor``'s."""
+    st, inputs = next(factor_cases())
+    calls = []
+    inv = np.linalg.inv
+
+    def counted(a):
+        calls.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    x, z, s = (SymSparse(st, v) for v in inputs[2:])
+    f = cholesky(x)
+    inverse_forward_map(f.L, forward_map(f.L, z))
+    inverse_adjoint_map(f.L, adjoint_map(f.L, s))
+    dual_gradient(maxdet_factor(projected_inverse(f)))
+    tri_mul(f.L, tri_inverse(f.L))
+    assert len(calls) == 2 * len(chain_blocks(st))
+
+
+def test_lower_values_are_read_only(two_chains):
+    """A factor's cached panels cannot go stale: its values refuse
+    writes, also through a LowerSparse made on a writable array."""
+    st, _ = two_chains
+    v = identity(st).vals.copy()
+    for ell in (cholesky(identity(st)).L, LowerSparse(st, v)):
+        with pytest.raises(ValueError):
+            ell.vals[0] = 2.0
+        with pytest.raises(ValueError):
+            ell.vals += 1.0
 
 
 def benchmark_structures():
