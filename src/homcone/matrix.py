@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import functools
 import heapq
+import math
 from typing import Optional
 
 import numpy as np
 
 from .errors import OrderingError, SingularFactor, StructuralError
-from .pattern import (EliminationTree, Ordering, SparsityPattern, edges_and_parents, lbfs_order,
-                      single_child_runs)
+from .pattern import (EliminationTree, Ordering, SparsityPattern, _chain_runs, _columns, _higher,
+                      _positions, _preorder, lbfs_order)
 
 __all__ = [
     "Structure",
@@ -59,12 +60,11 @@ _NOT_TRIVIALLY_PERFECT = ("structure requires a trivially perfect elimination or
                           "run lbfs_order or homogeneous_extension first")
 
 
-def _index(idx: list):
-    """An index list as a slice when it is a run of consecutive ascending
-    integers, so that indexing by it makes a view instead of a copy."""
-    if len(idx) == 1 or idx == list(range(idx[0], idx[0] + len(idx))):
-        return slice(idx[0], idx[0] + len(idx))
-    return np.array(idx, dtype=np.int64)
+def _bounds(x: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of ``x`` starts, then ``len(x)``."""
+    fresh = np.ones(len(x) + 1, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=fresh[1:-1])
+    return np.flatnonzero(fresh)
 
 
 def _topological(batches, ready, after, key, waits) -> list:
@@ -195,103 +195,143 @@ class Structure:
         its lowest-position higher neighbour; ``etree``, if given, must be
         that forest.  Anything else raises OrderingError."""
         n = pattern.n
-        u, w, par = edges_and_parents(pattern, ordering)
-        pos = np.asarray(ordering.sigma_inv, dtype=np.int64)
+        pos = _positions(pattern, ordering)
         sig = np.asarray(ordering.sigma, dtype=np.int64)
-        # depth by pointer jumping: ``up`` is ``depth`` levels above, and
-        # the reach doubles until every ``up`` is a root
-        depth, up = (par != np.arange(n)).astype(np.int64), par
-        while (up[up] != up).any():
-            depth += depth[up]
-            up = up[up]
-        # the pattern is the forest's comparability graph iff it has as many
-        # edges as the chains have slots (checked here, before the O(nnz)
-        # tables are built) and every edge is a chain slot (checked below)
-        if len(u) != depth.sum() or (
+        # trivially perfect iff every position's higher neighbours are its
+        # parent's plus the parent: its ancestors, its column's rows
+        hi, depth, par, bad = _higher(pattern, pos)
+        if bad.any() or (
                 etree is not None and tuple(etree.parent) != tuple(sig[par[pos]].tolist())):
             raise OrderingError(_NOT_TRIVIALLY_PERFECT)
-        bar_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(depth + 1, out=bar_ptr[1:])
+        self.bar_ptr, self.bar_rows = _columns(hi, depth)
+        del hi
         self.pattern = pattern
         self.ordering = ordering
         self.n = n
-        self.nnz = int(bar_ptr[n]) - n
+        self.nnz = int(self.bar_ptr[n]) - n
         self.pos_parent = tuple(par.tolist())
         self.depth = tuple(depth.tolist())
-        self.bar_ptr = bar_ptr
-        # slot t >= 1 of a column holds what slot t-1 of its parent's column
-        # holds, so a column's rows are its own index followed by its
-        # parent's rows; follow those links, doubling their reach, until
-        # every slot points at the diagonal of the column it names
-        col = np.repeat(np.arange(n), depth + 1)
-        link = np.arange(-1, self.dim - 1) + (bar_ptr[par] - bar_ptr[:-1])[col]
-        link[bar_ptr[:-1]] = bar_ptr[:-1]
-        reach, top = 1, int(depth.max())
-        while reach < top:
-            link = link[link]
-            reach *= 2
-        self.bar_rows = col[link]
         self._position = pos
         self._depth = depth
-        try:
-            self._slots(np.array([u, w]), 0)
-        except StructuralError:
-            raise OrderingError(_NOT_TRIVIALLY_PERFECT) from None
-        self._compile(self.pos_parent)
+        self._compile(par)
         self.weights = np.full(self.dim, 2.0)
-        self.weights[bar_ptr[:-1]] = 1.0
+        self.weights[self.bar_ptr[:-1]] = 1.0
         self._row_vertex = sig[self.bar_rows]
-        self._col_vertex = sig[col]
+        self._col_vertex = sig[np.repeat(np.arange(n), depth + 1)]
 
-    def _compile(self, par: list) -> None:
-        """Compile the schedule.  Every index table is O(dim)."""
-        n, ptr, depth = self.n, self.bar_ptr, self.depth
-        kids = [[] for _ in range(n)]
-        roots = []
-        for q, p in enumerate(par):
-            (roots if p == q else kids[p]).append(q)
-        # levels: the roots, then each level's children grouped by parent
-        levels = [roots]
-        while True:
-            nxt = [c for p in levels[-1] for c in kids[p]]
-            if not nxt:
-                break
-            levels.append(nxt)
-        # chain blocks, by the position of their top
-        chains = {run[-1]: run for run in single_child_runs(par)
-                  if len(run) > 1 and sum((depth[q] + 1) ** 2 for q in run) >= BATCH_FLOATS}
-        inside = {q for run in chains.values() for q in run}
-        rest = [[q for q in lv if q not in inside] for lv in levels] if chains else levels
-        # the level-batched columns' slots in level order, where level d is
-        # a (k, d+1) block
-        order = np.array([q for lv in rest for q in lv], dtype=np.int64)
-        width = ptr[order + 1] - ptr[order]
-        flat = np.arange(int(width.sum())) + np.repeat(ptr[order] + width - np.cumsum(width), width)
-        batches, batch_of, index_in = [], [0] * n, [0] * n
-        low, high = [], []  # per batch: node range
-        col_at = ptr.tolist()
-        fat = 0
+    def _compile(self, par: np.ndarray) -> None:
+        """Compile the schedule from the array of parent positions.
+
+        Array passes over all nodes make the level order (depth, then a
+        preorder: children grouped by parent in their parents' order, by
+        ascending position), the chain runs, each node's batch and index in
+        it, its sibling rank, and which index lists are slices.  Python
+        loops run over tree levels only to split each level into batches,
+        which needs its parents' batches, and then over the batches to
+        make them.  Every index table is O(dim)."""
+        n, ptr, depth = self.n, self.bar_ptr, self._depth
+        height = int(depth.max()) + 1
+        pre = _preorder(par, np.arange(n), np.bincount(self.bar_rows, minlength=n),
+                        ptr, self.bar_rows)
+        order = np.argsort(depth * n + pre)
+        # chain blocks, by the position of their top; no run can reach
+        # BATCH_FLOATS when the whole tree does not
+        chains = {}
+        inside, top = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        if int(((depth + 1) ** 2).sum()) >= BATCH_FLOATS:
+            members, bounds = _chain_runs(par)
+            floats = np.add.reduceat(((depth + 1) ** 2)[members], bounds[:-1])
+            for i in np.flatnonzero((np.diff(bounds) > 1) & (floats >= BATCH_FLOATS)).tolist():
+                run = members[bounds[i]:bounds[i + 1]]
+                chains[int(run[-1])] = run
+                inside[run] = top[run[-1]] = True
+        tops = [[] for _ in range(height)]
+        for q in order[top[order]].tolist():
+            tops[depth[q]].append(q)
+        # the level-batched nodes in level order, each level a range of them
+        rest = order[~inside[order]] if chains else order
+        cut = np.zeros(height + 1, dtype=np.int64)
+        np.cumsum(np.bincount(depth[rest], minlength=height), out=cut[1:])
+        cut = cut.tolist()
+        pq = par[rest]
+        # batch ids in order: per level its chain blocks, then its level
+        # batches, runs of nodes under one parent batch capped in size
+        batch_of, index_in = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        new = np.zeros(len(rest) + 1, dtype=bool)  # a level batch starts here
+        new[-1] = True
+        count = 0
+        for d in range(height):
+            for q in tops[d]:
+                run = chains[q]
+                batch_of[run], index_in[run] = count, np.arange(len(run))
+                count += 1
+            a, z = cut[d], cut[d + 1]
+            if a == z:
+                continue
+            starts = new[a:z]
+            starts[0] = True
+            if d:
+                under = batch_of[pq[a:z]]
+                np.not_equal(under[1:], under[:-1], out=starts[1:])
+            cap = max(1, BATCH_FLOATS // (d + 1) ** 2)
+            if z - a > cap:
+                j = np.arange(z - a)
+                starts[:] = (j - np.maximum.accumulate(np.where(starts, j, 0))) % cap == 0
+            ids = np.cumsum(starts)
+            batch_of[rest[a:z]] = ids + (count - 1)
+            count += int(ids[-1])
+        # per level-batched node: its index in its batch, its rank among
+        # its siblings there (children of one parent are consecutive), and
+        # its parent's index in the parent batch
+        j = np.arange(len(rest))
+        bounds = np.flatnonzero(new)
+        first, last = bounds[:-1], bounds[1:]
+        begin = first[np.cumsum(new[:-1]) - 1]
+        index_in[rest] = j - begin
+        sibling = _bounds(pq)[:-1]
+        rank = j - np.maximum(sibling[sibling.searchsorted(j, "right") - 1], begin)
+        up = index_in[pq]
+        # the updates of each batch's children, one sibling rank at a time:
+        # nodes grouped by (batch, rank), and which groups, and which
+        # batches' parent lists, are runs of consecutive indices (slices):
+        # a run of ascending indices is iff it spans its length, others
+        # iff they lie in one run of ``x - j`` constant
+        code = begin * (int(rank.max(initial=0)) + 1) + rank
+        by = np.argsort(code, kind="stable")
+        groups = _bounds(code[by])
+        group, end = groups[:-1], groups[1:]
+        local = by - begin[by]
+        ups = up[by]
+        solid = local[end - 1] - local[group] == end - group - 1
+        steps = _bounds(ups - j)
+        steady = steps.searchsorted(end - 1, "right") == steps.searchsorted(group, "right")
+        steps = _bounds(up - j)
+        in_order = (steps.searchsorted(last - 1, "right") == steps.searchsorted(first, "right")).tolist()
+        groups = groups.searchsorted(bounds).tolist()
+        pairs = [(slice(u, u + z - a) if ok_u else ups[a:z], slice(c, c + z - a) if ok_c else local[a:z])
+                 for a, z, u, c, ok_u, ok_c in zip(group.tolist(), end.tolist(), ups[group].tolist(),
+                                                   local[group].tolist(), steady.tolist(), solid.tolist())]
+        lowest = np.minimum.reduceat(rest, first).tolist()
+        highest = np.maximum.reduceat(rest, first).tolist()
+        batches, low, high = [], [], []  # per batch: node range
 
         def add(b, nodes, parent, up, kids=()):
             """Register batch ``b`` of ``nodes`` under batch ``parent``,
             which takes the updates of ``kids``, (parents, children) pairs
-            as in ``Batch.kids``; the nodes are ``index_in`` their batch
-            in order (a chain block's bottom is its index 0)."""
-            b.id, b.nodes = len(batches), np.array(nodes, dtype=np.int64)
+            as in ``Batch.kids``."""
+            b.id, b.nodes = len(batches), nodes
             b.parent, b.up = parent, up
             b.children, b.kids = [], []
             if parent >= 0:
                 batches[parent].children.append(b.id)
                 batches[parent].kids.extend((b.id, pl, ci) for pl, ci in kids)
-            for j, q in enumerate(nodes):
-                batch_of[q], index_in[q] = b.id, j
-            low.append(min(nodes))
-            high.append(max(nodes))
             batches.append(b)
 
-        for d, lv in enumerate(levels):
-            for run in [chains[q] for q in lv if q in chains]:
-                q = run[-1]
+        bi = 0
+        first, last = first.tolist(), last.tolist()
+        for d in range(height):
+            for q in tops[d]:
+                run = chains[q]
                 k, w = len(run), d + len(run)
                 b = Batch()
                 b.shape, b.slots, b.cols, b.sub, b.diag = (1, w, w), None, None, None, ptr[run]
@@ -301,63 +341,49 @@ class Structure:
                 entry = np.arange(int(size.sum()))
                 rows = entry - np.repeat(start - np.arange(k), size)
                 cols = np.repeat(np.arange(k), size)
-                if run == list(range(run[0], run[0] + k)):
-                    slots = (Ellipsis, slice(col_at[run[0]], col_at[run[0]] + len(entry)))
+                if run[-1] - run[0] == k - 1:
+                    a = int(ptr[run[0]])
+                    slots = (Ellipsis, slice(a, a + len(entry)))
                 else:
                     slots = entry + np.repeat(ptr[run] - start, size)
                 b.chain = (slots, rows * k + cols, rows * w + cols)
-                up = _index([index_in[par[q]]]) if d else None
-                add(b, run, batch_of[par[q]] if d else -1, up, [(up, slice(0, 1))])
+                p = int(par[q])
+                pl = slice(int(index_in[p]), int(index_in[p]) + 1) if d else None
+                add(b, run, int(batch_of[p]) if d else -1, pl, [(pl, slice(0, 1))])
                 b.at = b.nodes
-            lv = rest[d]
-            k = len(lv)
-            # level batches: runs of nodes under one parent batch, capped in size
-            cap = max(1, BATCH_FLOATS // (d + 1) ** 2)
-            if d:
-                under = [batch_of[par[q]] for q in lv]
-                # children of one parent are consecutive, ascending by
-                # position; a child's rank among them orders its update
-                rank = [0] * k
-                for j in range(1, k):
-                    if par[lv[j]] == par[lv[j - 1]]:
-                        rank[j] = rank[j - 1] + 1
-            slots = flat[fat:fat + k * (d + 1)].reshape(k, d + 1)
-            fat += k * (d + 1)
-            lo = 0
-            for i in range(1, k + 1):
-                if i < k and i - lo < cap and (d == 0 or under[i] == under[lo]):
-                    continue
+                low.append(int(run[0]))
+                high.append(int(run[-1]))
+            a0, z0 = cut[d], cut[d + 1]
+            if a0 < z0:
+                # the level's columns' slots, a (k, d+1) block
+                slots = ptr[rest[a0:z0], None] + np.arange(d + 1)
+            while bi < len(first) and first[bi] < z0:
+                a, z = first[bi], last[bi]
                 b = Batch()
-                b.shape, b.chain, b.slots, b.below = (i - lo, d + 1, d + 1), None, slots[lo:i], None
-                if i - lo == 1:
+                b.shape, b.chain, b.slots, b.below = (z - a, d + 1, d + 1), None, slots[a - a0:z - a0], None
+                nodes = rest[a:z]
+                if z - a == 1:
                     # one column: index it by slices, which numpy serves
                     # as views instead of gathers, on one array or a stack
-                    q = lv[lo]
-                    a = col_at[q]
-                    b.cols = (Ellipsis, None, slice(a, a + d + 1))
-                    b.diag = (Ellipsis, slice(a, a + 1))
-                    b.sub = (Ellipsis, None, slice(a + 1, a + d + 1))
+                    q = lowest[bi]
+                    s0 = int(ptr[q])
+                    b.cols = (Ellipsis, None, slice(s0, s0 + d + 1))
+                    b.diag = (Ellipsis, slice(s0, s0 + 1))
+                    b.sub = (Ellipsis, None, slice(s0 + 1, s0 + d + 1))
                     b.at = (Ellipsis, slice(q, q + 1))
                 else:
                     b.cols, b.diag, b.sub = b.slots, b.slots[:, 0], b.slots[:, 1:]
+                    b.at = nodes
                 if d:
-                    up = [index_in[par[q]] for q in lv[lo:i]]
-                    # the children's updates, one sibling rank at a time
-                    rk = rank[lo:i]
-                    if rk[0]:
-                        # the cap split a parent's children: renumber them
-                        p0 = par[lv[lo]]
-                        rk = [r - rk[0] if par[q] == p0 else r for r, q in zip(rk, lv[lo:i])]
-                    ranks = [[] for _ in range(max(rk) + 1)]
-                    for j, r in enumerate(rk):
-                        ranks[r].append(j)
-                    pairs = [(_index([up[j] for j in ci]), _index(ci)) for ci in ranks]
-                    add(b, lv[lo:i], under[lo], _index(up), pairs)
+                    u0 = int(up[a])
+                    add(b, nodes, int(batch_of[pq[a]]),
+                        slice(u0, u0 + z - a) if in_order[bi] else up[a:z],
+                        pairs[groups[bi]:groups[bi + 1]])
                 else:
-                    add(b, lv[lo:i], -1, None)
-                if i - lo > 1:
-                    b.at = b.nodes
-                lo = i
+                    add(b, nodes, -1, None)
+                low.append(lowest[bi])
+                high.append(highest[bi])
+                bi += 1
         # sweep orders: children's batches before their parents' (up) and
         # parents' before children's (down), each taking among the ready
         # batches the one with the lowest (up) or highest (down) position,
@@ -383,21 +409,22 @@ class Structure:
             b.children, b.kids = tuple(b.children), tuple(b.kids)
         self.batches = tuple(batches)
         self.up_order, self.down_order = tuple(up), tuple(down)
-        floats = [int(np.prod(b.shape)) for b in batches]
+        floats = [math.prod(b.shape) for b in batches]
         self.stack_rows = max(1, BATCH_FLOATS // max(floats))
         self.sweep_floats = sum(floats)
-        self.height = len(levels)
-        self._chain_steps = self._chain_tables(levels, [b for b in batches if b.chain])
+        self.height = height
+        self._chain_steps = self._chain_tables(order, [b for b in batches if b.chain])
 
-    def _chain_tables(self, levels: list, blocks: list) -> tuple:
+    def _chain_tables(self, order: np.ndarray, blocks: list) -> tuple:
         """``_chain_steps``, and each chain block's ``below``: the slots
         holding its bottom c_0 in columns other than c_0's own."""
         ptr, rows, depth = self.bar_ptr, self.bar_rows, self.depth
-        order = np.array([q for lv in levels for q in lv], dtype=np.int64)
         ends = ptr[order[::-1] + 1]
         # how many columns have depth >= a, a prefix of ``ends``
-        at_least = np.cumsum([0] + [len(lv) for lv in reversed(levels)])[::-1].tolist()
-        steps = [[ends[:at_least[a]], at_least[a + 1], []] for a in range(len(levels))]
+        at_least = np.full(self.height + 1, self.n)
+        at_least[1:] -= np.cumsum(np.bincount(self._depth))
+        at_least = at_least.tolist()
+        steps = [[ends[:at_least[a]], at_least[a + 1], []] for a in range(self.height)]
         if blocks:
             inside = np.zeros(self.n, dtype=bool)
             bottom = np.full(self.n, -1)
@@ -570,11 +597,17 @@ class LowerSparse(_Values):
 
     ``vals`` is a read-only view, so writing into it raises: the object
     caches each chain block's panel (:func:`_panel`), which a write would
-    leave stale.  The cache lives and dies with the object."""
+    leave stale.  The cache lives and dies with the object.  ``_data`` is
+    the array that view looks at, for :func:`_chain`'s windows alone: a
+    window on a read-only array costs numpy a refused request for a
+    writable buffer first."""
+
+    __slots__ = ("_data", "_panels")
 
     def __init__(self, struct: Structure, vals: np.ndarray):
-        super().__init__(struct, vals)
-        self.vals = self.vals.view()
+        _Values.__init__(self, struct, vals)
+        self._data = data = self.vals
+        self.vals = data[...]
         self.vals.setflags(write=False)
         self._panels = {}
 
@@ -777,7 +810,7 @@ def _chain(s: Structure, L, x: np.ndarray, kind: str, own: bool = False) -> np.n
         at = (ends if own else ends[:below]) - (a + 1)
         if not len(at):
             continue
-        col = _runs(L.vals, a + 1)[s.bar_ptr[s.bar_rows[at]]]
+        col = _runs(L._data, a + 1)[s.bar_ptr[s.bar_rows[at]]]
         runs = _runs(y, a + 1)
         ix = at if member is None else (member, at)
         # the columns' last a+1 slots; steps so far wrote only slots deeper

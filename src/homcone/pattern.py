@@ -24,7 +24,7 @@ import functools
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -87,7 +87,7 @@ class SparsityPattern:
         symmetric, and loop-free."""
         self = cls.__new__(cls)
         self.n = n
-        self.adjacency = tuple(tuple(a) for a in adjacency)
+        self.adjacency = tuple(map(tuple, adjacency))
         self._edges = None
         return self
 
@@ -162,15 +162,22 @@ class EliminationTree:
 
     @classmethod
     def from_parent(cls, parent: Sequence[int]) -> "EliminationTree":
-        """Children ascend by index; only a parent gets a tuple, sparing
-        the garbage collector."""
+        """Children ascend by index, grouped by one sort of (parent, child)
+        pairs; only a parent gets a tuple, sparing the garbage collector."""
         parent = tuple(parent)
-        children = [()] * len(parent)
-        kids = sorted((v for v, p in enumerate(parent) if p != v), key=parent.__getitem__)
-        for p, group in itertools.groupby(kids, key=parent.__getitem__):
-            children[p] = tuple(group)
-        roots = tuple(v for v, p in enumerate(parent) if p == v)
-        return cls(parent, tuple(children), roots)
+        n = len(parent)
+        par = np.array(parent, dtype=np.int64)
+        up = par != np.arange(n)
+        code = np.flatnonzero(up)
+        code += par[code] * n
+        code.sort()
+        count = np.bincount(code // n, minlength=n)
+        has = np.flatnonzero(count)
+        end = np.cumsum(count[has])
+        children, kids = [()] * n, (code % n).tolist()
+        for p, a, b in zip(has.tolist(), (end - count[has]).tolist(), end.tolist()):
+            children[p] = tuple(kids[a:b])
+        return cls(parent, tuple(children), tuple(np.flatnonzero(~up).tolist()))
 
     @property
     def n(self) -> int:
@@ -262,17 +269,109 @@ class LbfsReject:
         return v, p, y, min(set(adj[y]).difference(near_p, (p,)))
 
 
+def _positions(pattern: SparsityPattern, ordering: Ordering) -> np.ndarray:
+    """The position of each vertex, as an array; raises OrderingError
+    when the ordering is on another number of vertices."""
+    if ordering.n != pattern.n:
+        raise OrderingError(f"ordering on {ordering.n} vertices, pattern has {pattern.n}")
+    return np.asarray(ordering.sigma_inv, dtype=np.int64)
+
+
+def _higher(pattern: SparsityPattern, key: np.ndarray, deg: Optional[np.ndarray] = None):
+    """Higher neighbourhoods under ``key``, a permutation of 0..n-1 (a
+    rank or a position per vertex), with the check of the module
+    docstring run on every key at once.
+
+    Returns ``(hi, count, parent, bad)`` indexed by key: every edge once,
+    as its ends' keys lo < hi, sorted by (lo, hi) with one sort, so that
+    ``hi`` lists each key's higher neighbours as one ascending run; how
+    many each key has; its lowest higher neighbour (itself when it has
+    none); and whether its run after that parent p differs from p's run.
+    ``deg`` is the vertices' degrees, if the caller has them.
+    O(|V| + |E| log |E|).
+    """
+    n = pattern.n
+    adj = pattern.adjacency
+    if deg is None:
+        deg = np.fromiter(map(len, adj), np.int64, n)
+    a = key.repeat(deg)
+    b = key[np.fromiter(itertools.chain.from_iterable(adj), np.int64, len(a))]
+    keep = a < b
+    code = a[keep] * n + b[keep]
+    del a, b, keep
+    code.sort()
+    lo = code // n
+    hi = code - lo * n
+    del code
+    count = np.bincount(lo, minlength=n)
+    start = np.cumsum(count) - count
+    has = count > 0
+    parent = np.arange(n)
+    parent[has] = hi[start[has]]
+    # entry t >= 1 of a run against entry t-1 of its parent's run, where
+    # the runs have matching lengths
+    bad = has & (count - 1 != count[parent])
+    t = np.arange(len(hi)) - start[lo]
+    e = np.flatnonzero((t > 0) & ~bad[lo])
+    p = parent[lo[e]]
+    bad[lo[e[hi[e] != hi[start[p] + t[e] - 1]]]] = True
+    return hi, count, parent, bad
+
+
+def _columns(hi: np.ndarray, count: np.ndarray):
+    """Each key followed by its higher neighbours, the ``count`` entries of
+    its run of ``hi``, as ``rows[ptr[k]:ptr[k+1]]``: after a trivially
+    perfect check, each key and its ancestors."""
+    n = len(count)
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(count + 1, out=ptr[1:])
+    rows = np.repeat(np.arange(n), count + 1)
+    above = np.ones(len(rows), dtype=bool)
+    above[ptr[:-1]] = False
+    rows[above] = hi
+    return ptr, rows
+
+
+def _preorder(parent: np.ndarray, key: np.ndarray, size: np.ndarray,
+              ptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Preorder index of each vertex of the forest ``parent`` (``parent[v]
+    == v`` at a root), visiting the roots and each vertex's children by
+    ascending ``key`` (a permutation), given the subtree sizes and each
+    vertex followed by its ancestors as ``rows[ptr[v]:ptr[v+1]]``.  A
+    vertex comes after each of those and after the subtrees of their
+    siblings of lower key: one sort of the siblings, their sizes' prefix
+    sums, and one sum over every vertex's ancestors."""
+    n = len(parent)
+    group = np.where(parent == np.arange(n), n, parent)
+    sib = np.argsort(group * n + key)
+    sizes = size[sib]
+    before = np.cumsum(sizes) - sizes
+    first = np.ones(n, dtype=bool)
+    first[1:] = group[sib[1:]] != group[sib[:-1]]
+    earlier = np.empty(n, dtype=np.int64)
+    earlier[sib] = before - np.maximum.accumulate(np.where(first, before, 0))
+    return np.add.reduceat(earlier[rows] + 1, ptr[:-1]) - 1
+
+
+#: :func:`lbfs_order` walks patterns of fewer vertices one vertex at a
+#: time: its array passes make some forty numpy calls whatever the size,
+#: which cost more than the walk below about 100 vertices (about 90 us
+#: against 17 us on 7 vertices, measured on a 2-core VM).
+_WALK_BELOW = 100
+
+
 def lbfs_order(pattern: SparsityPattern):
     """Recognize a homogeneous chordal pattern: its trivially perfect
     elimination ordering and elimination forest, or a :class:`LbfsReject`.
 
-    Key each vertex by (degree, index).  In a trivially perfect graph the
-    closed neighborhoods of adjacent vertices are nested, so the key order
-    is a trivially perfect elimination ordering (Yan, Chen & Chang, 1996):
-    v's parent p is its lowest-key higher neighbor and adj+(v) = {p} |
-    adj+(p).  The pattern is accepted iff that holds at every non-root;
-    the check runs parents first and stops at the first failing vertex,
-    through which the rejection names an induced P4 or C4.
+    Key each vertex by its rank in (degree, index) order.  In a trivially
+    perfect graph the closed neighborhoods of adjacent vertices are
+    nested, so the key order is a trivially perfect elimination ordering
+    (Yan, Chen & Chang, 1996): v's parent p is its lowest-key higher
+    neighbor and adj+(v) = {p} | adj+(p).  The pattern is accepted iff
+    that holds at every non-root; a rejection's pivot is the failing
+    vertex of highest rank, the first a walk from the roots down meets,
+    through which it names an induced P4 or C4.
 
     sigma is the forest's postorder, roots and children ascending by key
     (a subtree's size is 1 plus the number of lower-key neighbors).  That
@@ -281,11 +380,47 @@ def lbfs_order(pattern: SparsityPattern):
     subtree's root, and splits its unnumbered neighbors, the rest of the
     subtree, off as the next part: it walks the forest depth first by
     descending key, each vertex's last adjacent pivot being its parent.
-    Runs in O(|V| + |E| log deg).
+
+    Patterns of ``_WALK_BELOW`` vertices or more are checked all at once
+    by array passes over the edges (:func:`_lbfs_arrays`), O(|V| + |E|
+    log |E|) for their one sort; smaller ones vertex by vertex, from the
+    top rank down (:func:`_lbfs_walk`), O(|V| + |E| log deg).  Both give
+    the same result.
     """
+    return (_lbfs_walk if pattern.n < _WALK_BELOW else _lbfs_arrays)(pattern)
+
+
+def _lbfs_arrays(pattern: SparsityPattern):
+    """:func:`lbfs_order` by array passes: :func:`_higher` checks every
+    vertex on the edges sorted by their ends' ranks, and a vertex's
+    position is n - 1 less its index in the preorder that visits children
+    by descending rank (:func:`_preorder`)."""
+    n = pattern.n
+    deg = np.fromiter(map(len, pattern.adjacency), np.int64, n)
+    order = np.argsort(deg, kind="stable")  # ties by index
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    hi, count, parent, bad = _higher(pattern, rank, deg)
+    if bad.any():
+        return LbfsReject(pivot=int(order[np.flatnonzero(bad)[-1]]), pattern=pattern)
+    at = n - 1 - _preorder(parent, n - 1 - np.arange(n), deg[order] - count + 1,
+                           *_columns(hi, count))
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = at
+    sigma = np.empty(n, dtype=np.int64)
+    sigma[at] = order
+    return LbfsAccept(ordering=Ordering(tuple(sigma.tolist()), tuple(pos.tolist())),
+                      etree=EliminationTree.from_parent(order[parent[rank]].tolist()))
+
+
+def _lbfs_walk(pattern: SparsityPattern):
+    """:func:`lbfs_order` one vertex at a time, from the top rank down:
+    each vertex's sorted higher-neighbour ranks against its parent's,
+    stopping at the first mismatch.  Positions are handed out top down,
+    each subtree directly below its root, siblings by descending rank."""
     n = pattern.n
     adj = pattern.adjacency
-    order = sorted(range(n), key=[len(a) for a in adj].__getitem__)  # stable: ties by index
+    order = sorted(range(n), key=list(map(len, adj)).__getitem__)  # stable: ties by index
     rank = [0] * n
     for r, v in enumerate(order):
         rank[v] = r
@@ -326,43 +461,19 @@ def verify_ordering(pattern: SparsityPattern, ordering: Ordering) -> OrderingCla
     is a subset of adj+(p(u)) for every non-root u, which makes every
     higher neighborhood a clique; trivially perfect additionally requires
     adj+(u) = {p(u)} | adj+(p(u)), which makes inverse Cholesky factors
-    fill-free: the check of :func:`lbfs_order`, keyed by position.
+    fill-free: the check of :func:`lbfs_order`, keyed by position
+    (:func:`_higher`).  The subset test runs only where that check fails.
     """
-    if ordering.n != pattern.n:
-        raise OrderingError(
-            f"ordering on {ordering.n} vertices, pattern has {pattern.n}")
-    pos = ordering.sigma_inv
-    up = [None] * pattern.n  # positions of the higher neighbors, ascending
-    above = {}  # set of up[p] for each parent p whose list did not match
-    found = OrderingClass.TRIVIALLY_PERFECT_PEO
-    for q in range(pattern.n - 1, -1, -1):
-        positions = sorted(map(pos.__getitem__, pattern.adjacency[ordering.sigma[q]]))
-        hv = up[q] = positions[bisect.bisect(positions, q):]
-        if hv and hv[1:] != up[hv[0]]:
-            p = hv[0]
-            if p not in above:
-                above[p] = set(up[p])
-            if not above[p].issuperset(hv[1:]):
-                return OrderingClass.NOT_PEO
-            found = OrderingClass.PEO
-    return found
-
-
-def edges_and_parents(pattern: SparsityPattern, ordering: Ordering):
-    """Every edge once, as vertex arrays (u, w) with u < w, and the parent
-    of each position: the position of its lowest-position higher
-    neighbour, or itself at a root."""
     n = pattern.n
-    if ordering.n != n:
-        raise OrderingError(f"ordering on {ordering.n} vertices, pattern has {n}")
-    pos = np.asarray(ordering.sigma_inv, dtype=np.int64)
-    deg = np.fromiter(map(len, pattern.adjacency), np.int64, n)
-    u = np.repeat(np.arange(n), deg)
-    w = np.fromiter(itertools.chain.from_iterable(pattern.adjacency), np.int64, len(u))
-    u, w = u[u < w], w[u < w]
-    par = np.full(n, n)
-    np.minimum.at(par, np.minimum(pos[u], pos[w]), np.maximum(pos[u], pos[w]))
-    return u, w, np.where(par == n, np.arange(n), par)
+    hi, count, parent, bad = _higher(pattern, _positions(pattern, ordering))
+    if not bad.any():
+        return OrderingClass.TRIVIALLY_PERFECT_PEO
+    lo = np.repeat(np.arange(n), count)
+    code = lo * n + hi
+    e = np.flatnonzero(bad[lo] & (hi != parent[lo]))
+    want = parent[lo[e]] * n + hi[e]
+    found = code[np.minimum(np.searchsorted(code, want), len(code) - 1)] == want
+    return OrderingClass.PEO if found.all() else OrderingClass.NOT_PEO
 
 
 def build_etree(pattern: SparsityPattern, ordering: Ordering,
@@ -374,9 +485,10 @@ def build_etree(pattern: SparsityPattern, ordering: Ordering,
     """
     if check and verify_ordering(pattern, ordering) is OrderingClass.NOT_PEO:
         raise OrderingError("ordering is not a perfect elimination ordering")
-    par = edges_and_parents(pattern, ordering)[2]
+    pos = _positions(pattern, ordering)
+    par = _higher(pattern, pos)[2]
     sig = np.asarray(ordering.sigma, dtype=np.int64)
-    return EliminationTree.from_parent(sig[par[list(ordering.sigma_inv)]].tolist())
+    return EliminationTree.from_parent(sig[par[pos]].tolist())
 
 
 def is_postordering(etree: EliminationTree, ordering: Ordering) -> bool:
@@ -392,25 +504,39 @@ def is_postordering(etree: EliminationTree, ordering: Ordering) -> bool:
     return all(low[v] == pos[v] - size[v] + 1 for v in range(etree.n))
 
 
+def _chain_runs(parent: np.ndarray):
+    """:func:`single_child_runs` as arrays: every vertex, run by run, and
+    where each run starts, with the total at the end.  A vertex with one
+    child continues that child's run; pointer jumping down those links
+    finds each vertex's representative and its height above it, in
+    O(|V| log L) for runs of at most L vertices, and one sort lays the
+    runs out."""
+    n = len(parent)
+    up = parent != np.arange(n)
+    children = np.bincount(parent[up], minlength=n)
+    only = np.flatnonzero(up)
+    only = only[children[parent[only]] == 1]
+    rep = np.arange(n)
+    rep[parent[only]] = only
+    steps = (rep != np.arange(n)).astype(np.int64)
+    while (rep[rep] != rep).any():
+        steps += steps[rep]
+        rep = rep[rep]
+    runs = np.flatnonzero(children != 1)
+    start = np.zeros(len(runs) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rep, minlength=n)[runs], out=start[1:])
+    return np.argsort(rep * n + steps), start
+
+
 def single_child_runs(parent: Sequence[int]) -> list:
     """The fundamental supernodes of the forest ``parent`` (``parent[v] ==
     v`` at a root): one run per representative, a leaf or a vertex with
     several children, holding it and then its ancestors up to (excluding)
     the next representative, bottom up.  Runs come in ascending order of
     their representatives."""
-    parent = np.asarray(parent, dtype=np.int64)
-    up = parent != np.arange(len(parent))
-    children = np.bincount(parent[up], minlength=len(parent))
-    # a run goes on from v to its parent when v is that parent's only child
-    goes = up & (children[parent] == 1)
-    reps = np.flatnonzero(children != 1)
-    runs = [[v] for v in reps.tolist()]
-    par, on = parent.tolist(), goes.tolist()
-    for i in np.flatnonzero(goes[reps]).tolist():
-        run = runs[i]
-        while on[run[-1]]:
-            run.append(par[run[-1]])
-    return runs
+    members, start = _chain_runs(np.asarray(parent, dtype=np.int64))
+    flat, start = members.tolist(), start.tolist()
+    return [flat[a:b] for a, b in zip(start[:-1], start[1:])]
 
 
 def supernode_partition(pattern: SparsityPattern, ordering: Ordering,

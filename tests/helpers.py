@@ -7,6 +7,10 @@ zero-fill extension stays positive definite so the dense completion oracle
 can start.
 """
 
+import hashlib
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,6 +28,8 @@ from homcone.matrix import (
     to_dense,
 )
 from homcone.pattern import Ordering, SparsityPattern, random_homogeneous_pattern
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def random_structure(n, seed, branching=3.0):
@@ -52,6 +58,51 @@ def level_schedule(st):
         ref = Structure(st.pattern, st.ordering)
     assert not any(b.chain is not None for b in ref.batches)
     return ref
+
+
+def benchmark_structures():
+    """(workload, structure) for every structure the benchmark sweeps:
+    each workload's conic instances and its sweep patterns."""
+    sys.path.insert(0, str(ROOT))
+    try:
+        from perfbench.workloads import WORKLOADS, make_inputs, set_up
+    finally:
+        sys.path.remove(str(ROOT))
+    for w in WORKLOADS.values():
+        problems, structs = set_up(make_inputs(w, ROOT), lambda: None)
+        yield from ((w.name, p.struct) for p in problems)
+        yield from ((w.name, st) for st in structs)
+
+
+def _canonical(x):
+    """A nested value as plain text: arrays by dtype, shape and a hash of
+    their bytes, slices and arrays told apart."""
+    if isinstance(x, np.ndarray):
+        data = hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()
+        return f"array({x.dtype.str},{x.shape},{data})"
+    if isinstance(x, slice):
+        return f"slice({x.start},{x.stop},{x.step})"
+    if isinstance(x, (tuple, list)):
+        return type(x).__name__ + "(" + ",".join(map(_canonical, x)) + ")"
+    if x is Ellipsis or x is None or isinstance(x, (bool, str)):
+        return repr(x)
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    raise TypeError(f"no canonical form for {type(x).__name__}")
+
+
+def structure_digest(st):
+    """SHA-256 of every table a Structure compiles: the column layout, the
+    schedule (each batch's indices, slices kept apart from arrays), both
+    sweep orders, the ancestor-chain steps and the stack sizes."""
+    batch = [(b.id, b.nodes, b.shape, b.chain, b.slots, b.below, b.cols, b.diag, b.sub, b.at,
+              b.parent, b.up, b.children, b.kids, b.last, b.lowest, b.highest)
+             for b in st.batches]
+    steps = [(ends, below, [b.id for b in blocks]) for ends, below, blocks in st._chain_steps]
+    tables = (st.n, st.nnz, st.height, st.bar_ptr, st.bar_rows, st.weights, st.depth,
+              st.pos_parent, [b.id for b in st.up_order], [b.id for b in st.down_order],
+              batch, steps, st.stack_rows, st.sweep_floats)
+    return hashlib.sha256(_canonical(tables).encode()).hexdigest()
 
 
 def random_lower(struct, rng, diag_lo=0.6, diag_hi=1.6, off_scale=0.3):

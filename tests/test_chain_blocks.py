@@ -3,9 +3,6 @@ the level schedule compiled without them, the failing node and value
 inside a block, stacked blocks member by member, and the panels a
 factor caches."""
 
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -24,9 +21,8 @@ from homcone.factor import (
 from homcone.matrix import (LowerSparse, SymSparse, _chain, _panel, identity, tri_inverse,
                             tri_mul)
 
-from helpers import check_chain, forest_structure, level_schedule, random_structure
-
-ROOT = Path(__file__).resolve().parents[1]
+from helpers import (benchmark_structures, check_chain, forest_structure, level_schedule,
+                     random_structure)
 
 
 def chain_blocks(st):
@@ -185,20 +181,6 @@ def test_lower_values_are_read_only(two_chains):
             ell.vals[0] = 2.0
         with pytest.raises(ValueError):
             ell.vals += 1.0
-
-
-def benchmark_structures():
-    """(workload, structure) for every structure the benchmark sweeps:
-    each workload's conic instances and its sweep patterns."""
-    sys.path.insert(0, str(ROOT))
-    try:
-        from perfbench.workloads import WORKLOADS, make_inputs, set_up
-    finally:
-        sys.path.remove(str(ROOT))
-    for w in WORKLOADS.values():
-        problems, structs = set_up(make_inputs(w, ROOT), lambda: None)
-        yield from ((w.name, p.struct) for p in problems)
-        yield from ((w.name, st) for st in structs)
 
 
 def test_benchmark_structures_without_chain_blocks_are_bitwise():

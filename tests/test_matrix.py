@@ -23,10 +23,12 @@ from homcone.pattern import (
     SparsityPattern,
     build_etree,
     lbfs_order,
+    random_homogeneous_pattern,
     verify_ordering,
 )
 
-from helpers import check_chain, random_lower, random_structure, random_sym
+from helpers import (benchmark_structures, check_chain, random_lower, random_structure, random_sym,
+                     structure_digest)
 
 
 def vinberg_lower(struct, l11, l22, l31, l32, l33):
@@ -350,3 +352,69 @@ def test_chain_windows_are_the_element_chain(name, rng):
     st = CHAIN_STRUCTURES[name]()
     assert any(b.chain is not None for b in st.batches) == (name in ("300-deep", "branching 1.05"))
     check_chain(st, rng)
+
+
+def _topological_forest(n, seed):
+    """A random forest comparability pattern in a random ordering that puts
+    every vertex below its ancestors but is no postordering: siblings'
+    subtrees interleave."""
+    gen = random_homogeneous_pattern(n, seed, branching=3.0)
+    depth = np.zeros(n, dtype=int)
+    for v in range(n - 1, -1, -1):
+        p = gen.etree.parent[v]
+        depth[v] = 0 if p == v else depth[p] + 1
+    order = np.lexsort((np.random.default_rng(seed).random(n), -depth))
+    return Structure(gen.pattern, Ordering.from_sigma(order.tolist()))
+
+
+def _capped_levels():
+    """A 30-vertex path over 3 children of 50 leaves each: the 150 leaves,
+    at depth 31, split into level batches of at most 32, some of them
+    between two siblings."""
+    parent = list(range(1, 30)) + [29]
+    for c in range(3):
+        kid = len(parent)
+        parent.append(0)
+        parent.extend([kid] * 50)
+    edges = set()
+    for v in range(len(parent)):
+        a = v
+        while parent[a] != a:
+            a = parent[a]
+            edges.add((v, a))
+    return Structure.from_pattern(SparsityPattern(len(parent), sorted(edges)))
+
+
+DIGEST_STRUCTURES = {
+    "branching 4": lambda: random_structure(200, seed=72, branching=4.0),
+    "branching 1.05": lambda: random_structure(300, seed=71, branching=1.05),
+    "topological": lambda: _topological_forest(400, seed=73),
+    "capped levels": _capped_levels,
+    "300-deep": CHAIN_STRUCTURES["300-deep"],
+}
+
+# Digests of every Structure table (helpers.structure_digest), recorded
+# with the per-vertex compile the array passes replaced.
+STRUCTURE_DIGESTS = {
+    "solve-mixed n=16": "0dcaaa28b8a9d48c542b3605a87b8a103fd3bff43034e6c4c80375473b695aac",
+    "solve-mixed n=24": "bc4c6983685bda1434eb28fd76c5827801a2d1dc7bb1a0fb0240ea6e4420ea98",
+    "solve-mixed n=48": "bffbdc337fac38808c1c20938472d1ed87fea0984a459c7942757b77a84b245b",
+    "kernels-wide n=16": "263179d3db35400d336e84980c630e9239aa9337805a8ed22ac506d4060579f6",
+    "kernels-wide n=16000": "7c28baed13fe9ec473a7a9b2768c7f88df59f15915377522e946b0d88a7453dd",
+    "kernels-deep n=12": "ac5a316837ff58589bed55533c3754cb80ceb0485557e470076c71fd15e4af55",
+    "kernels-deep n=1200": "a20838470151aa28e4525ecd7bc92d279234f341e2c2e146c8f1a48b1f4245f9",
+    "branching 4": "b4749e2eb31a7df9eefeb28fa42ba39d1f9e33da9cafc6fd9dea5067d6193538",
+    "branching 1.05": "6f876852d6681493090c8c7998b29c25a21eeab1bb13cad3a62df2a3fd4f9fb1",
+    "topological": "2541282c80dffa4b3563cbb38c4fe4a309eafab2dba92d3c3adcaa591b18a277",
+    "capped levels": "a94dedd27244b1d07308e1c41846b74d07f25c9c65be93560aab4b4f02176ae0",
+    "300-deep": "ff040c5028768e1e99032c04fd8d118f92692c14a17154dfbdbdc60c977fe54e",
+}
+
+
+def test_structure_tables_are_pinned():
+    """Every table of the benchmark's 7 structures and of a few random
+    ones, including which indices are slices, is what it was."""
+    got = {f"{w} n={st.n}": structure_digest(st) for w, st in benchmark_structures()}
+    got.update((name, structure_digest(make())) for name, make in DIGEST_STRUCTURES.items())
+    assert len(got) == 12
+    assert got == STRUCTURE_DIGESTS

@@ -18,13 +18,16 @@ from homcone.pattern import (
     is_postordering,
     lbfs_order,
     random_homogeneous_pattern,
+    single_child_runs,
     supernode_partition,
     verify_ordering,
+    _lbfs_arrays,
+    _lbfs_walk,
     _minimum_degree,
 )
 
 from conftest import PAPER12_PARENT, PAPER12_SIGMA
-from helpers import is_induced_witness, scan_minimum_degree
+from helpers import benchmark_structures, is_induced_witness, scan_minimum_degree
 
 
 def test_pattern_validation():
@@ -396,3 +399,118 @@ def test_verify_ordering_matches_brute_force(rng):
         assert got is _brute_force_class(p, ordering), (p.adjacency, sigma)
         seen.add(got)
     assert seen == set(OrderingClass)
+
+
+def _same_recognition(p):
+    """The array passes give exactly what the vertex-by-vertex walk
+    gives, whichever way lbfs_order takes: the verdict, the ordering and
+    tree (each parent's children ascending, the roots), or the
+    rejection's pivot and witness."""
+    want, *others = results = [_lbfs_walk(p), lbfs_order(p), _lbfs_arrays(p)]
+    for got in others:
+        assert got.accepted == want.accepted
+        if want.accepted:
+            assert got.ordering.sigma == want.ordering.sigma
+            assert got.ordering.sigma_inv == want.ordering.sigma_inv
+            assert got.etree.parent == want.etree.parent
+            assert all(type(v) is int for v in got.ordering.sigma + got.etree.parent)
+        else:
+            assert type(got.pivot) is int
+            assert got.pivot == want.pivot and got.witness == want.witness
+    if want.accepted:
+        parent = want.etree.parent
+        kids = [[] for _ in parent]
+        for v, u in enumerate(parent):
+            if u != v:
+                kids[u].append(v)
+        for res in results:
+            assert res.etree.children == tuple(map(tuple, kids))
+            assert res.etree.roots == tuple(v for v, u in enumerate(parent) if u == v)
+    return want.accepted
+
+
+def test_recognition_by_arrays_is_the_walk_on_every_small_graph():
+    """Every graph on up to 6 vertices, accepted or not."""
+    verdicts = set()
+    for n in range(1, 7):
+        pairs = list(itertools.combinations(range(n), 2))
+        for code in range(1 << len(pairs)):
+            p = SparsityPattern(n, [e for k, e in enumerate(pairs) if code >> k & 1])
+            verdicts.add(_same_recognition(p))
+    assert verdicts == {True, False}
+
+
+def test_recognition_by_arrays_is_the_walk_on_random_forests(rng):
+    """Relabelled random forests up to 2000 vertices, half of them with
+    one vertex pair's adjacency flipped."""
+    verdicts = []
+    for trial in range(40):
+        n = int(rng.integers(2, 2001))
+        verdicts.append(_same_recognition(_relabelled_forest(n, trial, rng, flip=trial % 2)))
+    assert 15 < sum(verdicts) < 40
+
+
+def test_recognition_by_arrays_is_the_walk_on_the_benchmark_patterns():
+    names = [(w, _same_recognition(st.pattern)) for w, st in benchmark_structures()]
+    assert len(names) == 7 and all(ok for _, ok in names)
+
+
+def _chordal_orderings(n, rng):
+    """A random tree's own edges (a chordal graph, trivially perfect only
+    when it is a star forest) in an ordering that eliminates leaves
+    first, with a few swaps: PEO, NotPEO and trivially perfect ones."""
+    parent = [int(rng.integers(v + 1, n)) if v < n - 1 and rng.random() < 0.9 else v
+              for v in range(n)]
+    p = SparsityPattern(n, [(v, parent[v]) for v in range(n) if parent[v] != v])
+    sigma = list(range(n))
+    for _ in range(int(rng.integers(0, 3))):
+        i, j = rng.integers(0, n, size=2)
+        sigma[i], sigma[j] = sigma[j], sigma[i]
+    return p, Ordering.from_sigma(sigma)
+
+
+def test_verify_ordering_matches_brute_force_on_larger_graphs(rng):
+    """Up to 200 vertices: forest patterns, flipped or not, under their
+    recognition orderings with a few swaps and under random ones, and
+    trees' own edges under leaves-first orderings."""
+    seen = set()
+    for trial in range(150):
+        n = int(rng.integers(2, 201))
+        if trial % 3 == 2:
+            p, ordering = _chordal_orderings(n, rng)
+        else:
+            p = _relabelled_forest(n, trial, rng, flip=trial % 2 == 1)
+            res = lbfs_order(p)
+            sigma = list(res.ordering.sigma) if res.accepted and trial % 4 else \
+                rng.permutation(n).tolist()
+            for _ in range(int(rng.integers(0, 3))):
+                i, j = rng.integers(0, n, size=2)
+                sigma[i], sigma[j] = sigma[j], sigma[i]
+            ordering = Ordering.from_sigma(sigma)
+        got = verify_ordering(p, ordering)
+        assert got is _brute_force_class(p, ordering), (trial, n)
+        seen.add(got)
+    assert seen == set(OrderingClass)
+
+
+def test_single_child_runs_match_a_walk(rng):
+    """The runs found by pointer jumping are those of walking up from each
+    representative, on random forests in random labellings."""
+    for trial in range(60):
+        n = int(rng.integers(1, 300))
+        gen = random_homogeneous_pattern(n, trial, branching=float(rng.uniform(1.0, 4.0)))
+        label = rng.permutation(n)
+        parent = [0] * n
+        for v, p in enumerate(gen.etree.parent):
+            parent[label[v]] = int(label[p])
+        kids = [0] * n
+        for v, p in enumerate(parent):
+            kids[p] += p != v
+        want = []
+        for r in range(n):
+            if kids[r] != 1:
+                run = [r]
+                while parent[run[-1]] != run[-1] and kids[parent[run[-1]]] == 1:
+                    run.append(parent[run[-1]])
+                want.append(run)
+        assert single_child_runs(parent) == want
