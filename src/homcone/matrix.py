@@ -64,7 +64,7 @@ def _bounds(x: np.ndarray) -> np.ndarray:
     """Where each run of equal entries of ``x`` starts, then ``len(x)``."""
     fresh = np.ones(len(x) + 1, dtype=bool)
     np.not_equal(x[1:], x[:-1], out=fresh[1:-1])
-    return np.flatnonzero(fresh)
+    return fresh.nonzero()[0]
 
 
 def _topological(batches, ready, after, key, waits) -> list:
@@ -217,7 +217,7 @@ class Structure:
         self.weights = np.full(self.dim, 2.0)
         self.weights[self.bar_ptr[:-1]] = 1.0
         self._row_vertex = sig[self.bar_rows]
-        self._col_vertex = sig[np.repeat(np.arange(n), depth + 1)]
+        self._col_vertex = sig[np.arange(n).repeat(depth + 1)]
 
     def _compile(self, par: np.ndarray) -> None:
         """Compile the schedule from the array of parent positions.
@@ -233,7 +233,7 @@ class Structure:
         height = int(depth.max()) + 1
         pre = _preorder(par, np.arange(n), np.bincount(self.bar_rows, minlength=n),
                         ptr, self.bar_rows)
-        order = np.argsort(depth * n + pre)
+        order = (depth * n + pre).argsort()
         # chain blocks, by the position of their top; no run can reach
         # BATCH_FLOATS when the whole tree does not
         chains = {}
@@ -251,7 +251,7 @@ class Structure:
         # the level-batched nodes in level order, each level a range of them
         rest = order[~inside[order]] if chains else order
         cut = np.zeros(height + 1, dtype=np.int64)
-        np.cumsum(np.bincount(depth[rest], minlength=height), out=cut[1:])
+        np.bincount(depth[rest], minlength=height).cumsum(out=cut[1:])
         cut = cut.tolist()
         pq = par[rest]
         # batch ids in order: per level its chain blocks, then its level
@@ -277,16 +277,16 @@ class Structure:
             if z - a > cap:
                 j = np.arange(z - a)
                 starts[:] = (j - np.maximum.accumulate(np.where(starts, j, 0))) % cap == 0
-            ids = np.cumsum(starts)
+            ids = starts.cumsum()
             batch_of[rest[a:z]] = ids + (count - 1)
             count += int(ids[-1])
         # per level-batched node: its index in its batch, its rank among
         # its siblings there (children of one parent are consecutive), and
         # its parent's index in the parent batch
         j = np.arange(len(rest))
-        bounds = np.flatnonzero(new)
+        bounds = new.nonzero()[0]
         first, last = bounds[:-1], bounds[1:]
-        begin = first[np.cumsum(new[:-1]) - 1]
+        begin = first[new[:-1].cumsum() - 1]
         index_in[rest] = j - begin
         sibling = _bounds(pq)[:-1]
         rank = j - np.maximum(sibling[sibling.searchsorted(j, "right") - 1], begin)
@@ -297,7 +297,7 @@ class Structure:
         # a run of ascending indices is iff it spans its length, others
         # iff they lie in one run of ``x - j`` constant
         code = begin * (int(rank.max(initial=0)) + 1) + rank
-        by = np.argsort(code, kind="stable")
+        by = code.argsort(kind="stable")
         groups = _bounds(code[by])
         group, end = groups[:-1], groups[1:]
         local = by - begin[by]
@@ -422,7 +422,7 @@ class Structure:
         ends = ptr[order[::-1] + 1]
         # how many columns have depth >= a, a prefix of ``ends``
         at_least = np.full(self.height + 1, self.n)
-        at_least[1:] -= np.cumsum(np.bincount(self._depth))
+        at_least[1:] -= np.bincount(self._depth).cumsum()
         at_least = at_least.tolist()
         steps = [[ends[:at_least[a]], at_least[a + 1], []] for a in range(self.height)]
         if blocks:

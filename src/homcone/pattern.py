@@ -168,16 +168,16 @@ class EliminationTree:
         n = len(parent)
         par = np.array(parent, dtype=np.int64)
         up = par != np.arange(n)
-        code = np.flatnonzero(up)
+        code = up.nonzero()[0]
         code += par[code] * n
         code.sort()
         count = np.bincount(code // n, minlength=n)
-        has = np.flatnonzero(count)
-        end = np.cumsum(count[has])
+        has = count.nonzero()[0]
+        end = count[has].cumsum()
         children, kids = [()] * n, (code % n).tolist()
         for p, a, b in zip(has.tolist(), (end - count[has]).tolist(), end.tolist()):
             children[p] = tuple(kids[a:b])
-        return cls(parent, tuple(children), tuple(np.flatnonzero(~up).tolist()))
+        return cls(parent, tuple(children), tuple((~up).nonzero()[0].tolist()))
 
     @property
     def n(self) -> int:
@@ -296,15 +296,15 @@ def _higher(pattern: SparsityPattern, key: np.ndarray, deg: Optional[np.ndarray]
         deg = np.fromiter(map(len, adj), np.int64, n)
     a = key.repeat(deg)
     b = key[np.fromiter(itertools.chain.from_iterable(adj), np.int64, len(a))]
-    keep = a < b
-    code = a[keep] * n + b[keep]
+    keep = (a < b).nonzero()[0]
+    code = a.take(keep) * n + b.take(keep)
     del a, b, keep
     code.sort()
     lo = code // n
     hi = code - lo * n
     del code
     count = np.bincount(lo, minlength=n)
-    start = np.cumsum(count) - count
+    start = count.cumsum() - count
     has = count > 0
     parent = np.arange(n)
     parent[has] = hi[start[has]]
@@ -312,7 +312,7 @@ def _higher(pattern: SparsityPattern, key: np.ndarray, deg: Optional[np.ndarray]
     # the runs have matching lengths
     bad = has & (count - 1 != count[parent])
     t = np.arange(len(hi)) - start[lo]
-    e = np.flatnonzero((t > 0) & ~bad[lo])
+    e = ((t > 0) & ~bad[lo]).nonzero()[0]
     p = parent[lo[e]]
     bad[lo[e[hi[e] != hi[start[p] + t[e] - 1]]]] = True
     return hi, count, parent, bad
@@ -324,8 +324,8 @@ def _columns(hi: np.ndarray, count: np.ndarray):
     perfect check, each key and its ancestors."""
     n = len(count)
     ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(count + 1, out=ptr[1:])
-    rows = np.repeat(np.arange(n), count + 1)
+    (count + 1).cumsum(out=ptr[1:])
+    rows = np.arange(n).repeat(count + 1)
     above = np.ones(len(rows), dtype=bool)
     above[ptr[:-1]] = False
     rows[above] = hi
@@ -343,9 +343,9 @@ def _preorder(parent: np.ndarray, key: np.ndarray, size: np.ndarray,
     sums, and one sum over every vertex's ancestors."""
     n = len(parent)
     group = np.where(parent == np.arange(n), n, parent)
-    sib = np.argsort(group * n + key)
+    sib = (group * n + key).argsort()
     sizes = size[sib]
-    before = np.cumsum(sizes) - sizes
+    before = sizes.cumsum() - sizes
     first = np.ones(n, dtype=bool)
     first[1:] = group[sib[1:]] != group[sib[:-1]]
     earlier = np.empty(n, dtype=np.int64)
@@ -397,12 +397,12 @@ def _lbfs_arrays(pattern: SparsityPattern):
     by descending rank (:func:`_preorder`)."""
     n = pattern.n
     deg = np.fromiter(map(len, pattern.adjacency), np.int64, n)
-    order = np.argsort(deg, kind="stable")  # ties by index
+    order = deg.argsort(kind="stable")  # ties by index
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     hi, count, parent, bad = _higher(pattern, rank, deg)
     if bad.any():
-        return LbfsReject(pivot=int(order[np.flatnonzero(bad)[-1]]), pattern=pattern)
+        return LbfsReject(pivot=int(order[bad.nonzero()[0][-1]]), pattern=pattern)
     at = n - 1 - _preorder(parent, n - 1 - np.arange(n), deg[order] - count + 1,
                            *_columns(hi, count))
     pos = np.empty(n, dtype=np.int64)
@@ -468,11 +468,11 @@ def verify_ordering(pattern: SparsityPattern, ordering: Ordering) -> OrderingCla
     hi, count, parent, bad = _higher(pattern, _positions(pattern, ordering))
     if not bad.any():
         return OrderingClass.TRIVIALLY_PERFECT_PEO
-    lo = np.repeat(np.arange(n), count)
+    lo = np.arange(n).repeat(count)
     code = lo * n + hi
-    e = np.flatnonzero(bad[lo] & (hi != parent[lo]))
+    e = (bad[lo] & (hi != parent[lo])).nonzero()[0]
     want = parent[lo[e]] * n + hi[e]
-    found = code[np.minimum(np.searchsorted(code, want), len(code) - 1)] == want
+    found = code[np.minimum(code.searchsorted(want), len(code) - 1)] == want
     return OrderingClass.PEO if found.all() else OrderingClass.NOT_PEO
 
 
@@ -514,7 +514,7 @@ def _chain_runs(parent: np.ndarray):
     n = len(parent)
     up = parent != np.arange(n)
     children = np.bincount(parent[up], minlength=n)
-    only = np.flatnonzero(up)
+    only = up.nonzero()[0]
     only = only[children[parent[only]] == 1]
     rep = np.arange(n)
     rep[parent[only]] = only
@@ -522,10 +522,10 @@ def _chain_runs(parent: np.ndarray):
     while (rep[rep] != rep).any():
         steps += steps[rep]
         rep = rep[rep]
-    runs = np.flatnonzero(children != 1)
+    runs = (children != 1).nonzero()[0]
     start = np.zeros(len(runs) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rep, minlength=n)[runs], out=start[1:])
-    return np.argsort(rep * n + steps), start
+    np.bincount(rep, minlength=n)[runs].cumsum(out=start[1:])
+    return (rep * n + steps).argsort(), start
 
 
 def single_child_runs(parent: Sequence[int]) -> list:
