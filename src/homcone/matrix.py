@@ -292,10 +292,10 @@ class Structure:
         rank = j - np.maximum(sibling[sibling.searchsorted(j, "right") - 1], begin)
         up = index_in[pq]
         # the updates of each batch's children, one sibling rank at a time:
-        # nodes grouped by (batch, rank), and which groups, and which
-        # batches' parent lists, are runs of consecutive indices (slices):
-        # a run of ascending indices is iff it spans its length, others
-        # iff they lie in one run of ``x - j`` constant
+        # nodes grouped by (batch, rank), each group's and each batch's
+        # indices a slice where they are consecutive: a group's children
+        # ascend, so theirs are iff they span their length; parent indices
+        # are iff ``index - j`` is constant over them
         code = begin * (int(rank.max(initial=0)) + 1) + rank
         by = code.argsort(kind="stable")
         groups = _bounds(code[by])
