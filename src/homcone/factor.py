@@ -24,10 +24,9 @@ a factor L alone, its trapezoid and the inverse of its triangle, is made
 once per factor (:func:`~homcone.matrix._panel`): a one-matrix
 ``cholesky`` leaves its own in the factor it returns, and every kernel
 and chain product on that factor reads them.  The batches form a tree (a
-batch's parents sit in one batch), swept children's batches before their
-parents' bottom-up and parents' before children's top-down, otherwise in
-the order of node positions; only the blocks of batches whose consumer is
-still pending are held.
+batch's parents sit in one batch), swept in the order they were compiled,
+every batch after its parent's, top-down and in reverse bottom-up; only
+the blocks of batches whose consumer is still pending are held.
 Children's update blocks reach their parent by a scatter in ascending
 sibling order, and every batched product in a level batch reproduces the
 per-node BLAS call.  The ancestor-chain products and substitutions
@@ -41,9 +40,10 @@ blocks (every structure whose fundamental chains are short or shallow)
 results are bitwise those of visiting the nodes one at a time; a chain
 block sums in another order and agrees with that to about 1e-12
 relative on well-conditioned inputs.  A failing pivot is reported
-at the node where the one-at-a-time sweep stops: a chain block whose
-factor LAPACK refuses, or one of whose pivots does not clear the floor,
-is redone column by column to find it.
+at the node where the one-at-a-time sweep in position order stops, the
+lowest (bottom-up) or highest (top-down) failing position over the whole
+sweep: a chain block whose factor LAPACK refuses, or one of whose pivots
+does not clear the floor, is redone column by column to find it.
 
 ``forward_map``, ``adjoint_map``, ``cholesky`` and ``maxdet_factor`` also
 take a stack: a SymSparse whose values have shape (m, dim).  The stack is a
@@ -52,8 +52,7 @@ the same numpy calls as one matrix, and each member's result is bitwise that
 of its own call.  The single-matrix call is the same code without the axis.
 The other kernels take one matrix and raise StructuralError on a stack.
 A stacked ``cholesky`` or ``maxdet_factor`` does not raise: the factor's
-``ok`` says which members succeeded, and the sweep stops early only once
-every member has failed.  A stack is swept
+``ok`` says which members succeeded.  A stack is swept
 :attr:`~homcone.matrix.Structure.stack_rows` members at a time, so a
 stacked step holds no more than the largest one-matrix step or
 :data:`~homcone.matrix.BATCH_FLOATS` floats.  Contiguity rule: a numpy
@@ -186,7 +185,7 @@ def _up(s: Structure):
     row and column 1 on they hold the updates for the parents (see
     ``Batch.kids``)."""
     done = {}
-    for b in s.up_order:
+    for b in reversed(s.batches):
         yield b, done
         for c in b.children:
             del done[c]
@@ -197,7 +196,7 @@ def _down(s: Structure, stack: tuple = ()):
     nodes' parent blocks, shape (*stack, k, d, d), and a (*stack, k, d+1,
     d+1) block the kernel fills (see :func:`_finish`)."""
     done = {}
-    for b in s.down_order:
+    for b in s.batches:
         if b.parent < 0:
             v = np.zeros(stack + (b.shape[0], 0, 0))
         else:
@@ -305,8 +304,6 @@ def cholesky(X: SymSparse) -> CholFactor:
     seen = None
     panels = {} if xv.ndim == 1 else None
     for b, done in _up(s):
-        if seen is not None and (seen[0] < b.lowest).all():
-            break
         if b.chain:
             seen = _cholesky_chain(xv, floor, out, b, done, seen, s.n, panels)
             continue
@@ -317,8 +314,8 @@ def cholesky(X: SymSparse) -> CholFactor:
         fail = pivot <= _take(floor, b.at)
         if np.count_nonzero(fail):
             seen = _failures(seen, fail, b.nodes, pivot, True, s.n)
-            # the sweep goes on only to find lower failures, or for
-            # the other members of a stack
+            # the sweep goes on, to find lower failures and for the
+            # other members of a stack
             pivot = np.where(fail, np.inf, pivot)
         lii = np.sqrt(pivot)
         f[..., 1:, 0] /= lii[..., None]
@@ -572,8 +569,6 @@ def maxdet_factor(S: SymSparse) -> CholFactor:
     out = np.zeros(sv.shape)
     seen = None
     for b, v, pack in _down(st, sv.shape[:-1]):
-        if seen is not None and (seen[0] > b.highest).all():
-            break
         if b.chain:
             seen = _maxdet_chain(sv, floor, out, b, v[..., 0, :, :], pack[..., 0, :, :], seen, st.n)
             continue
@@ -584,8 +579,8 @@ def maxdet_factor(S: SymSparse) -> CholFactor:
         fail = r <= _take(floor, b.at)
         if np.count_nonzero(fail):
             seen = _failures(seen, fail, b.nodes, r, False, st.n)
-            # the sweep goes on only to find higher failures, or for
-            # the other members of a stack
+            # the sweep goes on, to find higher failures and for the
+            # other members of a stack
             r = np.where(fail, np.inf, r)
         lii = 1.0 / np.sqrt(r)
         lsub = -lii[..., None] * np.matvec(v, u)

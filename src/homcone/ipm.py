@@ -253,14 +253,10 @@ def _interior(x: SymSparse, s: SymSparse) -> bool:
 
 def _round(lo: float, hi: float, depth: int) -> list:
     """Every step the next ``depth`` bisection steps from [lo, hi] may
-    probe, 2^depth - 1 of them: the mid of [lo, hi], the mids of its two
-    halves, and so on."""
-    steps, spans = [], [(lo, hi)]
-    for _ in range(depth):
-        mids = [0.5 * (lo + hi) for lo, hi in spans]
-        steps += mids
-        spans = [h for (lo, hi), mid in zip(spans, mids) for h in ((lo, mid), (mid, hi))]
-    return steps
+    probe, 2^depth - 1 of them: the inner points of [lo, hi] cut into
+    2^depth equal parts.  After k steps the bracket is [i 2^-k, (i+1)
+    2^-k], so each is exactly the nested mid it stands for."""
+    return [lo + j * (hi - lo) / 2 ** depth for j in range(1, 2 ** depth)]
 
 
 def _interior_at(it: Iterate, d_x: SymSparse, d_s: SymSparse, steps: list) -> dict:

@@ -21,7 +21,6 @@ as it caches what its chain blocks derive from them (:func:`_panel`).
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from typing import Optional
 
@@ -67,24 +66,6 @@ def _bounds(x: np.ndarray) -> np.ndarray:
     return fresh.nonzero()[0]
 
 
-def _topological(batches, ready, after, key, waits) -> list:
-    """Order ``batches`` so each comes after every batch it waits for.
-    ``ready`` are the ids waiting on none, ``after(b)`` the ids waiting on
-    b, and ``waits[id]`` how many batches that id waits on; among ready
-    batches the one of smallest ``key[id]`` goes first."""
-    heap = [(key[i], i) for i in ready]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        b = batches[heapq.heappop(heap)[1]]
-        order.append(b)
-        for i in after(b):
-            waits[i] -= 1
-            if not waits[i]:
-                heapq.heappush(heap, (key[i], i))
-    return order
-
-
 class Batch:
     """One kernel step: same-depth nodes, or one chain block.
 
@@ -94,10 +75,11 @@ class Batch:
     branch point) under d ancestors, as one dense (k+d) x (k+d) frontal
     block on rows [c_0, ..., c_{k-1}, ancestors]: towards its children it
     acts as the node c_0, towards its parent as c_{k-1}.  Batches form a
-    tree.  Kernels sweep it in ``Structure.up_order`` / ``down_order``,
-    which follow node positions as closely as the tree allows, so a
-    batch's blocks are consumed soon after they are made and only those of
-    batches whose consumer is pending are held.
+    tree whose ids put every batch after its parent's: levels by
+    increasing depth, each chain block at the level of its top.  Kernels
+    sweep ``Structure.batches`` in that order top-down and reversed
+    bottom-up, and hold only the blocks of batches whose consumer is
+    pending.
 
     Attributes
     ----------
@@ -129,15 +111,12 @@ class Batch:
         sibling rank within it, in the order their updates are added: the
         batch-local index of each parent with such a child and that
         child's index in its batch.
-    last : whether this is the last of its parent's child batches that a
-        top-down sweep visits.
-    lowest, highest : lowest position in this and all later batches of
-        ``up_order``; highest in this and all later batches of
-        ``down_order``.
+    last : whether this is its parent's highest-id child batch, the last
+        of them a top-down sweep visits.
     """
 
     __slots__ = ("id", "nodes", "shape", "chain", "slots", "below", "cols", "diag", "sub",
-                 "at", "parent", "up", "children", "kids", "last", "lowest", "highest")
+                 "at", "parent", "up", "children", "kids", "last")
 
 
 class Structure:
@@ -155,9 +134,9 @@ class Structure:
     height : number of tree levels, one more than the largest depth.
     weights : 1.0 on diagonal slots, 2.0 on subdiagonal slots; makes the
         trace inner product a plain weighted dot.
-    batches, up_order, down_order : the schedule every kernel runs: the
-        :class:`Batch` es, children's before their parents' (bottom-up
-        sweeps) and parents' before their children's (top-down sweeps).
+    batches : the schedule every kernel runs: the :class:`Batch` es,
+        parents' before their children's, swept in this order top-down
+        and reversed bottom-up.
         A fundamental chain of two or more columns whose node-by-node
         frontal blocks make at least BATCH_FLOATS floats is one chain
         block; every other node is in a level batch.  Nodes of one depth
@@ -181,7 +160,7 @@ class Structure:
 
     __slots__ = (
         "pattern", "ordering", "n", "nnz",
-        "pos_parent", "depth", "height", "batches", "up_order", "down_order",
+        "pos_parent", "depth", "height", "batches",
         "stack_rows", "sweep_floats",
         "bar_ptr", "bar_rows", "weights",
         "_row_vertex", "_col_vertex", "_position", "_depth",
@@ -311,9 +290,7 @@ class Structure:
         pairs = [(slice(u, u + z - a) if ok_u else ups[a:z], slice(c, c + z - a) if ok_c else local[a:z])
                  for a, z, u, c, ok_u, ok_c in zip(group.tolist(), end.tolist(), ups[group].tolist(),
                                                    local[group].tolist(), steady.tolist(), solid.tolist())]
-        lowest = np.minimum.reduceat(rest, first).tolist()
-        highest = np.maximum.reduceat(rest, first).tolist()
-        batches, low, high = [], [], []  # per batch: node range
+        batches = []
 
         def add(b, nodes, parent, up, kids=()):
             """Register batch ``b`` of ``nodes`` under batch ``parent``,
@@ -351,8 +328,6 @@ class Structure:
                 pl = slice(int(index_in[p]), int(index_in[p]) + 1) if d else None
                 add(b, run, int(batch_of[p]) if d else -1, pl, [(pl, slice(0, 1))])
                 b.at = b.nodes
-                low.append(int(run[0]))
-                high.append(int(run[-1]))
             a0, z0 = cut[d], cut[d + 1]
             if a0 < z0:
                 # the level's columns' slots, a (k, d+1) block
@@ -365,7 +340,7 @@ class Structure:
                 if z - a == 1:
                     # one column: index it by slices, which numpy serves
                     # as views instead of gathers, on one array or a stack
-                    q = lowest[bi]
+                    q = int(rest[a])
                     s0 = int(ptr[q])
                     b.cols = (Ellipsis, None, slice(s0, s0 + d + 1))
                     b.diag = (Ellipsis, slice(s0, s0 + 1))
@@ -381,34 +356,11 @@ class Structure:
                         pairs[groups[bi]:groups[bi + 1]])
                 else:
                     add(b, nodes, -1, None)
-                low.append(lowest[bi])
-                high.append(highest[bi])
                 bi += 1
-        # sweep orders: children's batches before their parents' (up) and
-        # parents' before children's (down), each taking among the ready
-        # batches the one with the lowest (up) or highest (down) position,
-        # as close as the tree allows to the ascending and descending
-        # node-by-node sweeps, so a failure ends a sweep as early
-        up = _topological(batches, [b.id for b in batches if not b.children],
-                          lambda b: [b.parent] if b.parent >= 0 else [],
-                          low, [len(b.children) for b in batches])
-        down = _topological(batches, [b.id for b in batches if b.parent < 0],
-                            lambda b: b.children, [-h for h in high],
-                            [1] * len(batches))
-        final = {}
-        for b in down:
-            b.last, final[b.parent] = False, b
-        for b in final.values():
-            b.last = True
-        lo, hi = n, -1
-        for b in reversed(up):
-            lo = b.lowest = min(lo, low[b.id])
-        for b in reversed(down):
-            hi = b.highest = max(hi, high[b.id])
         for b in batches:
             b.children, b.kids = tuple(b.children), tuple(b.kids)
+            b.last = b.parent >= 0 and batches[b.parent].children[-1] == b.id
         self.batches = tuple(batches)
-        self.up_order, self.down_order = tuple(up), tuple(down)
         floats = [math.prod(b.shape) for b in batches]
         self.stack_rows = max(1, BATCH_FLOATS // max(floats))
         self.sweep_floats = sum(floats)

@@ -79,7 +79,7 @@ class SparsityPattern:
             adj[j].append(i)
         self.n = n
         self.adjacency = tuple(tuple(sorted(a)) for a in adj)
-        self._edges = frozenset(seen)
+        self._edges = None
 
     @classmethod
     def from_adjacency(cls, n: int, adjacency: Sequence[Sequence[int]]) -> "SparsityPattern":

@@ -394,20 +394,22 @@ DIGEST_STRUCTURES = {
 }
 
 # Digests of every Structure table (helpers.structure_digest), recorded
-# with the per-vertex compile the array passes replaced.
+# with the compile that still made position-ordered sweep orders and
+# per-batch position bounds: every table hashed here is bitwise that
+# compile's.
 STRUCTURE_DIGESTS = {
-    "solve-mixed n=16": "0dcaaa28b8a9d48c542b3605a87b8a103fd3bff43034e6c4c80375473b695aac",
-    "solve-mixed n=24": "bc4c6983685bda1434eb28fd76c5827801a2d1dc7bb1a0fb0240ea6e4420ea98",
-    "solve-mixed n=48": "bffbdc337fac38808c1c20938472d1ed87fea0984a459c7942757b77a84b245b",
-    "kernels-wide n=16": "263179d3db35400d336e84980c630e9239aa9337805a8ed22ac506d4060579f6",
-    "kernels-wide n=16000": "7c28baed13fe9ec473a7a9b2768c7f88df59f15915377522e946b0d88a7453dd",
-    "kernels-deep n=12": "ac5a316837ff58589bed55533c3754cb80ceb0485557e470076c71fd15e4af55",
-    "kernels-deep n=1200": "a20838470151aa28e4525ecd7bc92d279234f341e2c2e146c8f1a48b1f4245f9",
-    "branching 4": "b4749e2eb31a7df9eefeb28fa42ba39d1f9e33da9cafc6fd9dea5067d6193538",
-    "branching 1.05": "6f876852d6681493090c8c7998b29c25a21eeab1bb13cad3a62df2a3fd4f9fb1",
-    "topological": "2541282c80dffa4b3563cbb38c4fe4a309eafab2dba92d3c3adcaa591b18a277",
-    "capped levels": "a94dedd27244b1d07308e1c41846b74d07f25c9c65be93560aab4b4f02176ae0",
-    "300-deep": "ff040c5028768e1e99032c04fd8d118f92692c14a17154dfbdbdc60c977fe54e",
+    "solve-mixed n=16": "167a57c9ef86de72c0a7a851c12c496acfb487a49722c8cd6f7cb74d32fd37cc",
+    "solve-mixed n=24": "84e1849100b1c0116987b997403773bea47654ed8aaab319e644969a3916e6ac",
+    "solve-mixed n=48": "7434674145ce8086bc306881cbd9754856d3c024614dd5e6f5b4dc31c7bc3e16",
+    "kernels-wide n=16": "3883a71225d316a6a0772dfe2062882d58df36d5cf78c47f906b15acec624533",
+    "kernels-wide n=16000": "aef35a18b82387cc6a6de44a586340525fdadb311e8401c6aaa030cc7f89e5dc",
+    "kernels-deep n=12": "be4f225dc14984d01a2e36f3a8e2230139cbc8d25ca1d2a26e26d5df45979bd1",
+    "kernels-deep n=1200": "8c6cfd11df88f6602dd23f48cf560079f0d5527528e39736896d9ecfe63dd210",
+    "branching 4": "97276a3b97005cd0abe7f12d980800045d9b59aa6fe15b0c2a2960c5db1a3c50",
+    "branching 1.05": "462380647866c12478f1fe4312e1462e7e7b35c47e14e0b78083da6eba8cfae4",
+    "topological": "b826a6cc7bad69583ff9cea821ab84f26a8c28af5ff251fe5967c10feb156d30",
+    "capped levels": "af30fee05b0452e3bd0e1c7b1e45183cb228dd519f764c5daad8f5caff3bf784",
+    "300-deep": "dae47f50e24576e25b8784fef34df371284abf5b5d88f9673cfcbaf722493f24",
 }
 
 

@@ -119,14 +119,11 @@ def test_schedule_layout(cap, monkeypatch):
             parents = st.batches[b.parent].nodes[b.up]
             assert np.array_equal(parents, [st.pos_parent[q] for q in b.nodes])
     assert any(b.chain is not None for b in st.batches) == (cap == 20)
-    done = set()
-    for b in st.up_order:
-        assert all(c in done for c in b.children)
-        done.add(b.id)
-    done = set()
-    for b in st.down_order:
-        assert b.parent < 0 or b.parent in done
-        done.add(b.id)
+    # the ids are the sweep order: every batch after its parent's, and the
+    # last child batch a top-down sweep visits is the one of highest id
+    for b in st.batches:
+        assert b.parent < b.id and all(c > b.id for c in b.children)
+        assert b.last == (b.parent >= 0 and max(st.batches[b.parent].children) == b.id)
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_CASES) + ["deep random"])

@@ -1,6 +1,8 @@
 """Stacked kernel sweeps: a leading stack axis runs every member through
 one sweep, and each member's result is bitwise that of its own call."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,44 @@ def test_stacked_factorizations_report_each_member(case):
                 one = kernel(SymSparse(st, row))
                 assert one.ok is None
                 assert np.array_equal(f.L.vals[i], one.L.vals)
+
+
+@pytest.mark.parametrize("branching", [1.05, 4.0])
+@pytest.mark.parametrize("cap", [20, matrix.BATCH_FLOATS])
+def test_stacks_failing_in_the_first_batch_run_to_the_end(cap, branching):
+    """Every member fails in the first batch its sweep takes (the last
+    batch bottom-up, the first top-down) and at random other nodes.  The
+    sweep goes on to the end: ``ok`` is all False, and each member called
+    alone raises at its lowest (cholesky) or highest (maxdet_factor)
+    failing node with the value it has when only that node fails."""
+    st = capped_structure(30, 17, branching, cap)
+    rng = np.random.default_rng(17)
+    m = 5
+    xs = np.array([random_spd(st, rng).vals for _ in range(m)])
+    ss = np.array([projected_inverse(cholesky(SymSparse(st, x))).vals for x in xs])
+    for kernel, vals, error, stop, first in (
+            (cholesky, xs, NotPositiveDefinite, min, st.batches[-1]),
+            (maxdet_factor, ss, NotCompletable, max, st.batches[0])):
+        big = 10.0 * (1.0 + np.abs(vals).max())
+        bad = [{int(rng.choice(first.nodes))}
+               | set(rng.choice(st.n, size=int(rng.integers(0, 4)), replace=False).tolist())
+               for _ in range(m)]
+        hit = vals.copy()
+        for row, nodes in zip(hit, bad):
+            row[st.bar_ptr[sorted(nodes)]] -= big
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = kernel(SymSparse(st, hit))
+        assert not f.ok.any()
+        for row, alone, nodes in zip(hit, vals.copy(), bad):
+            q = stop(nodes)
+            alone[st.bar_ptr[q]] -= big
+            with pytest.raises(error) as e:
+                kernel(SymSparse(st, row))
+            with pytest.raises(error) as want:
+                kernel(SymSparse(st, alone))
+            assert e.value.node == st.ordering.sigma[q]
+            assert (e.value.node, e.value.value) == (want.value.node, want.value.value)
 
 
 def test_coverage_of_the_stack_cases():
