@@ -51,9 +51,9 @@ leading axis on every frontal block, so one sweep does all m members with
 the same numpy calls as one matrix, and each member's result is bitwise that
 of its own call.  The single-matrix call is the same code without the axis.
 The other kernels take one matrix and raise StructuralError on a stack.
-A stacked ``cholesky`` or ``maxdet_factor`` does not raise: the factor's
-``ok`` says which members succeeded.  A stack is swept
-:attr:`~homcone.matrix.Structure.stack_rows` members at a time, so a
+A stacked ``cholesky`` or ``maxdet_factor`` does not raise, and stops once
+every member has failed: the factor's ``ok`` says which succeeded.  A stack
+is swept :attr:`~homcone.matrix.Structure.stack_rows` members at a time, so a
 stacked step holds no more than the largest one-matrix step or
 :data:`~homcone.matrix.BATCH_FLOATS` floats.  Contiguity rule: a numpy
 reduction (``vecdot``, ``matvec``, ``vecmat``) repeats the one-matrix
@@ -304,6 +304,8 @@ def cholesky(X: SymSparse) -> CholFactor:
     seen = None
     panels = {} if xv.ndim == 1 else None
     for b, done in _up(s):
+        if xv.ndim > 1 and seen is not None and (seen[0] < s.n).all():
+            break  # a stack reports only ``ok``, and every member has failed
         if b.chain:
             seen = _cholesky_chain(xv, floor, out, b, done, seen, s.n, panels)
             continue
@@ -569,6 +571,8 @@ def maxdet_factor(S: SymSparse) -> CholFactor:
     out = np.zeros(sv.shape)
     seen = None
     for b, v, pack in _down(st, sv.shape[:-1]):
+        if sv.ndim > 1 and seen is not None and (seen[0] >= 0).all():
+            break  # a stack reports only ``ok``, and every member has failed
         if b.chain:
             seen = _maxdet_chain(sv, floor, out, b, v[..., 0, :, :], pack[..., 0, :, :], seen, st.n)
             continue

@@ -129,10 +129,9 @@ def parse_pattern(text: str) -> SparsityPattern:
 
 
 def format_pattern(pattern: SparsityPattern) -> str:
-    lines = [f"{pattern.n} {pattern.n_edges}"]
-    for i, j in sorted(pattern.edges):
-        lines.append(f"{i + 1} {j + 1}")
-    return "\n".join(lines) + "\n"
+    i, j = pattern.edge_arrays()
+    lines = map("{} {}".format, (i + 1).tolist(), (j + 1).tolist())
+    return "\n".join([f"{pattern.n} {pattern.n_edges}", *lines]) + "\n"
 
 
 # ----------------------------------------------------- matrix and problem io
@@ -230,7 +229,7 @@ def serialize_problem(problem: ConicProblem) -> dict:
     st = problem.struct
     return {
         "n": st.n,
-        "edges": [[i + 1, j + 1] for i, j in sorted(st.pattern.edges)],
+        "edges": (np.column_stack(st.pattern.edge_arrays()) + 1).tolist(),
         "ordering": [v + 1 for v in st.ordering.sigma],
         "b": [float(t) for t in problem.b],
         "c": to_triplets(problem.c),
@@ -288,8 +287,7 @@ def parse_sdpa(text: str):
     keys = np.array(list(entries), dtype=np.int64).reshape(-1, 3)
     vals = np.array(list(entries.values()), dtype=np.float64)
     off = keys[:, 1] != keys[:, 2]
-    aggregate = SparsityPattern(n, sorted(set(zip(keys[off, 2].tolist(),
-                                                  keys[off, 1].tolist()))))
+    aggregate = SparsityPattern(n, np.unique(keys[off][:, [2, 1]], axis=0))
     ext = homogeneous_extension(aggregate)
     struct = Structure(ext.extended, ext.ordering, ext.etree)
     # with no fill the aggregate is the comparability graph of the

@@ -23,8 +23,9 @@ import enum
 import functools
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -54,32 +55,38 @@ __all__ = [
 class SparsityPattern:
     """Undirected graph on {0,..,n-1} encoding the off-diagonal nonzeros.
 
-    ``adjacency[v]`` is a sorted tuple of neighbors.  Construct from an
-    edge list (validated) or via :meth:`from_adjacency` when the caller
-    already guarantees consistency.
+    Stored as two read-only int64 arrays: ``degrees``, and ``neighbours``,
+    each vertex's neighbours in ascending order, one run per vertex.  Build
+    it from an edge list (validated) or with :meth:`from_adjacency`, which
+    keeps the caller's tuples and derives the arrays on first read.
+    ``adjacency`` (v's run as the tuple ``adjacency[v]``) and the ``edges``
+    set are derived on first read too.
     """
 
-    __slots__ = ("n", "adjacency", "_edges")
+    __slots__ = ("n", "degrees", "neighbours", "adjacency", "edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
             raise PatternError(f"need at least one vertex, got n={n}")
-        adj: list[list[int]] = [[] for _ in range(n)]
-        seen = set()
-        for i, j in edges:
-            if not (0 <= i < n and 0 <= j < n):
-                raise PatternError(f"edge ({i},{j}) out of range for n={n}")
-            if i == j:
-                raise PatternError(f"self-loop at vertex {i}")
-            key = (i, j) if i < j else (j, i)
-            if key in seen:
-                raise PatternError(f"duplicate edge {key}")
-            seen.add(key)
-            adj[i].append(j)
-            adj[j].append(i)
+        n = operator.index(n)
+        pairs = list(edges)
+        try:
+            e = np.array(pairs or np.empty((0, 2), dtype=np.int64))
+        except (TypeError, ValueError):
+            e = np.empty(0)
+        if e.dtype != np.int64 or e.shape != (len(pairs), 2) or (
+                e.size and (e.min() < 0 or e.max() >= n)):
+            e = np.array(_checked_edges(n, pairs), dtype=np.int64).reshape(-1, 2)
+        # sorted, the codes i n + j list each vertex's neighbours as one
+        # ascending run, and two equal codes are a self-loop or a repeat
+        code = np.concatenate((e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]))
+        code.sort()
+        if np.count_nonzero(code[1:] == code[:-1]):
+            _checked_edges(n, pairs)  # raises, naming the first of them
+        lo = code // n
         self.n = n
-        self.adjacency = tuple(tuple(sorted(a)) for a in adj)
-        self._edges = None
+        self.degrees, self.neighbours = np.bincount(lo, minlength=n), code - lo * n
+        self.degrees.flags.writeable = self.neighbours.flags.writeable = False
 
     @classmethod
     def from_adjacency(cls, n: int, adjacency: Sequence[Sequence[int]]) -> "SparsityPattern":
@@ -88,36 +95,63 @@ class SparsityPattern:
         self = cls.__new__(cls)
         self.n = n
         self.adjacency = tuple(map(tuple, adjacency))
-        self._edges = None
         return self
 
-    @property
-    def edges(self) -> frozenset:
-        if self._edges is None:
-            self._edges = frozenset(
-                (v, w) for v, nbrs in enumerate(self.adjacency) for w in nbrs if v < w
-            )
-        return self._edges
+    def __getattr__(self, name):
+        """Derive a form the constructor did not store, on its first read."""
+        if name == "adjacency":
+            flat, end = self.neighbours.tolist(), self.degrees.cumsum().tolist()
+            self.adjacency = tuple(tuple(flat[a:b]) for a, b in zip([0, *end], end))
+        elif name in ("degrees", "neighbours"):
+            self.degrees = np.fromiter(map(len, self.adjacency), np.int64, self.n)
+            self.neighbours = np.fromiter(itertools.chain.from_iterable(self.adjacency), np.int64)
+            self.degrees.flags.writeable = self.neighbours.flags.writeable = False
+        elif name == "edges":
+            self.edges = frozenset(zip(*(a.tolist() for a in self.edge_arrays())))
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
+
+    def edge_arrays(self) -> tuple:
+        """Every edge once as arrays ``(i, j)``, i < j, in (i, j) order."""
+        i = np.arange(self.n).repeat(self.degrees)
+        keep = i < self.neighbours
+        return i[keep], self.neighbours[keep]
 
     @property
     def n_edges(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return len(self.neighbours) // 2
 
     def has_edge(self, i: int, j: int) -> bool:
         return ((i, j) if i < j else (j, i)) in self.edges
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, SparsityPattern)
-                and self.n == other.n and self.adjacency == other.adjacency)
+        return (isinstance(other, SparsityPattern) and self.n == other.n
+                and np.array_equal(self.degrees, other.degrees)
+                and np.array_equal(self.neighbours, other.neighbours))
 
     def __hash__(self):
-        return hash((self.n, self.adjacency))
+        return hash((self.n, self.degrees.tobytes(), self.neighbours.tobytes()))
 
     def __repr__(self):
         return f"SparsityPattern(n={self.n}, m={self.n_edges})"
+
+
+def _checked_edges(n: int, pairs: list) -> list:
+    """The edges as pairs of ints, checked in input order: PatternError at
+    the first bad one, TypeError at a vertex that is not an integer."""
+    seen, out = set(), []
+    for i, j in pairs:
+        if not (0 <= i < n and 0 <= j < n):
+            raise PatternError(f"edge ({i},{j}) out of range for n={n}")
+        if i == j:
+            raise PatternError(f"self-loop at vertex {i}")
+        key = (i, j) if i < j else (j, i)
+        if key in seen:
+            raise PatternError(f"duplicate edge {key}")
+        seen.add(key)
+        out.append((operator.index(i), operator.index(j)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -277,7 +311,7 @@ def _positions(pattern: SparsityPattern, ordering: Ordering) -> np.ndarray:
     return np.asarray(ordering.sigma_inv, dtype=np.int64)
 
 
-def _higher(pattern: SparsityPattern, key: np.ndarray, deg: Optional[np.ndarray] = None):
+def _higher(pattern: SparsityPattern, key: np.ndarray):
     """Higher neighbourhoods under ``key``, a permutation of 0..n-1 (a
     rank or a position per vertex), with the check of the module
     docstring run on every key at once.
@@ -287,15 +321,11 @@ def _higher(pattern: SparsityPattern, key: np.ndarray, deg: Optional[np.ndarray]
     ``hi`` lists each key's higher neighbours as one ascending run; how
     many each key has; its lowest higher neighbour (itself when it has
     none); and whether its run after that parent p differs from p's run.
-    ``deg`` is the vertices' degrees, if the caller has them.
-    O(|V| + |E| log |E|).
+    Reads the pattern's stored arrays.  O(|V| + |E| log |E|).
     """
     n = pattern.n
-    adj = pattern.adjacency
-    if deg is None:
-        deg = np.fromiter(map(len, adj), np.int64, n)
-    a = key.repeat(deg)
-    b = key[np.fromiter(itertools.chain.from_iterable(adj), np.int64, len(a))]
+    a = key.repeat(pattern.degrees)
+    b = key[pattern.neighbours]
     keep = (a < b).nonzero()[0]
     code = a.take(keep) * n + b.take(keep)
     del a, b, keep
@@ -396,11 +426,11 @@ def _lbfs_arrays(pattern: SparsityPattern):
     position is n - 1 less its index in the preorder that visits children
     by descending rank (:func:`_preorder`)."""
     n = pattern.n
-    deg = np.fromiter(map(len, pattern.adjacency), np.int64, n)
+    deg = pattern.degrees
     order = deg.argsort(kind="stable")  # ties by index
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-    hi, count, parent, bad = _higher(pattern, rank, deg)
+    hi, count, parent, bad = _higher(pattern, rank)
     if bad.any():
         return LbfsReject(pivot=int(order[bad.nonzero()[0][-1]]), pattern=pattern)
     at = n - 1 - _preorder(parent, n - 1 - np.arange(n), deg[order] - count + 1,

@@ -18,8 +18,8 @@ from homcone.io_cli import (
     run_cli,
     serialize_problem,
 )
-from homcone.ipm import solve
-from homcone.matrix import SymSparse, inner, to_dense
+from homcone.ipm import ConicProblem, solve
+from homcone.matrix import Structure, SymSparse, identity, inner, to_dense
 from homcone.pattern import SparsityPattern, homogeneous_extension, random_homogeneous_pattern
 
 from conftest import FIG1_EDGES, PAPER12_EDGES, PAPER12_SIGMA
@@ -88,6 +88,25 @@ class TestPatternIO:
 
     def test_round_trip(self, paper12_pattern):
         assert parse_pattern(format_pattern(paper12_pattern)) == paper12_pattern
+
+    @pytest.mark.parametrize("n", [1, 5, 60, 400])
+    def test_writers_list_edges_in_order(self, n, rng):
+        """Both writers list each edge once as i < j, ascending by (i, j),
+        from a pattern built either way."""
+        gen = random_homogeneous_pattern(n, seed=n, branching=3.0).pattern
+        label = rng.permutation(n)
+        edges = [(int(label[i]), int(label[j])) for i, j in gen.edges]
+        rng.shuffle(edges)
+        want = sorted((min(e), max(e)) for e in edges)
+        for pattern in (SparsityPattern(n, edges),
+                        SparsityPattern.from_adjacency(n, SparsityPattern(n, edges).adjacency)):
+            text = format_pattern(pattern)
+            assert text == "".join([f"{n} {len(want)}\n"] + [f"{i + 1} {j + 1}\n" for i, j in want])
+            assert parse_pattern(text) == pattern
+            st = Structure.from_pattern(pattern)
+            doc = serialize_problem(ConicProblem(st, np.zeros((0, st.dim)), np.zeros(0),
+                                                 identity(st)))
+            assert doc["edges"] == [[i + 1, j + 1] for i, j in want]
 
 
 class TestMatrixIO:

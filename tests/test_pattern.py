@@ -40,9 +40,117 @@ def test_pattern_validation():
     with pytest.raises(PatternError):
         SparsityPattern(0, [])
     p = SparsityPattern(4, [(0, 2), (1, 2)])
-    assert p.degree(2) == 2 and p.degree(3) == 0
+    assert p.degrees[2] == 2 and p.degrees[3] == 0
     assert p.has_edge(2, 0) and not p.has_edge(0, 1)
     assert p.n_edges == 2
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (3, [(0, 1), (0, 3), (1, 1)], "edge (0,3) out of range for n=3"),
+    (3, [(0, 1), (-1, 2)], "edge (-1,2) out of range for n=3"),
+    (3, [(0, 1), (2, 2), (0, 1)], "self-loop at vertex 2"),
+    (3, [(0, 1), (1, 2), (1, 0), (0, 0)], "duplicate edge (0, 1)"),
+    (4, [(2, 3), (0, 1), (0, 1), (3, 2)], "duplicate edge (0, 1)"),
+    (4, [(0, 1), (1, 0), (9, 9)], "duplicate edge (0, 1)"),
+    # within one edge: the range check, then the self-loop check
+    (3, [(0, 1), (5, 5), (0, 1)], "edge (5,5) out of range for n=3"),
+    (3, [(1, 1), (1, 1)], "self-loop at vertex 1"),
+    (3, [(0, 1), (5.5, 1)], "edge (5.5,1) out of range for n=3"),
+])
+def test_constructor_names_the_first_bad_edge(n, edges, message):
+    with pytest.raises(PatternError) as e:
+        SparsityPattern(n, edges)
+    assert str(e.value) == message
+    with pytest.raises(PatternError) as e:
+        SparsityPattern(n, iter(edges))
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("n, edges, error", [
+    (3, [(0, 1.5)], TypeError),     # rejected, not truncated
+    (3, [(0.0, 1.0)], TypeError),
+    (3, [("0", "1")], TypeError),
+    (3, [(0, None)], TypeError),
+    (3, [(0, 1), 5], TypeError),
+    (3, [(0, 1, 2)], ValueError),
+    (3, [(0,)], ValueError),
+    (3.0, [(0, 1)], TypeError),
+])
+def test_constructor_rejects_malformed_edges(n, edges, error):
+    with pytest.raises(error):
+        SparsityPattern(n, edges)
+
+
+def _stored(pattern, name):
+    """Whether the pattern holds ``name`` already, without deriving it."""
+    try:
+        getattr(SparsityPattern, name).__get__(pattern)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_constructor_stores_the_edge_arrays():
+    path = [(0, 1), (2, 1), (3, 2)]
+    p = SparsityPattern(4, path)
+    assert not _stored(p, "adjacency") and not _stored(p, "edges")
+    assert p.degrees.tolist() == [1, 2, 2, 1]
+    assert p.neighbours.tolist() == [1, 0, 2, 1, 3, 2]
+    for a in (p.degrees, p.neighbours):
+        assert a.dtype == np.int64 and not a.flags.writeable
+    assert p.adjacency == ((1,), (0, 2), (1, 3), (2,))
+    assert [a.tolist() for a in p.edge_arrays()] == [[0, 1, 2], [1, 2, 3]]
+    for other in (SparsityPattern(4, (e for e in path)), SparsityPattern(4, np.array(path)),
+                  SparsityPattern(4, np.array(path, dtype=np.int32)),
+                  SparsityPattern(4, [(True, 2), (0, True), (3, 2)])):
+        assert other == p and np.array_equal(other.neighbours, p.neighbours)
+    for n in (1, 5):
+        empty = SparsityPattern(n, [])
+        assert empty.degrees.tolist() == [0] * n and empty.neighbours.shape == (0,)
+        assert empty.adjacency == ((),) * n and empty.n_edges == 0 and not empty.edges
+
+
+def test_both_constructors_give_the_same_pattern(rng):
+    for n in (1, 2, 7, 48, 150):
+        gen = random_homogeneous_pattern(n, seed=n, branching=2.0).pattern
+        label = rng.permutation(n)
+        edges = [(int(label[i]), int(label[j])) for i, j in gen.edges]
+        rng.shuffle(edges)
+        edges = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in edges]
+        built = SparsityPattern(n, edges)
+        wrapped = SparsityPattern.from_adjacency(n, built.adjacency)
+        fresh = SparsityPattern(n, edges)
+        assert built == wrapped == fresh and hash(built) == hash(wrapped) == hash(fresh)
+        for name in ("degrees", "neighbours"):
+            a, b = getattr(built, name), getattr(wrapped, name)
+            assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+            assert not b.flags.writeable
+        assert fresh.adjacency == wrapped.adjacency
+        assert fresh.edges == wrapped.edges == {(min(e), max(e)) for e in edges}
+        assert fresh.n_edges == wrapped.n_edges == len(edges)
+        assert fresh.degrees.tolist() == [len(a) for a in wrapped.adjacency]
+        for a, b in zip(fresh.edge_arrays(), wrapped.edge_arrays()):
+            assert np.array_equal(a, b)
+    assert SparsityPattern(3, [(0, 1)]) != SparsityPattern(3, [(0, 2)])
+    assert SparsityPattern(3, [(0, 1)]) != SparsityPattern(2, [(0, 1)])
+
+
+def test_set_up_reads_the_stored_arrays(rng):
+    """Recognition and the Structure compile of an edge-list pattern (of
+    at least _WALK_BELOW vertices) read the arrays its constructor stored:
+    no adjacency tuples are built, and no array is made again."""
+    from homcone.matrix import Structure
+
+    gen = random_homogeneous_pattern(300, seed=8, branching=3.0).pattern
+    label = rng.permutation(300)
+    p = SparsityPattern(300, [(int(label[i]), int(label[j])) for i, j in gen.edges])
+    deg, nbr = p.degrees, p.neighbours
+    res = lbfs_order(p)
+    assert res.accepted
+    Structure(p, res.ordering, res.etree)
+    assert verify_ordering(p, res.ordering) is OrderingClass.TRIVIALLY_PERFECT_PEO
+    assert not _stored(p, "adjacency") and not _stored(p, "edges")
+    assert p.degrees is deg and p.neighbours is nbr
 
 
 class TestLbfs:

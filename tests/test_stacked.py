@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from homcone import ipm, matrix, scaling
+from homcone import factor, ipm, matrix, scaling
 from homcone.errors import NotCompletable, NotPositiveDefinite, StructuralError
 from homcone.factor import (
     adjoint_map,
@@ -139,12 +139,21 @@ def test_stacked_factorizations_report_each_member(case):
 
 @pytest.mark.parametrize("branching", [1.05, 4.0])
 @pytest.mark.parametrize("cap", [20, matrix.BATCH_FLOATS])
-def test_stacks_failing_in_the_first_batch_run_to_the_end(cap, branching):
+def test_stacks_failing_in_the_first_batch_stop_there(cap, branching, monkeypatch):
     """Every member fails in the first batch its sweep takes (the last
-    batch bottom-up, the first top-down) and at random other nodes.  The
-    sweep goes on to the end: ``ok`` is all False, and each member called
-    alone raises at its lowest (cholesky) or highest (maxdet_factor)
-    failing node with the value it has when only that node fails."""
+    batch bottom-up, the first top-down) and at random other nodes.  ``ok``
+    is all False, and each chunk's sweep stops before the work of its next
+    batch; each member called alone sweeps to the end and raises at its
+    lowest (cholesky) or highest (maxdet_factor) failing node with the
+    value it has when only that node fails."""
+    steps = []  # batches yielded, per sweep
+    for name in ("_up", "_down"):
+        def counted(*args, sweep=getattr(factor, name)):
+            steps.append(0)
+            for step in sweep(*args):
+                steps[-1] += 1
+                yield step
+        monkeypatch.setattr(factor, name, counted)
     st = capped_structure(30, 17, branching, cap)
     rng = np.random.default_rng(17)
     m = 5
@@ -160,15 +169,19 @@ def test_stacks_failing_in_the_first_batch_run_to_the_end(cap, branching):
         hit = vals.copy()
         for row, nodes in zip(hit, bad):
             row[st.bar_ptr[sorted(nodes)]] -= big
+        steps.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             f = kernel(SymSparse(st, hit))
         assert not f.ok.any()
+        assert len(steps) == -(-m // st.stack_rows) and max(steps) == 2
         for row, alone, nodes in zip(hit, vals.copy(), bad):
             q = stop(nodes)
             alone[st.bar_ptr[q]] -= big
+            steps.clear()
             with pytest.raises(error) as e:
                 kernel(SymSparse(st, row))
+            assert steps == [len(st.batches)]
             with pytest.raises(error) as want:
                 kernel(SymSparse(st, alone))
             assert e.value.node == st.ordering.sigma[q]
