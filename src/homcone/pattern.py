@@ -77,15 +77,14 @@ class SparsityPattern:
         if e.dtype != np.int64 or e.shape != (len(pairs), 2) or (
                 e.size and (e.min() < 0 or e.max() >= n)):
             e = np.array(_checked_edges(n, pairs), dtype=np.int64).reshape(-1, 2)
-        # sorted, the codes i n + j list each vertex's neighbours as one
-        # ascending run, and two equal codes are a self-loop or a repeat
-        code = np.concatenate((e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]))
+        # sorted, the codes i n + j and j n + i list each vertex's neighbours
+        # as one ascending run, and two equal codes are a self-loop or a repeat
+        code = (e * n + e[:, ::-1]).ravel()
         code.sort()
         if np.count_nonzero(code[1:] == code[:-1]):
             _checked_edges(n, pairs)  # raises, naming the first of them
-        lo = code // n
-        self.n = n
-        self.degrees, self.neighbours = np.bincount(lo, minlength=n), code - lo * n
+        lo, self.neighbours = np.divmod(code, n)
+        self.n, self.degrees = n, np.bincount(lo, minlength=n)
         self.degrees.flags.writeable = self.neighbours.flags.writeable = False
 
     @classmethod
