@@ -23,13 +23,18 @@ solve) in place of k per-depth steps.  What a chain block derives from
 a factor L alone, its trapezoid and the inverse of its triangle, is made
 once per factor (:func:`~homcone.matrix._panel`): a one-matrix
 ``cholesky`` leaves its own in the factor it returns, and every kernel
-and chain product on that factor reads them.  The batches form a tree (a
+and chain product on that factor reads them.  So are the columns of L
+that the ancestor-chain products step against at each depth
+(:func:`~homcone.matrix._chain_columns`), gathered by the first chain
+product on a factor.  The batches form a tree (a
 batch's parents sit in one batch), swept in the order they were compiled,
 every batch after its parent's, top-down and in reverse bottom-up; only
 the blocks of batches whose consumer is still pending are held.
 Children's update blocks reach their parent by a scatter in ascending
 sibling order, and every batched product in a level batch reproduces the
-per-node BLAS call.  The ancestor-chain products and substitutions
+per-node BLAS call; the forward maps form a level batch's rank-2 update
+in contiguous buffers and write the strided block of its frontal blocks
+once.  The ancestor-chain products and substitutions
 (:func:`~homcone.matrix._chain`) run for all columns at once: a member
 in a level batch in one step per depth that moves each column's chain
 and L's column as whole contiguous runs through strided window views, a
@@ -66,8 +71,9 @@ does, and a chain block redoes column by column only the members that
 failed in it.
 
 Kernels never modify their inputs' values and keep all sweep state in
-locals (but for a factor's panels, cached with the same bits by any
-call), so concurrent calls on shared inputs are safe.
+locals but for what a factor caches, its chain blocks' panels and its
+chain columns, which any call makes with the same bits and none writes
+once made, so concurrent calls on shared inputs are safe.
 """
 
 from __future__ import annotations
@@ -398,9 +404,13 @@ def forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
         f[..., 0, 0] = lii * lii * xii
         f[..., 1:, 0] = lii[:, None] * (xii[..., None] * lsub + w)
         f[..., 0, 1:] = f[..., 1:, 0]
-        f[..., 1:, 1:] = xii[..., None, None] * (lsub[:, :, None] * lsub[:, None, :])
-        f[..., 1:, 1:] += w[..., None] * lsub[:, None, :]
-        f[..., 1:, 1:] += lsub[:, :, None] * w[..., None, :]
+        # the rank-2 update (xii l_i l_j + w_i l_j) + l_i w_j, formed in
+        # contiguous buffers and written into the strided block once
+        g = xii[..., None, None] * (lsub[:, :, None] * lsub[:, None, :])
+        t = w[..., None] * lsub[:, None, :]
+        g += t
+        g += np.multiply(lsub[:, :, None], w[..., None, :], out=t)
+        f[..., 1:, 1:] = g
         _add_kids(f, b, done)
         _put(out, b.cols, f[..., 0])
         done[b.id] = f
@@ -482,10 +492,13 @@ def inverse_forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
         wv[b.diag] = b00 / (lii * lii)
         wv[b.sub] = g10
         # the d x d update consumed whole by the parent's frontal block,
-        # stored negated: b22 - (G + B) is exactly -((G + B) - b22)
-        np.subtract(b22, g10[:, :, None] * lsub[:, None, :]
-                    + lsub[:, :, None] * b01[:, None, :] / lii[:, None, None],
-                    out=b22)
+        # stored negated: b22 - (G + B) is exactly -((G + B) - b22); G + B
+        # is summed in place in contiguous buffers
+        u = g10[:, :, None] * lsub[:, None, :]
+        t = lsub[:, :, None] * b01[:, None, :]
+        t /= lii[:, None, None]
+        u += t
+        b22 -= u
         done[b.id] = f
     return SymSparse(s, _chain(s, L, wv, "solve"))
 

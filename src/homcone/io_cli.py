@@ -89,32 +89,46 @@ def _read_pattern(lines) -> SparsityPattern:
         raise ParseError(f"header must be 'N M', got {head!r}", line=lineno) from None
     if n < 1 or m < 0:
         raise ParseError(f"bad sizes N={n} M={m}", line=lineno)
-    edges = []
-    seen = set()
-    for count in range(m):
+    # the loop only splits and parses; a bad edge is found by array passes
+    # below, and the first bad line in the file is the one reported
+    flat, at, fault = [], [], None
+    for _, (lineno, line) in zip(range(m), lines):
         try:
-            lineno, line = next(lines)
-        except StopIteration:
-            raise ParseError(f"header announced {m} edges, file has {count}") from None
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"edge line must be 'i j', got {line!r}", line=lineno)
-        try:
-            i, j = int(parts[0]), int(parts[1])
+            i, j = line.split()
+            flat += int(i), int(j)
         except ValueError:
-            raise ParseError(f"edge line must be 'i j', got {line!r}",
-                             line=lineno) from None
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ParseError(f"vertex out of range in edge ({i},{j})", line=lineno)
-        if i == j:
-            raise ParseError(f"self-loop at vertex {i}", line=lineno)
-        if not i < j:
-            raise ParseError(f"edges must satisfy i < j, got ({i},{j})", line=lineno)
-        if (i, j) in seen:
-            raise ParseError(f"duplicate edge ({i},{j})", line=lineno)
-        seen.add((i, j))
-        edges.append((i - 1, j - 1))
-    return SparsityPattern(n, edges)
+            fault = ParseError(f"edge line must be 'i j', got {line!r}", line=lineno)
+            break
+        at.append(lineno)
+    else:
+        if len(at) < m:
+            fault = ParseError(f"header announced {m} edges, file has {len(at)}")
+    try:
+        e = np.array(flat, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # a vertex number past int64, compared exactly
+        e = np.array(flat, dtype=object).reshape(-1, 2)
+    ei, ej = e.T
+    out = (ei < 1) | (ei > n) | (ej < 1) | (ej > n)
+    bad = out | (ei >= ej)
+    # a repeat sorts right after the first line with its edge (lexsort is
+    # stable)
+    s = np.lexsort((ej, ei))
+    bad[s[1:]] |= (ei[s[1:]] == ei[s[:-1]]) & (ej[s[1:]] == ej[s[:-1]])
+    if bad.any():
+        k = int(np.argmax(bad))
+        i, j = flat[2 * k:2 * k + 2]
+        if out[k]:
+            why = f"vertex out of range in edge ({i},{j})"
+        elif i == j:
+            why = f"self-loop at vertex {i}"
+        elif i > j:
+            why = f"edges must satisfy i < j, got ({i},{j})"
+        else:
+            why = f"duplicate edge ({i},{j})"
+        raise ParseError(why, line=at[k])
+    if fault is not None:
+        raise fault
+    return SparsityPattern(n, e - 1)
 
 
 def parse_pattern(text: str) -> SparsityPattern:

@@ -82,13 +82,16 @@ class SolveStatus(enum.Enum):
 class ConicProblem:
     """Problem data on one structure: constraint matrices as the rows of
     one read-only (m, dim) array A of slot values, right-hand side b, cost
-    c.  Warns if the constraints look linearly dependent.  Problems
-    compare and hash by identity, as arrays give no truth value."""
+    c.  ``A_weighted`` is A times the structure's trace weights, made once
+    and read-only: <A_i, X> is its row i dotted with X's values.  Warns if
+    the constraints look linearly dependent.  Problems compare and hash by
+    identity, as arrays give no truth value."""
 
     struct: Structure
     A: np.ndarray
     b: np.ndarray
     c: SymSparse
+    A_weighted: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=np.float64)
@@ -100,8 +103,10 @@ class ConicProblem:
             raise ValueError(f"A has {a.shape[0]} rows but b has {b.shape[0]} entries")
         if self.c.struct != self.struct:
             raise ValueError("cost matrix on a different structure")
-        a.flags.writeable = False
+        aw = a * self.struct.weights
+        a.flags.writeable = aw.flags.writeable = False
         object.__setattr__(self, "A", a)
+        object.__setattr__(self, "A_weighted", aw)
         object.__setattr__(self, "b", b)
         if self.constraints_dependent():
             warnings.warn("constraint matrices look linearly dependent; "
@@ -115,11 +120,11 @@ class ConicProblem:
         """Whether the Gram matrix <A_i, A_j> is numerically singular."""
         if not self.m:
             return False
-        eig = np.linalg.eigvalsh((self.A * self.struct.weights) @ self.A.T)
+        eig = np.linalg.eigvalsh(self.A_weighted @ self.A.T)
         return bool(eig[0] <= 1e-12 * max(1.0, eig[-1]))
 
     def apply_a(self, x: SymSparse) -> np.ndarray:
-        return np.vecdot(self.A * self.struct.weights, x.vals)
+        return np.vecdot(self.A_weighted, x.vals)
 
     def apply_at(self, y: np.ndarray) -> SymSparse:
         # rows added in order onto +0.0, as a loop of axpys would
@@ -203,7 +208,7 @@ def normal_matrix(problem: ConicProblem, op: ScalingOperator) -> np.ndarray:
     st = problem.struct
     rows = SymSparse(st, problem.A)
     images = apply_scaling(op, "forward", apply_scaling(op, "adjoint", rows)).vals
-    nm = np.vecdot((problem.A * st.weights)[:, None, :], images[None, :, :])
+    nm = np.vecdot(problem.A_weighted[:, None, :], images[None, :, :])
     return 0.5 * (nm + nm.T)
 
 

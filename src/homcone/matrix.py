@@ -15,7 +15,8 @@ staying inside the pattern) fail for them.
 
 Values are 64-bit floats.  No operation writes to its inputs, so
 concurrent use is safe; a :class:`LowerSparse` holds its values read-only,
-as it caches what its chain blocks derive from them (:func:`_panel`).
+as it caches what its chain blocks and ancestor-chain products derive from
+them (:func:`_panel`, :func:`_chain_columns`).
 """
 
 from __future__ import annotations
@@ -548,20 +549,27 @@ class LowerSparse(_Values):
     """Lower-triangular matrix (in position space) on the pattern.
 
     ``vals`` is a read-only view, so writing into it raises: the object
-    caches each chain block's panel (:func:`_panel`), which a write would
-    leave stale.  The cache lives and dies with the object.  ``_data`` is
-    the array that view looks at, for :func:`_chain`'s windows alone: a
-    window on a read-only array costs numpy a refused request for a
-    writable buffer first."""
+    caches what a factor alone determines, which a write would leave
+    stale, each part made on first use:
 
-    __slots__ = ("_data", "_panels")
+    - each chain block's panel (:func:`_panel`), (k+d)k + k^2 floats for
+      a block of k columns under d ancestors;
+    - the columns :func:`_chain` steps against at each depth a
+      (:func:`_chain_columns`), a+1 floats for each of its cnt_a
+      columns: Σ_a cnt_a (a+1) floats, or d+1 for each slot of L whose
+      row, at depth d, is not in a chain block; about 5 ``dim`` on a
+      bushy tree of depth 15 (654,719 floats, 5.0 MB, at n = 16000).
+
+    The cache lives and dies with the object."""
+
+    __slots__ = ("_panels", "_chain_cols")
 
     def __init__(self, struct: Structure, vals: np.ndarray):
         _Values.__init__(self, struct, vals)
-        self._data = data = self.vals
-        self.vals = data[...]
+        self.vals = self.vals[...]
         self.vals.setflags(write=False)
         self._panels = {}
+        self._chain_cols = None
 
 
 def identity(struct: Structure) -> SymSparse:
@@ -714,6 +722,24 @@ def _panel(L: LowerSparse, b: Batch, inverse: bool = False) -> list:
     return p
 
 
+def _chain_columns(L: LowerSparse) -> tuple:
+    """Per depth a, the columns of one matrix ``L`` that :func:`_chain`
+    steps against there: for each of the ``Structure._chain_steps[a]``
+    columns i, in that order, L's column at i's member at depth a, its
+    a+1 slots from the diagonal down, as a read-only (cnt_a, a+1) array.
+    Made once and kept in ``L``'s cache, like :func:`_panel`."""
+    cols = L._chain_cols
+    if cols is None:
+        s = L.struct
+        cols = []
+        for a, (ends, _, _) in enumerate(s._chain_steps):
+            col = _runs(L.vals, a + 1)[s.bar_ptr[s.bar_rows[ends - (a + 1)]]]
+            col.setflags(write=False)
+            cols.append(col)
+        L._chain_cols = cols = tuple(cols)
+    return cols
+
+
 @functools.lru_cache(maxsize=None)
 def _tri(k: int, own: bool = True) -> np.ndarray:
     """``np.tri(k, k, own - 1, dtype=bool)``, read-only and made once per
@@ -737,9 +763,10 @@ def _chain(s: Structure, L, x: np.ndarray, kind: str, own: bool = False) -> np.n
     Each chain member is treated once for every column it lies on, from
     the deepest member up ("solve_t": from the root down).  A member in a
     level batch, at depth a, is treated for all those columns in one step:
-    their last a+1 slots against the column of L at that member, both
-    contiguous runs of a+1 slots moved whole through :func:`_runs`
-    windows, one row per column; the columns' runs are disjoint.  For each
+    their last a+1 slots, a contiguous run moved whole through a
+    :func:`_runs` window, one row per column (the columns' runs are
+    disjoint), against the column of L at that member, gathered once per
+    factor (:func:`_chain_columns`).  For each
     column that is one axpy or one dot, in the order of the scalar column
     recurrence.  The k members of a chain block are treated together by
     :func:`_chain_block`, in one or two ``matmul`` calls, at the depth of
@@ -752,6 +779,7 @@ def _chain(s: Structure, L, x: np.ndarray, kind: str, own: bool = False) -> np.n
     y = np.zeros(x.shape) if kind == "mul" else np.array(x, order="C")
     x = np.ascontiguousarray(x)
     L = L if isinstance(L, LowerSparse) else LowerSparse(s, L)
+    cols = _chain_columns(L)
     # a stack's runs are gathered by a (member, column) index pair, which
     # lays them out C-contiguous as (m, k, a+1)
     member = np.arange(len(y))[:, None] if y.ndim > 1 else None
@@ -759,26 +787,24 @@ def _chain(s: Structure, L, x: np.ndarray, kind: str, own: bool = False) -> np.n
         ends, below, blocks = s._chain_steps[a]
         for b in blocks:
             _chain_block(b, L, x, y, kind, own, member)
-        at = (ends if own else ends[:below]) - (a + 1)
-        if not len(at):
+        cnt = len(ends) if own else below
+        if not cnt:
             continue
-        col = _runs(L._data, a + 1)[s.bar_ptr[s.bar_rows[at]]]
+        at = ends[:cnt] - (a + 1)
+        col = cols[a][:cnt]
         runs = _runs(y, a + 1)
         ix = at if member is None else (member, at)
         # the columns' last a+1 slots; steps so far wrote only slots deeper
         # than a, so "mul_t" reads x's values there
         tail = runs[ix]
-        # one array's products overwrite the gathered columns of L, which
-        # nothing reads again; a stack's products have the stack's shape
-        prod = col if member is None else None
         if kind == "mul":
-            tail += np.multiply(_take(x, at)[..., None], col, out=prod)
+            tail += _take(x, at)[..., None] * col
             runs[ix] = tail
         elif kind == "mul_t":
             _put(y, at, np.vecdot(col, tail))
         elif kind == "solve":
             head = tail[..., 0] / col[:, 0]
-            tail -= np.multiply(head[..., None], col, out=prod)
+            tail -= head[..., None] * col
             tail[..., 0] = head
             runs[ix] = tail
         else:

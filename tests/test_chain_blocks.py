@@ -18,8 +18,8 @@ from homcone.factor import (
     maxdet_factor,
     projected_inverse,
 )
-from homcone.matrix import (LowerSparse, SymSparse, _chain, _panel, identity, tri_inverse,
-                            tri_mul)
+from homcone.matrix import (LowerSparse, SymSparse, _chain, _chain_columns, _panel, identity,
+                            tri_inverse, tri_mul)
 
 from helpers import (benchmark_structures, check_chain, forest_structure, level_schedule,
                      random_structure)
@@ -181,6 +181,35 @@ def test_lower_values_are_read_only(two_chains):
             ell.vals[0] = 2.0
         with pytest.raises(ValueError):
             ell.vals += 1.0
+
+
+def test_chain_columns_are_gathered_once_and_never_written():
+    """A factor keeps the columns ``_chain`` steps against, Σ_a cnt_a (a+1)
+    floats: d+1 for each slot whose row, at depth d, is not in a chain
+    block.  Every kind, with and without each column's own slot, on one
+    array and on a stack, gives on a factor with a warm cache the bits it
+    gives on a copy of the values with a cold one, and a second call after
+    a "mul" gives the first call's bits: no product writes the cache."""
+    kinds = ("mul", "mul_t", "solve", "solve_t")
+    for name, st in [("two_chains", forest_structure(TWO_CHAINS)), *benchmark_structures()]:
+        rng = np.random.default_rng(st.n)
+        ell = LowerSparse(st, well_conditioned_lower(st, rng))
+        for x in (rng.standard_normal(st.dim), rng.standard_normal((3, st.dim))):
+            first = {(kind, own): _chain(st, ell, x, kind, own)
+                     for kind in kinds for own in (False, True)}
+            for (kind, own), got in first.items():
+                cold = _chain(st, LowerSparse(st, ell.vals.copy()), x, kind, own)
+                again = _chain(st, ell, x, kind, own)
+                assert got.tobytes() == cold.tobytes() == again.tobytes(), (name, kind, own)
+        cols = _chain_columns(ell)
+        assert cols is ell._chain_cols and not any(c.flags.writeable for c in cols)
+        inside = np.zeros(st.n, dtype=bool)
+        for b in chain_blocks(st):
+            inside[b.nodes] = True
+        rows = st.bar_rows[~inside[st.bar_rows]]
+        assert sum(c.size for c in cols) == int((np.asarray(st.depth)[rows] + 1).sum()), name
+        assert [c.shape for c in cols] == [(len(e), a + 1) for a, (e, _, _) in
+                                           enumerate(st._chain_steps)]
 
 
 def test_benchmark_structures_without_chain_blocks_are_bitwise():

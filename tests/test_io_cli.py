@@ -78,6 +78,26 @@ class TestPatternIO:
         with pytest.raises(ParseError):
             parse_pattern("3 1\n2 2\n")
 
+    @pytest.mark.parametrize("text, message, line", [
+        ("4 3\n1 2\n5 1\n1 x\n", "vertex out of range in edge (5,1)", 3),
+        ("4 3\n1 2\n1 x\n5 1\n", "edge line must be 'i j', got '1 x'", 3),
+        ("4 3\n1 2\n1 2\n3 3\n", "duplicate edge (1,2)", 3),
+        ("4 3\n# c\n1 2\n3 2\n1 2\n", "edges must satisfy i < j, got (3,2)", 4),
+        ("4 2\n1 2\n2 3 4\n", "edge line must be 'i j', got '2 3 4'", 3),
+        ("4 4\n1 2\n2 3\n", "header announced 4 edges, file has 2", None),
+        ("4 2\n+1 2\n1_0 2\n", "vertex out of range in edge (10,2)", 3),
+        (f"5 1\n1 {2 ** 70}\n", f"vertex out of range in edge (1,{2 ** 70})", 2),
+        (f"{2 ** 70} 1\n{2 ** 66} {2 ** 66}\n", f"self-loop at vertex {2 ** 66}", 2),
+    ])
+    def test_first_bad_edge_line_is_named(self, text, message, line):
+        """The first bad line in the file is reported, with the first of
+        its faults in the order: tokens, range, self-loop, i < j, repeat;
+        a vertex number past int64 is compared exactly."""
+        with pytest.raises(ParseError) as e:
+            parse_pattern(text)
+        assert str(e.value) == message + ("" if line is None else f" (line {line})")
+        assert e.value.line == line
+
     def test_order_violation(self):
         with pytest.raises(ParseError):
             parse_pattern("3 1\n3 1\n")

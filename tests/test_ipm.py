@@ -371,6 +371,8 @@ class TestConstraintArray:
         assert prob.A.dtype == np.float64 and not prob.A.flags.writeable
         with pytest.raises(ValueError):
             prob.A[0, 0] = 1.0
+        assert np.array_equal(prob.A_weighted, prob.A * st.weights)
+        assert not prob.A_weighted.flags.writeable
 
     def test_identity_equality_and_hash(self, rng):
         """Equal-valued distinct problems with m >= 2 compare unequal

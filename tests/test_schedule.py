@@ -28,8 +28,8 @@ from homcone.matrix import (
     tri_mul,
 )
 
-from helpers import (forest_structure, random_completable, random_lower, random_spd,
-                     random_structure, random_sym)
+from helpers import (element_chain, forest_structure, random_completable, random_lower,
+                     random_spd, random_structure, random_sym)
 
 
 EDGE_CASES = {
@@ -71,6 +71,55 @@ def check_all_kernels(st, rng):
     s = random_completable(st, rng)
     lhat = to_dense(maxdet_factor(s).L)
     assert close(np.linalg.inv(lhat @ lhat.T), dense_maxdet_completion(s), 1e-8)
+
+
+def node_by_node_forward(st, lv, xv, inverse=False):
+    """forward_map (``inverse_forward_map`` with ``inverse``) one node at a
+    time in position order, each element of a frontal update in the
+    scalar operation order the level batches keep: (xii l_i l_j + w_i
+    l_j) + l_i w_j, and b22 - (g_i l_j + (l_i b_j) / l_ii); children's
+    blocks added in ascending position."""
+    ptr, par = st.bar_ptr, st.pos_parent
+    kids = [[q for q in range(st.n) if par[q] == p and q != p] for p in range(st.n)]
+    w_all = None if inverse else element_chain(st, lv, xv, "mul")
+    out, blocks = np.zeros(st.dim), {}
+    for q in range(st.n):
+        a, z = int(ptr[q]), int(ptr[q + 1])
+        lii, ls = lv[a], lv[a + 1:z]
+        if inverse:
+            f = np.zeros((z - a, z - a))
+            f[:, 0] = xv[a:z]
+        else:
+            xii, w = xv[a], w_all[a + 1:z]
+            f = np.empty((z - a, z - a))
+            f[0, 0] = lii * lii * xii
+            f[1:, 0] = f[0, 1:] = lii * (xii * ls + w)
+            f[1:, 1:] = (xii * np.outer(ls, ls) + np.outer(w, ls)) + np.outer(ls, w)
+        for c in kids[q]:
+            f += blocks.pop(c)[1:, 1:]
+        if inverse:
+            b00, b01 = f[0, 0], f[1:, 0]
+            g10 = (b01 - (b00 / lii) * ls) / lii
+            out[a], out[a + 1:z] = b00 / (lii * lii), g10
+            f[1:, 1:] = f[1:, 1:] - (np.outer(g10, ls) + np.outer(ls, b01) / lii)
+        else:
+            out[a:z] = f[:, 0]
+        blocks[q] = f
+    return element_chain(st, lv, out, "solve") if inverse else out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_forward_maps_are_bitwise_node_by_node(seed):
+    """On structures without chain blocks, the level batches' frontal
+    updates give each element the bits of the node-by-node sweep."""
+    rng = np.random.default_rng(seed)
+    for st in (random_structure(80, seed=seed), random_structure(300, seed=seed, branching=6.0),
+               forest_structure(EDGE_CASES["forest of unequal trees"])):
+        assert all(b.chain is None for b in st.batches)
+        ell, z = random_lower(st, rng), random_sym(st, rng)
+        for kernel, inverse in ((forward_map, False), (inverse_forward_map, True)):
+            want = node_by_node_forward(st, ell.vals, z.vals, inverse)
+            assert kernel(ell, z).vals.tobytes() == want.tobytes(), (kernel.__name__, st.n)
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
