@@ -57,10 +57,11 @@ class SparsityPattern:
 
     Stored as two read-only int64 arrays: ``degrees``, and ``neighbours``,
     each vertex's neighbours in ascending order, one run per vertex.  Build
-    it from an edge list (validated) or with :meth:`from_adjacency`, which
-    keeps the caller's tuples and derives the arrays on first read.
-    ``adjacency`` (v's run as the tuple ``adjacency[v]``) and the ``edges``
-    set are derived on first read too.
+    it from validated edges, as pairs or as an integer (|E|, 2) array read
+    as it is, by one sort in O(|V| + |E| log |E|); or with
+    :meth:`from_adjacency`, which keeps the caller's tuples and derives the
+    arrays on first read.  ``adjacency`` (v's run as the tuple
+    ``adjacency[v]``) and the ``edges`` set are derived on first read too.
     """
 
     __slots__ = ("n", "degrees", "neighbours", "adjacency", "edges")
@@ -69,14 +70,15 @@ class SparsityPattern:
         if n < 1:
             raise PatternError(f"need at least one vertex, got n={n}")
         n = operator.index(n)
-        pairs = list(edges)
+        pairs = edges if isinstance(edges, np.ndarray) else list(edges)
         try:
-            e = np.array(pairs or np.empty((0, 2), dtype=np.int64))
+            e = np.asarray(pairs if len(pairs) else np.empty((0, 2), dtype=np.int64))
         except (TypeError, ValueError):
             e = np.empty(0)
-        if e.dtype != np.int64 or e.shape != (len(pairs), 2) or (
+        if e.dtype.kind not in "iu" or e.shape != (len(pairs), 2) or (
                 e.size and (e.min() < 0 or e.max() >= n)):
-            e = np.array(_checked_edges(n, pairs), dtype=np.int64).reshape(-1, 2)
+            e = _checked_edges(n, pairs)
+        e = np.asarray(e, dtype=np.int64).reshape(-1, 2)
         # sorted, the codes i n + j and j n + i list each vertex's neighbours
         # as one ascending run, and two equal codes are a self-loop or a repeat
         code = (e * n + e[:, ::-1]).ravel()
@@ -89,8 +91,8 @@ class SparsityPattern:
 
     @classmethod
     def from_adjacency(cls, n: int, adjacency: Sequence[Sequence[int]]) -> "SparsityPattern":
-        """Wrap prebuilt neighbor lists, which must already be sorted,
-        symmetric, and loop-free."""
+        """Wrap prebuilt neighbor lists, unchecked, which must be sorted,
+        symmetric and loop-free: C2's scan wraps 2.1M small patterns so."""
         self = cls.__new__(cls)
         self.n = n
         self.adjacency = tuple(map(tuple, adjacency))
@@ -136,20 +138,21 @@ class SparsityPattern:
         return f"SparsityPattern(n={self.n}, m={self.n_edges})"
 
 
-def _checked_edges(n: int, pairs: list) -> list:
-    """The edges as pairs of ints, checked in input order: PatternError at
-    the first bad one, TypeError at a vertex that is not an integer."""
+def _checked_edges(n: int, pairs: Sequence) -> list:
+    """The edges as pairs of Python ints, checked in input order: PatternError
+    at the first bad one, TypeError at a vertex that is not an integer."""
     seen, out = set(), []
     for i, j in pairs:
         if not (0 <= i < n and 0 <= j < n):
             raise PatternError(f"edge ({i},{j}) out of range for n={n}")
         if i == j:
             raise PatternError(f"self-loop at vertex {i}")
+        i, j = operator.index(i), operator.index(j)
         key = (i, j) if i < j else (j, i)
         if key in seen:
             raise PatternError(f"duplicate edge {key}")
         seen.add(key)
-        out.append((operator.index(i), operator.index(j)))
+        out.append((i, j))
     return out
 
 
@@ -216,24 +219,9 @@ class EliminationTree:
     def n(self) -> int:
         return len(self.parent)
 
-    def subtree_sizes(self) -> list:
-        """Number of vertices in each subtree, computed without recursion."""
-        size = [1] * self.n
-        for v in self._reverse_topological()[::-1]:
-            p = self.parent[v]
-            if p != v:
-                size[p] += size[v]
-        return size
-
-    def _reverse_topological(self) -> list:
-        """Parents before children (iterative DFS from the roots)."""
-        out = []
-        stack = list(self.roots)
-        while stack:
-            v = stack.pop()
-            out.append(v)
-            stack.extend(self.children[v])
-        return out
+    def subtree_sizes(self) -> np.ndarray:
+        """Vertices in each subtree, as an int64 array: 1 + proper descendants."""
+        return np.bincount(_ancestors(self.parent)[1], minlength=self.n) + 1
 
 
 @dataclass(frozen=True)
@@ -359,6 +347,33 @@ def _columns(hi: np.ndarray, count: np.ndarray):
     above[ptr[:-1]] = False
     rows[above] = hi
     return ptr, rows
+
+
+def _ancestors(parent: Sequence[int]):
+    """Every vertex v of the forest ``parent`` (``parent[v] == v`` at a
+    root) paired with each of its proper ancestors a, bottom up, as arrays
+    ``(lo, hi)`` by ascending v: the edges of the forest's comparability
+    graph, and, with the depths ``bincount(lo)`` as counts, the runs
+    :func:`_columns` lays out.  One array step per tree level (the vertices
+    with a t-th ancestor, and those ancestors), O(|V| + |A|) for |A| pairs;
+    OrderingError when ``parent`` has a cycle."""
+    parent = np.asarray(parent, dtype=np.int64)
+    n = len(parent)
+    who = [(parent != np.arange(n)).nonzero()[0]]
+    up = [parent[who[0]]]
+    while len(who[-1]):
+        if len(who) > n:
+            raise OrderingError("parent has a cycle, so it is not a forest")
+        k = (parent[up[-1]] != up[-1]).nonzero()[0]
+        who.append(who[-1][k])
+        up.append(parent[up[-1][k]])
+    count = np.bincount(np.concatenate(who), minlength=n)
+    start = count.cumsum() - count
+    lo = np.arange(n).repeat(count)
+    hi = np.empty_like(lo)
+    for t, (w, a) in enumerate(zip(who, up)):
+        hi[start[w] + t] = a
+    return lo, hi
 
 
 def _preorder(parent: np.ndarray, key: np.ndarray, size: np.ndarray,
@@ -522,15 +537,13 @@ def build_etree(pattern: SparsityPattern, ordering: Ordering,
 
 def is_postordering(etree: EliminationTree, ordering: Ordering) -> bool:
     """True when every subtree occupies the consecutive positions directly
-    below its root's position."""
-    pos = ordering.sigma_inv
-    size = etree.subtree_sizes()
-    low = [pos[v] for v in range(etree.n)]
-    for v in etree._reverse_topological()[::-1]:
-        p = etree.parent[v]
-        if p != v:
-            low[p] = min(low[p], low[v])
-    return all(low[v] == pos[v] - size[v] + 1 for v in range(etree.n))
+    below its root's position: pos[a] - size[a] < pos[v] < pos[a] for
+    every vertex v and each of its proper ancestors a, the subtree of a
+    holding size[a] vertices.  O(|V| + |A|) for |A| such pairs."""
+    lo, hi = _ancestors(etree.parent)
+    pos = np.asarray(ordering.sigma_inv, dtype=np.int64)
+    at, top, size = pos[lo], pos[hi], np.bincount(hi, minlength=etree.n) + 1
+    return bool(((top - size[hi] < at) & (at < top)).all())
 
 
 def _chain_runs(parent: np.ndarray):
@@ -640,37 +653,6 @@ def _minimum_degree(pattern: SparsityPattern):
     return [min(up, key=pos.__getitem__) if up else v for v, up in enumerate(live)]
 
 
-def _postorder(etree: EliminationTree) -> list:
-    """Postorder with children visited in ascending vertex index."""
-    out = []
-    for r in etree.roots:
-        stack = [(r, iter(etree.children[r]))]
-        while stack:
-            v, it = stack[-1]
-            child = next(it, None)
-            if child is None:
-                out.append(v)
-                stack.pop()
-            else:
-                stack.append((child, iter(etree.children[child])))
-    return out
-
-
-def _comparability_adjacency(parent: Sequence[int]) -> list:
-    """Neighbor lists of the comparability graph of a rooted forest:
-    every vertex is adjacent to all of its ancestors."""
-    n = len(parent)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        w = parent[v]
-        prev = v
-        while w != prev:
-            adj[v].append(w)
-            adj[w].append(v)
-            prev, w = w, parent[w]
-    return [sorted(a) for a in adj]
-
-
 def homogeneous_extension(pattern: SparsityPattern) -> Extension:
     """Smallest-effort homogeneous chordal extension of an arbitrary pattern.
 
@@ -678,20 +660,24 @@ def homogeneous_extension(pattern: SparsityPattern) -> Extension:
     get a minimum-degree fill-reducing ordering, a symbolic factorization of
     that ordering, and the ancestor closure of the filled elimination tree
     (the comparability graph of that tree), which is trivially perfect by
-    construction.  The returned ordering is a postordering of the tree.
-    Heuristic only: minimizing added edges is NP-hard.  The ordering costs
-    O((n + fill) log n) for the heap plus the sum of squared elimination
-    degrees for the fill; the closure adds O(E log n), E the extended edges.
+    construction.  The returned ordering is the tree's postorder, children
+    by ascending index.  Heuristic only: minimizing added edges is NP-hard.
+    The ordering costs O((n + fill) log n) for the heap plus the sum of
+    squared elimination degrees for the fill; the closure and postorder
+    come from the tree's ancestor pairs, O(E log E), E the extended edges.
     """
     res = lbfs_order(pattern)
     if res.accepted:
         return Extension(pattern, res.ordering, res.etree)
-    parent = _minimum_degree(pattern)
-    etree = EliminationTree.from_parent(parent)
-    sigma = _postorder(etree)
-    adj = _comparability_adjacency(parent)
-    extended = SparsityPattern.from_adjacency(pattern.n, adj)
-    return Extension(extended, Ordering.from_sigma(sigma), etree)
+    n = pattern.n
+    parent = np.array(_minimum_degree(pattern))
+    lo, hi = _ancestors(parent)
+    depth, size = np.bincount(lo, minlength=n), np.bincount(hi, minlength=n) + 1
+    # postorder index: preorder index, less the ancestors, plus the descendants
+    at = _preorder(parent, np.arange(n), size, *_columns(hi, depth)) - depth + size - 1
+    return Extension(SparsityPattern(n, np.stack((lo, hi), axis=1)),
+                     Ordering(tuple(at.argsort().tolist()), tuple(at.tolist())),
+                     EliminationTree.from_parent(parent.tolist()))
 
 
 @dataclass(frozen=True)
@@ -733,7 +719,6 @@ def random_homogeneous_pattern(n: int, seed: int,
                 parent[root] = par
             if root > a:
                 stack.append((a, root - 1, root))
-    adj = _comparability_adjacency(parent)
-    pat = SparsityPattern.from_adjacency(n, adj)
-    return GeneratedPattern(pat, Ordering.identity(n),
+    edges = np.stack(_ancestors(parent), axis=1)
+    return GeneratedPattern(SparsityPattern(n, edges), Ordering.identity(n),
                             EliminationTree.from_parent(parent))

@@ -105,6 +105,13 @@ def structure_digest(st):
     return hashlib.sha256(_canonical(tables).encode()).hexdigest()
 
 
+def forest_digest(pattern, ordering, etree):
+    """SHA-256 of a pattern made from a forest, with its ordering and that
+    forest: the degree and neighbour arrays, sigma and the parents."""
+    tables = (pattern.n, pattern.degrees, pattern.neighbours, ordering.sigma, etree.parent)
+    return hashlib.sha256(_canonical(tables).encode()).hexdigest()
+
+
 def random_lower(struct, rng, diag_lo=0.6, diag_hi=1.6, off_scale=0.3):
     v = off_scale * rng.standard_normal(struct.dim)
     v[struct.bar_ptr[:-1]] = rng.uniform(diag_lo, diag_hi, struct.n)

@@ -21,13 +21,14 @@ from homcone.pattern import (
     single_child_runs,
     supernode_partition,
     verify_ordering,
+    _ancestors,
     _lbfs_arrays,
     _lbfs_walk,
     _minimum_degree,
 )
 
 from conftest import PAPER12_PARENT, PAPER12_SIGMA
-from helpers import benchmark_structures, is_induced_witness, scan_minimum_degree
+from helpers import benchmark_structures, forest_digest, is_induced_witness, scan_minimum_degree
 
 
 def test_pattern_validation():
@@ -64,6 +65,11 @@ def test_constructor_names_the_first_bad_edge(n, edges, message):
     with pytest.raises(PatternError) as e:
         SparsityPattern(n, iter(edges))
     assert str(e.value) == message
+    if all(type(x) is int for edge in edges for x in edge):
+        for dtype in (np.int64, np.int32):
+            with pytest.raises(PatternError) as e:
+                SparsityPattern(n, np.array(edges, dtype=dtype))
+            assert str(e.value) == message
 
 
 @pytest.mark.parametrize("n, edges, error", [
@@ -102,10 +108,12 @@ def test_constructor_stores_the_edge_arrays():
     assert [a.tolist() for a in p.edge_arrays()] == [[0, 1, 2], [1, 2, 3]]
     for other in (SparsityPattern(4, (e for e in path)), SparsityPattern(4, np.array(path)),
                   SparsityPattern(4, np.array(path, dtype=np.int32)),
+                  SparsityPattern(4, np.array(path, dtype=np.uint8).T.copy().T),
                   SparsityPattern(4, [(True, 2), (0, True), (3, 2)])):
         assert other == p and np.array_equal(other.neighbours, p.neighbours)
     for n in (1, 5):
         empty = SparsityPattern(n, [])
+        assert SparsityPattern(n, np.empty((0, 2), dtype=np.int32)) == empty
         assert empty.degrees.tolist() == [0] * n and empty.neighbours.shape == (0,)
         assert empty.adjacency == ((),) * n and empty.n_edges == 0 and not empty.edges
 
@@ -391,6 +399,164 @@ class TestRandomPattern:
             gen = random_homogeneous_pattern(40, seed=seed, branching=4.0)
             roots.add(len(gen.etree.roots))
         assert max(roots) > 1
+
+
+def _random_postorder(parent, rng):
+    """A postorder of the forest ``parent``, roots and children in random
+    order, walked one vertex at a time."""
+    kids = [[] for _ in parent]
+    for v, p in enumerate(parent):
+        if p != v:
+            kids[p].append(v)
+    order, stack = [], [(r, False) for r in rng.permutation(len(parent)).tolist()
+                        if parent[r] == r]
+    while stack:
+        v, done = stack.pop()
+        if done:
+            order.append(v)
+        else:
+            stack.append((v, True))
+            stack += [(c, False) for c in rng.permutation(kids[v]).tolist()]
+    return order
+
+
+def _fills_windows(parent, pos):
+    """Brute force: the subtree of each v holds exactly the size(v)
+    positions ending at pos[v]."""
+    below = [{v} for v in range(len(parent))]
+    for v in range(len(parent)):
+        a = v
+        while parent[a] != a:
+            a = parent[a]
+            below[a].add(v)
+    return all(sorted(pos[u] for u in b) == list(range(pos[v] - len(b) + 1, pos[v] + 1))
+               for v, b in enumerate(below))
+
+
+def test_is_postordering_matches_brute_force(rng):
+    """Random forests in random labellings under random orderings,
+    postorders and postorders with two positions swapped: both verdicts
+    occur, and each is the brute force's."""
+    verdicts = []
+    for trial in range(600):
+        n = int(rng.integers(1, 40))
+        label = rng.permutation(n)
+        parent = [0] * n
+        for v in range(n):
+            up = int(rng.integers(v, n)) if rng.random() < 0.9 else v
+            parent[label[v]] = int(label[up])
+        kind = trial % 3
+        sigma = rng.permutation(n).tolist() if kind == 0 else _random_postorder(parent, rng)
+        if kind == 2 and n > 1:
+            i, j = rng.choice(n, size=2, replace=False)
+            sigma[i], sigma[j] = sigma[j], sigma[i]
+        ordering = Ordering.from_sigma(sigma)
+        got = is_postordering(EliminationTree.from_parent(parent), ordering)
+        assert got is _fills_windows(parent, ordering.sigma_inv), (parent, sigma)
+        verdicts.append(got)
+    assert 100 < sum(verdicts) < 500
+
+
+def test_is_postordering_rejects_a_child_after_its_parent():
+    """Vertex 2 has children 0 and 3: every subtree's lowest position is
+    where a postorder puts it, but 3 comes after its parent and the root
+    1 sits inside 2's subtree."""
+    etree = EliminationTree.from_parent([2, 1, 2, 2])
+    assert not is_postordering(etree, Ordering.identity(4))
+    assert is_postordering(etree, Ordering.from_sigma([1, 0, 3, 2]))
+    assert etree.subtree_sizes().tolist() == [1, 1, 3, 1]
+
+
+def test_ancestors_match_a_walk(rng):
+    """Each vertex's proper ancestors, bottom up and by ascending vertex,
+    are those of walking up from it, on random forests in random
+    labellings; subtree sizes count each vertex's descendants."""
+    for trial in range(60):
+        n = int(rng.integers(1, 300))
+        gen = random_homogeneous_pattern(n, trial, branching=float(rng.uniform(1.0, 4.0)))
+        label = rng.permutation(n)
+        parent = [0] * n
+        for v, p in enumerate(gen.etree.parent):
+            parent[label[v]] = int(label[p])
+        want = []
+        for v in range(n):
+            a = v
+            while parent[a] != a:
+                a = parent[a]
+                want.append((v, a))
+        lo, hi = _ancestors(parent)
+        assert list(zip(lo.tolist(), hi.tolist())) == want
+        size = [1] * n
+        for _, a in want:
+            size[a] += 1
+        assert EliminationTree.from_parent(parent).subtree_sizes().tolist() == size
+
+
+def test_ancestor_walks_refuse_a_cycle():
+    """A parent array with a cycle is no forest: the level-by-level walk
+    up stops with OrderingError instead of growing without end."""
+    etree = EliminationTree.from_parent([1, 0, 1])
+    with pytest.raises(OrderingError):
+        etree.subtree_sizes()
+    with pytest.raises(OrderingError):
+        is_postordering(etree, Ordering.identity(3))
+
+
+GENERATED_CASES = [(1, 0, 3.0), (2, 1, 3.0), (40, 2, 1.0), (200, 3, 1.05), (300, 4, 2.0),
+                   (500, 5, 8.0), (1200, 2001, 1.05), (2000, 6, 1.05), (3000, 7, 3.0),
+                   (16000, 2001, 4.0)]
+
+
+def _extension_inputs():
+    """Random non-homogeneous graphs, C4 and a path."""
+    rng = np.random.default_rng(93)
+    for n, m in ((12, 20), (60, 90), (150, 200), (400, 700), (1500, 2000)):
+        pairs = list(itertools.combinations(range(n), 2))
+        take = rng.choice(len(pairs), size=m, replace=False)
+        yield f"random n={n} m={m}", SparsityPattern(n, [pairs[t] for t in take])
+    yield "C4", SparsityPattern(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    yield "path 300", SparsityPattern(300, [(v, v + 1) for v in range(299)])
+
+
+def _forest_digests():
+    got = {}
+    for n, seed, b in GENERATED_CASES:
+        g = random_homogeneous_pattern(n, seed, branching=b)
+        got[f"gen n={n} seed={seed} branching={b}"] = forest_digest(g.pattern, g.ordering,
+                                                                     g.etree)
+    for name, p in _extension_inputs():
+        assert not lbfs_order(p).accepted, name
+        e = homogeneous_extension(p)
+        got[name] = forest_digest(e.extended, e.ordering, e.etree)
+    return got
+
+
+# Digests of the generated and extended patterns, their orderings and
+# forests (helpers.forest_digest), recorded with the generator and the
+# extension that walked each vertex's ancestors one vertex at a time.
+FOREST_DIGESTS = {
+    "gen n=1 seed=0 branching=3.0": "9be4816520c702b0f1e153ebb17bc034bb6c471ce7a1e43fa53ff05d9e27237b",
+    "gen n=2 seed=1 branching=3.0": "2ce942df7c2d93504aa7867151a548c5ca771f0459b628d9bb22e4aeabe6ebd4",
+    "gen n=40 seed=2 branching=1.0": "4ca715b73a951078aec204780277192bae068bee853d042317215e495684f4f8",
+    "gen n=200 seed=3 branching=1.05": "99fe796e816c97bbb5edc865860d4d0edd38c0d1738a4eb22304f38969ce5073",
+    "gen n=300 seed=4 branching=2.0": "103622786e9e14c8c111432340daed9df4225cd3c9b8cae9259f62ad33019670",
+    "gen n=500 seed=5 branching=8.0": "dbc464baf7691ec5a6c16f43df80944f7fc0ecbeb3bc22d2bce363cb5b364a2d",
+    "gen n=1200 seed=2001 branching=1.05": "0e8cd402a9c62345c18b9fca8c1b8cf7a87ec2f4bb728aff2c2e4fa7b9b4462a",
+    "gen n=2000 seed=6 branching=1.05": "a36c85e64117dd0afc0fe72b8f03c1229f09dc644d8f9c9ea3e36cc9f2c68317",
+    "gen n=3000 seed=7 branching=3.0": "853854390ec0c3396618fca036231b6cec29fdc8b1f8aeee4b7134602cc155ee",
+    "gen n=16000 seed=2001 branching=4.0": "e350b44cf8f2d8eba4825af7c1dcdd088b101f9dfc9a26c631d3a4e00b3044a0",
+    "random n=12 m=20": "79128d428566ed7f8ffdb1a6a285d18f8b7e0401fae51238d590c413c0c160d4",
+    "random n=60 m=90": "d08d2a6270be03571ad292c1808c624d1de4b9f7facec50ed1b58fb7fb38ea97",
+    "random n=150 m=200": "739a51582bdac6e30ed8b8167b7ed0a61f7e10fb33135f4bba3a4b11076b9a4e",
+    "random n=400 m=700": "e20691bf62276ea1b0eed5af728d64c2844730d4d172465eea611c77a9fde8c4",
+    "random n=1500 m=2000": "8db2b4ed92760a1e53d402ca4068fda6b655653debb28a4d03729bf129fc9944",
+    "C4": "6705be40101964665dd8eccbad8af504e24238bdfab0533d888fd4a8ad18310e",
+    "path 300": "9403c2c98f2730a1cd24d67f65a3de80c1d830e8ae1ed843c70208968e0b419f",
+}
+
+
+def test_generated_and_extended_forests_are_pinned():
+    assert _forest_digests() == FOREST_DIGESTS
 
 
 def _pattern_from_bits(n, bits):
