@@ -51,11 +51,12 @@ sweep: a chain block whose factor LAPACK refuses, or one of whose pivots
 does not clear the floor, is redone column by column to find it.
 
 ``forward_map``, ``adjoint_map``, ``cholesky`` and ``maxdet_factor`` also
-take a stack: a SymSparse whose values have shape (m, dim).  The stack is a
-leading axis on every frontal block, so one sweep does all m members with
-the same numpy calls as one matrix, and each member's result is bitwise that
-of its own call.  The single-matrix call is the same code without the axis.
-The other kernels take one matrix and raise StructuralError on a stack.
+take a stack: a SymSparse whose values have shape (m, dim); so does
+``projected_inverse``, given a stacked factor.  The stack is a leading axis
+on every frontal block, so one sweep does all m members with the same numpy
+calls as one matrix, and each member's result is bitwise that of its own
+call.  The single-matrix call is the same code without the axis.  The other
+kernels take one matrix and raise StructuralError on a stack.
 A stacked ``cholesky`` or ``maxdet_factor`` does not raise, and stops once
 every member has failed: the factor's ``ok`` says which succeeded.  A stack
 is swept :attr:`~homcone.matrix.Structure.stack_rows` members at a time, so a
@@ -539,26 +540,33 @@ def inverse_adjoint_map(L: LowerSparse, S: SymSparse) -> SymSparse:
 
 def projected_inverse(F: CholFactor) -> SymSparse:
     """Y = projection of X^{-1} onto the pattern, from the factor of X.
-    This is the negated barrier gradient."""
-    _one(F.L)
-    st = F.struct
-    lv = F.L.vals
-    out = np.zeros(st.dim)
-    for b, v, pack in _down(st):
+    This is the negated barrier gradient.  For a stacked factor, each
+    member's Y (a failed member's means nothing)."""
+    return _projected_inverse(F.L)
+
+
+@_stacked(0)
+def _projected_inverse(L: LowerSparse) -> SymSparse:
+    st = L.struct
+    lv = L.vals
+    out = np.zeros(lv.shape)
+    for b, v, pack in _down(st, lv.shape[:-1]):
         if b.chain:
             # Y21 = -V P and Y11 = L11^-T L11^-1 - P^T Y21, P = L21 L11^-1
             k = len(b.nodes)
-            t, li = _panel(F.L, b, True)
-            p = t[k:] @ li
-            y21 = -v[0] @ p
-            y = np.vstack([li.T @ li - p.T @ y21, y21])
+            t, li = _panel(L, b, True)
+            p = t[..., k:, :] @ li
+            v = v[..., 0, :, :]
+            y21 = -v @ p
+            y = np.concatenate([np.swapaxes(li, -1, -2) @ li - np.swapaxes(p, -1, -2) @ y21,
+                                y21], -2)
             _store(out, b, y)
             if b.children:
-                _block(y, v[0], pack[0])
+                _block(y, v, pack[..., 0, :, :])
             continue
-        lc = lv[b.cols]
-        lii, lsub = lc[:, 0], lc[:, 1:]
-        ysub = -np.matvec(v, lsub) / lii[:, None]
+        lc = _take(lv, b.cols)
+        lii, lsub = lc[..., 0], lc[..., 1:]
+        ysub = -np.matvec(v, lsub) / lii[..., None]
         yii = (1.0 / lii - np.vecdot(lsub, ysub)) / lii
         _finish(out, b, pack, yii, ysub, ysub, v)
     return SymSparse(st, out)

@@ -204,10 +204,14 @@ def normal_matrix(problem: ConicProblem, op: ScalingOperator) -> np.ndarray:
     """M_ij = <A_i, fwd(adj(A_j))>, symmetrized; symmetric positive
     definite for independent constraints.  The m images fwd(adj(A_j)) come
     from one stacked adjoint and one stacked forward sweep over the rows
-    of A, bitwise what one sweep per row gives."""
-    st = problem.struct
-    rows = SymSparse(st, problem.A)
-    images = apply_scaling(op, "forward", apply_scaling(op, "adjoint", rows)).vals
+    of A, bitwise what one sweep per row gives; :func:`search_direction`
+    runs the same two sweeps with one more member each."""
+    rows = SymSparse(problem.struct, problem.A)
+    return _normal(problem, apply_scaling(op, "forward", apply_scaling(op, "adjoint", rows)).vals)
+
+
+def _normal(problem: ConicProblem, images: np.ndarray) -> np.ndarray:
+    """The normal matrix from the images fwd(adj(A_j)), the rows of ``images``."""
     nm = np.vecdot(problem.A_weighted[:, None, :], images[None, :, :])
     return 0.5 * (nm + nm.T)
 
@@ -221,15 +225,20 @@ def search_direction(problem: ConicProblem, it: Iterate, res: Residuals,
         inv(d_x) + adj(d_s) = -v + gamma mu vtilde
 
     by eliminating through the normal matrix, ``res`` being the residuals
-    of ``it``.  If that is not numerically positive definite,
-    SingularNormalMatrix says whether the constraints are dependent or the
-    iterates degenerated."""
+    of ``it``.  r_d joins the stacked adjoint sweep over A's rows, and
+    carry = rv + adj(r_d) the forward sweep over their images, each
+    member bitwise its own sweep.  If the normal matrix is not
+    numerically positive definite, SingularNormalMatrix says whether the
+    constraints are dependent or the iterates degenerated."""
+    st = problem.struct
     v = op.v
     vtilde = (1.0 / it.mu) * (v - op.v_hat_or_zero())
     rv = -1.0 * v + (gamma * it.mu) * vtilde
-    nm = normal_matrix(problem, op)
-    carry = rv + apply_scaling(op, "adjoint", res.r_d)
-    rhs = -res.r_p - problem.apply_a(apply_scaling(op, "forward", carry))
+    adj = apply_scaling(op, "adjoint", SymSparse(st, np.vstack([problem.A, res.r_d.vals]))).vals
+    adj[-1] = rv.vals + adj[-1]  # carry
+    images = apply_scaling(op, "forward", SymSparse(st, adj)).vals
+    nm = _normal(problem, images[:-1])
+    rhs = -res.r_p - problem.apply_a(SymSparse(st, images[-1]))
     try:
         low = np.linalg.cholesky(nm)
     except np.linalg.LinAlgError:

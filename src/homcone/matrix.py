@@ -495,8 +495,9 @@ class _Values:
     """Shared plumbing for pattern-restricted value arrays.
 
     ``vals`` has shape (dim,), or (m, dim) for a stack of m matrices on one
-    structure.  ``forward_map``, ``adjoint_map``, ``cholesky`` and
-    ``maxdet_factor`` sweep a stack member by member in one pass, and the
+    structure.  ``forward_map``, ``adjoint_map``, ``cholesky``,
+    ``maxdet_factor`` and ``projected_inverse`` (of a stacked factor)
+    sweep a stack member by member in one pass, and the
     arithmetic operators act member by member; everything else takes one
     matrix and raises StructuralError on a stack.  ``vals`` is kept
     C-contiguous (copied if it is not): kernels read one-node batches
@@ -710,15 +711,16 @@ def _store(out, b, t):
 
 
 def _panel(L: LowerSparse, b: Batch, inverse: bool = False) -> list:
-    """Chain block ``b``'s panel of one matrix ``L``, made once and kept
-    in ``L``'s cache (a one-matrix ``cholesky`` fills it with the same
-    bits): [T, T_CC^-1], T = L[P, C] its (k+d, k) trapezoid and T_CC^-1 =
-    ``np.linalg.inv(T[:k])``, None until a caller asks for ``inverse``."""
+    """Chain block ``b``'s panel of ``L`` (of each member of a stack),
+    made once and kept in ``L``'s cache (a one-matrix ``cholesky`` fills
+    it with the same bits): [T, T_CC^-1], T = L[P, C] its (k+d, k)
+    trapezoid and T_CC^-1 the inverse of its top k rows, None until a
+    caller asks for ``inverse``."""
     p = L._panels.get(b)
     if p is None:
         p = L._panels[b] = [_gather(L.vals, b), None]
     if inverse and p[1] is None:
-        p[1] = np.linalg.inv(p[0][:len(b.nodes)])
+        p[1] = np.linalg.inv(p[0][..., :len(b.nodes), :])
     return p
 
 

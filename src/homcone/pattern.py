@@ -631,7 +631,8 @@ def _minimum_degree(pattern: SparsityPattern):
     plus the sum of squared elimination degrees for the fill.
     """
     n = pattern.n
-    live: list[set] = [set(a) for a in pattern.adjacency]
+    flat, end = pattern.neighbours.tolist(), pattern.degrees.cumsum().tolist()
+    live: list[set] = [set(flat[a:b]) for a, b in zip([0, *end], end)]
     heap = [(len(a), v) for v, a in enumerate(live)]
     heapq.heapify(heap)
     pos = [n] * n  # elimination step of each vertex, n while live

@@ -104,33 +104,39 @@ def _newton_system(struct: Structure, w_dense, x_dense):
     W -> projection of W^{-1} x W^{-1}, written with the weighted trace
     inner product so the system is symmetric.  Of its four terms, the
     fourth is the transpose of the second, product for product.  The
-    terms are summed in place into the first, ((t1 + t2) + t3) + t2^T,
-    and the result is made last, by the final product: made first, it
-    lies below the freed temporaries, which a solve's next allocations
-    then fault in again (measured 1.17 against 0.91 ms a call at n = 48)."""
+    first three are products of contiguous gathers, the second factors
+    gathered from P^T and Q^T (not strided views) into one reused
+    buffer, summed in place into the first, ((t1 + t2) + t3) + t2^T.
+    The result is made last, by a fresh product: made in place, it
+    raised a solve-mixed pass's time here from 175 to 328 ms, by the
+    allocation order inside the solves."""
     p = np.linalg.inv(w_dense)
     q = p @ x_dense @ p
     r = struct._row_vertex
     c = struct._col_vertex
-    pr, qr = p.take(r, 0), q.take(r, 0)
-    t2 = qr.take(c, 1) * pr.take(c, 1).T
+    pr, qr, pc = p.take(r, 0), q.take(r, 0), p.T.take(c, 0)
     m = qr.take(r, 1)
-    m *= p.take(c, 0).take(c, 1).T
+    u = pc.take(c, 1)
+    m *= u
+    t2 = qr.take(c, 1)
+    t2 *= pc.take(r, 1, out=u, mode="clip")
     m += t2
-    t3 = pr.take(r, 1)
-    t3 *= q.take(c, 0).take(c, 1).T
+    t3 = q.T.take(c, 0).take(c, 1)
+    t3 *= pr.take(r, 1, out=u, mode="clip")
     m += t3
     m += t2.T
     m *= struct.weights[:, None]
     return m * np.where(r == c, 0.5, 1.0)
 
 
-def _line_points(w: SymSparse, dw: SymSparse, rounds: int):
-    """(t, w + t dw, its factor) for each t = 1, 1/2, 1/4, ... above 1e-12
-    at which w + t dw factors, in that order.  t = 1 is tested alone and
-    the halvings after it ``rounds`` at a time by one stacked cholesky;
-    a member's factor is bitwise its own call, so every point and factor
-    is that of one cholesky per t."""
+def _line_points(w: SymSparse, dw: SymSparse, rounds: int, phi):
+    """(t, w + t dw, its factor, phi there) for each t = 1, 1/2, 1/4, ...
+    above 1e-12 at which w + t dw factors, in that order.  t = 1 is tested
+    alone and the halvings after it ``rounds`` at a time by one stacked
+    cholesky, then phi at all of a round's points that factor by one
+    call ``phi(factor, points)``, or None without ``phi``.  A member's
+    factor is bitwise its own call, so every point, factor and phi is
+    that of one call per t."""
     st = w.struct
     t, size = 1.0, 1
     while t > 1e-12:
@@ -145,13 +151,17 @@ def _line_points(w: SymSparse, dw: SymSparse, rounds: int):
                 fc = cholesky(cand)
             except NotPositiveDefinite:
                 continue
-            yield ts[0], cand, fc
+            yield ts[0], cand, fc, None if phi is None else phi(fc, cand.vals)[0]
         else:
             cands = w.vals + np.array(ts)[:, None] * dw.vals
             fs = cholesky(SymSparse(st, cands))
-            for i in np.flatnonzero(fs.ok):
-                yield (ts[i], SymSparse(st, cands[i].copy()),
-                       CholFactor(LowerSparse(st, fs.L.vals[i].copy())))
+            ok = np.flatnonzero(fs.ok)
+            ls, cands = fs.L.vals[ok], cands[ok]
+            phis = [None] * len(ok)
+            if phi is not None and len(ok):
+                phis = phi(CholFactor(LowerSparse(st, ls)), cands)
+            for i, c, lc, p in zip(ok, cands, ls, phis):
+                yield ts[i], SymSparse(st, c.copy()), CholFactor(LowerSparse(st, lc.copy())), p
 
 
 def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9,
@@ -166,10 +176,14 @@ def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9,
 
     The backtracking tests the full step alone, then the halvings after
     it in rounds of min(8, ``Structure.round_sweeps``), each round by one
-    stacked cholesky, walked in order as a one-halving-at-a-time search
-    would.  A member's factor is bitwise its own cholesky, so every
-    iterate is that search's bit for bit; a round saves the Python
-    overhead of all but one sweep, for the sweeps past the accepted step.
+    stacked cholesky and, for its points that factor, one stacked
+    projected_inverse giving their objective, walked in order as a
+    one-halving-at-a-time search would.  A member's factor and projected
+    inverse are bitwise its own calls, and each objective is summed by
+    np.dot as ``inner`` sums it (a stacked vecdot or matvec sums in
+    another order), so every iterate is that search's bit for bit.  A
+    round saves the Python overhead of all but one sweep of each kernel,
+    for the arithmetic of the points past the accepted step.
 
     Raises ScalingConvergenceError when the NEWTON_STEPS budget runs out,
     8 steps in a row make no progress, the line search reaches its floor
@@ -191,6 +205,14 @@ def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9,
         w = xb / float(np.sqrt(mu))
     xd = to_dense(xb)
     rounds = min(8, st.round_sweeps)
+
+    def objective(fc: CholFactor, points: np.ndarray) -> list:
+        """phi at ``points`` (one or a stack) from their factor ``fc``,
+        each inner product one np.dot on a contiguous row, as in ``inner``."""
+        pw = st.weights * projected_inverse(fc).vals
+        return [float(np.dot(a, xb.vals)) + float(np.dot(st.weights * sb.vals, c))
+                for a, c in zip(np.atleast_2d(pw), np.atleast_2d(points))]
+
     best_w, best_g = w, np.inf
     no_progress = 0
     f = phi0 = None  # the accepted line-search point's factor and objective
@@ -223,14 +245,10 @@ def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9,
         basin = gn <= 1e-6
         if not basin:
             if phi0 is None:
-                phi0 = inner(projected_inverse(f), xb) + inner(sb, w)
+                phi0 = objective(f, w.vals)[0]
             slope = inner(g, dw)
-        phi = None
-        for t, cand, fc in _line_points(w, dw, rounds):
-            if basin:
-                break
-            phi = inner(projected_inverse(fc), xb) + inner(sb, cand)
-            if phi <= phi0 + 1e-4 * t * slope:
+        for t, cand, fc, phi in _line_points(w, dw, rounds, None if basin else objective):
+            if basin or phi <= phi0 + 1e-4 * t * slope:
                 break
         else:
             why = "the line search reached its numerical floor t <= 1e-12"

@@ -328,6 +328,24 @@ def test_stack_mixing_passing_and_failing_members(two_chains):
                 kernel, error, SymSparse(ref, stack[i]))
 
 
+def test_stacked_projected_inverse_is_each_members_own_call():
+    """A stacked projected_inverse gives each member the bytes of its own
+    call: stacks of one, of three and of stack_rows + 2 members (swept in
+    chunks), on two_chains, the deep forests above and every benchmark
+    structure, with and without chain blocks."""
+    deep = [random_structure(n, seed=seed, branching=1.05) for n, seed in [(300, 1), (600, 2), (1200, 6)]]
+    structs = [forest_structure(TWO_CHAINS), *deep, *(st for _, st in benchmark_structures())]
+    assert sum(bool(chain_blocks(st)) for st in structs) == 5
+    for st in structs:
+        rng = np.random.default_rng(st.n)
+        for m in (1, 3, st.stack_rows + 2):
+            stack = np.array([well_conditioned_lower(st, rng) for _ in range(m)])
+            got = projected_inverse(CholFactor(LowerSparse(st, stack))).vals
+            assert got.shape == (m, st.dim)
+            for row, one in zip(got, stack):
+                assert row.tobytes() == projected_inverse(CholFactor(LowerSparse(st, one))).vals.tobytes()
+
+
 @pytest.mark.parametrize("m", [0, 1, 3])
 def test_stacked_chain_blocks_are_each_members_own_call(m, two_chains):
     st, _ = two_chains

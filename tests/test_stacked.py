@@ -372,6 +372,79 @@ def test_line_search_rounds_follow_the_sweep_size(sweep_floats, rounds, monkeypa
     assert max(stacked, default=1) == rounds and 1 not in stacked
 
 
+@pytest.mark.parametrize("sweep_floats, rounds", [(None, 8), (10 * matrix.BATCH_FLOATS, 1)])
+def test_line_search_takes_one_stacked_projected_inverse_a_round(sweep_floats, rounds,
+                                                                 monkeypatch):
+    """On the deep searches of two solves (halving 17-39 times, and to the
+    floor), the objective of a stacked round's points that factor comes
+    from one stacked projected_inverse right after the round's cholesky;
+    the one-matrix calls are those for t = 1, right after its cholesky,
+    and phi0, right before a search.  Where a round takes one sweep,
+    every call is a one-matrix call.  w is the sequential search's."""
+    calls = solve_scaling_calls(0) + solve_scaling_calls(2)
+    if sweep_floats is not None:
+        for st in {x.struct for x, _, _ in calls}:
+            monkeypatch.setattr(st, "sweep_floats", sweep_floats)
+    events, inside = [], [False]
+
+    def chol(x):
+        f = cholesky(x)
+        events.append(("cholesky", len(x.vals) if x.vals.ndim == 2 else 0,
+                       1 if f.ok is None else int(f.ok.sum())))
+        return f
+
+    def proj(f):
+        events.append(("projected_inverse", len(f.L.vals) if f.L.vals.ndim == 2 else 0,
+                       inside[0]))
+        return projected_inverse(f)
+
+    def points(w, dw, rounds, phi):
+        events.append(("search", phi is not None, None))
+        search = real(w, dw, rounds, phi)
+        while True:
+            inside[0] = True
+            try:
+                point = next(search)
+            except StopIteration:
+                events.append(("floor", None, None))
+                return
+            finally:
+                inside[0] = False
+            events.append(("point", point[0], None))
+            yield point
+
+    real = scaling._line_points
+    monkeypatch.setattr(scaling, "cholesky", chol)
+    monkeypatch.setattr(scaling, "projected_inverse", proj)
+    monkeypatch.setattr(scaling, "_line_points", points)
+    for x, s, kwargs in calls:
+        w, stop = scaling_outcome(scaling.scaling_point, x, s, **kwargs)
+        want, want_stop = scaling_outcome(sequential_scaling_point, x, s, **kwargs)
+        assert np.array_equal(w, want) and stop == want_stop
+    stacked = one = phi0 = 0
+    phi = False
+    for i, (kind, a, b) in enumerate(events):
+        if kind == "search":
+            phi = a
+        elif kind == "cholesky" and a and b and phi:
+            # a stacked round, b of whose points factor
+            assert events[i + 1] == ("projected_inverse", b, True)
+            stacked += 1
+        elif kind == "projected_inverse" and not a and b:
+            # t = 1, or a round of one point
+            assert events[i - 1] == ("cholesky", 0, 1)
+            assert rounds == 1 or events[i - 2] == ("search", True, None)
+            one += 1
+        elif kind == "projected_inverse" and not a:
+            assert events[i + 1] == ("search", True, None)
+            phi0 += 1
+    assert stacked + one + phi0 == sum(e[0] == "projected_inverse" for e in events)
+    assert one and phi0 and (stacked > 0) == (rounds > 1)
+    # some search takes a point at t <= 2^-17, and some reaches the floor
+    assert min(e[1] for e in events if e[0] == "point") <= 2.0 ** -17
+    assert ("floor", None, None) in events
+
+
 def test_single_factor_has_no_ok(rng):
     st = random_structure(6, seed=2)
     assert cholesky(random_spd(st, rng)).ok is None
@@ -389,7 +462,7 @@ def test_one_matrix_operations_reject_a_stack(rng):
     stack = LowerSparse(st, np.array([one.vals, one.vals]))
     sym = SymSparse(st, stack.vals)
     f = cholesky(SymSparse(st, np.array([random_spd(st, rng).vals] * 2)))
-    for call in (f.logdet, lambda: projected_inverse(f), lambda: dual_gradient(f),
+    for call in (f.logdet, lambda: dual_gradient(f),
                  lambda: inverse_forward_map(one, sym), lambda: inverse_adjoint_map(one, sym),
                  lambda: forward_map(stack, random_sym(st, rng)),
                  lambda: adjoint_map(stack, random_sym(st, rng)),
