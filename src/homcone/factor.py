@@ -48,7 +48,7 @@ relative on well-conditioned inputs.  A failing pivot is reported
 at the node where the one-at-a-time sweep in position order stops, the
 lowest (bottom-up) or highest (top-down) failing position over the whole
 sweep: a chain block whose factor LAPACK refuses, or one of whose pivots
-does not clear the floor, is redone column by column to find it.
+does not clear the floor, is redone by the level step to find it.
 
 ``forward_map``, ``adjoint_map``, ``cholesky`` and ``maxdet_factor`` also
 take a stack: a SymSparse whose values have shape (m, dim); so does
@@ -68,8 +68,8 @@ the reduced axis contiguous.  So values are stored C-contiguous, and a
 stack is gathered by ``np.take`` (``x[:, idx]`` would put the stack axis
 innermost) or, for one-node batches, by slice views.  Stacked ``matmul``
 and ``np.linalg`` calls run each member's matrices as the one-matrix call
-does, and a chain block redoes column by column only the members that
-failed in it.
+does, and a chain block keeps its level-step redo only for the members
+that failed in it.
 
 Kernels never modify their inputs' values and keep all sweep state in
 locals but for what a factor caches, its chain blocks' panels and its
@@ -159,16 +159,18 @@ def _join(parts):
     return type(parts[0])(parts[0].struct, np.concatenate([p.vals for p in parts]))
 
 
-def _failures(seen, fail, nodes, value, lowest: bool, n: int):
-    """Fold a batch's failing pivots (``fail``, ``value``: shape (..., k))
-    into ``seen``, the (position, value) per member of the failure where
-    a one-node-at-a-time sweep stops: the lowest failing position for a
-    bottom-up sweep (``lowest``), the highest for a top-down one.  A
-    member without a failure holds position n (bottom-up) or -1."""
-    cand = np.where(fail, nodes, n if lowest else -1)
+def _failures(seen, failed, nodes, lowest: bool, n: int):
+    """Fold a batch's pivots and which failed (``failed``: two (..., k)
+    arrays, or None) into ``seen``, the (position, value) per member of
+    the failure where a one-node-at-a-time sweep stops: the lowest failing
+    position bottom-up (``lowest``), the highest top-down.  A member
+    without a failure holds position n (bottom-up) or -1."""
+    if failed is None or not np.count_nonzero(failed[1]):
+        return seen
+    cand = np.where(failed[1], nodes, n if lowest else -1)
     i = (np.argmin if lowest else np.argmax)(cand, axis=-1, keepdims=True)
     node = np.take_along_axis(cand, i, -1)[..., 0]
-    val = np.take_along_axis(value, i, -1)[..., 0]
+    val = np.take_along_axis(failed[0], i, -1)[..., 0]
     if seen is None:
         return node, val
     keep = seen[0] < node if lowest else seen[0] > node
@@ -265,8 +267,9 @@ def _abt(a, b):
 def _potrf(a, floor):
     """``np.linalg.cholesky`` of each matrix of ``a`` and which members
     failed, LAPACK refusing them or a pivot L_ii^2 not clearing
-    ``floor[..., i]``; a failed member's factor is the identity, so later
-    products and inverses stay finite."""
+    ``floor[..., i]``, whose blocks the caller redoes by the level step; a
+    failed member's factor is the identity, so later products and
+    inverses stay finite."""
     try:
         c = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -280,16 +283,20 @@ def _potrf(a, floor):
     return c, bad
 
 
-def _chain_failures(seen, bad, fail, value, b, lowest, n):
-    """Fold the pivots ``fail``, ``value`` that the column-by-column redo
-    of chain block ``b`` found for the members ``bad`` into ``seen``."""
-    if not np.count_nonzero(fail):
-        return seen
-    every = np.zeros(bad.shape + fail.shape[-1:], dtype=bool)
-    every[bad] = fail
-    val = np.zeros(every.shape)
-    val[bad] = value
-    return _failures(seen, every, b.nodes, val, lowest, n)
+def _cholesky_step(f, floor):
+    """Eliminate the first node of the frontal blocks ``f`` (..., w, w) in
+    place: L_ii = sqrt(f00), the column below divided by it, and the Schur
+    update.  A pivot at or below ``floor`` fails and takes L_ii = inf, so
+    the sweep goes on (to lower failures, and other members of a stack).
+    Returns the raw pivots and which failed, or None when none did."""
+    pivot = f[..., 0, 0]
+    fail = pivot <= floor
+    failed = (pivot.copy(), fail) if np.count_nonzero(fail) else None
+    lii = np.sqrt(np.where(fail, np.inf, pivot) if failed else pivot)
+    f[..., 1:, 0] /= lii[..., None]
+    f[..., 0, 0] = lii
+    f[..., 1:, 1:] -= f[..., 1:, :1] * f[..., None, 1:, 0]
+    return failed
 
 
 @_stacked(0)
@@ -319,18 +326,8 @@ def cholesky(X: SymSparse) -> CholFactor:
         f = np.zeros(xv.shape[:-1] + b.shape)
         f[..., 0] = _take(xv, b.cols)
         _add_kids(f, b, done)
-        pivot = f[..., 0, 0]
-        fail = pivot <= _take(floor, b.at)
-        if np.count_nonzero(fail):
-            seen = _failures(seen, fail, b.nodes, pivot, True, s.n)
-            # the sweep goes on, to find lower failures and for the
-            # other members of a stack
-            pivot = np.where(fail, np.inf, pivot)
-        lii = np.sqrt(pivot)
-        f[..., 1:, 0] /= lii[..., None]
-        f[..., 0, 0] = lii
+        seen = _failures(seen, _cholesky_step(f, _take(floor, b.at)), b.nodes, True, s.n)
         _put(out, b.cols, f[..., 0])
-        f[..., 1:, 1:] -= f[..., 1:, :1] * f[..., None, 1:, 0]
         done[b.id] = f
     chol = _factor(s, out, seen, s.n, NotPositiveDefinite)
     if panels:
@@ -340,17 +337,16 @@ def cholesky(X: SymSparse) -> CholFactor:
 
 def _cholesky_chain(xv, floor, out, b, done, seen, n, panels):
     """A chain block of :func:`cholesky`: L11 = chol(F11), L21 = F21
-    L11^-T, and the update F22 - L21 L21^T.  Members that fail in
-    :func:`_potrf` are redone column by column, as a node-by-node sweep
-    does them, to find the failing node and pivot; returns ``seen`` with
-    those folded in.  One matrix leaves in ``panels`` the block's panel
-    [[L11; L21], L11^-1], which :func:`~homcone.matrix._panel` reads."""
+    L11^-T, and the update F22 - L21 L21^T.  If a member fails in
+    :func:`_potrf`, the level step redoes the block to find the failing
+    node and pivot; returns ``seen`` with them.  One matrix leaves its
+    panel [[L11; L21], L11^-1] in ``panels`` for :func:`~homcone.matrix._panel`."""
     k = len(b.nodes)
     f = _gather(xv, b, square=True)
     _add_kids(f[..., None, :, :], b, done)
     floor = _take(floor, b.at)
     l11, bad = _potrf(f[..., :k, :k], floor)
-    redo = f[bad]
+    redo = f.copy() if np.count_nonzero(bad) else None
     li = np.linalg.inv(l11)
     l21 = _abt(f[..., k:, :k], li)
     f[..., :k, :k] = l11
@@ -358,17 +354,13 @@ def _cholesky_chain(xv, floor, out, b, done, seen, n, panels):
     if panels is not None:
         panels[b] = [f[:, :k].copy(), li]
     f[..., k:, k:] -= _abt(l21, l21)
-    if np.count_nonzero(bad):
-        floor = floor[bad]
-        pivot = np.empty(floor.shape)
+    if redo is not None:
+        pivot, fail = np.zeros(floor.shape), np.zeros(floor.shape, dtype=bool)
         for i in range(k):
-            pivot[..., i] = p = redo[..., i, i]
-            lii = np.sqrt(np.where(p <= floor[..., i], np.inf, p))
-            redo[..., i + 1:, i] /= lii[..., None]
-            redo[..., i, i] = lii
-            redo[..., i + 1:, i + 1:] -= redo[..., i + 1:, i:i + 1] * redo[..., None, i + 1:, i]
-        f[bad] = redo
-        seen = _chain_failures(seen, bad, pivot <= floor, pivot, b, True, n)
+            if failed := _cholesky_step(redo[..., i:, i:], floor[..., i]):
+                pivot[..., i], fail[..., i] = failed
+        f[bad] = redo[bad]
+        seen = _failures(seen, (pivot, fail & bad[..., None]), b.nodes, True, n)
     _store(out, b, f)
     done[b.id] = f[..., None, k - 1:, k - 1:]
     return seen
@@ -598,29 +590,33 @@ def maxdet_factor(S: SymSparse) -> CholFactor:
             seen = _maxdet_chain(sv, floor, out, b, v[..., 0, :, :], pack[..., 0, :, :], seen, st.n)
             continue
         sc = _take(sv, b.cols)
-        sii, ssub = sc[..., 0], sc[..., 1:]
-        u = np.vecmat(ssub, v)
-        r = sii - np.vecdot(u, u)
-        fail = r <= _take(floor, b.at)
-        if np.count_nonzero(fail):
-            seen = _failures(seen, fail, b.nodes, r, False, st.n)
-            # the sweep goes on, to find higher failures and for the
-            # other members of a stack
-            r = np.where(fail, np.inf, r)
-        lii = 1.0 / np.sqrt(r)
-        lsub = -lii[..., None] * np.matvec(v, u)
+        lii, lsub, failed = _maxdet_step(sc[..., 0], sc[..., 1:], v, _take(floor, b.at))
+        seen = _failures(seen, failed, b.nodes, False, st.n)
         _finish(out, b, pack, lii, lsub, 0.0, v)
     return _factor(st, out, seen, -1, NotCompletable)
+
+
+def _maxdet_step(sii, ssub, v, floor):
+    """One node of the completion factor from its column [sii; ssub] and
+    parent block V: u = V^T ssub, r = sii - u^T u, L_ii = 1/sqrt(r) and
+    L_sub = -L_ii V u.  An r at or below ``floor`` fails and takes L_ii =
+    0, so the sweep goes on (to higher failures, and other members of a
+    stack).  Returns L_ii, L_sub, and the raw r and which failed or None."""
+    u = np.vecmat(ssub, v)
+    r = sii - np.vecdot(u, u)
+    fail = r <= floor
+    failed = (r, fail) if np.count_nonzero(fail) else None
+    lii = 1.0 / np.sqrt(np.where(fail, np.inf, r) if failed else r)
+    return lii, -lii[..., None] * np.matvec(v, u), failed
 
 
 def _maxdet_chain(sv, floor, out, b, v, pack, seen, n):
     """A chain block of :func:`maxdet_factor`: with U = V^T S21 and R =
     S11 - U^T U, L11 L11^T = R^-1 by the Cholesky factor K of R with rows
     and columns reversed, L11 = rev(K^-T), and L21 = -V U L11; ``pack``
-    gets [[L11, 0], [L21, V]].  Members that fail in :func:`_potrf` (K_ii^2
-    is the pivot of node k-1-i) are redone column by column, top down, as
-    a node-by-node sweep does them, to find the failing node and Schur
-    complement; returns ``seen`` with those folded in."""
+    gets [[L11, 0], [L21, V]].  If a member fails in :func:`_potrf` (K_ii^2
+    is node k-1-i's pivot), the level step redoes the block top down to
+    find the failing node and Schur complement; returns ``seen`` with them."""
     k = len(b.nodes)
     t = _gather(sv, b)
     u = np.swapaxes(v, -1, -2) @ t[..., k:, :]
@@ -630,20 +626,18 @@ def _maxdet_chain(sv, floor, out, b, v, pack, seen, n):
     l11 = np.where(_tri(k), np.swapaxes(np.linalg.inv(kc), -1, -2)[..., ::-1, ::-1], 0.0)
     pack[...] = 0.0
     pack[..., k:, k:] = v
+    redo = pack.copy() if np.count_nonzero(bad) else None
     pack[..., :k, :k] = l11
     pack[..., k:, :k] = -(v @ (u @ l11))
-    if np.count_nonzero(bad):
-        redo, t, floor = pack[bad], t[bad], floor[bad]
-        value = np.empty(floor.shape)
+    if redo is not None:
+        value, fail = np.zeros(floor.shape), np.zeros(floor.shape, dtype=bool)
         for i in range(k - 1, -1, -1):
-            vi = redo[..., i + 1:, i + 1:]
-            ui = np.vecmat(t[..., i + 1:, i], vi)
-            value[..., i] = q = t[..., i, i] - np.vecdot(ui, ui)
-            lii = 1.0 / np.sqrt(np.where(q <= floor[..., i], np.inf, q))
-            redo[..., i, i] = lii
-            redo[..., i + 1:, i] = -lii[..., None] * np.matvec(vi, ui)
-        pack[bad] = redo
-        seen = _chain_failures(seen, bad, value <= floor, value, b, False, n)
+            redo[..., i, i], redo[..., i + 1:, i], failed = _maxdet_step(
+                t[..., i, i], t[..., i + 1:, i], redo[..., i + 1:, i + 1:], floor[..., i])
+            if failed:
+                value[..., i], fail[..., i] = failed
+        pack[bad] = redo[bad]
+        seen = _failures(seen, (value, fail & bad[..., None]), b.nodes, False, n)
     _store(out, b, pack)
     return seen
 

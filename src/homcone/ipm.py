@@ -256,15 +256,6 @@ def search_direction(problem: ConicProblem, it: Iterate, res: Residuals,
     return d_x, d_y, d_s
 
 
-def _interior(x: SymSparse, s: SymSparse) -> bool:
-    try:
-        cholesky(x)
-        maxdet_factor(s)
-        return True
-    except (NotPositiveDefinite, NotCompletable):
-        return False
-
-
 def _round(lo: float, hi: float, depth: int) -> list:
     """Every step the next ``depth`` bisection steps from [lo, hi] may
     probe, 2^depth - 1 of them: the inner points of [lo, hi] cut into
@@ -280,7 +271,12 @@ def _interior_at(it: Iterate, d_x: SymSparse, d_s: SymSparse, steps: list) -> di
     calls, which take about 15% less time than a stack of one on
     structures of a few hundred nodes."""
     if len(steps) == 1:
-        return {steps[0]: _interior(it.x + steps[0] * d_x, it.s + steps[0] * d_s)}
+        try:
+            cholesky(it.x + steps[0] * d_x)
+            maxdet_factor(it.s + steps[0] * d_s)
+            return {steps[0]: True}
+        except (NotPositiveDefinite, NotCompletable):
+            return {steps[0]: False}
     st = it.x.struct
     a = np.array(steps)[:, None]
     ok = cholesky(SymSparse(st, it.x.vals + a * d_x.vals)).ok
@@ -303,7 +299,7 @@ def max_step(it: Iterate, d_x: SymSparse, d_s: SymSparse, eta: float) -> float:
     r is the most, up to 4, with 2^r - 1 at most ``Structure.round_sweeps``:
     4 on small structures, and 1, the plain bisection, where fewer than 3
     sweeps fit in one round."""
-    if _interior(it.x + d_x, it.s + d_s):
+    if _interior_at(it, d_x, d_s, [1.0])[1.0]:
         return eta
     depth = min(4, (it.x.struct.round_sweeps + 1).bit_length() - 1)
     lo, hi = 0.0, 1.0

@@ -267,6 +267,8 @@ def failure(kernel, error, x):
     {20: 5e-14},                # a positive one below the floor, which LAPACK accepts
     {20: -1.0, 60: 5e-14},      # one in each chain block
     {60: -2.0, 100: 5e-14},     # one in a chain block, one in a level batch
+    {0: -1.0}, {39: -1.0},      # each block's first and last columns
+    {40: 5e-14}, {79: 5e-14},
 ])
 def test_failure_inside_a_chain_block_is_the_level_schedules(kernel, error, pivots, two_chains):
     st, ref = two_chains
@@ -310,7 +312,9 @@ def test_stack_mixing_passing_and_failing_members(two_chains):
     """LAPACK refuses the whole stack for one member, and accepts the tiny
     pivot of another: ``ok`` is the level schedule's, the passing members
     are bitwise their own calls, and each failing member alone fails at
-    the level schedule's node with its value."""
+    the level schedule's node with its value.  A stack whose members all
+    fail, each at a chain block's first or last column, has the level
+    schedule's ``ok`` too."""
     st, ref = two_chains
     rng = np.random.default_rng(3)
     for kernel, error, pick in ((cholesky, NotPositiveDefinite, 2),
@@ -326,6 +330,10 @@ def test_stack_mixing_passing_and_failing_members(two_chains):
         for i in (1, 3):
             assert failure(kernel, error, SymSparse(st, stack[i])) == failure(
                 kernel, error, SymSparse(ref, stack[i]))
+        every = np.array([diagonal(ref, {0: -1.0}).vals, diagonal(ref, {39: 5e-14}).vals,
+                          diagonal(ref, {40: 5e-14}).vals, diagonal(ref, {79: -1.0}).vals])
+        assert (kernel(SymSparse(st, every)).ok.tolist()
+                == kernel(SymSparse(ref, every)).ok.tolist() == [False] * 4)
 
 
 def test_stacked_projected_inverse_is_each_members_own_call():
