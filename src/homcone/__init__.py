@@ -14,7 +14,6 @@ from .errors import (
     OrderingError,
     ParseError,
     PatternError,
-    ScalingConvergenceError,
     SingularFactor,
     SingularNormalMatrix,
     StructuralError,
@@ -71,6 +70,7 @@ from .pattern import (
 )
 from .scaling import (
     ScalingOperator,
+    ScalingPoint,
     ScalingState,
     apply_scaling,
     bfgs_update,

@@ -1,0 +1,5 @@
+"""``python -m homcone``: the homcone command line."""
+from .io_cli import main
+
+if __name__ == "__main__":
+    main()

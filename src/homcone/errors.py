@@ -55,21 +55,6 @@ class SingularNormalMatrix(HomconeError):
     whether the constraints are dependent or the iterates degenerated."""
 
 
-class ScalingConvergenceError(HomconeError):
-    """The scaling-point search stopped above its target residual.
-    ``best`` is the best iterate it found, on the caller's scale;
-    ``residual`` its gradient norm on the unit-norm scale the target is
-    set on; ``steps`` the Newton steps taken; ``reason`` why it stopped."""
-
-    def __init__(self, best, residual: float, tol: float, steps: int, reason: str):
-        self.best = best
-        self.residual = residual
-        self.steps = steps
-        self.reason = reason
-        super().__init__(f"scaling point stopped at residual {residual:.3e} (target {tol:g}) "
-                         f"after {steps} Newton steps: {reason}")
-
-
 class ParseError(HomconeError):
     """Malformed input file.  Carries a human-readable location."""
 

@@ -24,12 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    NotCompletable,
-    NotPositiveDefinite,
-    ScalingConvergenceError,
-    SingularNormalMatrix,
-)
+from .errors import NotCompletable, NotPositiveDefinite, SingularNormalMatrix
 from .factor import cholesky, forward_map, maxdet_factor
 from .matrix import (
     LowerSparse,
@@ -388,13 +383,13 @@ def solve(problem: ConicProblem, options: Optional[SolverOptions] = None) -> Sol
             break
         iterations = k + 1
         state = shadow_state(x, s)
-        try:
-            w, scaling_stop = scaling_point(x, s, tol=SCALING_TOL, warm=w_prev), None
-        except ScalingConvergenceError as e:
-            w, scaling_stop = e.best, e.reason
-            log.info("it %3d  %s; going on with its best iterate", k, e)
-        w_prev = w
-        base_op = pd_factor(w, x, s)
+        point = scaling_point(x, s, tol=SCALING_TOL, warm=w_prev)
+        if point.stop is not None:
+            log.info("it %3d  scaling point stopped at residual %.3e (target %g) after %d "
+                     "Newton steps: %s; going on with its best iterate",
+                     k, point.residual, SCALING_TOL, point.steps, point.stop)
+        w_prev = point.w
+        base_op = pd_factor(point.w, x, s)
         op = bfgs_update(base_op, state)
         gamma = opt.gamma if opt.gamma is not None else \
             (0.1 if last_alpha >= 0.8 else 0.8)
@@ -414,7 +409,7 @@ def solve(problem: ConicProblem, options: Optional[SolverOptions] = None) -> Sol
             "alpha": alpha,
             "gamma": gamma,
             "scaling_residual": base_op.residual,
-            "scaling_stop": scaling_stop,
+            "scaling_stop": point.stop,
             "proximity": prox / it.mu,
         }
         trace.append(row)

@@ -16,15 +16,11 @@ guaranteed (and tested).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (
-    NonpositiveCurvature,
-    NotPositiveDefinite,
-    ScalingConvergenceError,
-)
+from .errors import NonpositiveCurvature, NotPositiveDefinite
 from .factor import (
     CholFactor,
     adjoint_map,
@@ -44,13 +40,13 @@ from .matrix import (
     inner,
     norm,
     to_dense,
-    to_triplets,
     zeros,
 )
 
 __all__ = [
     "ScalingState",
     "ScalingOperator",
+    "ScalingPoint",
     "shadow_state",
     "scaling_point",
     "pd_factor",
@@ -96,6 +92,19 @@ def shadow_state(x: SymSparse, s: SymSparse) -> ScalingState:
     return ScalingState(
         x=x, s=s, x_shadow=x_shadow, s_shadow=s_shadow, mu=mu,
         delta_p=x - mu * x_shadow, delta_d=s - mu * s_shadow)
+
+
+class ScalingPoint(NamedTuple):
+    """What :func:`scaling_point` found: ``w`` on the caller's scale (the
+    best iterate when the search stopped short), its gradient norm
+    ``residual`` on the unit-norm scale the target is set on, the Newton
+    ``steps`` taken, and ``stop``, why the search stopped above its
+    target, or None when it met it."""
+
+    w: SymSparse
+    residual: float
+    steps: int
+    stop: Optional[str]
 
 
 def _newton_system(struct: Structure, w_dense, x_dense):
@@ -165,8 +174,9 @@ def _line_points(w: SymSparse, dw: SymSparse, rounds: int, phi):
 
 
 def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9,
-                  warm: Optional[SymSparse] = None) -> SymSparse:
-    """Interior point w at which the barrier Hessian maps x to s.
+                  warm: Optional[SymSparse] = None) -> ScalingPoint:
+    """Interior point w at which the barrier Hessian maps x to s, in a
+    :class:`ScalingPoint` record.
 
     Damped Newton on the convex objective
     phi(W) = <proj(W^{-1}), x> + <s, W>, whose gradient is
@@ -185,13 +195,12 @@ def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9,
     round saves the Python overhead of all but one sweep of each kernel,
     for the arithmetic of the points past the accepted step.
 
-    Raises ScalingConvergenceError when the NEWTON_STEPS budget runs out,
-    8 steps in a row make no progress, the line search reaches its floor
-    t <= 1e-12 or the Newton system is singular, all above ``tol``.  The
-    error carries the best iterate found, its residual, the Newton steps
-    taken and the reason: deep inside a path-following run, where the
-    floor rises as the iterates approach the boundary, the caller may go
-    on with that iterate.
+    The search stops short of ``tol`` when the NEWTON_STEPS budget runs
+    out, 8 steps in a row make no progress, the line search reaches its
+    floor t <= 1e-12 or the Newton system is singular.  It then returns
+    its best iterate with ``stop`` naming the reason: deep inside a
+    path-following run, where the floor rises as the iterates approach
+    the boundary, the caller may go on with that iterate.
     """
     st = x.struct
     nx, ns = norm(x), norm(s)
@@ -222,7 +231,7 @@ def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9,
         g = sb - hess_apply(f, xb)
         gn = norm(g)
         if gn <= tol:
-            return back * w
+            return ScalingPoint(back * w, gn, steps, None)
         if gn < 0.99 * best_g:
             no_progress = 0
         else:
@@ -258,7 +267,7 @@ def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9,
         w, f, phi0 = cand, fc, phi
     else:
         steps, why = NEWTON_STEPS, "the step budget ran out"
-    raise ScalingConvergenceError(back * best_w, best_g, tol, steps, why)
+    return ScalingPoint(back * best_w, best_g, steps, why)
 
 
 @dataclass(frozen=True)
@@ -285,16 +294,6 @@ class ScalingOperator:
 
     def v_hat_or_zero(self) -> SymSparse:
         return self.v_hat if self.corrected else zeros(self.base.struct)
-
-    def to_dict(self) -> dict:
-        """Trace-dump form: triplets of the base factor plus the correction
-        vectors when present (1-based vertex indices)."""
-        d = {"L": to_triplets(self.base), "residual": self.residual}
-        if self.corrected:
-            d["v_hat"] = to_triplets(self.v_hat)
-            d["u_corr"] = to_triplets(self.u_corr)
-            d["alpha"] = self.alpha
-        return d
 
 
 def pd_factor(w: SymSparse, x: SymSparse, s: SymSparse) -> ScalingOperator:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from homcone import ipm, matrix, scaling
-from homcone.errors import NotCompletable, NotPositiveDefinite, ScalingConvergenceError
+from homcone.errors import NotCompletable, NotPositiveDefinite
 from homcone.factor import cholesky, hess_apply, maxdet_factor, projected_inverse
 from homcone.matrix import (
     LowerSparse,
@@ -324,9 +324,8 @@ def sequential_scaling_point(x, s, tol=1e-9, warm=None, halvings=None):
     """Reference scaling-point search, one cholesky per line-search probe:
     the full step, then t = 1/2, 1/4, ... down to 1e-12, with the Newton
     matrix from ix_newton_system.  ``halvings``, if given, collects how
-    many times each line search halved t (40 when it bottomed out).  A
-    search that stops above ``tol`` raises ScalingConvergenceError with
-    its best iterate, residual, steps and reason."""
+    many times each line search halved t (40 when it bottomed out).
+    Returns the scaling.ScalingPoint record scaling_point returns."""
     st = x.struct
     nx, ns = norm(x), norm(s)
     xb = x / nx
@@ -347,7 +346,7 @@ def sequential_scaling_point(x, s, tol=1e-9, warm=None, halvings=None):
         g = sb - hess_apply(f, xb)
         gn = norm(g)
         if gn <= tol:
-            return back * w
+            return scaling.ScalingPoint(back * w, gn, steps, None)
         if gn < 0.99 * best_g:
             no_progress = 0
         else:
@@ -398,17 +397,21 @@ def sequential_scaling_point(x, s, tol=1e-9, warm=None, halvings=None):
         w, f, phi0 = cand, fc, phi
     else:
         steps, why = scaling.NEWTON_STEPS, "the step budget ran out"
-    raise ScalingConvergenceError(back * best_w, best_g, tol, steps, why)
+    return scaling.ScalingPoint(back * best_w, best_g, steps, why)
 
 
-def scaling_outcome(search, x, s, **kwargs):
-    """What a scaling-point search gives: w's values, or the best
-    iterate's values, residual, steps and reason that a
-    ScalingConvergenceError carries."""
-    try:
-        return search(x, s, **kwargs).vals, None
-    except ScalingConvergenceError as e:
-        return e.best.vals, (e.residual, e.steps, e.reason)
+def scaling_w(x, s, **kwargs):
+    """w of a scaling_point call that meets its target; a search that
+    stops short fails the calling test."""
+    point = scaling.scaling_point(x, s, **kwargs)
+    assert point.stop is None, point.stop
+    return point.w
+
+
+def assert_same_point(got, want):
+    """Two scaling-point records agree field by field, w bit for bit."""
+    assert got.w.vals.tobytes() == want.w.vals.tobytes()
+    assert (got.residual, got.steps, got.stop) == (want.residual, want.steps, want.stop)
 
 
 def solve_scaling_calls(seed):

@@ -46,7 +46,7 @@ from homcone.matrix import (
     tri_mul,
 )
 from homcone.pattern import Ordering, SparsityPattern, lbfs_order, random_homogeneous_pattern
-from homcone.scaling import apply_scaling, bfgs_update, pd_factor, scaling_point, shadow_state
+from homcone.scaling import apply_scaling, bfgs_update, pd_factor, shadow_state
 
 from conftest import PAPER12_EDGES, PAPER12_PARENT, PAPER12_SIGMA
 from helpers import (
@@ -57,6 +57,7 @@ from helpers import (
     random_spd,
     random_structure,
     random_sym,
+    scaling_w,
 )
 
 
@@ -364,7 +365,7 @@ def test_c6_scaling_point(rng):
     for trial in range(100):
         st = random_structure(int(rng.integers(2, 15)), seed=61000 + trial)
         x, s = random_interior_pair(st, rng)
-        w = scaling_point(x, s, tol=1e-9)
+        w = scaling_w(x, s, tol=1e-9)
         op = pd_factor(w, x, s)
         assert op.residual <= 1e-7 * (norm(x) + norm(s))
         w_oracle = dense_scaling_point(x, s, tol=1e-10)
@@ -389,7 +390,7 @@ def test_c7_bfgs_update(rng):
         assert abs(inner(s, state.delta_p)) <= 1e-12 * scale
         assert abs(inner(state.delta_d, x)) <= 1e-12 * scale
         assert inner(state.delta_d, state.delta_p) >= -1e-12 * scale
-        w = scaling_point(x, s, tol=1e-12)
+        w = scaling_w(x, s, tol=1e-12)
         op = bfgs_update(pd_factor(w, x, s), state)
         if not op.corrected:
             continue
@@ -407,7 +408,7 @@ def test_c7_bfgs_update(rng):
     x = random_spd(st, rng)
     s = 0.3 * projected_inverse(cholesky(x))
     state = shadow_state(x, s)
-    op = pd_factor(scaling_point(x, s, tol=1e-12), x, s)
+    op = pd_factor(scaling_w(x, s, tol=1e-12), x, s)
     assert bfgs_update(op, state) is op
     elapsed = time.perf_counter() - t0
     _report("C7 BFGS update", f"({corrected} corrected pairs, {elapsed:.1f} s)")
@@ -459,7 +460,7 @@ def test_c8_ipm_end_to_end(rng, vinberg_struct):
     prob = ConicProblem(st, a, np.vecdot(a * st.weights, x.vals), s.copy())
     it = Iterate(x=x, y=np.zeros(4), s=s, mu=inner(s, x) / st.n)
     state = shadow_state(x, s)
-    op = bfgs_update(pd_factor(scaling_point(x, s, tol=1e-13), x, s), state)
+    op = bfgs_update(pd_factor(scaling_w(x, s, tol=1e-13), x, s), state)
     d_x, d_y, d_s = search_direction(prob, it, residuals(prob, it), op, gamma=1.0)
     assert norm(d_x) <= 1e-10 * max(1.0, norm(x))
     assert float(np.linalg.norm(d_y)) <= 1e-10

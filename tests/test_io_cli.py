@@ -1,12 +1,16 @@
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import homcone
 from homcone.errors import ParseError
 from homcone.io_cli import (
     _is_chordal,
@@ -348,6 +352,20 @@ class TestCli:
         rows = [json.loads(line) for line in
                 Path(trace_file).read_text().splitlines()]
         assert rows and all("mu" in r for r in rows)
+
+    def test_python_m_homcone(self, tmp_path):
+        """``python -m homcone`` runs the command line from a checkout."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(homcone.__file__).parents[1])] + env.get("PYTHONPATH", "").split(os.pathsep))
+        pf = tmp_path / "prob.json"
+        for argv in (["gen", "problem", "--n", "8", "--m", "2", "--out", str(pf)],
+                     ["solve", str(pf)]):
+            done = subprocess.run([sys.executable, "-m", "homcone", *argv], cwd=tmp_path,
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            assert pf.exists()
+        assert done.stdout.startswith("status: Optimal")
 
     def test_gen_deterministic(self, tmp_path):
         a = str(tmp_path / "a.json")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from homcone import ipm, matrix
-from homcone.errors import ScalingConvergenceError, SingularNormalMatrix
+from homcone.errors import SingularNormalMatrix
 from homcone.factor import cholesky, maxdet_factor, projected_inverse
 from homcone.ipm import (
     ConicProblem,
@@ -27,6 +27,7 @@ from helpers import (
     random_spd,
     random_structure,
     random_sym,
+    scaling_w,
 )
 
 
@@ -47,7 +48,7 @@ def central_iterate(struct, rng, mu=0.5):
 
 def build_operator(x, s, tol=1e-12):
     state = shadow_state(x, s)
-    w = scaling_point(x, s, tol=tol)
+    w = scaling_w(x, s, tol=tol)
     return bfgs_update(pd_factor(w, x, s), state), state
 
 
@@ -304,11 +305,10 @@ class TestSolve:
         bests, used = {}, []
 
         def search(x, s, **kwargs):
-            try:
-                return scaling_point(x, s, **kwargs)
-            except ScalingConvergenceError as e:
-                bests[len(used)] = e.best
-                raise
+            point = scaling_point(x, s, **kwargs)
+            if point.stop is not None:
+                bests[len(used)] = point
+            return point
 
         def factor(w, x, s):
             used.append(w)
@@ -320,13 +320,16 @@ class TestSolve:
             rep = solve(prob)
         stops = [row["scaling_stop"] for row in rep.trace]
         assert sorted(bests) == [k for k, stop in enumerate(stops) if stop is not None]
-        assert all(used[k] is best for k, best in bests.items())
+        assert all(used[k] is best.w for k, best in bests.items())
         logged = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
         assert None in stops
         assert "the line search reached its numerical floor t <= 1e-12" in stops
         assert len(logged) == sum(stop is not None for stop in stops)
-        for line, stop in zip(logged, (stop for stop in stops if stop is not None)):
-            assert line.endswith(f"{stop}; going on with its best iterate")
+        for line, (k, best) in zip(logged, sorted(bests.items())):
+            assert stops[k] == best.stop
+            assert line == (f"it {k:3d}  scaling point stopped at residual {best.residual:.3e} "
+                            f"(target 1e-11) after {best.steps} Newton steps: {best.stop}; "
+                            "going on with its best iterate")
 
 
 def per_matrix_maps(prob, x, y, op):

@@ -6,12 +6,7 @@ import pytest
 import helpers
 from homcone import scaling
 from homcone.densecheck import dense_scaling_point
-from homcone.errors import (
-    NonpositiveCurvature,
-    NotCompletable,
-    NotPositiveDefinite,
-    ScalingConvergenceError,
-)
+from homcone.errors import NonpositiveCurvature, NotCompletable, NotPositiveDefinite
 from homcone.factor import cholesky, hess_apply
 from homcone.matrix import (
     Structure,
@@ -34,12 +29,13 @@ from homcone.scaling import (
 )
 
 from helpers import (
+    assert_same_point,
     ix_newton_system,
     random_interior_pair,
     random_spd,
     random_structure,
     random_sym,
-    scaling_outcome,
+    scaling_w,
     sequential_scaling_point,
     solve_scaling_calls,
 )
@@ -90,42 +86,56 @@ class TestShadowState:
 class TestScalingPoint:
     def test_central_identity(self, vinberg_struct):
         eye = identity(vinberg_struct)
-        w = scaling_point(eye, eye, tol=1e-12)
+        w = scaling_w(eye, eye, tol=1e-12)
         assert np.allclose(w.vals, eye.vals, atol=1e-10)
 
     def test_scalar_case(self):
         st = Structure(SparsityPattern(1, []), Ordering.identity(1))
         x = from_triplets(st, [(0, 0, 4.0)])
         s = from_triplets(st, [(0, 0, 1.0)])
-        w = scaling_point(x, s, tol=1e-12)
+        w = scaling_w(x, s, tol=1e-12)
         assert np.isclose(w.vals[0], 2.0)
 
     def test_defining_equation(self, rng):
         for _, x, s in interior_pairs(rng, 12, seed0=5100):
-            w = scaling_point(x, s, tol=1e-10)
+            w = scaling_w(x, s, tol=1e-10)
             resid = norm(hess_apply(cholesky(w), x) - s)
             assert resid <= 1e-9 * norm(s)
 
     def test_matches_dense_oracle(self, rng):
         for st, x, s in interior_pairs(rng, 8, lo=3, hi=10, seed0=5200):
-            w = scaling_point(x, s, tol=1e-11)
+            w = scaling_w(x, s, tol=1e-11)
             w_oracle = dense_scaling_point(x, s, tol=1e-11)
             assert np.allclose(to_dense(w), w_oracle, rtol=1e-7, atol=1e-7)
 
+    def test_record_of_a_search_that_meets_its_target(self, rng, monkeypatch):
+        """stop is None and residual at most tol; hess_apply runs once per
+        iterate, the start and the point of each Newton step."""
+        calls = []
+
+        def counted(f, z):
+            calls.append(1)
+            return hess_apply(f, z)
+
+        monkeypatch.setattr(scaling, "hess_apply", counted)
+        for t, (_, x, s) in enumerate(interior_pairs(rng, 8, seed0=5120)):
+            tol = [1e-9, 1e-12][t % 2]
+            calls.clear()
+            point = scaling_point(x, s, tol=tol)
+            assert point.stop is None and point.residual <= tol
+            assert point.steps >= 1 and len(calls) == point.steps + 1
+
     def test_warm_start(self, rng):
         for _, x, s in interior_pairs(rng, 4, seed0=5300):
-            w1 = scaling_point(x, s, tol=1e-11)
-            w2 = scaling_point(x, s, tol=1e-11, warm=w1)
+            w1 = scaling_w(x, s, tol=1e-11)
+            w2 = scaling_w(x, s, tol=1e-11, warm=w1)
             assert np.allclose(w1.vals, w2.vals, rtol=1e-8, atol=1e-10)
 
 
 def assert_sequential(x, s, **kwargs):
-    """scaling_point returns the sequential search's w bit for bit, or
-    both raise with the same best iterate, bit for bit, at the same
-    residual, step and reason."""
-    (got, stop), (want, want_stop) = (scaling_outcome(scaling_point, x, s, **kwargs),
-                                      scaling_outcome(sequential_scaling_point, x, s, **kwargs))
-    assert np.array_equal(got, want) and stop == want_stop
+    """scaling_point returns the sequential search's record: w bit for
+    bit, the same residual, steps and stop."""
+    assert_same_point(scaling_point(x, s, **kwargs), sequential_scaling_point(x, s, **kwargs))
 
 
 class TestBitwise:
@@ -149,7 +159,7 @@ class TestBitwise:
 
     def test_warm_starts(self, rng):
         for _, x, s in interior_pairs(rng, 6, seed0=5250):
-            w = scaling_point(x, s, tol=1e-4)
+            w = scaling_w(x, s, tol=1e-4)
             assert_sequential(x, s, tol=1e-11, warm=w)
             assert_sequential(1.5 * x, s, tol=1e-11, warm=w)
 
@@ -160,23 +170,22 @@ class TestBitwise:
         longest = []
         for x, s, kwargs in solve_scaling_calls(0) + solve_scaling_calls(2):
             halvings = []
-            scaling_outcome(sequential_scaling_point, x, s, **kwargs, halvings=halvings)
+            sequential_scaling_point(x, s, **kwargs, halvings=halvings)
             longest.append(max(halvings, default=0))
             assert_sequential(x, s, **kwargs)
         assert any(17 <= h < 40 for h in longest) and 40 in longest
 
 
 class TestScalingConvergenceError:
-    """The error names why the search stopped and after how many Newton
-    steps, and carries the sequential search's best iterate in every
-    case."""
+    """A search that stops short of its target returns its best iterate
+    with why it stopped and after how many Newton steps, and in every
+    case the sequential search's record."""
 
     def assert_stops(self, x, s, why, **kwargs):
-        with pytest.raises(ScalingConvergenceError, match=why) as e:
-            scaling_point(x, s, **kwargs)
-        assert re.search(why, f"after {e.value.steps} Newton steps: {e.value.reason}")
-        assert e.value.residual > kwargs["tol"]
-        assert e.value.best.struct is x.struct
+        point = scaling_point(x, s, **kwargs)
+        assert re.search(why, f"after {point.steps} Newton steps: {point.stop}")
+        assert point.residual > kwargs["tol"]
+        assert point.w.struct is x.struct
         assert_sequential(x, s, **kwargs)
 
     def pair(self, rng):
@@ -196,7 +205,7 @@ class TestScalingConvergenceError:
         floors = 0
         for x, s, kwargs in solve_scaling_calls(0):
             halvings = []
-            scaling_outcome(sequential_scaling_point, x, s, **kwargs, halvings=halvings)
+            sequential_scaling_point(x, s, **kwargs, halvings=halvings)
             if halvings[-1:] == [40]:
                 floors += 1
                 self.assert_stops(x, s, r"after \d+ Newton steps: the line search reached its "
@@ -225,14 +234,14 @@ class TestPdFactor:
         st = Structure(SparsityPattern(1, []), Ordering.identity(1))
         x = from_triplets(st, [(0, 0, 4.0)])
         s = from_triplets(st, [(0, 0, 1.0)])
-        w = scaling_point(x, s, tol=1e-13)
+        w = scaling_w(x, s, tol=1e-13)
         op = pd_factor(w, x, s)
         assert np.isclose(to_dense(op.base)[0, 0], np.sqrt(2.0))
         assert np.isclose(op.v.vals[0], 2.0)
 
     def test_common_value_residual(self, rng):
         for _, x, s in interior_pairs(rng, 10, seed0=5400):
-            w = scaling_point(x, s, tol=1e-9)
+            w = scaling_w(x, s, tol=1e-9)
             op = pd_factor(w, x, s)
             assert op.residual <= 1e-7 * (norm(x) + norm(s))
 
@@ -253,7 +262,7 @@ class TestApplyScaling:
     @pytest.mark.parametrize("corrected", [False, True])
     def test_mode_consistency(self, rng, corrected):
         for _, x, s in interior_pairs(rng, 8, seed0=5500 + corrected):
-            w = scaling_point(x, s, tol=1e-11)
+            w = scaling_w(x, s, tol=1e-11)
             op = pd_factor(w, x, s)
             if corrected:
                 op = bfgs_update(op, shadow_state(x, s))
@@ -284,7 +293,7 @@ class TestBfgsUpdate:
         s = 0.7 * projected_inverse(cholesky(x))
         state = shadow_state(x, s)
         assert norm(state.delta_p) <= 1e-10 and norm(state.delta_d) <= 1e-10
-        w = scaling_point(x, s, tol=1e-12)
+        w = scaling_w(x, s, tol=1e-12)
         op = pd_factor(w, x, s)
         assert bfgs_update(op, state) is op
 
@@ -292,7 +301,7 @@ class TestBfgsUpdate:
         checked = 0
         for _, x, s in interior_pairs(rng, 12, seed0=5600):
             state = shadow_state(x, s)
-            w = scaling_point(x, s, tol=1e-12)
+            w = scaling_w(x, s, tol=1e-12)
             op = bfgs_update(pd_factor(w, x, s), state)
             if not op.corrected:
                 continue
@@ -309,7 +318,7 @@ class TestBfgsUpdate:
     def test_vhat_orthogonal_to_v(self, rng):
         for _, x, s in interior_pairs(rng, 8, seed0=5700):
             state = shadow_state(x, s)
-            w = scaling_point(x, s, tol=1e-12)
+            w = scaling_w(x, s, tol=1e-12)
             op = bfgs_update(pd_factor(w, x, s), state)
             if op.corrected:
                 assert abs(inner(op.v_hat, op.v)) <= 1e-10 * norm(op.v_hat) * norm(op.v)
@@ -317,7 +326,7 @@ class TestBfgsUpdate:
     def test_vhat_normalization(self, rng):
         for _, x, s in interior_pairs(rng, 6, seed0=5800):
             state = shadow_state(x, s)
-            w = scaling_point(x, s, tol=1e-11)
+            w = scaling_w(x, s, tol=1e-11)
             op = bfgs_update(pd_factor(w, x, s), state)
             if op.corrected:
                 curv = inner(state.delta_d, state.delta_p)
@@ -327,7 +336,7 @@ class TestBfgsUpdate:
         # (v - v_hat)/mu equals both corrected images of the shadow pair
         for _, x, s in interior_pairs(rng, 8, seed0=5900):
             state = shadow_state(x, s)
-            w = scaling_point(x, s, tol=1e-12)
+            w = scaling_w(x, s, tol=1e-12)
             op = bfgs_update(pd_factor(w, x, s), state)
             if not op.corrected:
                 continue
@@ -338,24 +347,13 @@ class TestBfgsUpdate:
             assert norm(a - tilde) <= 1e-9 * scale
             assert norm(b - tilde) <= 1e-9 * scale
 
-    def test_trace_dump(self, rng):
-        st = random_structure(6, seed=16)
-        x, s = random_interior_pair(st, rng)
-        state = shadow_state(x, s)
-        op = bfgs_update(pd_factor(scaling_point(x, s, tol=1e-11), x, s), state)
-        d = op.to_dict()
-        assert len(d["L"]) == st.dim and "residual" in d
-        if op.corrected:
-            assert len(d["v_hat"]) == st.dim and len(d["u_corr"]) == st.dim
-            assert d["alpha"] == op.alpha
-
     def test_nonpositive_curvature_rejected(self, rng):
         st = random_structure(6, seed=17)
         x, s = random_interior_pair(st, rng)
         state = shadow_state(x, s)
         if inner(state.delta_d, state.delta_p) <= 0:
             pytest.skip("degenerate draw")
-        w = scaling_point(x, s, tol=1e-10)
+        w = scaling_w(x, s, tol=1e-10)
         op = pd_factor(w, x, s)
         from dataclasses import replace
 

@@ -33,12 +33,12 @@ from homcone.matrix import (
 )
 
 from helpers import (
+    assert_same_point,
     random_completable,
     random_lower,
     random_spd,
     random_structure,
     random_sym,
-    scaling_outcome,
     sequential_max_step,
     sequential_scaling_point,
     solve_scaling_calls,
@@ -365,9 +365,8 @@ def test_line_search_rounds_follow_the_sweep_size(sweep_floats, rounds, monkeypa
 
     monkeypatch.setattr(scaling, "cholesky", spy)
     for x, s, kwargs in calls:
-        w, stop = scaling_outcome(scaling.scaling_point, x, s, **kwargs)
-        want, want_stop = scaling_outcome(sequential_scaling_point, x, s, **kwargs)
-        assert np.array_equal(w, want) and stop == want_stop
+        assert_same_point(scaling.scaling_point(x, s, **kwargs),
+                          sequential_scaling_point(x, s, **kwargs))
     stacked = {k for k in sizes if k}
     assert max(stacked, default=1) == rounds and 1 not in stacked
 
@@ -418,9 +417,8 @@ def test_line_search_takes_one_stacked_projected_inverse_a_round(sweep_floats, r
     monkeypatch.setattr(scaling, "projected_inverse", proj)
     monkeypatch.setattr(scaling, "_line_points", points)
     for x, s, kwargs in calls:
-        w, stop = scaling_outcome(scaling.scaling_point, x, s, **kwargs)
-        want, want_stop = scaling_outcome(sequential_scaling_point, x, s, **kwargs)
-        assert np.array_equal(w, want) and stop == want_stop
+        assert_same_point(scaling.scaling_point(x, s, **kwargs),
+                          sequential_scaling_point(x, s, **kwargs))
     stacked = one = phi0 = 0
     phi = False
     for i, (kind, a, b) in enumerate(events):
