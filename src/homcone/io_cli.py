@@ -467,8 +467,7 @@ def _cmd_factor(args, stdout) -> int:
 
 def _cmd_solve(args, stdout) -> int:
     try:
-        options = SolverOptions(gamma=args.gamma, tol_gap=args.tol, tol_feas=args.tol,
-                                max_iter=args.max_iter, step_fraction=args.eta)
+        options = SolverOptions(tol_gap=args.tol, tol_feas=args.tol, max_iter=args.max_iter)
     except ValueError as e:
         print(f"homcone solve: error: {e}", file=sys.stderr)
         return 1
@@ -564,9 +563,7 @@ def _build_parser() -> _Parser:
     sp = add("solve", _cmd_solve, help="solve a conic problem file")
     sp.add_argument("file")
     sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--gamma", type=float, default=None)
     sp.add_argument("--max-iter", type=int, default=100)
-    sp.add_argument("--eta", type=float, default=0.99)
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument("--trace", metavar="FILE")
 

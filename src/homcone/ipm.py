@@ -65,6 +65,8 @@ log = logging.getLogger(__name__)
 SCALING_TOL = 1e-11
 #: bisection steps of the step search
 BISECT_DEPTH = 40
+#: fraction of the largest cone-feasible step that is taken
+STEP_FRACTION = 0.99
 
 
 class SolveStatus(enum.Enum):
@@ -167,20 +169,13 @@ class Residuals:
 
 @dataclass
 class SolverOptions:
-    """Knobs for :func:`solve`.  gamma=None picks the centering parameter
-    adaptively: 0.1 after a step of at least 0.8, else 0.8."""
+    """Stopping rules for :func:`solve`."""
 
-    gamma: Optional[float] = None
     tol_gap: float = 1e-8
     tol_feas: float = 1e-8
     max_iter: int = 100
-    step_fraction: float = 0.99
 
     def __post_init__(self):
-        if self.gamma is not None and not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must be in [0, 1]")
-        if not 0.0 < self.step_fraction < 1.0:
-            raise ValueError("step_fraction must be in (0, 1)")
         if not (self.tol_gap > 0.0 and self.tol_feas > 0.0):
             raise ValueError("tol_gap and tol_feas must be positive")
         if self.max_iter < 1:
@@ -363,7 +358,6 @@ def solve(problem: ConicProblem, options: Optional[SolverOptions] = None) -> Sol
     s = identity(st)
     y = np.zeros(problem.m)
     feas_scale = 1.0 + float(np.linalg.norm(problem.b)) + norm(problem.c)
-    w_prev = None
     last_alpha = 0.0
     stalls = 0
     trace: list = []
@@ -383,21 +377,19 @@ def solve(problem: ConicProblem, options: Optional[SolverOptions] = None) -> Sol
             break
         iterations = k + 1
         state = shadow_state(x, s)
-        point = scaling_point(x, s, tol=SCALING_TOL, warm=w_prev)
+        point = scaling_point(x, s, tol=SCALING_TOL)
         if point.stop is not None:
             log.info("it %3d  scaling point stopped at residual %.3e (target %g) after %d "
                      "Newton steps: %s; going on with its best iterate",
                      k, point.residual, SCALING_TOL, point.steps, point.stop)
-        w_prev = point.w
         base_op = pd_factor(point.w, x, s)
         op = bfgs_update(base_op, state)
-        gamma = opt.gamma if opt.gamma is not None else \
-            (0.1 if last_alpha >= 0.8 else 0.8)
+        gamma = 0.1 if last_alpha >= 0.8 else 0.8
         try:
             d_x, d_y, d_s = search_direction(problem, it, res, op, gamma)
         except SingularNormalMatrix as e:
             raise SingularNormalMatrix(f"at iteration {k}: {e}") from None
-        alpha = max_step(it, d_x, d_s, opt.step_fraction)
+        alpha = max_step(it, d_x, d_s, STEP_FRACTION)
         # |v - mu*vtilde|/mu collapses to |v_hat|/mu; informational only
         prox = norm(op.v_hat_or_zero())
         row = {

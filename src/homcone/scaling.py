@@ -173,8 +173,7 @@ def _line_points(w: SymSparse, dw: SymSparse, rounds: int, phi):
                 yield ts[i], SymSparse(st, c.copy()), CholFactor(LowerSparse(st, lc.copy())), p
 
 
-def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9,
-                  warm: Optional[SymSparse] = None) -> ScalingPoint:
+def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9) -> ScalingPoint:
     """Interior point w at which the barrier Hessian maps x to s, in a
     :class:`ScalingPoint` record.
 
@@ -182,7 +181,7 @@ def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9,
     phi(W) = <proj(W^{-1}), x> + <s, W>, whose gradient is
     s - hess(W)[x]; steps are backtracked to keep W factorizable.  Inputs
     are rescaled to unit norm internally (an exact change of variables) and
-    the default start is x/sqrt(mu), which is exact on the central path.
+    the search starts at x/sqrt(mu), which is exact on the central path.
 
     The backtracking tests the full step alone, then the halvings after
     it in rounds of min(8, ``Structure.round_sweeps``), each round by one
@@ -207,11 +206,7 @@ def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9,
     xb = x / nx
     sb = s / ns
     back = float(np.sqrt(nx / ns))
-    if warm is not None:
-        w = warm / back
-    else:
-        mu = inner(sb, xb) / st.n
-        w = xb / float(np.sqrt(mu))
+    w = xb / float(np.sqrt(inner(sb, xb) / st.n))
     xd = to_dense(xb)
     rounds = min(8, st.round_sweeps)
 

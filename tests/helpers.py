@@ -8,6 +8,7 @@ can start.
 """
 
 import hashlib
+import importlib
 import sys
 from pathlib import Path
 
@@ -60,16 +61,22 @@ def level_schedule(st):
     return ref
 
 
+def perfbench_module(name):
+    """The benchmark's module ``perfbench.<name>``, imported from the
+    checkout's root."""
+    sys.path.insert(0, str(ROOT))
+    try:
+        return importlib.import_module(f"perfbench.{name}")
+    finally:
+        sys.path.remove(str(ROOT))
+
+
 def benchmark_structures():
     """(workload, structure) for every structure the benchmark sweeps:
     each workload's conic instances and its sweep patterns."""
-    sys.path.insert(0, str(ROOT))
-    try:
-        from perfbench.workloads import WORKLOADS, make_inputs, set_up
-    finally:
-        sys.path.remove(str(ROOT))
-    for w in WORKLOADS.values():
-        problems, structs = set_up(make_inputs(w, ROOT), lambda: None)
+    wl = perfbench_module("workloads")
+    for w in wl.WORKLOADS.values():
+        problems, structs = wl.set_up(wl.make_inputs(w, ROOT), lambda: None)
         yield from ((w.name, p.struct) for p in problems)
         yield from ((w.name, st) for st in structs)
 
@@ -320,7 +327,7 @@ def check_chain(st, rng):
                     assert err <= 1e-12 * np.abs(want).max(initial=0.0), (kind, own, x.shape)
 
 
-def sequential_scaling_point(x, s, tol=1e-9, warm=None, halvings=None):
+def sequential_scaling_point(x, s, tol=1e-9, halvings=None):
     """Reference scaling-point search, one cholesky per line-search probe:
     the full step, then t = 1/2, 1/4, ... down to 1e-12, with the Newton
     matrix from ix_newton_system.  ``halvings``, if given, collects how
@@ -331,11 +338,8 @@ def sequential_scaling_point(x, s, tol=1e-9, warm=None, halvings=None):
     xb = x / nx
     sb = s / ns
     back = float(np.sqrt(nx / ns))
-    if warm is not None:
-        w = warm / back
-    else:
-        mu = inner(sb, xb) / st.n
-        w = xb / float(np.sqrt(mu))
+    mu = inner(sb, xb) / st.n
+    w = xb / float(np.sqrt(mu))
     xd = to_dense(xb)
     best_w, best_g = w, np.inf
     no_progress = 0

@@ -463,8 +463,6 @@ class TestCli:
         assert f"bad 'A'[0]: entry ({index},{index})" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--eta", "1.5", "step_fraction must be in (0, 1)"),
-        ("--gamma", "2", "gamma must be in [0, 1]"),
         ("--max-iter", "-3", "max_iter must be at least 1"),
         ("--tol", "0", "tol_gap and tol_feas must be positive"),
     ])

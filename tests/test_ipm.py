@@ -6,6 +6,7 @@ import pytest
 from homcone import ipm, matrix
 from homcone.errors import SingularNormalMatrix
 from homcone.factor import cholesky, maxdet_factor, projected_inverse
+from homcone.io_cli import parse_problem
 from homcone.ipm import (
     ConicProblem,
     Iterate,
@@ -23,6 +24,8 @@ from homcone.matrix import SymSparse, from_triplets, identity, inner, norm, zero
 from homcone.scaling import apply_scaling, bfgs_update, pd_factor, scaling_point, shadow_state
 
 from helpers import (
+    ROOT,
+    perfbench_module,
     random_feasible_problem,
     random_spd,
     random_structure,
@@ -295,6 +298,17 @@ class TestSolve:
         rep = solve(prob)
         assert rep.status is SolveStatus.STALLED and rep.iterations == 2
         assert rep.stop_reason == "steps 1.0e-11 and 1.0e-11 in a row were below 1e-10"
+
+    def test_benchmark_instance_from_the_central_path_start(self):
+        """perfbench's random_instance(40, 16, 3.0, 4) ended MaxIter when
+        each scaling-point search started from the previous iteration's
+        point.  Started on the central path, it ends Optimal, and the
+        benchmark's dense checks accept the result."""
+        inst = perfbench_module("inputs").random_instance(40, 16, 3.0, 4, ROOT)
+        rep = solve(parse_problem(inst.text)[0])
+        assert rep.status is SolveStatus.OPTIMAL and rep.iterations <= 30, rep.stop_reason
+        ok, _, why = perfbench_module("checks").check_solve(inst, rep)
+        assert ok, why
 
     def test_scaling_stops_are_reported(self, caplog, monkeypatch):
         """A scaling-point search that gives up is named in the trace row

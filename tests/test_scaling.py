@@ -125,12 +125,6 @@ class TestScalingPoint:
             assert point.stop is None and point.residual <= tol
             assert point.steps >= 1 and len(calls) == point.steps + 1
 
-    def test_warm_start(self, rng):
-        for _, x, s in interior_pairs(rng, 4, seed0=5300):
-            w1 = scaling_w(x, s, tol=1e-11)
-            w2 = scaling_w(x, s, tol=1e-11, warm=w1)
-            assert np.allclose(w1.vals, w2.vals, rtol=1e-8, atol=1e-10)
-
 
 def assert_sequential(x, s, **kwargs):
     """scaling_point returns the sequential search's record: w bit for
@@ -156,12 +150,6 @@ class TestBitwise:
     def test_random_pairs(self, rng):
         for t, (_, x, s) in enumerate(interior_pairs(rng, 12, seed0=5150)):
             assert_sequential(x, s, tol=[1e-9, 1e-12, 0.0][t % 3])
-
-    def test_warm_starts(self, rng):
-        for _, x, s in interior_pairs(rng, 6, seed0=5250):
-            w = scaling_w(x, s, tol=1e-4)
-            assert_sequential(x, s, tol=1e-11, warm=w)
-            assert_sequential(1.5 * x, s, tol=1e-11, warm=w)
 
     def test_late_solve_iterates(self):
         """Every scaling_point call of two solves, including iterates near
@@ -209,8 +197,7 @@ class TestScalingConvergenceError:
             if halvings[-1:] == [40]:
                 floors += 1
                 self.assert_stops(x, s, r"after \d+ Newton steps: the line search reached its "
-                                  r"numerical floor t <= 1e-12", tol=kwargs["tol"],
-                                  warm=kwargs["warm"])
+                                  r"numerical floor t <= 1e-12", tol=kwargs["tol"])
         assert floors
 
     def test_singular_newton_system(self, rng, monkeypatch):
