@@ -1,9 +1,10 @@
 """Multifrontal kernels on homogeneous chordal structures.
 
 Every operation here is a single sweep over the elimination tree with small
-dense frontal blocks: Cholesky factorization, the four triangular-congruence
-applications (forward, adjoint, and their inverses), the projected inverse,
-the maximum-determinant completion factor, and the log-det barrier values,
+dense frontal blocks (on a small tree, one step on one dense block):
+Cholesky factorization, the four triangular-congruence applications
+(forward, adjoint, and their inverses), the projected inverse, the
+maximum-determinant completion factor, and the log-det barrier values,
 gradients, and Hessian applications built from them.
 
 Zero fill is structural: results live on the same column layout as the
@@ -50,6 +51,21 @@ lowest (bottom-up) or highest (top-down) failing position over the whole
 sweep: a chain block whose factor LAPACK refuses, or one of whose pivots
 does not clear the floor, is redone by the level step to find it.
 
+A small tree is one dense supernode instead
+(:attr:`~homcone.matrix.Structure.dense`, at most
+:data:`~homcone.matrix.DENSE_NODES` nodes): every kernel but
+``maxdet_factor`` scatters its values into the n x n block in position
+order, makes one ``np.linalg.cholesky`` or two ``matmul`` calls on it
+(against the factor's block, or its inverse by ``np.linalg.inv``, both
+made once per factor as its panel), and gathers the pattern's slots
+back.  The block's zeros at incomparable pairs stay exact, so these
+kernels agree with the sweep to roundoff (not bitwise), at one step's
+Python overhead instead of one per batch.  ``maxdet_factor`` sweeps
+there too: the completion is no dense function of the block with its
+zeros.  A dense ``cholesky`` fails where LAPACK refuses the block or a
+pivot L_ii^2 does not clear the floor; a one-matrix call then redoes the
+sweep to report its node and pivot.
+
 ``forward_map``, ``adjoint_map``, ``cholesky`` and ``maxdet_factor`` also
 take a stack: a SymSparse whose values have shape (m, dim); so does
 ``projected_inverse``, given a stacked factor.  The stack is a leading axis
@@ -86,7 +102,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotCompletable, NotPositiveDefinite
-from .matrix import (LowerSparse, Structure, SymSparse, _chain, _check_same, _gather,
+from .matrix import (LowerSparse, Structure, SymSparse, _chain, _check_same, _gather, _lower,
                      _nonsingular, _one, _panel, _put, _store, _take, _tri)
 
 __all__ = [
@@ -246,6 +262,17 @@ def _sym(a):
     return np.where(_tri(a.shape[-1]), a, np.swapaxes(a, -1, -2))
 
 
+def _full(v, st):
+    """The symmetric n x n blocks of ``v`` (one value array or a stack) in
+    position order, each value at its slot's place in ``st.dense`` and at
+    its mirror."""
+    _, lower, _, mirror = st.dense.chain
+    t = np.zeros(v.shape[:-1] + (st.n * st.n,))
+    t[..., mirror] = v
+    t[..., lower] = v
+    return t.reshape(v.shape[:-1] + (st.n, st.n))
+
+
 def _block(t, v, out):
     """Fill ``out`` with the symmetric (..., k+d, k+d) blocks whose first k
     columns hold the lower trapezoid of ``t``, shape (..., k+d, k), and
@@ -310,10 +337,20 @@ def cholesky(X: SymSparse) -> CholFactor:
     the lowest failing position: every node below it succeeded, so it is
     where a sweep in ascending position order stops.  A stack reports
     each member's success in ``ok`` instead of raising.
+
+    On a dense block, X fails where LAPACK refuses it or a pivot L_ii^2
+    is at or below that floor; one matrix is then swept to find the node.
     """
     s = X.struct
     xv = X.vals
     floor = PIVOT_EPS * (1.0 + np.abs(_take(xv, s.bar_ptr[:-1])))
+    if s.dense is not None:
+        c, bad = _potrf(_full(xv, s), floor)
+        if xv.ndim > 1:
+            return CholFactor(LowerSparse(s, _lower(s.dense, c)), ~bad)
+        if not bad:
+            return CholFactor(LowerSparse(s, _lower(s.dense, c)))
+        # one matrix fails: the sweep finds where
     out = np.zeros(xv.shape)
     seen = None
     panels = {} if xv.ndim == 1 else None
@@ -330,6 +367,12 @@ def cholesky(X: SymSparse) -> CholFactor:
         _put(out, b.cols, f[..., 0])
         done[b.id] = f
     chol = _factor(s, out, seen, s.n, NotPositiveDefinite)
+    if s.dense is not None:
+        # the dense step failed, but roundoff lifts every sweep pivot over
+        # its floor: the node is the one nearest to it
+        p = chol.L.diag ** 2
+        i = int(np.argmin(p / floor))
+        raise NotPositiveDefinite(node=s.ordering.sigma[i], value=float(p[i]))
     if panels:
         chol.L._panels.update(panels)
     return chol
@@ -374,6 +417,9 @@ def forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
     _one(L)
     s = L.struct
     lv, xv = L.vals, X.vals
+    if s.dense is not None:
+        t = _panel(L, s.dense)[0]
+        return SymSparse(s, _lower(s.dense, t @ _full(xv, s) @ t.T))
     out = np.zeros(xv.shape)
     chain_x = _chain(s, L, xv, "mul")
     for b, done in _up(s):
@@ -419,6 +465,9 @@ def adjoint_map(L: LowerSparse, S: SymSparse) -> SymSparse:
     _one(L)
     st = L.struct
     lv, sv = L.vals, S.vals
+    if st.dense is not None:
+        t = _panel(L, st.dense)[0]
+        return SymSparse(st, _lower(st.dense, t.T @ _full(sv, st) @ t))
     wv = np.empty(sv.shape)
     for b, v, pack in _down(st, sv.shape[:-1]):
         if b.chain:
@@ -454,6 +503,9 @@ def inverse_forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
     _nonsingular(L)
     s = L.struct
     lv, xv = L.vals, X.vals
+    if s.dense is not None:
+        li = _panel(L, s.dense, True)[1]
+        return SymSparse(s, _lower(s.dense, li @ _full(xv, s) @ li.T))
     wv = np.empty(s.dim)
     for b, done in _up(s):
         if b.chain:
@@ -503,6 +555,9 @@ def inverse_adjoint_map(L: LowerSparse, S: SymSparse) -> SymSparse:
     _nonsingular(L)
     st = L.struct
     lv, sv = L.vals, S.vals
+    if st.dense is not None:
+        li = _panel(L, st.dense, True)[1]
+        return SymSparse(st, _lower(st.dense, li.T @ _full(sv, st) @ li))
     wv = _chain(st, L, sv, "solve_t")
     out = np.zeros(st.dim)
     for b, v, pack in _down(st):
@@ -541,6 +596,9 @@ def projected_inverse(F: CholFactor) -> SymSparse:
 def _projected_inverse(L: LowerSparse) -> SymSparse:
     st = L.struct
     lv = L.vals
+    if st.dense is not None:
+        li = _panel(L, st.dense, True)[1]
+        return SymSparse(st, _lower(st.dense, np.swapaxes(li, -1, -2) @ li))
     out = np.zeros(lv.shape)
     for b, v, pack in _down(st, lv.shape[:-1]):
         if b.chain:
@@ -649,6 +707,9 @@ def dual_gradient(Lhat: CholFactor) -> SymSparse:
     _one(Lhat.L)
     st = Lhat.struct
     lv = Lhat.L.vals
+    if st.dense is not None:
+        t = _panel(Lhat.L, st.dense)[0]
+        return SymSparse(st, _lower(st.dense, t @ t.T))
     out = np.zeros(st.dim)
     for b, done in _up(st):
         if b.chain:

@@ -5,7 +5,8 @@ followed by the entries on the ancestor chain of j, so every kernel reads
 exactly the (j, ancestors-of-j) slices it recurses over.  A ``Structure``
 compiles a pattern plus a trivially perfect elimination ordering into those
 slice tables, and into the schedule of level batches and chain blocks the
-kernels sweep, once;
+kernels sweep, once; a small tree also into one dense block that the
+kernels take in one step instead (``Structure.dense``);
 symmetric (:class:`SymSparse`) and lower-triangular (:class:`LowerSparse`)
 values share it.
 
@@ -56,6 +57,16 @@ __all__ = [
 #: this many floats is swept as one chain block instead.
 BATCH_FLOATS = 1 << 15
 
+#: A structure of at most this many nodes is one dense supernode: every
+#: kernel but ``maxdet_factor`` runs on its whole n x n block in position
+#: order (``Structure.dense``) in one ``np.linalg`` / ``matmul`` step
+#: instead of a sweep of its batches.  Read at compile time.  From the
+#: crossover table of BENCH_dense_small_trees.json (one cholesky plus
+#: hess_apply, one BLAS thread): on bushy trees (branching 3) the dense
+#: step took 0.45-0.77 of the sweep's time at n = 96, broke even at 112
+#: and lost from 128; on deep ones (branching 1.05) it still won at 256.
+DENSE_NODES = 96
+
 _NOT_TRIVIALLY_PERFECT = ("structure requires a trivially perfect elimination ordering; "
                           "run lbfs_order or homogeneous_extension first")
 
@@ -80,7 +91,9 @@ class Batch:
     increasing depth, each chain block at the level of its top.  Kernels
     sweep ``Structure.batches`` in that order top-down and reversed
     bottom-up, and hold only the blocks of batches whose consumer is
-    pending.
+    pending.  ``Structure.dense`` is a chain block too, outside the
+    schedule: the whole tree, its block's zeros at incomparable pairs
+    included, with only ``id`` (-1), ``nodes``, ``shape`` and ``chain``.
 
     Attributes
     ----------
@@ -92,7 +105,8 @@ class Batch:
         its columns, flattened (a view-making ``(..., slice)`` when they
         are consecutive, as they are in a postorder), and where each lies
         in the lower trapezoid of a flattened (k+d, k) array and of a
-        flattened (k+d, k+d) block.
+        flattened (k+d, k+d) block.  ``Structure.dense`` adds where each
+        slot's mirror lies in the upper triangle.
     slots : value slots of a level batch's columns, shape (k, d+1),
         diagonal first (None for a chain block).
     below : for a chain block, the slot of c_0 in each column below c_0,
@@ -135,19 +149,27 @@ class Structure:
     height : number of tree levels, one more than the largest depth.
     weights : 1.0 on diagonal slots, 2.0 on subdiagonal slots; makes the
         trace inner product a plain weighted dot.
-    batches : the schedule every kernel runs: the :class:`Batch` es,
-        parents' before their children's, swept in this order top-down
-        and reversed bottom-up.
+    batches : the schedule the kernels sweep (with ``dense``, only
+        ``maxdet_factor``, and a failing ``cholesky`` redone): the
+        :class:`Batch` es, parents' before their children's, swept in
+        this order top-down and reversed bottom-up.
         A fundamental chain of two or more columns whose node-by-node
         frontal blocks make at least BATCH_FLOATS floats is one chain
         block; every other node is in a level batch.  Nodes of one depth
         have same-shape frontal blocks and are independent, and a child's
         update block has its parent's frontal shape, because anc(c) = {p}
         + anc(p).
+    dense : None, or on a structure of at most DENSE_NODES nodes the
+        whole tree as one dense supernode: a :class:`Batch` whose n x n
+        block holds each value at (row, column) of its slot in position
+        order, n^2 floats.  Every kernel but ``maxdet_factor`` runs one
+        dense step on it in place of the schedule (see
+        :mod:`homcone.factor`).
     stack_rows : how many matrices of a stack one sweep takes at a time,
         ``max(1, BATCH_FLOATS // f)`` with f the floats of the largest
-        step's frontal blocks, so a stacked step holds no more than the
-        largest one-matrix step or BATCH_FLOATS, whichever is more.
+        step's frontal blocks (the dense block's n^2, if admitted), so a
+        stacked step holds no more than the largest one-matrix step or
+        BATCH_FLOATS, whichever is more.
     sweep_floats : floats of frontal block one sweep of one matrix makes,
         a level batch's nodes (depth+1)^2 each and a chain block its
         (k+d)^2: its arithmetic, against the Python overhead of its
@@ -161,7 +183,7 @@ class Structure:
 
     __slots__ = (
         "pattern", "ordering", "n", "nnz",
-        "pos_parent", "depth", "height", "batches",
+        "pos_parent", "depth", "height", "batches", "dense",
         "stack_rows", "sweep_floats",
         "bar_ptr", "bar_rows", "weights",
         "_row_vertex", "_col_vertex", "_position", "_depth",
@@ -363,8 +385,18 @@ class Structure:
             b.last = b.parent >= 0 and batches[b.parent].children[-1] == b.id
         self.batches = tuple(batches)
         floats = [math.prod(b.shape) for b in batches]
-        self.stack_rows = max(1, BATCH_FLOATS // max(floats))
         self.sweep_floats = sum(floats)
+        self.dense = None
+        if n <= DENSE_NODES:
+            # the whole tree as one block: column j's slot for row i at
+            # (i, j) of the n x n block, and its mirror at (j, i)
+            self.dense = b = Batch()
+            b.id, b.nodes, b.shape = -1, np.arange(n), (1, n, n)
+            col = np.arange(n).repeat(depth + 1)
+            flat = self.bar_rows * n + col
+            b.chain = ((Ellipsis, slice(0, self.dim)), flat, flat, col * n + self.bar_rows)
+            floats.append(n * n)
+        self.stack_rows = max(1, BATCH_FLOATS // max(floats))
         self.height = height
         self._chain_steps = self._chain_tables(order, [b for b in batches if b.chain])
 
@@ -554,7 +586,8 @@ class LowerSparse(_Values):
     stale, each part made on first use:
 
     - each chain block's panel (:func:`_panel`), (k+d)k + k^2 floats for
-      a block of k columns under d ancestors;
+      a block of k columns under d ancestors, and 2n^2 for
+      ``Structure.dense``;
     - the columns :func:`_chain` steps against at each depth a
       (:func:`_chain_columns`), a+1 floats for each of its cnt_a
       columns: Σ_a cnt_a (a+1) floats, or d+1 for each slot of L whose
@@ -702,12 +735,20 @@ def _gather(v, b, square=False):
     return t.reshape(shape)
 
 
-def _store(out, b, t):
-    """Store the lower trapezoid of ``t``, a (..., k+d, k) array or
-    (..., k+d, k+d) block, as chain block ``b``'s columns of ``out``."""
+def _lower(b, t):
+    """The values of chain block ``b``'s columns in the lower trapezoid of
+    ``t``, a (..., k+d, k) array or (..., k+d, k+d) block: for
+    ``Structure.dense``, the pattern's values of the (..., n, n) blocks
+    ``t``, C-contiguous."""
     w, k = t.shape[-2:]
     flat = b.chain[1 if k == len(b.nodes) else 2]
-    _put(out, b.chain[0], np.take(t.reshape(t.shape[:-2] + (w * k,)), flat, axis=-1))
+    return np.take(t.reshape(t.shape[:-2] + (w * k,)), flat, axis=-1)
+
+
+def _store(out, b, t):
+    """Store the lower trapezoid of ``t`` as chain block ``b``'s columns
+    of ``out`` (see :func:`_lower`)."""
+    _put(out, b.chain[0], _lower(b, t))
 
 
 def _panel(L: LowerSparse, b: Batch, inverse: bool = False) -> list:
@@ -877,18 +918,24 @@ def tri_mul(L: LowerSparse, Lt: LowerSparse) -> LowerSparse:
     """Exact product of two pattern-restricted lower triangles.  Stays in
     the pattern because each column's ancestor chain contains the chains
     of everything on it: column k of the product is L restricted to k's
-    chain times column k of ``Lt``."""
+    chain times column k of ``Lt``.  On ``Structure.dense``, one
+    ``matmul`` of the blocks."""
     _check_same(L, Lt)
     _one(L, Lt)
     s = L.struct
+    if s.dense is not None:
+        return LowerSparse(s, _lower(s.dense, _panel(L, s.dense)[0] @ _gather(Lt.vals, s.dense)))
     return LowerSparse(s, _chain(s, L, Lt.vals, "mul", own=True))
 
 
 def tri_inverse(L: LowerSparse) -> LowerSparse:
     """Inverse of a pattern-restricted lower triangle: each column solved
     along its ancestor chain, by substitution one member at a time and
-    through the inverse of each chain block's triangle (:func:`_chain`)."""
+    through the inverse of each chain block's triangle (:func:`_chain`);
+    on ``Structure.dense``, the inverse of the block (:func:`_panel`)."""
     _one(L)
     _nonsingular(L)
     s = L.struct
+    if s.dense is not None:
+        return LowerSparse(s, _lower(s.dense, _panel(L, s.dense, True)[1]))
     return LowerSparse(s, _chain(s, L, identity(s).vals, "solve", own=True))

@@ -7,6 +7,7 @@ zero-fill extension stays positive definite so the dense completion oracle
 can start.
 """
 
+import contextlib
 import hashlib
 import importlib
 import sys
@@ -17,7 +18,9 @@ import pytest
 
 from homcone import ipm, matrix, scaling
 from homcone.errors import NotCompletable, NotPositiveDefinite
-from homcone.factor import cholesky, hess_apply, maxdet_factor, projected_inverse
+from homcone.factor import (CholFactor, adjoint_map, cholesky, dual_gradient, forward_map,
+                            hess_apply, inverse_adjoint_map, inverse_forward_map, maxdet_factor,
+                            projected_inverse)
 from homcone.matrix import (
     LowerSparse,
     Structure,
@@ -27,6 +30,8 @@ from homcone.matrix import (
     norm,
     project,
     to_dense,
+    tri_inverse,
+    tri_mul,
 )
 from homcone.pattern import Ordering, SparsityPattern, random_homogeneous_pattern
 
@@ -51,12 +56,30 @@ def forest_structure(parent):
     return Structure(SparsityPattern(len(parent), edges), Ordering.identity(len(parent)))
 
 
+@contextlib.contextmanager
+def sweep_only():
+    """Structures compiled inside are never one dense block
+    (``matrix.DENSE_NODES`` is 0), so every kernel sweeps their schedule."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix, "DENSE_NODES", 0)
+        yield
+
+
+def swept(st):
+    """``st`` compiled with admission off: its kernels sweep."""
+    with sweep_only():
+        ref = Structure(st.pattern, st.ordering)
+    assert ref.dense is None
+    return ref
+
+
 def level_schedule(st):
-    """``st`` compiled with a batch cap no chain reaches, so it has no
-    chain block; its level batches are bitwise the node-by-node sweep."""
+    """``st`` compiled with admission off and a batch cap no chain
+    reaches, so it has no chain block; its level batches are bitwise the
+    node-by-node sweep."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matrix, "BATCH_FLOATS", 1 << 62)
-        ref = Structure(st.pattern, st.ordering)
+        ref = swept(st)
     assert not any(b.chain is not None for b in ref.batches)
     return ref
 
@@ -255,6 +278,42 @@ def ix_newton_system(struct, w_dense, x_dense):
     t4 = p[np.ix_(r, c)] * q[np.ix_(r, c)].T
     half = np.where(r == c, 0.5, 1.0)
     return struct.weights[:, None] * (t1 + t2 + t3 + t4) * half[None, :]
+
+
+def well_conditioned_lower(st, rng):
+    """A factor with unit-scale diagonal and subdiagonal entries shrinking
+    with the column's depth, so that solves along long chains stay
+    accurate."""
+    depth = np.asarray(st.depth, dtype=float)
+    lv = 0.3 * rng.standard_normal(st.dim) / np.sqrt(np.repeat(depth, depth.astype(int) + 1) + 1.0)
+    lv[st.bar_ptr[:-1]] = rng.uniform(1.0, 2.0, st.n)
+    return lv
+
+
+def ten_kernels(st, lv, lv2, xv, zv, sv):
+    """The ten kernels on ``st``, each on the same value arrays."""
+    ell, x, z, s = LowerSparse(st, lv), SymSparse(st, xv), SymSparse(st, zv), SymSparse(st, sv)
+    return {
+        "cholesky": cholesky(x).L.vals,
+        "forward_map": forward_map(ell, z).vals,
+        "adjoint_map": adjoint_map(ell, z).vals,
+        "inverse_forward_map": inverse_forward_map(ell, z).vals,
+        "inverse_adjoint_map": inverse_adjoint_map(ell, z).vals,
+        "projected_inverse": projected_inverse(CholFactor(ell)).vals,
+        "maxdet_factor": maxdet_factor(s).L.vals,
+        "dual_gradient": dual_gradient(CholFactor(ell)).vals,
+        "tri_mul": tri_mul(ell, LowerSparse(st, lv2)).vals,
+        "tri_inverse": tri_inverse(ell).vals,
+    }
+
+
+def kernel_inputs(ref, rng):
+    """Two factors, X = L L^T, a symmetric Z and a completable S, all made
+    on the level schedule."""
+    lv, lv2 = well_conditioned_lower(ref, rng), well_conditioned_lower(ref, rng)
+    xv = dual_gradient(CholFactor(LowerSparse(ref, lv))).vals
+    sv = projected_inverse(cholesky(SymSparse(ref, xv))).vals
+    return lv, lv2, xv, rng.standard_normal(ref.dim), sv
 
 
 def element_chain(s, lv, x, kind, own=False):

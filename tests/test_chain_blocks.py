@@ -21,48 +21,21 @@ from homcone.factor import (
 from homcone.matrix import (LowerSparse, SymSparse, _chain, _chain_columns, _panel, identity,
                             tri_inverse, tri_mul)
 
-from helpers import (benchmark_structures, check_chain, forest_structure, level_schedule,
-                     random_structure)
+from helpers import (benchmark_structures, check_chain, forest_structure, kernel_inputs,
+                     level_schedule, random_structure, sweep_only, ten_kernels,
+                     well_conditioned_lower)
+
+
+@pytest.fixture(autouse=True)
+def _sweeps():
+    """Every structure these tests compile has admission off: they are
+    about the sweep's chain blocks, not the dense step of small trees."""
+    with sweep_only():
+        yield
 
 
 def chain_blocks(st):
     return [b for b in st.batches if b.chain is not None]
-
-
-def well_conditioned_lower(st, rng):
-    """A factor with unit-scale diagonal and subdiagonal entries shrinking
-    with the column's depth, so that solves along long chains stay
-    accurate."""
-    depth = np.asarray(st.depth, dtype=float)
-    lv = 0.3 * rng.standard_normal(st.dim) / np.sqrt(np.repeat(depth, depth.astype(int) + 1) + 1.0)
-    lv[st.bar_ptr[:-1]] = rng.uniform(1.0, 2.0, st.n)
-    return lv
-
-
-def ten_kernels(st, lv, lv2, xv, zv, sv):
-    """The ten kernels on ``st``, each on the same value arrays."""
-    ell, x, z, s = LowerSparse(st, lv), SymSparse(st, xv), SymSparse(st, zv), SymSparse(st, sv)
-    return {
-        "cholesky": cholesky(x).L.vals,
-        "forward_map": forward_map(ell, z).vals,
-        "adjoint_map": adjoint_map(ell, z).vals,
-        "inverse_forward_map": inverse_forward_map(ell, z).vals,
-        "inverse_adjoint_map": inverse_adjoint_map(ell, z).vals,
-        "projected_inverse": projected_inverse(CholFactor(ell)).vals,
-        "maxdet_factor": maxdet_factor(s).L.vals,
-        "dual_gradient": dual_gradient(CholFactor(ell)).vals,
-        "tri_mul": tri_mul(ell, LowerSparse(st, lv2)).vals,
-        "tri_inverse": tri_inverse(ell).vals,
-    }
-
-
-def kernel_inputs(ref, rng):
-    """Two factors, X = L L^T, a symmetric Z and a completable S, all made
-    on the level schedule."""
-    lv, lv2 = well_conditioned_lower(ref, rng), well_conditioned_lower(ref, rng)
-    xv = dual_gradient(CholFactor(LowerSparse(ref, lv))).vals
-    sv = projected_inverse(cholesky(SymSparse(ref, xv))).vals
-    return lv, lv2, xv, rng.standard_normal(ref.dim), sv
 
 
 @pytest.mark.parametrize("n, seed", [(300, 1), (600, 2), (1200, 6)])
@@ -240,7 +213,8 @@ TWO_CHAINS = [*range(1, 40), 80, *range(41, 80), 80, *range(81, 120), 119]
 
 @pytest.fixture(scope="module")
 def two_chains():
-    st = forest_structure(TWO_CHAINS)
+    with sweep_only():
+        st = forest_structure(TWO_CHAINS)
     assert [b.nodes.tolist() for b in chain_blocks(st)] == [list(range(40)), list(range(40, 80))]
     assert st.stack_rows == 5
     return st, level_schedule(st)

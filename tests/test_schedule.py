@@ -29,7 +29,15 @@ from homcone.matrix import (
 )
 
 from helpers import (element_chain, forest_structure, random_completable, random_lower,
-                     random_spd, random_structure, random_sym)
+                     random_spd, random_structure, random_sym, sweep_only)
+
+
+@pytest.fixture(autouse=True)
+def _sweeps():
+    """Every structure these tests compile has admission off: they are
+    about the schedule the sweep runs, not the dense step of small trees."""
+    with sweep_only():
+        yield
 
 
 EDGE_CASES = {

@@ -42,13 +42,15 @@ from helpers import (
     sequential_max_step,
     sequential_scaling_point,
     solve_scaling_calls,
+    sweep_only,
 )
 
 
 def capped_structure(n, seed, branching, cap):
-    """A structure compiled under batch cap ``cap``: a small cap splits
-    levels into many batches and makes stacks split into chunks."""
-    with pytest.MonkeyPatch.context() as mp:
+    """A structure compiled under batch cap ``cap``, with admission off: a
+    small cap splits levels into many batches and makes stacks split into
+    chunks."""
+    with sweep_only(), pytest.MonkeyPatch.context() as mp:
         mp.setattr(matrix, "BATCH_FLOATS", cap)
         return random_structure(n, seed=seed, branching=branching)
 
