@@ -26,6 +26,7 @@ __all__ = [
     "dense_inverse",
     "dense_logdet",
     "dense_completable",
+    "dense_max_step",
     "dense_maxdet_completion",
     "dense_scaling_point",
     "ForbiddenWitness",
@@ -83,6 +84,23 @@ def dense_completable(s: SymSparse, shift: float = 0.0) -> bool:
         if np.min(np.linalg.eigvalsh(block)) <= shift:
             return False
     return True
+
+
+def dense_max_step(x: SymSparse, d_x: SymSparse, s: SymSparse, d_s: SymSparse) -> float:
+    """Largest a in [0, 1] with x + a d_x positive definite and s + a d_s
+    completable: 1 / max(1, -lambda_min(A^-1/2 D A^-1/2)) over A = x and
+    each column's closed ancestor block of s, D the same of d_x or d_s."""
+    st = s.struct
+    pairs = [(to_dense(x), to_dense(d_x))]
+    for q in range(st.n):
+        idx = np.ix_(*2 * [[st.ordering.sigma[p] for p in st.bar_rows[st.col(q)]]])
+        pairs.append((to_dense(s)[idx], to_dense(d_s)[idx]))
+    t = [1.0]
+    for a, d in pairs:
+        w, v = np.linalg.eigh(as_dense_sym(a))
+        h = v / np.sqrt(w) @ v.T
+        t.append(-np.linalg.eigvalsh(h @ as_dense_sym(d) @ h)[0])
+    return 1.0 / max(t)
 
 
 def dense_maxdet_completion(s: SymSparse, tol: float = 1e-10,

@@ -8,10 +8,10 @@ sparse PSD cone (primal side) and its completable dual.
 Each iteration rebuilds the primal-dual scaling (scaling point, triangular
 factor, rank-one correction), eliminates the v-space equation through an
 m-by-m normal system, and takes a fraction of the largest cone-feasible
-step found by bisection.  Cone membership is certified every iteration by
-factorization success; an iterate is never accepted on failure.  Starts at
-x = s = I (interior to both cones), y = 0, with residual right-hand sides,
-so feasibility is not required up front.
+step, found from eigenvalues.  The point taken is certified in both cones
+by factorization success; an iterate is never accepted on failure.  Starts
+at x = s = I (interior to both cones), y = 0, with residual right-hand
+sides, so feasibility is not required up front.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotCompletable, NotPositiveDefinite, SingularNormalMatrix
-from .factor import cholesky, forward_map, maxdet_factor
+from .factor import cholesky, forward_map, inverse_forward_map, maxdet_factor
 from .matrix import (
     LowerSparse,
     Structure,
@@ -33,6 +33,7 @@ from .matrix import (
     identity,
     inner,
     norm,
+    to_dense,
     to_triplets,
 )
 from .scaling import (
@@ -63,8 +64,6 @@ log = logging.getLogger(__name__)
 
 #: target residual of the scaling point at each iteration
 SCALING_TOL = 1e-11
-#: bisection steps of the step search
-BISECT_DEPTH = 40
 #: fraction of the largest cone-feasible step that is taken
 STEP_FRACTION = 0.99
 
@@ -246,65 +245,30 @@ def search_direction(problem: ConicProblem, it: Iterate, res: Residuals,
     return d_x, d_y, d_s
 
 
-def _round(lo: float, hi: float, depth: int) -> list:
-    """Every step the next ``depth`` bisection steps from [lo, hi] may
-    probe, 2^depth - 1 of them: the inner points of [lo, hi] cut into
-    2^depth equal parts.  After k steps the bracket is [i 2^-k, (i+1)
-    2^-k], so each is exactly the nested mid it stands for."""
-    return [lo + j * (hi - lo) / 2 ** depth for j in range(1, 2 ** depth)]
-
-
-def _interior_at(it: Iterate, d_x: SymSparse, d_s: SymSparse, steps: list) -> dict:
-    """Whether x + a d_x and s + a d_s are interior, for each step a: one
-    stacked cholesky over all steps, then one stacked maxdet_factor over
-    those whose cholesky succeeded.  One step is tested by one-matrix
-    calls, which take about 15% less time than a stack of one on
-    structures of a few hundred nodes."""
-    if len(steps) == 1:
-        try:
-            cholesky(it.x + steps[0] * d_x)
-            maxdet_factor(it.s + steps[0] * d_s)
-            return {steps[0]: True}
-        except (NotPositiveDefinite, NotCompletable):
-            return {steps[0]: False}
-    st = it.x.struct
-    a = np.array(steps)[:, None]
-    ok = cholesky(SymSparse(st, it.x.vals + a * d_x.vals)).ok
-    if ok.any():
-        ok[ok] = maxdet_factor(SymSparse(st, it.s.vals + a[ok] * d_s.vals)).ok
-    return dict(zip(steps, ok.tolist()))
-
-
 def max_step(it: Iterate, d_x: SymSparse, d_s: SymSparse, eta: float) -> float:
-    """Fraction eta of the largest step in [0, 1] keeping both iterates
-    strictly inside their cones, located by bisection with factorization
-    feasibility tests.
-
-    After the full step fails, the bisection runs in rounds of r steps.  A
-    round first tests all 2^r - 1 steps its bisection steps could probe,
-    in one stacked cholesky and one stacked maxdet_factor, then walks them
-    as the one-at-a-time bisection would, so the result is that
-    bisection's bit for bit.  Stacking saves the Python overhead of all
-    but one sweep and costs the arithmetic of 2^r - 1 - r extra probes, so
-    r is the most, up to 4, with 2^r - 1 at most ``Structure.round_sweeps``:
-    4 on small structures, and 1, the plain bisection, where fewer than 3
-    sweeps fit in one round."""
-    if _interior_at(it, d_x, d_s, [1.0])[1.0]:
-        return eta
-    depth = min(4, (it.x.struct.round_sweeps + 1).bit_length() - 1)
-    lo, hi = 0.0, 1.0
-    inside = {}
-    for k in range(BISECT_DEPTH):
-        mid = 0.5 * (lo + hi)
-        if mid not in inside:
-            inside = _interior_at(it, d_x, d_s, _round(lo, hi, min(depth, BISECT_DEPTH - k)))
-        if inside[mid]:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12:
-            break
-    return eta * lo
+    """Fraction eta of the largest step a in [0, 1] keeping both iterates
+    strictly inside their cones, certified.  x + a d_x = L (I + a M) L^T
+    with x = L L^T and M = L^-1 d_x L^-T on the pattern, so the primal
+    bound is -1/lambda_min(M), M's n x n block.  s + a d_s is completable
+    while every maximal clique's block is positive definite (Grone,
+    Johnson, Sá & Wolkowicz 1984), so the dual bound is the least
+    -1/lambda_min(R^-1 D R^-T) over them, S = R R^T, stacked by block size
+    (``Structure.cliques``).  The step is certified by the cholesky and
+    maxdet_factor of the points :func:`solve` takes; where the pivot floors
+    fail it, it shrinks by eta, eta^2, eta^4, ...  Below 1e-10 it is 0."""
+    reach = [1.0, -np.linalg.eigvalsh(to_dense(inverse_forward_map(cholesky(it.x).L, d_x)))[0]]
+    for t in it.s.struct.cliques:
+        r = np.linalg.inv(np.linalg.cholesky(it.s.vals[t]))
+        reach.append(-np.linalg.eigvalsh(r @ (d_s.vals[t] @ np.swapaxes(r, 1, 2)))[:, 0].min())
+    step, shrink = eta * (1.0 / max(reach)), eta
+    while step >= 1e-10:
+        try:
+            cholesky(it.x + step * d_x)
+            maxdet_factor(it.s + step * d_s)
+            return step
+        except (NotPositiveDefinite, NotCompletable):
+            step, shrink = shrink * step, shrink * shrink
+    return 0.0
 
 
 @dataclass

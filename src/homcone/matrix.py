@@ -187,7 +187,7 @@ class Structure:
         "stack_rows", "sweep_floats",
         "bar_ptr", "bar_rows", "weights",
         "_row_vertex", "_col_vertex", "_position", "_depth",
-        "_chain_steps",
+        "_chain_steps", "_cliques",
     )
 
     def __init__(self, pattern: SparsityPattern, ordering: Ordering,
@@ -220,6 +220,7 @@ class Structure:
         self.weights[self.bar_ptr[:-1]] = 1.0
         self._row_vertex = sig[self.bar_rows]
         self._col_vertex = sig[np.arange(n).repeat(depth + 1)]
+        self._cliques = None
 
     def _compile(self, par: np.ndarray) -> None:
         """Compile the schedule from the array of parent positions.
@@ -447,9 +448,26 @@ class Structure:
 
     @property
     def round_sweeps(self) -> int:
-        """How many one-matrix sweeps one stacked round of a search takes:
-        as many as make at most BATCH_FLOATS floats of frontal block, or 1."""
+        """How many one-matrix sweeps a stacked round of the scaling point's
+        line search takes: as many as make at most BATCH_FLOATS floats, or 1."""
         return max(1, BATCH_FLOATS // self.sweep_floats)
+
+    @property
+    def cliques(self) -> tuple:
+        """The value slots of the maximal cliques' blocks, made on first use
+        and kept: per leaf depth d, a (k, d+1, d+1) array over its k leaves
+        (nodes in no column but their own) whose row and column i are the
+        leaf's i-th ancestor, in the column of the deeper of i and j, |i - j|
+        below its diagonal; ``vals[..., t]`` gathers the blocks."""
+        if self._cliques is None:
+            leaves = np.flatnonzero(np.bincount(self.bar_rows, minlength=self.n) == 1)
+            tables = []
+            for d in np.unique(self._depth[leaves]).tolist():
+                i = np.arange(d + 1)
+                path = self.bar_rows[self.bar_ptr[leaves[self._depth[leaves] == d], None] + i]
+                tables.append(self.bar_ptr[path[:, np.minimum.outer(i, i)]] + abs(i - i[:, None]))
+            self._cliques = tuple(tables)
+        return self._cliques
 
     def col(self, q: int) -> slice:
         return slice(int(self.bar_ptr[q]), int(self.bar_ptr[q + 1]))

@@ -201,11 +201,15 @@ def random_feasible_problem(struct, m, rng):
     return problem, x_feas, y_feas, s_feas
 
 
+#: bisection steps of the reference step search
+BISECT_DEPTH = 40
+
+
 def sequential_max_step(it, d_x, d_s, eta):
     """Reference step search, one probe at a time: the full step, then
     bisection of [0, 1] with one cholesky and (if that succeeds) one
     maxdet_factor per probe, until the bracket is 1e-12 wide or
-    ipm.BISECT_DEPTH steps are done."""
+    BISECT_DEPTH steps are done; eta times the last step that passed."""
     def interior(a):
         try:
             cholesky(it.x + a * d_x)
@@ -217,7 +221,7 @@ def sequential_max_step(it, d_x, d_s, eta):
     if interior(1.0):
         return eta
     lo, hi = 0.0, 1.0
-    for _ in range(ipm.BISECT_DEPTH):
+    for _ in range(BISECT_DEPTH):
         mid = 0.5 * (lo + hi)
         if interior(mid):
             lo = mid

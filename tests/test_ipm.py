@@ -1,3 +1,4 @@
+import contextlib
 import logging
 
 import numpy as np
@@ -31,6 +32,7 @@ from helpers import (
     random_structure,
     random_sym,
     scaling_w,
+    sweep_only,
 )
 
 
@@ -242,6 +244,46 @@ class TestSolve:
         cholesky(rep.x)
         maxdet_factor(rep.s)
 
+    @pytest.mark.parametrize("admitted", [True, False], ids=["admitted", "swept"])
+    def test_accepted_iterates_are_the_certified_points(self, admitted, rng, monkeypatch):
+        """Every x and s an iteration starts from (what shadow_state
+        receives) is bit for bit the pair the previous max_step certified
+        by its last cholesky and maxdet_factor, as is the final one."""
+        with contextlib.ExitStack() as stack:
+            if not admitted:
+                stack.enter_context(sweep_only())
+            st = random_structure(14, seed=41)
+        assert (st.dense is not None) == admitted
+        prob, *_ = random_feasible_problem(st, 4, rng)
+        last, certified, started = {}, [], []
+
+        def spy(kernel):
+            def run(x):
+                last[kernel] = x.vals.tobytes()
+                return kernel(x)
+            return run
+
+        def step(*args):
+            a = real_step(*args)
+            certified.append((last[cholesky], last[maxdet_factor]))
+            return a
+
+        def state(x, s):
+            started.append((x.vals.tobytes(), s.vals.tobytes()))
+            return shadow_state(x, s)
+
+        real_step = ipm.max_step
+        monkeypatch.setattr(ipm, "cholesky", spy(cholesky))
+        monkeypatch.setattr(ipm, "maxdet_factor", spy(maxdet_factor))
+        monkeypatch.setattr(ipm, "max_step", step)
+        monkeypatch.setattr(ipm, "shadow_state", state)
+        rep = solve(prob)
+        assert rep.status is SolveStatus.OPTIMAL
+        assert min(row["alpha"] for row in rep.trace) >= 1e-10
+        assert len(started) == len(certified) == rep.iterations >= 10
+        assert started[1:] + [(rep.x.vals.tobytes(), rep.s.vals.tobytes())] == certified
+        assert st._cliques is not None
+
     def test_mu_monotone_trend(self, rng):
         # constant-factor decrease per 10-iteration window at the supported
         # tolerance (tighter targets sit below the double-precision floor)
@@ -451,9 +493,11 @@ def test_random_problem_without_dense_algebra(monkeypatch, rng):
     def refuse(x):
         raise AssertionError("random_problem built a dense matrix")
 
-    monkeypatch.setattr(matrix, "to_dense", refuse)
-    monkeypatch.setattr(ipm, "to_dense", refuse, raising=False)
     st = random_structure(20, seed=6320)
-    prob = random_problem(st, 3, rng)
+    with monkeypatch.context() as mp:
+        # the solve below may: its scaling point and step search are dense
+        mp.setattr(matrix, "to_dense", refuse)
+        mp.setattr(ipm, "to_dense", refuse)
+        prob = random_problem(st, 3, rng)
     assert prob.A.shape == (3, st.dim)
     assert solve(prob).status is SolveStatus.OPTIMAL

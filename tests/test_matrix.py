@@ -128,6 +128,29 @@ class TestStructure:
             vinberg_struct.slot(1, 0)
 
 
+def test_cliques_are_the_leaf_blocks(rng):
+    """Made on first use and kept: per leaf depth, ascending, each leaf's
+    closed ancestor block of slots, the leaves in position order, Σ over
+    leaves of (depth+1)^2 slots."""
+    for trial, branching in enumerate([1.05, 2.0, 4.0] * 2):
+        st = random_structure(int(rng.integers(1, 60)), seed=7500 + trial, branching=branching)
+        assert st._cliques is None
+        x = random_sym(st, rng)
+        d = to_dense(x)
+        parents = {p for q, p in enumerate(st.pos_parent) if p != q}
+        leaves = [q for q in range(st.n) if q not in parents]
+        want = {}
+        for q in leaves:
+            v = [st.ordering.sigma[r] for r in st.bar_rows[st.col(q)]]
+            want.setdefault(st.depth[q], []).append(d[np.ix_(v, v)])
+        got = [x.vals[t] for t in st.cliques]
+        assert len(got) == len(want)
+        for blocks, depth in zip(got, sorted(want)):
+            assert np.array_equal(blocks, np.array(want[depth]))
+        assert sum(t.size for t in st.cliques) == sum((st.depth[q] + 1) ** 2 for q in leaves)
+        assert st.cliques is st.cliques
+
+
 class TestProject:
     def test_identity_fixed_point(self, vinberg_struct):
         assert np.allclose(to_dense(project(np.eye(3), vinberg_struct)), np.eye(3))

@@ -1,6 +1,9 @@
 """Stacked kernel sweeps: a leading stack axis runs every member through
-one sweep, and each member's result is bitwise that of its own call."""
+one sweep, and each member's result is bitwise that of its own call.
+Also the step search, against its dense oracle and the one-probe-at-a-time
+bisection."""
 
+import contextlib
 import warnings
 
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from homcone import factor, ipm, matrix, scaling
+from homcone.densecheck import dense_max_step
 from homcone.errors import NotCompletable, NotPositiveDefinite, StructuralError
 from homcone.factor import (
     adjoint_map,
@@ -234,76 +238,33 @@ def test_stack_input_is_not_written(rng):
 
 # ------------------------------------------------------------ step search
 
-def random_step_problem(rng, n, seed, scale, **attrs):
-    """A random interior pair and directions on a random structure, whose
-    ``attrs`` are overridden: ``sweep_floats`` sets the round depth of
-    max_step, ``stack_rows`` how many steps one sweep of a round takes."""
-    st = random_structure(n, seed=seed)
-    for name, value in attrs.items():
-        setattr(st, name, value)
+def random_step_problem(rng, n, seed, scale, branching=3.0):
+    """A random interior pair on a random structure, and directions of
+    size ``scale``."""
+    st = random_structure(n, seed=seed, branching=branching)
     x, s = random_spd(st, rng), random_completable(st, rng)
     it = Iterate(x=x, y=np.zeros(0), s=s, mu=1.0)
     return it, scale * random_sym(st, rng), scale * random_sym(st, rng)
 
 
-def floats_for(round_depth):
-    """A sweep_floats that gives rounds of ``round_depth`` steps."""
-    return matrix.BATCH_FLOATS // (2 ** round_depth - 1)
-
-
-@pytest.mark.parametrize("depth, attrs", [
-    (40, {}),
-    (40, {"sweep_floats": floats_for(2)}),
-    (40, {"sweep_floats": 10 * matrix.BATCH_FLOATS}),
-    (40, {"stack_rows": 2}),
-    (45, {"sweep_floats": floats_for(3)}),
-    (13, {}),
-    (7, {"sweep_floats": floats_for(3)}),
-])
-def test_max_step_is_the_sequential_bisection(depth, attrs, monkeypatch):
-    """Bitwise the one-probe-at-a-time search on random pairs: full steps
-    and partial ones, in rounds of 4, 2, 1 and 3 steps, and in rounds of 4
-    swept 2 steps at a time, with the bisection ending by the 1e-12 stop
-    (45 steps allowed, the stop fires at step 40, inside a round of 3) or
-    by running out of steps (13 and 7 steps, rounds cut short)."""
-    monkeypatch.setattr(ipm, "BISECT_DEPTH", depth)
-    rng = np.random.default_rng(depth)
-    full = partial = 0
-    for trial in range(24):
-        it, d_x, d_s = random_step_problem(rng, int(rng.integers(2, 20)), 7000 + trial,
-                                           [0.05, 1.0, 10.0][trial % 3], **attrs)
-        a = max_step(it, d_x, d_s, 0.99)
-        assert a == sequential_max_step(it, d_x, d_s, 0.99)
-        full += a == 0.99
-        partial += 0.0 < a < 0.99
-    assert full and partial
-
-
 def test_max_step_zero(rng):
-    """Every probe fails: the bracket shrinks to [0, 2^-40] and the step is
-    exactly 0."""
+    """A direction that leaves the cone at a step of 1e-15: the step is
+    below 1e-10, which solve counts as a stall."""
     it, _, d_s = random_step_problem(rng, 12, 7100, 1.0)
     d_x = -1e15 * it.x
-    assert max_step(it, d_x, d_s, 0.99) == 0.0
+    assert max_step(it, d_x, d_s, 0.99) < 1e-10
     assert sequential_max_step(it, d_x, d_s, 0.99) == 0.0
 
 
 def spy_on_factorizations(monkeypatch):
-    """Record max_step's factorizations as (kernel, members, ok): members
-    is 0 for a one-matrix call, ok which members succeeded."""
+    """Record max_step's factorizations as (kernel, members, argument's
+    values): members is 0 for a one-matrix call."""
     calls = []
 
     def spy(kernel):
         def run(x):
-            members = len(x.vals) if x.vals.ndim == 2 else 0
-            try:
-                f = kernel(x)
-            except (NotPositiveDefinite, NotCompletable):
-                calls.append((kernel.__name__, members, np.array([False])))
-                raise
-            ok = np.array([True]) if f.ok is None else f.ok.copy()
-            calls.append((kernel.__name__, members, ok))
-            return f
+            calls.append((kernel.__name__, len(x.vals) if x.vals.ndim == 2 else 0, x.vals))
+            return kernel(x)
         return run
 
     monkeypatch.setattr(ipm, "cholesky", spy(ipm.cholesky))
@@ -311,38 +272,61 @@ def spy_on_factorizations(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("sweep_floats, depth", [
-    (None, 4),
-    (floats_for(4), 4),
-    (floats_for(4) + 1, 3),
-    (floats_for(2), 2),
-    (matrix.BATCH_FLOATS // 3 + 1, 1),
-    (10 * matrix.BATCH_FLOATS, 1),
-])
-def test_max_step_rounds_follow_the_sweep_size(sweep_floats, depth, rng, monkeypatch):
-    """Each round is one stacked cholesky over 2^r - 1 steps, r the most up
-    to 4 whose sweeps make at most BATCH_FLOATS floats together (4 on the
-    small test structures), then one stacked maxdet_factor over exactly
-    the steps whose cholesky succeeded (none when all failed).  A sweep of
-    over BATCH_FLOATS / 3 floats gives the plain bisection, and a round of
-    one step, as the last of 40 steps in rounds of 3, makes one-matrix
-    calls."""
-    attrs = {} if sweep_floats is None else {"sweep_floats": sweep_floats}
-    it, d_x, d_s = random_step_problem(rng, 10, 7200, 10.0, **attrs)
-    calls = spy_on_factorizations(monkeypatch)
-    assert max_step(it, d_x, d_s, 0.99) < 0.99
-    assert calls[0][:2] == ("cholesky", 0)  # the full step, alone
-    rounds = [i for i, c in enumerate(calls) if c[0] == "cholesky"][1:]
-    sizes = [calls[i][1] for i in rounds]
-    last = ipm.BISECT_DEPTH % depth or depth
-    stacked = [2 ** r - 1 if r > 1 else 0 for r in (depth, last)]
-    assert sizes == [stacked[0]] * (len(rounds) - 1) + [stacked[1]]
-    for i in rounds:
-        kernel, members, ok = calls[i]
-        if ok.any():
-            assert calls[i + 1][:2] == ("maxdet_factor", ok.sum() if members else 0)
-        else:
-            assert i + 1 == len(calls) or calls[i + 1][0] == "cholesky"
+@pytest.mark.parametrize("admitted", [True, False], ids=["admitted", "swept"])
+def test_max_step_is_the_exact_boundary(admitted, monkeypatch):
+    """On random pairs, compiled as one dense block and swept, with zero,
+    small (full step), unit and large (partial step) directions: eta
+    times the exact step, within 1e-10 relative of the dense oracle's, and
+    no shorter than the bisection's, factored as the one cholesky of x
+    that gives L and one cholesky and one maxdet_factor, of the points
+    the step reaches, certifying it."""
+    rng = np.random.default_rng(7300)
+    full = partial = 0
+    for trial in range(24):
+        scale = [0.0, 0.05, 1.0, 10.0][trial % 4]
+        with contextlib.ExitStack() as stack:
+            if not admitted:
+                stack.enter_context(sweep_only())
+            it, d_x, d_s = random_step_problem(rng, int(rng.integers(2, 40)), 7300 + trial, scale,
+                                               [1.05, 2.0, 4.0][trial % 3])
+        assert (it.x.struct.dense is not None) == admitted
+        calls = spy_on_factorizations(monkeypatch)
+        a = max_step(it, d_x, d_s, 0.99)
+        monkeypatch.undo()
+        want = dense_max_step(it.x, d_x, it.s, d_s)
+        assert abs(a / 0.99 - want) <= 1e-10 * want
+        assert a >= sequential_max_step(it, d_x, d_s, 0.99) * (1.0 - 1e-12)
+        assert [c[:2] for c in calls] == [("cholesky", 0), ("cholesky", 0), ("maxdet_factor", 0)]
+        assert calls[0][2] is it.x.vals
+        assert np.array_equal(calls[1][2], (it.x + a * d_x).vals)
+        assert np.array_equal(calls[2][2], (it.s + a * d_s).vals)
+        full += a == 0.99
+        partial += a < 0.99
+    assert full >= 6 and partial >= 6
+
+
+def test_max_step_shrinks_a_step_that_fails_its_certificate(rng, monkeypatch):
+    """A step whose certificate fails shrinks by eta, then eta^2, eta^4, ...
+    until it passes, and one that does not pass above 1e-10 is 0."""
+    it, d_x, d_s = random_step_problem(rng, 12, 7400, 10.0)
+    exact = max_step(it, d_x, d_s, 0.99)
+    assert exact < 0.99
+    real, refused = ipm.maxdet_factor, []
+
+    def refuse(s, times):
+        if len(refused) < times:
+            refused.append(s)
+            raise NotCompletable(node=0)
+        return real(s)
+
+    monkeypatch.setattr(ipm, "maxdet_factor", lambda s: refuse(s, 2))
+    assert max_step(it, d_x, d_s, 0.99) == pytest.approx(exact * 0.99 ** 3, rel=1e-14)
+    monkeypatch.setattr(ipm, "maxdet_factor", lambda s: refuse(s, 10 ** 6))
+    assert max_step(it, d_x, d_s, 0.99) == 0.0
+    tries, step = 0, exact
+    while step >= 1e-10:
+        tries, step = tries + 1, step * 0.99 ** 2 ** tries
+    assert len(refused) == 2 + tries <= 2 + 13
 
 
 @pytest.mark.parametrize("sweep_floats, rounds", [
