@@ -17,24 +17,51 @@ class StructuralError(HomconeError):
     """Matrix entry or operation outside the sparsity pattern."""
 
 
-class NotPositiveDefinite(HomconeError):
+class _NodeFailure(HomconeError):
+    """A factorization failed: ``node`` is the 0-based position where it
+    failed, ``value`` its nonpositive pivot.  Given ``locate`` in their
+    place, a function returning the two, they are found when first read,
+    or when the message is: a caller that only tests membership never
+    pays for the search."""
+
+    _what = "pivot"
+
+    def __init__(self, node: int = -1, value: float = float("nan"), locate=None):
+        super().__init__()
+        self._at = None if locate else (node, value)
+        self._locate = locate
+
+    def _found(self) -> tuple:
+        if self._at is None:
+            self._at = self._locate()
+        return self._at
+
+    @property
+    def node(self) -> int:
+        return self._found()[0]
+
+    @property
+    def value(self) -> float:
+        return self._found()[1]
+
+    def __str__(self) -> str:
+        return f"nonpositive {self._what} {self.value:.3e} at node {self.node}"
+
+    def __reduce__(self):
+        # ``locate`` may be a closure, which pickle cannot carry
+        return type(self), (self.node, self.value)
+
+
+class NotPositiveDefinite(_NodeFailure):
     """Cholesky pivot failed; the matrix is not in the interior of the
-    sparse PSD cone.  ``node`` is the 0-based position where it failed."""
-
-    def __init__(self, node: int, value: float = float("nan")):
-        self.node = node
-        self.value = value
-        super().__init__(f"nonpositive pivot {value:.3e} at node {node}")
+    sparse PSD cone."""
 
 
-class NotCompletable(HomconeError):
+class NotCompletable(_NodeFailure):
     """No positive definite completion exists; the matrix is not in the
-    interior of the completable cone.  ``node`` is where the test failed."""
+    interior of the completable cone.  ``value`` is the Schur complement."""
 
-    def __init__(self, node: int, value: float = float("nan")):
-        self.node = node
-        self.value = value
-        super().__init__(f"nonpositive Schur complement {value:.3e} at node {node}")
+    _what = "Schur complement"
 
 
 class SingularFactor(HomconeError):

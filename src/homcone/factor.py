@@ -22,9 +22,9 @@ and the ``(k+d, k)`` trapezoid of its columns: ``matmul``,
 ``np.linalg.cholesky`` and ``np.linalg.inv`` (numpy has no triangular
 solve) in place of k per-depth steps.  What a chain block derives from
 a factor L alone, its trapezoid and the inverse of its triangle, is made
-once per factor (:func:`~homcone.matrix._panel`): a one-matrix
-``cholesky`` leaves its own in the factor it returns, and every kernel
-and chain product on that factor reads them.  So are the columns of L
+once per factor (:func:`~homcone.matrix._panel`): ``cholesky`` leaves
+its own in the factor it returns, and every kernel and chain product on
+that factor reads them.  So are the columns of L
 that the ancestor-chain products step against at each depth
 (:func:`~homcone.matrix._chain_columns`), gathered by the first chain
 product on a factor.  The batches form a tree (a
@@ -63,19 +63,18 @@ kernels agree with the sweep to roundoff (not bitwise), at one step's
 Python overhead instead of one per batch.  ``maxdet_factor`` sweeps
 there too: the completion is no dense function of the block with its
 zeros.  A dense ``cholesky`` fails where LAPACK refuses the block or a
-pivot L_ii^2 does not clear the floor; a one-matrix call then redoes the
-sweep to report its node and pivot.
+pivot L_ii^2 does not clear the floor.  It raises at once, and the error
+redoes the sweep to find its node and pivot only when they are read, so a
+caller that only tests membership pays for one dense step.
 
-``forward_map``, ``adjoint_map``, ``cholesky`` and ``maxdet_factor`` also
-take a stack: a SymSparse whose values have shape (m, dim); so does
-``projected_inverse``, given a stacked factor.  The stack is a leading axis
-on every frontal block, so one sweep does all m members with the same numpy
-calls as one matrix, and each member's result is bitwise that of its own
-call.  The single-matrix call is the same code without the axis.  The other
-kernels take one matrix and raise StructuralError on a stack.
-A stacked ``cholesky`` or ``maxdet_factor`` does not raise, and stops once
-every member has failed: the factor's ``ok`` says which succeeded.  A stack
-is swept :attr:`~homcone.matrix.Structure.stack_rows` members at a time, so a
+``forward_map`` and ``adjoint_map`` also take a stack of the matrices they
+map: a SymSparse whose values have shape (m, dim), under one factor L.  The
+stack is a leading axis on every frontal block, so one sweep does all m
+members with the same numpy calls as one matrix, and each member's result
+is bitwise that of its own call.  The single-matrix call is the same code
+without the axis.  Every other kernel takes one matrix and raises
+StructuralError on a stack.  A stack is swept
+:attr:`~homcone.matrix.Structure.stack_rows` members at a time, so a
 stacked step holds no more than the largest one-matrix step or
 :data:`~homcone.matrix.BATCH_FLOATS` floats.  Contiguity rule: a numpy
 reduction (``vecdot``, ``matvec``, ``vecmat``) repeats the one-matrix
@@ -83,9 +82,7 @@ bits only if its operands are laid out as in the one-matrix call, with
 the reduced axis contiguous.  So values are stored C-contiguous, and a
 stack is gathered by ``np.take`` (``x[:, idx]`` would put the stack axis
 innermost) or, for one-node batches, by slice views.  Stacked ``matmul``
-and ``np.linalg`` calls run each member's matrices as the one-matrix call
-does, and a chain block keeps its level-step redo only for the members
-that failed in it.
+calls run each member's matrices as the one-matrix call does.
 
 Kernels never modify their inputs' values and keep all sweep state in
 locals but for what a factor caches, its chain blocks' panels and its
@@ -97,7 +94,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -127,14 +123,9 @@ PIVOT_EPS = 1e-13
 
 @dataclass(frozen=True)
 class CholFactor:
-    """Triangular factor X = L L^T with positive diagonal.
-
-    For a stack, ``ok`` says per member whether its factorization
-    succeeded; the rows of ``L`` of failed members mean nothing.  One
-    matrix has ``ok=None``: its failure raises instead."""
+    """Triangular factor X = L L^T with positive diagonal."""
 
     L: LowerSparse
-    ok: Optional[np.ndarray] = None
 
     @property
     def struct(self) -> Structure:
@@ -146,62 +137,39 @@ class CholFactor:
         return 2.0 * float(np.sum(np.log(self.L.diag)))
 
 
-def _stacked(arg: int):
-    """Run the decorated kernel on a stack given as its ``arg``-th
-    positional argument in chunks of ``Structure.stack_rows`` members,
-    joining the results, so a stacked sweep holds no more frontal block at
-    a time than ``stack_rows`` allows."""
-    def wrap(kernel):
-        @functools.wraps(kernel)
-        def run(*args, **kwargs):
-            x = args[arg]
-            if x.vals.ndim == 1:
-                return kernel(*args, **kwargs)
-            rows = x.struct.stack_rows
-            return _join([kernel(*args[:arg], type(x)(x.struct, x.vals[i:i + rows]),
-                                 *args[arg + 1:], **kwargs)
-                          for i in range(0, max(len(x.vals), 1), rows)])
-        return run
-    return wrap
+def _stacked(kernel):
+    """Run the decorated map on a stack, its second argument, in chunks of
+    ``Structure.stack_rows`` members, joining the results, so a stacked
+    sweep holds no more frontal block at a time than ``stack_rows``
+    allows."""
+    @functools.wraps(kernel)
+    def run(L, X):
+        if X.vals.ndim == 1:
+            return kernel(L, X)
+        rows = X.struct.stack_rows
+        parts = [kernel(L, SymSparse(X.struct, X.vals[i:i + rows])).vals
+                 for i in range(0, max(len(X.vals), 1), rows)]
+        return SymSparse(X.struct, parts[0] if len(parts) == 1 else np.concatenate(parts))
+    return run
 
 
-def _join(parts):
-    """One stacked result from the results of consecutive chunks."""
-    if len(parts) == 1:
-        return parts[0]
-    if isinstance(parts[0], CholFactor):
-        return CholFactor(_join([p.L for p in parts]),
-                          np.concatenate([p.ok for p in parts]))
-    return type(parts[0])(parts[0].struct, np.concatenate([p.vals for p in parts]))
-
-
-def _failures(seen, failed, nodes, lowest: bool, n: int):
-    """Fold a batch's pivots and which failed (``failed``: two (..., k)
-    arrays, or None) into ``seen``, the (position, value) per member of
-    the failure where a one-node-at-a-time sweep stops: the lowest failing
-    position bottom-up (``lowest``), the highest top-down.  A member
-    without a failure holds position n (bottom-up) or -1."""
+def _failures(seen, failed, nodes, lowest: bool):
+    """Fold a batch's pivots and which failed (``failed``: two (k,) arrays,
+    or None) into ``seen``, the (position, value) of the failure where a
+    one-node-at-a-time sweep stops, or None: the lowest failing position
+    bottom-up (``lowest``), the highest top-down."""
     if failed is None or not np.count_nonzero(failed[1]):
         return seen
-    cand = np.where(failed[1], nodes, n if lowest else -1)
-    i = (np.argmin if lowest else np.argmax)(cand, axis=-1, keepdims=True)
-    node = np.take_along_axis(cand, i, -1)[..., 0]
-    val = np.take_along_axis(failed[0], i, -1)[..., 0]
-    if seen is None:
-        return node, val
-    keep = seen[0] < node if lowest else seen[0] > node
-    return np.where(keep, seen[0], node), np.where(keep, seen[1], val)
+    hit = np.flatnonzero(failed[1])
+    i = hit[(np.argmin if lowest else np.argmax)(nodes[hit])]
+    if seen is None or (nodes[i] < seen[0] if lowest else nodes[i] > seen[0]):
+        return nodes[i], failed[0][i]
+    return seen
 
 
-def _factor(st: Structure, out: np.ndarray, seen, none: int, error) -> CholFactor:
-    """The factor of a sweep's result ``out``: one matrix raises ``error``
-    at its failing node; a stack marks its failed members."""
-    if out.ndim == 1:
-        if seen is not None:
-            raise error(node=st.ordering.sigma[int(seen[0])], value=float(seen[1]))
-        return CholFactor(LowerSparse(st, out))
-    ok = np.ones(len(out), dtype=bool) if seen is None else seen[0] == none
-    return CholFactor(LowerSparse(st, out), ok)
+def _failed_at(st: Structure, seen) -> tuple:
+    """The ``node`` and ``value`` of a sweep's failure ``seen``."""
+    return st.ordering.sigma[int(seen[0])], float(seen[1])
 
 
 def _up(s: Structure):
@@ -292,30 +260,24 @@ def _abt(a, b):
 
 
 def _potrf(a, floor):
-    """``np.linalg.cholesky`` of each matrix of ``a`` and which members
-    failed, LAPACK refusing them or a pivot L_ii^2 not clearing
-    ``floor[..., i]``, whose blocks the caller redoes by the level step; a
-    failed member's factor is the identity, so later products and
-    inverses stay finite."""
+    """``np.linalg.cholesky`` of ``a`` and whether it failed, LAPACK
+    refusing it or a pivot L_ii^2 not clearing ``floor[i]``; a failed
+    factor is the identity, so later products and inverses stay finite."""
     try:
         c = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        if a.ndim == 2:
-            return np.eye(len(a)), np.True_
-        parts = [_potrf(m, f) for m, f in zip(a, floor)]
-        return np.array([p[0] for p in parts]), np.array([p[1] for p in parts])
-    bad = ~(np.diagonal(c, 0, -2, -1) ** 2 > floor).all(-1)
-    if np.count_nonzero(bad):
-        c = np.where(bad[..., None, None], np.eye(a.shape[-1]), c)
-    return c, bad
+        return np.eye(len(a)), True
+    if (np.diagonal(c) ** 2 > floor).all():
+        return c, False
+    return np.eye(len(a)), True
 
 
 def _cholesky_step(f, floor):
     """Eliminate the first node of the frontal blocks ``f`` (..., w, w) in
     place: L_ii = sqrt(f00), the column below divided by it, and the Schur
     update.  A pivot at or below ``floor`` fails and takes L_ii = inf, so
-    the sweep goes on (to lower failures, and other members of a stack).
-    Returns the raw pivots and which failed, or None when none did."""
+    the sweep goes on (to lower failures).  Returns the raw pivots and
+    which failed, or None when none did."""
     pivot = f[..., 0, 0]
     fail = pivot <= floor
     failed = (pivot.copy(), fail) if np.count_nonzero(fail) else None
@@ -326,7 +288,6 @@ def _cholesky_step(f, floor):
     return failed
 
 
-@_stacked(0)
 def cholesky(X: SymSparse) -> CholFactor:
     """Zero-fill Cholesky factorization X = L L^T by a bottom-up sweep.
 
@@ -335,81 +296,92 @@ def cholesky(X: SymSparse) -> CholFactor:
     raises :class:`NotPositiveDefinite`, which is exactly the test for X
     lying in the interior of the sparse PSD cone.  The node reported is
     the lowest failing position: every node below it succeeded, so it is
-    where a sweep in ascending position order stops.  A stack reports
-    each member's success in ``ok`` instead of raising.
+    where a sweep in ascending position order stops.
 
     On a dense block, X fails where LAPACK refuses it or a pivot L_ii^2
-    is at or below that floor; one matrix is then swept to find the node.
+    is at or below that floor.  The error is raised at once and sweeps X
+    for its node only when that is read (:func:`_dense_failure`).
     """
+    _one(X)
     s = X.struct
     xv = X.vals
-    floor = PIVOT_EPS * (1.0 + np.abs(_take(xv, s.bar_ptr[:-1])))
+    floor = PIVOT_EPS * (1.0 + np.abs(xv[s.bar_ptr[:-1]]))
     if s.dense is not None:
         c, bad = _potrf(_full(xv, s), floor)
-        if xv.ndim > 1:
-            return CholFactor(LowerSparse(s, _lower(s.dense, c)), ~bad)
-        if not bad:
-            return CholFactor(LowerSparse(s, _lower(s.dense, c)))
-        # one matrix fails: the sweep finds where
-    out = np.zeros(xv.shape)
+        if bad:
+            xv = xv.copy()  # the values as they were, should X change
+            raise NotPositiveDefinite(locate=lambda: _dense_failure(s, xv, floor))
+        return CholFactor(LowerSparse(s, _lower(s.dense, c)))
+    out, seen, panels = _cholesky_sweep(s, xv, floor)
+    if seen is not None:
+        raise NotPositiveDefinite(*_failed_at(s, seen))
+    L = LowerSparse(s, out)
+    L._panels.update(panels)
+    return CholFactor(L)
+
+
+def _cholesky_sweep(s: Structure, xv, floor):
+    """The sweep of :func:`cholesky`: L's values, its chain blocks' panels
+    (see :func:`_cholesky_chain`), and the failure where a
+    one-node-at-a-time sweep stops, or None."""
+    out = np.zeros(s.dim)
     seen = None
-    panels = {} if xv.ndim == 1 else None
+    panels = {}
     for b, done in _up(s):
-        if xv.ndim > 1 and seen is not None and (seen[0] < s.n).all():
-            break  # a stack reports only ``ok``, and every member has failed
         if b.chain:
-            seen = _cholesky_chain(xv, floor, out, b, done, seen, s.n, panels)
+            seen = _cholesky_chain(xv, floor, out, b, done, seen, panels)
             continue
-        f = np.zeros(xv.shape[:-1] + b.shape)
-        f[..., 0] = _take(xv, b.cols)
+        f = np.zeros(b.shape)
+        f[..., 0] = xv[b.cols]
         _add_kids(f, b, done)
-        seen = _failures(seen, _cholesky_step(f, _take(floor, b.at)), b.nodes, True, s.n)
-        _put(out, b.cols, f[..., 0])
+        seen = _failures(seen, _cholesky_step(f, floor[b.at]), b.nodes, True)
+        out[b.cols] = f[..., 0]
         done[b.id] = f
-    chol = _factor(s, out, seen, s.n, NotPositiveDefinite)
-    if s.dense is not None:
-        # the dense step failed, but roundoff lifts every sweep pivot over
-        # its floor: the node is the one nearest to it
-        p = chol.L.diag ** 2
-        i = int(np.argmin(p / floor))
-        raise NotPositiveDefinite(node=s.ordering.sigma[i], value=float(p[i]))
-    if panels:
-        chol.L._panels.update(panels)
-    return chol
+    return out, seen, panels
 
 
-def _cholesky_chain(xv, floor, out, b, done, seen, n, panels):
+def _dense_failure(s: Structure, xv, floor) -> tuple:
+    """The node and pivot of a :func:`cholesky` whose dense step failed:
+    where the sweep stops, or, where roundoff lifts every sweep pivot over
+    its floor, the node whose pivot is nearest to it."""
+    out, seen, _ = _cholesky_sweep(s, xv, floor)
+    if seen is not None:
+        return _failed_at(s, seen)
+    p = out[s.bar_ptr[:-1]] ** 2
+    i = int(np.argmin(p / floor))
+    return s.ordering.sigma[i], float(p[i])
+
+
+def _cholesky_chain(xv, floor, out, b, done, seen, panels):
     """A chain block of :func:`cholesky`: L11 = chol(F11), L21 = F21
-    L11^-T, and the update F22 - L21 L21^T.  If a member fails in
-    :func:`_potrf`, the level step redoes the block to find the failing
-    node and pivot; returns ``seen`` with them.  One matrix leaves its
-    panel [[L11; L21], L11^-1] in ``panels`` for :func:`~homcone.matrix._panel`."""
+    L11^-T, and the update F22 - L21 L21^T, leaving the panel
+    [[L11; L21], L11^-1] in ``panels`` for :func:`~homcone.matrix._panel`.
+    If :func:`_potrf` fails, the level step redoes the block to find the
+    failing node and pivot; returns ``seen`` with them."""
     k = len(b.nodes)
     f = _gather(xv, b, square=True)
-    _add_kids(f[..., None, :, :], b, done)
-    floor = _take(floor, b.at)
-    l11, bad = _potrf(f[..., :k, :k], floor)
-    redo = f.copy() if np.count_nonzero(bad) else None
-    li = np.linalg.inv(l11)
-    l21 = _abt(f[..., k:, :k], li)
-    f[..., :k, :k] = l11
-    f[..., k:, :k] = l21
-    if panels is not None:
-        panels[b] = [f[:, :k].copy(), li]
-    f[..., k:, k:] -= _abt(l21, l21)
-    if redo is not None:
-        pivot, fail = np.zeros(floor.shape), np.zeros(floor.shape, dtype=bool)
+    _add_kids(f[None], b, done)
+    floor = floor[b.at]
+    l11, bad = _potrf(f[:k, :k], floor)
+    if bad:
+        pivot, fail = np.zeros(k), np.zeros(k, dtype=bool)
         for i in range(k):
-            if failed := _cholesky_step(redo[..., i:, i:], floor[..., i]):
-                pivot[..., i], fail[..., i] = failed
-        f[bad] = redo[bad]
-        seen = _failures(seen, (pivot, fail & bad[..., None]), b.nodes, True, n)
+            if failed := _cholesky_step(f[i:, i:], floor[i]):
+                pivot[i], fail[i] = failed
+        seen = _failures(seen, (pivot, fail), b.nodes, True)
+    else:
+        li = np.linalg.inv(l11)
+        l21 = _abt(f[k:, :k], li)
+        f[:k, :k] = l11
+        f[k:, :k] = l21
+        panels[b] = [f[:, :k].copy(), li]
+        f[k:, k:] -= _abt(l21, l21)
     _store(out, b, f)
-    done[b.id] = f[..., None, k - 1:, k - 1:]
+    done[b.id] = f[None, k - 1:, k - 1:]
     return seen
 
 
-@_stacked(1)
+@_stacked
 def forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
     """Y = L X L^T, exactly, staying on the pattern; for each member of a
     stack X."""
@@ -456,7 +428,7 @@ def forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
     return SymSparse(s, out)
 
 
-@_stacked(1)
+@_stacked
 def adjoint_map(L: LowerSparse, S: SymSparse) -> SymSparse:
     """Y = projection of L^T S L onto the pattern (the adjoint of
     forward_map under the trace inner product); for each member of a
@@ -587,34 +559,28 @@ def inverse_adjoint_map(L: LowerSparse, S: SymSparse) -> SymSparse:
 
 def projected_inverse(F: CholFactor) -> SymSparse:
     """Y = projection of X^{-1} onto the pattern, from the factor of X.
-    This is the negated barrier gradient.  For a stacked factor, each
-    member's Y (a failed member's means nothing)."""
-    return _projected_inverse(F.L)
-
-
-@_stacked(0)
-def _projected_inverse(L: LowerSparse) -> SymSparse:
+    This is the negated barrier gradient."""
+    L = F.L
+    _one(L)
     st = L.struct
     lv = L.vals
     if st.dense is not None:
         li = _panel(L, st.dense, True)[1]
-        return SymSparse(st, _lower(st.dense, np.swapaxes(li, -1, -2) @ li))
-    out = np.zeros(lv.shape)
-    for b, v, pack in _down(st, lv.shape[:-1]):
+        return SymSparse(st, _lower(st.dense, li.T @ li))
+    out = np.zeros(st.dim)
+    for b, v, pack in _down(st):
         if b.chain:
             # Y21 = -V P and Y11 = L11^-T L11^-1 - P^T Y21, P = L21 L11^-1
             k = len(b.nodes)
             t, li = _panel(L, b, True)
-            p = t[..., k:, :] @ li
-            v = v[..., 0, :, :]
-            y21 = -v @ p
-            y = np.concatenate([np.swapaxes(li, -1, -2) @ li - np.swapaxes(p, -1, -2) @ y21,
-                                y21], -2)
+            p = t[k:] @ li
+            y21 = -v[0] @ p
+            y = np.vstack([li.T @ li - p.T @ y21, y21])
             _store(out, b, y)
             if b.children:
-                _block(y, v, pack[..., 0, :, :])
+                _block(y, v[0], pack[0])
             continue
-        lc = _take(lv, b.cols)
+        lc = lv[b.cols]
         lii, lsub = lc[..., 0], lc[..., 1:]
         ysub = -np.matvec(v, lsub) / lii[..., None]
         yii = (1.0 / lii - np.vecdot(lsub, ysub)) / lii
@@ -622,7 +588,6 @@ def _projected_inverse(L: LowerSparse) -> SymSparse:
     return SymSparse(st, out)
 
 
-@_stacked(0)
 def maxdet_factor(S: SymSparse) -> CholFactor:
     """Factor L of the inverse of the maximum-determinant positive definite
     completion of S: the projection of (L L^T)^{-1} onto the pattern
@@ -633,33 +598,33 @@ def maxdet_factor(S: SymSparse) -> CholFactor:
     which is exactly the test for S lying in the interior of the
     completable cone.  The node reported is the highest failing position:
     every node above it succeeded, so it is where a sweep in descending
-    position order stops.  A stack reports each member's success in
-    ``ok`` instead of raising.
+    position order stops.
     """
+    _one(S)
     st = S.struct
     sv = S.vals
-    floor = PIVOT_EPS * (1.0 + np.abs(_take(sv, st.bar_ptr[:-1])))
-    out = np.zeros(sv.shape)
+    floor = PIVOT_EPS * (1.0 + np.abs(sv[st.bar_ptr[:-1]]))
+    out = np.zeros(st.dim)
     seen = None
-    for b, v, pack in _down(st, sv.shape[:-1]):
-        if sv.ndim > 1 and seen is not None and (seen[0] >= 0).all():
-            break  # a stack reports only ``ok``, and every member has failed
+    for b, v, pack in _down(st):
         if b.chain:
-            seen = _maxdet_chain(sv, floor, out, b, v[..., 0, :, :], pack[..., 0, :, :], seen, st.n)
+            seen = _maxdet_chain(sv, floor, out, b, v[0], pack[0], seen)
             continue
-        sc = _take(sv, b.cols)
-        lii, lsub, failed = _maxdet_step(sc[..., 0], sc[..., 1:], v, _take(floor, b.at))
-        seen = _failures(seen, failed, b.nodes, False, st.n)
+        sc = sv[b.cols]
+        lii, lsub, failed = _maxdet_step(sc[..., 0], sc[..., 1:], v, floor[b.at])
+        seen = _failures(seen, failed, b.nodes, False)
         _finish(out, b, pack, lii, lsub, 0.0, v)
-    return _factor(st, out, seen, -1, NotCompletable)
+    if seen is not None:
+        raise NotCompletable(*_failed_at(st, seen))
+    return CholFactor(LowerSparse(st, out))
 
 
 def _maxdet_step(sii, ssub, v, floor):
     """One node of the completion factor from its column [sii; ssub] and
     parent block V: u = V^T ssub, r = sii - u^T u, L_ii = 1/sqrt(r) and
     L_sub = -L_ii V u.  An r at or below ``floor`` fails and takes L_ii =
-    0, so the sweep goes on (to higher failures, and other members of a
-    stack).  Returns L_ii, L_sub, and the raw r and which failed or None."""
+    0, so the sweep goes on (to higher failures).  Returns L_ii, L_sub,
+    and the raw r and which failed or None."""
     u = np.vecmat(ssub, v)
     r = sii - np.vecdot(u, u)
     fail = r <= floor
@@ -668,34 +633,33 @@ def _maxdet_step(sii, ssub, v, floor):
     return lii, -lii[..., None] * np.matvec(v, u), failed
 
 
-def _maxdet_chain(sv, floor, out, b, v, pack, seen, n):
+def _maxdet_chain(sv, floor, out, b, v, pack, seen):
     """A chain block of :func:`maxdet_factor`: with U = V^T S21 and R =
     S11 - U^T U, L11 L11^T = R^-1 by the Cholesky factor K of R with rows
     and columns reversed, L11 = rev(K^-T), and L21 = -V U L11; ``pack``
-    gets [[L11, 0], [L21, V]].  If a member fails in :func:`_potrf` (K_ii^2
-    is node k-1-i's pivot), the level step redoes the block top down to
-    find the failing node and Schur complement; returns ``seen`` with them."""
+    gets [[L11, 0], [L21, V]].  If :func:`_potrf` fails (K_ii^2 is node
+    k-1-i's pivot), the level step redoes the block top down to find the
+    failing node and Schur complement; returns ``seen`` with them."""
     k = len(b.nodes)
     t = _gather(sv, b)
-    u = np.swapaxes(v, -1, -2) @ t[..., k:, :]
-    r = _sym(t[..., :k, :]) - np.swapaxes(u, -1, -2) @ u
-    floor = _take(floor, b.at)
-    kc, bad = _potrf(r[..., ::-1, ::-1], floor[..., ::-1])
-    l11 = np.where(_tri(k), np.swapaxes(np.linalg.inv(kc), -1, -2)[..., ::-1, ::-1], 0.0)
+    u = v.T @ t[k:]
+    r = _sym(t[:k]) - u.T @ u
+    floor = floor[b.at]
+    kc, bad = _potrf(r[::-1, ::-1], floor[::-1])
     pack[...] = 0.0
-    pack[..., k:, k:] = v
-    redo = pack.copy() if np.count_nonzero(bad) else None
-    pack[..., :k, :k] = l11
-    pack[..., k:, :k] = -(v @ (u @ l11))
-    if redo is not None:
-        value, fail = np.zeros(floor.shape), np.zeros(floor.shape, dtype=bool)
+    pack[k:, k:] = v
+    if bad:
+        value, fail = np.zeros(k), np.zeros(k, dtype=bool)
         for i in range(k - 1, -1, -1):
-            redo[..., i, i], redo[..., i + 1:, i], failed = _maxdet_step(
-                t[..., i, i], t[..., i + 1:, i], redo[..., i + 1:, i + 1:], floor[..., i])
+            pack[i, i], pack[i + 1:, i], failed = _maxdet_step(
+                t[i, i], t[i + 1:, i], pack[i + 1:, i + 1:], floor[i])
             if failed:
-                value[..., i], fail[..., i] = failed
-        pack[bad] = redo[bad]
-        seen = _failures(seen, (value, fail & bad[..., None]), b.nodes, False, n)
+                value[i], fail[i] = failed
+        seen = _failures(seen, (value, fail), b.nodes, False)
+    else:
+        l11 = np.where(_tri(k), np.linalg.inv(kc).T[::-1, ::-1], 0.0)
+        pack[:k, :k] = l11
+        pack[k:, :k] = -(v @ (u @ l11))
     _store(out, b, pack)
     return seen
 

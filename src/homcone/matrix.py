@@ -170,10 +170,6 @@ class Structure:
         step's frontal blocks (the dense block's n^2, if admitted), so a
         stacked step holds no more than the largest one-matrix step or
         BATCH_FLOATS, whichever is more.
-    sweep_floats : floats of frontal block one sweep of one matrix makes,
-        a level batch's nodes (depth+1)^2 each and a chain block its
-        (k+d)^2: its arithmetic, against the Python overhead of its
-        ``len(batches)`` steps.
     _chain_steps : the ancestor-chain steps of :func:`_chain`, per depth a:
         the run ends (``bar_ptr[i+1]``) of the columns i whose member at
         depth a (i itself or an ancestor) is in a level batch, deepest
@@ -184,7 +180,7 @@ class Structure:
     __slots__ = (
         "pattern", "ordering", "n", "nnz",
         "pos_parent", "depth", "height", "batches", "dense",
-        "stack_rows", "sweep_floats",
+        "stack_rows",
         "bar_ptr", "bar_rows", "weights",
         "_row_vertex", "_col_vertex", "_position", "_depth",
         "_chain_steps", "_cliques",
@@ -386,7 +382,6 @@ class Structure:
             b.last = b.parent >= 0 and batches[b.parent].children[-1] == b.id
         self.batches = tuple(batches)
         floats = [math.prod(b.shape) for b in batches]
-        self.sweep_floats = sum(floats)
         self.dense = None
         if n <= DENSE_NODES:
             # the whole tree as one block: column j's slot for row i at
@@ -445,12 +440,6 @@ class Structure:
     def dim(self) -> int:
         """Dimension of the symmetric matrix space on this pattern."""
         return self.n + self.nnz
-
-    @property
-    def round_sweeps(self) -> int:
-        """How many one-matrix sweeps a stacked round of the scaling point's
-        line search takes: as many as make at most BATCH_FLOATS floats, or 1."""
-        return max(1, BATCH_FLOATS // self.sweep_floats)
 
     @property
     def cliques(self) -> tuple:
@@ -545,14 +534,12 @@ class _Values:
     """Shared plumbing for pattern-restricted value arrays.
 
     ``vals`` has shape (dim,), or (m, dim) for a stack of m matrices on one
-    structure.  ``forward_map``, ``adjoint_map``, ``cholesky``,
-    ``maxdet_factor`` and ``projected_inverse`` (of a stacked factor)
-    sweep a stack member by member in one pass, and the
-    arithmetic operators act member by member; everything else takes one
-    matrix and raises StructuralError on a stack.  ``vals`` is kept
-    C-contiguous (copied if it is not): kernels read one-node batches
-    through views, and a reduction over a strided view is not bitwise one
-    over a contiguous array.  No operation writes to it; a
+    structure.  ``forward_map`` and ``adjoint_map`` sweep a stack member by
+    member in one pass, and the arithmetic operators act member by member;
+    everything else takes one matrix and raises StructuralError on a stack.
+    ``vals`` is kept C-contiguous (copied if it is not): kernels read
+    one-node batches through views, and a reduction over a strided view is
+    not bitwise one over a contiguous array.  No operation writes to it; a
     :class:`LowerSparse` also makes it a read-only view."""
 
     __slots__ = ("struct", "vals")
@@ -770,16 +757,15 @@ def _store(out, b, t):
 
 
 def _panel(L: LowerSparse, b: Batch, inverse: bool = False) -> list:
-    """Chain block ``b``'s panel of ``L`` (of each member of a stack),
-    made once and kept in ``L``'s cache (a one-matrix ``cholesky`` fills
-    it with the same bits): [T, T_CC^-1], T = L[P, C] its (k+d, k)
-    trapezoid and T_CC^-1 the inverse of its top k rows, None until a
-    caller asks for ``inverse``."""
+    """Chain block ``b``'s panel of one matrix ``L``, made once and kept in
+    ``L``'s cache (``cholesky`` fills it with the same bits): [T, T_CC^-1],
+    T = L[P, C] its (k+d, k) trapezoid and T_CC^-1 the inverse of its top
+    k rows, None until a caller asks for ``inverse``."""
     p = L._panels.get(b)
     if p is None:
         p = L._panels[b] = [_gather(L.vals, b), None]
     if inverse and p[1] is None:
-        p[1] = np.linalg.inv(p[0][..., :len(b.nodes), :])
+        p[1] = np.linalg.inv(p[0][:len(b.nodes)])
     return p
 
 

@@ -138,39 +138,19 @@ def _newton_system(struct: Structure, w_dense, x_dense):
     return m * np.where(r == c, 0.5, 1.0)
 
 
-def _line_points(w: SymSparse, dw: SymSparse, rounds: int, phi):
-    """(t, w + t dw, its factor, phi there) for each t = 1, 1/2, 1/4, ...
-    above 1e-12 at which w + t dw factors, in that order.  t = 1 is tested
-    alone and the halvings after it ``rounds`` at a time by one stacked
-    cholesky, then phi at all of a round's points that factor by one
-    call ``phi(factor, points)``, or None without ``phi``.  A member's
-    factor is bitwise its own call, so every point, factor and phi is
-    that of one call per t."""
-    st = w.struct
-    t, size = 1.0, 1
+def _line_points(w: SymSparse, dw: SymSparse):
+    """(t, w + t dw, its factor) for each t = 1, 1/2, 1/4, ... above 1e-12
+    at which w + t dw factors, in that order, one cholesky per t."""
+    t = 1.0
     while t > 1e-12:
-        ts = []
-        while t > 1e-12 and len(ts) < size:
-            ts.append(t)
-            t *= 0.5
-        size = rounds
-        if len(ts) == 1:
-            cand = w + ts[0] * dw
-            try:
-                fc = cholesky(cand)
-            except NotPositiveDefinite:
-                continue
-            yield ts[0], cand, fc, None if phi is None else phi(fc, cand.vals)[0]
+        cand = w + t * dw
+        try:
+            fc = cholesky(cand)
+        except NotPositiveDefinite:
+            pass
         else:
-            cands = w.vals + np.array(ts)[:, None] * dw.vals
-            fs = cholesky(SymSparse(st, cands))
-            ok = np.flatnonzero(fs.ok)
-            ls, cands = fs.L.vals[ok], cands[ok]
-            phis = [None] * len(ok)
-            if phi is not None and len(ok):
-                phis = phi(CholFactor(LowerSparse(st, ls)), cands)
-            for i, c, lc, p in zip(ok, cands, ls, phis):
-                yield ts[i], SymSparse(st, c.copy()), CholFactor(LowerSparse(st, lc.copy())), p
+            yield t, cand, fc
+        t *= 0.5
 
 
 def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9) -> ScalingPoint:
@@ -183,16 +163,11 @@ def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9) -> ScalingPoint
     are rescaled to unit norm internally (an exact change of variables) and
     the search starts at x/sqrt(mu), which is exact on the central path.
 
-    The backtracking tests the full step alone, then the halvings after
-    it in rounds of min(8, ``Structure.round_sweeps``), each round by one
-    stacked cholesky and, for its points that factor, one stacked
-    projected_inverse giving their objective, walked in order as a
-    one-halving-at-a-time search would.  A member's factor and projected
-    inverse are bitwise its own calls, and each objective is summed by
-    np.dot as ``inner`` sums it (a stacked vecdot or matvec sums in
-    another order), so every iterate is that search's bit for bit.  A
-    round saves the Python overhead of all but one sweep of each kernel,
-    for the arithmetic of the points past the accepted step.
+    The backtracking tests the full step, then t = 1/2, 1/4, ... one at
+    a time: one cholesky of w + t dw, and at a point that factors, one
+    projected_inverse for its objective.  A point that does not factor
+    only raises: the search never reads where it failed, so on a dense
+    block that costs one dense step, not a sweep.
 
     The search stops short of ``tol`` when the NEWTON_STEPS budget runs
     out, 8 steps in a row make no progress, the line search reaches its
@@ -208,14 +183,10 @@ def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9) -> ScalingPoint
     back = float(np.sqrt(nx / ns))
     w = xb / float(np.sqrt(inner(sb, xb) / st.n))
     xd = to_dense(xb)
-    rounds = min(8, st.round_sweeps)
 
-    def objective(fc: CholFactor, points: np.ndarray) -> list:
-        """phi at ``points`` (one or a stack) from their factor ``fc``,
-        each inner product one np.dot on a contiguous row, as in ``inner``."""
-        pw = st.weights * projected_inverse(fc).vals
-        return [float(np.dot(a, xb.vals)) + float(np.dot(st.weights * sb.vals, c))
-                for a, c in zip(np.atleast_2d(pw), np.atleast_2d(points))]
+    def objective(fc: CholFactor, point: SymSparse) -> float:
+        """phi at ``point`` from its factor ``fc``."""
+        return inner(projected_inverse(fc), xb) + inner(sb, point)
 
     best_w, best_g = w, np.inf
     no_progress = 0
@@ -249,9 +220,10 @@ def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9) -> ScalingPoint
         basin = gn <= 1e-6
         if not basin:
             if phi0 is None:
-                phi0 = objective(f, w.vals)[0]
+                phi0 = objective(f, w)
             slope = inner(g, dw)
-        for t, cand, fc, phi in _line_points(w, dw, rounds, None if basin else objective):
+        for t, cand, fc in _line_points(w, dw):
+            phi = None if basin else objective(fc, cand)
             if basin or phi <= phi0 + 1e-4 * t * slope:
                 break
         else:

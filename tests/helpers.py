@@ -10,6 +10,7 @@ can start.
 import contextlib
 import hashlib
 import importlib
+import math
 import sys
 from pathlib import Path
 
@@ -124,14 +125,17 @@ def _canonical(x):
 def structure_digest(st):
     """SHA-256 of every table a Structure compiles: the column layout, the
     schedule (each batch's indices, slices kept apart from arrays), the
-    ancestor-chain steps and the stack sizes.  ``Batch.last`` is left out:
-    it follows from the batch ids (test_schedule.py checks it)."""
+    ancestor-chain steps and the stack sizes, and the floats of a sweep's
+    frontal blocks, which the digests were recorded with when the structure
+    kept them as ``sweep_floats``.  ``Batch.last`` is left out: it follows
+    from the batch ids (test_schedule.py checks it)."""
     batch = [(b.id, b.nodes, b.shape, b.chain, b.slots, b.below, b.cols, b.diag, b.sub, b.at,
               b.parent, b.up, b.children, b.kids)
              for b in st.batches]
     steps = [(ends, below, [b.id for b in blocks]) for ends, below, blocks in st._chain_steps]
     tables = (st.n, st.nnz, st.height, st.bar_ptr, st.bar_rows, st.weights, st.depth,
-              st.pos_parent, batch, steps, st.stack_rows, st.sweep_floats)
+              st.pos_parent, batch, steps, st.stack_rows,
+              sum(math.prod(b.shape) for b in st.batches))
     return hashlib.sha256(_canonical(tables).encode()).hexdigest()
 
 

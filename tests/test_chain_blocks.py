@@ -282,66 +282,14 @@ def test_failure_inside_a_chain_block_on_dense_values(node, two_chains):
         assert abs(got[1] - want[1]) <= 1e-12 * abs(want[1])
 
 
-def test_stack_mixing_passing_and_failing_members(two_chains):
-    """LAPACK refuses the whole stack for one member, and accepts the tiny
-    pivot of another: ``ok`` is the level schedule's, the passing members
-    are bitwise their own calls, and each failing member alone fails at
-    the level schedule's node with its value.  A stack whose members all
-    fail, each at a chain block's first or last column, has the level
-    schedule's ``ok`` too."""
-    st, ref = two_chains
-    rng = np.random.default_rng(3)
-    for kernel, error, pick in ((cholesky, NotPositiveDefinite, 2),
-                                (maxdet_factor, NotCompletable, 4)):
-        good = [kernel_inputs(ref, rng)[pick] for _ in range(2)]
-        bad = [diagonal(ref, {20: -1.0}).vals, diagonal(ref, {60: 5e-14}).vals]
-        stack = np.array([good[0], bad[0], good[1], bad[1]])
-        f = kernel(SymSparse(st, stack))
-        ok = [True, False, True, False]
-        assert f.ok.tolist() == kernel(SymSparse(ref, stack)).ok.tolist() == ok
-        for i in (0, 2):
-            assert np.array_equal(f.L.vals[i], kernel(SymSparse(st, stack[i])).L.vals)
-        for i in (1, 3):
-            assert failure(kernel, error, SymSparse(st, stack[i])) == failure(
-                kernel, error, SymSparse(ref, stack[i]))
-        every = np.array([diagonal(ref, {0: -1.0}).vals, diagonal(ref, {39: 5e-14}).vals,
-                          diagonal(ref, {40: 5e-14}).vals, diagonal(ref, {79: -1.0}).vals])
-        assert (kernel(SymSparse(st, every)).ok.tolist()
-                == kernel(SymSparse(ref, every)).ok.tolist() == [False] * 4)
-
-
-def test_stacked_projected_inverse_is_each_members_own_call():
-    """A stacked projected_inverse gives each member the bytes of its own
-    call: stacks of one, of three and of stack_rows + 2 members (swept in
-    chunks), on two_chains, the deep forests above and every benchmark
-    structure, with and without chain blocks."""
-    deep = [random_structure(n, seed=seed, branching=1.05) for n, seed in [(300, 1), (600, 2), (1200, 6)]]
-    structs = [forest_structure(TWO_CHAINS), *deep, *(st for _, st in benchmark_structures())]
-    assert sum(bool(chain_blocks(st)) for st in structs) == 5
-    for st in structs:
-        rng = np.random.default_rng(st.n)
-        for m in (1, 3, st.stack_rows + 2):
-            stack = np.array([well_conditioned_lower(st, rng) for _ in range(m)])
-            got = projected_inverse(CholFactor(LowerSparse(st, stack))).vals
-            assert got.shape == (m, st.dim)
-            for row, one in zip(got, stack):
-                assert row.tobytes() == projected_inverse(CholFactor(LowerSparse(st, one))).vals.tobytes()
-
-
 @pytest.mark.parametrize("m", [0, 1, 3])
 def test_stacked_chain_blocks_are_each_members_own_call(m, two_chains):
     st, _ = two_chains
     rng = np.random.default_rng(m)
     ell = LowerSparse(st, well_conditioned_lower(st, rng))
-    inputs = [kernel_inputs(st, rng) for _ in range(m)]
     zs = rng.standard_normal((m, st.dim))
-    for kernel, stack, part in (
-            (lambda v: forward_map(ell, v), zs, lambda r: r.vals),
-            (lambda v: adjoint_map(ell, v), zs, lambda r: r.vals),
-            (cholesky, [i[2] for i in inputs], lambda f: f.L.vals),
-            (maxdet_factor, [i[4] for i in inputs], lambda f: f.L.vals)):
-        stack = np.reshape(stack, (m, st.dim))
-        got = part(kernel(SymSparse(st, stack)))
+    for kernel in (forward_map, adjoint_map):
+        got = kernel(ell, SymSparse(st, zs)).vals
         assert got.shape == (m, st.dim)
-        for row, one in zip(got, stack):
-            assert np.array_equal(row, part(kernel(SymSparse(st, one))))
+        for row, one in zip(got, zs):
+            assert np.array_equal(row, kernel(ell, SymSparse(st, one)).vals)

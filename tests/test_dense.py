@@ -1,15 +1,17 @@
 """Small trees as one dense block: admission, each kernel against the
-sweep of the same structure compiled with admission off, stacks member by
-member, and the failing node of a one-matrix cholesky."""
+sweep of the same structure compiled with admission off, stacked maps
+member by member, and the failing node of a cholesky, found only when it
+is read."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from homcone import factor, io_cli, matrix
 from homcone.errors import NotPositiveDefinite
-from homcone.factor import CholFactor, adjoint_map, cholesky, forward_map, projected_inverse
+from homcone.factor import adjoint_map, cholesky, forward_map
 from homcone.matrix import LowerSparse, SymSparse, _gather, to_dense
 
 from helpers import (ROOT, forest_structure, kernel_inputs, perfbench_module, random_structure,
@@ -52,7 +54,7 @@ def test_admission_and_block():
     for name, st in STRUCTURES.items():
         ref = swept(st)
         assert (st.dense is not None) == (st.n <= matrix.DENSE_NODES), name
-        assert st.sweep_floats == ref.sweep_floats and len(st.batches) == len(ref.batches)
+        assert [b.shape for b in st.batches] == [b.shape for b in ref.batches]
         if st.dense is None:
             assert st.stack_rows == ref.stack_rows
             continue
@@ -91,74 +93,64 @@ def test_kernels_agree_with_the_sweep(name):
         assert set(warm._panels) == {st.dense}
 
 
-def depressed_stack(st, m, rng):
-    """m interior points, every third one with a diagonal entry far below
-    the rest, and which members are depressed."""
-    ref = swept(st)
-    xs = np.array([kernel_inputs(ref, rng)[2] for _ in range(m)])
-    bad = np.arange(m) % 3 == 1
-    for i in np.flatnonzero(bad):
-        xs[i, st.bar_ptr[int(rng.integers(st.n))]] -= 10.0 * (1.0 + np.abs(xs[i]).max())
-    return xs, bad
-
-
 @pytest.mark.parametrize("name", sorted(n for n, st in STRUCTURES.items()
                                         if st.dense is not None and st.n > 1))
 def test_stacks_are_each_members_own_call(name):
-    """Stacks of 1, 3 and stack_rows + 2 members (swept in chunks), with
-    failing members: a stacked cholesky's ``ok`` is each member's own
-    call's, and its passing members, the stacked maps and the stacked
-    projected inverse are each member's own call byte for byte."""
+    """Stacks of 1, 3 and stack_rows + 2 members (swept in chunks): the
+    stacked maps are each member's own call byte for byte."""
     st = STRUCTURES[name]
     rng = np.random.default_rng(st.n)
     ell = LowerSparse(st, well_conditioned_lower(st, rng))
     for m in (1, 3, st.stack_rows + 2):
-        xs, bad = depressed_stack(st, m, rng)
-        f = cholesky(SymSparse(st, xs))
-        for i, row in enumerate(xs):
-            try:
-                one = cholesky(SymSparse(st, row))
-            except NotPositiveDefinite:
-                assert not f.ok[i]
-                continue
-            assert f.ok[i] and f.L.vals[i].tobytes() == one.L.vals.tobytes()
-        assert f.ok.tolist() == (~bad).tolist()
         zs = rng.standard_normal((m, st.dim))
-        lows = np.array([well_conditioned_lower(st, rng) for _ in range(m)])
-        for kernel, stack in ((lambda v: forward_map(ell, SymSparse(st, v)), zs),
-                              (lambda v: adjoint_map(ell, SymSparse(st, v)), zs),
-                              (lambda v: projected_inverse(CholFactor(LowerSparse(st, v))), lows)):
-            got = kernel(stack).vals
+        for kernel in (forward_map, adjoint_map):
+            got = kernel(ell, SymSparse(st, zs)).vals
             assert got.shape == (m, st.dim)
-            for row, one in zip(got, stack):
-                assert row.tobytes() == kernel(one).vals.tobytes()
+            for row, one in zip(got, zs):
+                assert row.tobytes() == kernel(ell, SymSparse(st, one)).vals.tobytes()
+
+
+def raised(x):
+    with pytest.raises(NotPositiveDefinite) as e:
+        cholesky(x)
+    return e.value
 
 
 def failure(x):
-    with pytest.raises(NotPositiveDefinite) as e:
-        cholesky(x)
-    return e.value.node, e.value.value
+    e = raised(x)
+    return e.node, e.value
 
 
 @pytest.mark.parametrize("name", sorted(n for n, st in STRUCTURES.items() if st.dense is not None))
 @pytest.mark.parametrize("value", [-1.0, 5e-14])
-def test_failing_node_is_the_sweeps(name, value):
+def test_failing_node_is_the_sweeps(name, value, monkeypatch):
     """A diagonal entry of an interior point set to -1 or to 5e-14 (which
-    LAPACK may accept, below the floor), at every node in turn: a
-    one-matrix cholesky raises the sweep's node and pivot."""
+    LAPACK may accept, below the floor), at every node in turn: cholesky
+    raises with no sweep, and the error sweeps once, when its node, pivot
+    or message (in turn) is first read, for the sweep's node and pivot."""
     st = STRUCTURES[name]
     ref = swept(st)
     xv = kernel_inputs(ref, np.random.default_rng(st.n))[2]
+    sweeps = []
+    up = factor._up
+    monkeypatch.setattr(factor, "_up", lambda s: sweeps.append(s) or up(s))
     for q in range(st.n):
         v = xv.copy()
         v[st.bar_ptr[q]] = value
-        assert failure(SymSparse(st, v)) == failure(SymSparse(ref, v)), q
+        want = raised(SymSparse(ref, v))
+        sweeps.clear()
+        e = raised(SymSparse(st, v))
+        assert sweeps == [], q
+        (lambda: e.node, lambda: e.value, lambda: str(e))[q % 3]()
+        assert sweeps == [st], q
+        assert (e.node, e.value, str(e)) == (want.node, want.value, str(want)), q
+        assert sweeps == [st], q
 
 
 def test_failure_the_sweep_does_not_find(monkeypatch):
     """Where the dense step fails but roundoff lifts every sweep pivot
-    over its floor, a one-matrix cholesky still fails, at the node whose
-    pivot is nearest to its floor, and a stacked member fails with it."""
+    over its floor, cholesky still fails, at the node whose pivot is
+    nearest to its floor."""
     st = STRUCTURES["n48-m8-b3-s2"]
     ref = swept(st)
     xv = kernel_inputs(ref, np.random.default_rng(5))[2]
@@ -169,4 +161,17 @@ def test_failure_the_sweep_does_not_find(monkeypatch):
                                                             np.ones(a.shape[:-2], dtype=bool)))
     node, value = failure(SymSparse(st, xv))
     assert (node, value) == (st.ordering.sigma[q], pivots[q])
-    assert cholesky(SymSparse(st, np.array([xv, xv]))).ok.tolist() == [False, False]
+
+
+def test_failure_pickles_with_its_node():
+    """A failure raised before its node is found pickles with the node and
+    pivot, found then, and so does one swept for them."""
+    st = STRUCTURES["n48-m8-b3-s2"]
+    ref = swept(st)
+    v = kernel_inputs(ref, np.random.default_rng(5))[2]
+    v[st.bar_ptr[7]] = -1.0
+    want = failure(SymSparse(ref, v))
+    for e in (raised(SymSparse(st, v)), raised(SymSparse(ref, v))):
+        back = pickle.loads(pickle.dumps(e))
+        assert type(back) is NotPositiveDefinite
+        assert (back.node, back.value, str(back)) == (*want, str(e))
