@@ -4,8 +4,8 @@ Matrices are stored column-compressed: column j holds the diagonal entry
 followed by the entries on the ancestor chain of j, so every kernel reads
 exactly the (j, ancestors-of-j) slices it recurses over.  A ``Structure``
 compiles a pattern plus a trivially perfect elimination ordering into those
-slice tables, and into the schedule of level batches and chain blocks the
-kernels sweep, once; a small tree also into one dense block that the
+slice tables, and into the schedule of batches of supernodes the kernels
+sweep, once; a small tree also into one dense block that the
 kernels take in one step instead (``Structure.dense``);
 symmetric (:class:`SymSparse`) and lower-triangular (:class:`LowerSparse`)
 values share it.
@@ -16,7 +16,7 @@ staying inside the pattern) fail for them.
 
 Values are 64-bit floats.  No operation writes to its inputs, so
 concurrent use is safe; a :class:`LowerSparse` holds its values read-only,
-as it caches what its chain blocks and ancestor-chain products derive from
+as it caches what its batches and ancestor-chain products derive from
 them (:func:`_panel`, :func:`_chain_columns`).
 """
 
@@ -49,12 +49,13 @@ __all__ = [
 ]
 
 
-#: Floats of stacked frontal block one kernel step may hold: a batch of
-#: nodes at depth d has at most ``max(1, BATCH_FLOATS // (d+1)^2)`` nodes,
-#: so a step's blocks stay in cache on deep trees, and a stacked sweep
-#: takes ``Structure.stack_rows`` matrices at a time.  A fundamental chain
-#: of two or more columns whose node-by-node frontal blocks make at least
-#: this many floats is swept as one chain block instead.
+#: Floats of stacked frontal block one kernel step may hold: a level batch
+#: of one-column supernodes at depth d has at most ``max(1, BATCH_FLOATS
+#: // (d+1)^2)`` of them, so a step's blocks stay in cache on deep trees,
+#: and a stacked sweep takes ``Structure.stack_rows`` matrices at a time.
+#: A fundamental chain of two or more columns whose node-by-node frontal
+#: blocks make at least this many floats is one supernode of its k
+#: columns instead, a chain block, whose one block may hold more.
 BATCH_FLOATS = 1 << 15
 
 #: A structure of at most this many nodes is one dense supernode: every
@@ -79,48 +80,48 @@ def _bounds(x: np.ndarray) -> np.ndarray:
 
 
 class Batch:
-    """One kernel step: same-depth nodes, or one chain block.
+    """One kernel step: a stack of same-shape supernodes.
 
-    A level batch holds nodes of one depth d, each with its parent in the
-    same batch one level up.  A chain block holds a fundamental chain
-    c_0, ..., c_{k-1} (each c_i the only child of c_{i+1}, c_0 a leaf or a
-    branch point) under d ancestors, as one dense (k+d) x (k+d) frontal
+    A supernode is k columns c_0, ..., c_{k-1} under d ancestors, each
+    c_i the only child of c_{i+1}, swept as one (k+d) x (k+d) frontal
     block on rows [c_0, ..., c_{k-1}, ancestors]: towards its children it
-    acts as the node c_0, towards its parent as c_{k-1}.  Batches form a
-    tree whose ids put every batch after its parent's: levels by
-    increasing depth, each chain block at the level of its top.  Kernels
-    sweep ``Structure.batches`` in that order top-down and reversed
-    bottom-up, and hold only the blocks of batches whose consumer is
-    pending.  ``Structure.dense`` is a chain block too, outside the
-    schedule: the whole tree, its block's zeros at incomparable pairs
-    included, with only ``id`` (-1), ``nodes``, ``shape`` and ``chain``.
+    acts as the node c_0, towards its parent as c_{k-1}.  A level batch
+    is b one-column supernodes (k = 1) of one depth d, each with its
+    parent in the same batch one level up; a chain block is one supernode
+    (b = 1) of a fundamental chain of k >= 2 columns, c_0 a leaf or a
+    branch point.  Batches form a tree whose ids put every batch after its
+    parent's: levels by increasing depth, each chain block at the level of
+    its top.  Kernels sweep ``Structure.batches`` in that order top-down
+    and reversed bottom-up, and hold only the blocks of batches whose
+    consumer is pending.  ``Structure.dense`` is a supernode too, outside
+    the schedule: the whole tree, its block's zeros at incomparable pairs
+    included, with only ``id`` (-1), ``nodes``, ``shape``, ``k``, ``cols``
+    and ``chain``.
 
     Attributes
     ----------
     id : index in ``Structure.batches``.
-    nodes : positions of the batch's nodes, shape (k,); a chain bottom up.
-    shape : shape of the batch's stacked frontal blocks: (k, d+1, d+1), or
-        (1, k+d, k+d) for a chain block.
-    chain : None for a level batch; for a chain block the value slots of
-        its columns, flattened (a view-making ``(..., slice)`` when they
-        are consecutive, as they are in a postorder), and where each lies
-        in the lower trapezoid of a flattened (k+d, k) array and of a
-        flattened (k+d, k+d) block.  ``Structure.dense`` adds where each
-        slot's mirror lies in the upper triangle.
-    slots : value slots of a level batch's columns, shape (k, d+1),
-        diagonal first (None for a chain block).
+    nodes : positions of the batch's columns, supernode by supernode, each
+        bottom up: shape (b * k,).
+    shape : shape of the batch's stacked frontal blocks, (b, k+d, k+d);
+        ``Structure.dense`` has (n, n), one block without a stack axis.
+    k : columns per supernode, 1 in a level batch (n for
+        ``Structure.dense``).
+    cols : value slots of the batch's columns, which :func:`_gather` reads
+        and :func:`_store` writes.  At k = 1 a (b, d+1) table, diagonal
+        first, whose gather is the b trapezoids.  For k >= 2, the slots
+        of the columns flattened (a view-making ``(..., slice)`` when they
+        are consecutive, as they are in a postorder; see :func:`_take`).
+    chain : None at k = 1; for k >= 2, where each of ``cols``' slots lies
+        in the lower trapezoid of a flattened (k+d, k) array.
+        ``Structure.dense`` adds where each slot's mirror lies in the
+        upper triangle.
+    diag : the diagonal slots of the columns, a (b, k) array.
     below : for a chain block, the slot of c_0 in each column below c_0,
         where that column's last k+d slots, the block's path, start (None
-        for a level batch).
-    cols, diag, sub : indices selecting, as (k, d+1), (k,) and (k, d)
-        arrays, a level batch's columns, their diagonal and subdiagonal
-        slots from a value array (a chain block has only ``diag``).  For a
-        one-node batch they are view-making tuples ``(..., None, slice)``
-        and ``(..., slice)``, which also index a stack of arrays (see
-        :func:`_take`).
-    at : index selecting the batch's nodes from a per-position array.
+        at k = 1).
     parent : id of the batch holding the parents (-1 for roots).
-    up : index (or slice) of each node's parent within that batch.
+    up : index (or slice) of each supernode's parent within that batch.
     children : ids of the batches holding the children.
     kids : ``(child batch, parents, children)`` per child batch and
         sibling rank within it, in the order their updates are added: the
@@ -130,8 +131,8 @@ class Batch:
         of them a top-down sweep visits.
     """
 
-    __slots__ = ("id", "nodes", "shape", "chain", "slots", "below", "cols", "diag", "sub",
-                 "at", "parent", "up", "children", "kids", "last")
+    __slots__ = ("id", "nodes", "shape", "k", "cols", "chain", "diag", "below",
+                 "parent", "up", "children", "kids", "last")
 
 
 class Structure:
@@ -151,12 +152,13 @@ class Structure:
         trace inner product a plain weighted dot.
     batches : the schedule the kernels sweep (with ``dense``, only
         ``maxdet_factor``, and a failing ``cholesky`` redone): the
-        :class:`Batch` es, parents' before their children's, swept in
-        this order top-down and reversed bottom-up.
-        A fundamental chain of two or more columns whose node-by-node
-        frontal blocks make at least BATCH_FLOATS floats is one chain
-        block; every other node is in a level batch.  Nodes of one depth
-        have same-shape frontal blocks and are independent, and a child's
+        :class:`Batch` es of supernodes, parents' before their children's,
+        swept in this order top-down and reversed bottom-up, each in one
+        step of the same kind.  A fundamental chain of two or more columns
+        whose node-by-node frontal blocks make at least BATCH_FLOATS
+        floats is one supernode, a chain block; every other node is a
+        one-column supernode in a level batch.  Nodes of one depth have
+        same-shape frontal blocks and are independent, and a child's
         update block has its parent's frontal shape, because anc(c) = {p}
         + anc(p).
     dense : None, or on a structure of at most DENSE_NODES nodes the
@@ -331,7 +333,7 @@ class Structure:
                 run = chains[q]
                 k, w = len(run), d + len(run)
                 b = Batch()
-                b.shape, b.slots, b.cols, b.sub, b.diag = (1, w, w), None, None, None, ptr[run]
+                b.shape, b.k, b.diag = (1, w, w), k, ptr[run][None]
                 # column i holds rows i..w-1, from entry ``start[i]`` on
                 size = np.arange(w, w - k, -1)
                 start = np.cumsum(size) - size
@@ -343,11 +345,10 @@ class Structure:
                     slots = (Ellipsis, slice(a, a + len(entry)))
                 else:
                     slots = entry + np.repeat(ptr[run] - start, size)
-                b.chain = (slots, rows * k + cols, rows * w + cols)
+                b.cols, b.chain = slots, (rows * k + cols,)
                 p = int(par[q])
                 pl = slice(int(index_in[p]), int(index_in[p]) + 1) if d else None
                 add(b, run, int(batch_of[p]) if d else -1, pl, [(pl, slice(0, 1))])
-                b.at = b.nodes
             a0, z0 = cut[d], cut[d + 1]
             if a0 < z0:
                 # the level's columns' slots, a (k, d+1) block
@@ -355,20 +356,10 @@ class Structure:
             while bi < len(first) and first[bi] < z0:
                 a, z = first[bi], last[bi]
                 b = Batch()
-                b.shape, b.chain, b.slots, b.below = (z - a, d + 1, d + 1), None, slots[a - a0:z - a0], None
+                b.shape, b.k, b.chain, b.below = (z - a, d + 1, d + 1), 1, None, None
+                b.cols = slots[a - a0:z - a0]
+                b.diag = b.cols[:, :1]
                 nodes = rest[a:z]
-                if z - a == 1:
-                    # one column: index it by slices, which numpy serves
-                    # as views instead of gathers, on one array or a stack
-                    q = int(rest[a])
-                    s0 = int(ptr[q])
-                    b.cols = (Ellipsis, None, slice(s0, s0 + d + 1))
-                    b.diag = (Ellipsis, slice(s0, s0 + 1))
-                    b.sub = (Ellipsis, None, slice(s0 + 1, s0 + d + 1))
-                    b.at = (Ellipsis, slice(q, q + 1))
-                else:
-                    b.cols, b.diag, b.sub = b.slots, b.slots[:, 0], b.slots[:, 1:]
-                    b.at = nodes
                 if d:
                     u0 = int(up[a])
                     add(b, nodes, int(batch_of[pq[a]]),
@@ -387,10 +378,10 @@ class Structure:
             # the whole tree as one block: column j's slot for row i at
             # (i, j) of the n x n block, and its mirror at (j, i)
             self.dense = b = Batch()
-            b.id, b.nodes, b.shape = -1, np.arange(n), (1, n, n)
+            b.id, b.nodes, b.shape, b.k = -1, np.arange(n), (n, n), n
             col = np.arange(n).repeat(depth + 1)
-            flat = self.bar_rows * n + col
-            b.chain = ((Ellipsis, slice(0, self.dim)), flat, flat, col * n + self.bar_rows)
+            b.cols = (Ellipsis, slice(0, self.dim))
+            b.chain = (self.bar_rows * n + col, col * n + self.bar_rows)
             floats.append(n * n)
         self.stack_rows = max(1, BATCH_FLOATS // max(floats))
         self.height = height
@@ -538,8 +529,8 @@ class _Values:
     member in one pass, and the arithmetic operators act member by member;
     everything else takes one matrix and raises StructuralError on a stack.
     ``vals`` is kept C-contiguous (copied if it is not): kernels read
-    one-node batches through views, and a reduction over a strided view is
-    not bitwise one over a contiguous array.  No operation writes to it; a
+    consecutive slots through views, and a reduction over a strided view
+    is not bitwise one over a contiguous array.  No operation writes to it; a
     :class:`LowerSparse` also makes it a read-only view."""
 
     __slots__ = ("struct", "vals")
@@ -590,9 +581,9 @@ class LowerSparse(_Values):
     caches what a factor alone determines, which a write would leave
     stale, each part made on first use:
 
-    - each chain block's panel (:func:`_panel`), (k+d)k + k^2 floats for
-      a block of k columns under d ancestors, and 2n^2 for
-      ``Structure.dense``;
+    - each batch's panel (:func:`_panel`), (k+d)k + k^2 floats for each
+      supernode of k columns under d ancestors, so at most dim + n floats
+      over the level batches, and 2n^2 for ``Structure.dense``;
     - the columns :func:`_chain` steps against at each depth a
       (:func:`_chain_columns`), a+1 floats for each of its cnt_a
       columns: Σ_a cnt_a (a+1) floats, or d+1 for each slot of L whose
@@ -727,45 +718,51 @@ def _runs(v: np.ndarray, w: int) -> np.ndarray:
                       v.strides + (t,))
 
 
-def _gather(v, b, square=False):
-    """Chain block ``b``'s columns of ``v`` (one value array or a stack) in
-    the lower trapezoid of a zero (..., k+d, k) array, or of a zero
-    (..., k+d, k+d) block with ``square``: column i holds the column of
-    c_i from row i down."""
-    slots, flat = b.chain[0], b.chain[2 if square else 1]
-    w = b.shape[-1]
-    shape = v.shape[:-1] + (w, w if square else len(b.nodes))
-    t = np.zeros(shape[:-2] + (shape[-2] * shape[-1],))
-    t[..., flat] = _take(v, slots)
-    return t.reshape(shape)
+def _gather(v, b):
+    """Batch ``b``'s columns of ``v`` (one value array or a stack) as the
+    lower trapezoids of its supernodes, shape (..., b, k+d, k) (``(..., n,
+    n)`` for ``Structure.dense``): column i holds the column of c_i from
+    row i down.  At k = 1 that is one take of the slot table; otherwise the
+    slots are scattered into zeros."""
+    t = _take(v, b.cols)
+    if b.chain is None:
+        return t[..., None]
+    shape = v.shape[:-1] + b.shape[:-1] + (b.k,)
+    out = np.zeros(v.shape[:-1] + (math.prod(shape[-2:]),))
+    out[..., b.chain[0]] = t
+    return out.reshape(shape)
 
 
 def _lower(b, t):
-    """The values of chain block ``b``'s columns in the lower trapezoid of
-    ``t``, a (..., k+d, k) array or (..., k+d, k+d) block: for
-    ``Structure.dense``, the pattern's values of the (..., n, n) blocks
-    ``t``, C-contiguous."""
-    w, k = t.shape[-2:]
-    flat = b.chain[1 if k == len(b.nodes) else 2]
-    return np.take(t.reshape(t.shape[:-2] + (w * k,)), flat, axis=-1)
+    """The values of the columns of one supernode ``b`` (k >= 2, or
+    ``Structure.dense``) in the lower trapezoid of ``t``, a (..., k+d, k)
+    array, C-contiguous."""
+    return np.take(t.reshape(t.shape[:-2] + (t.shape[-2] * t.shape[-1],)), b.chain[0], axis=-1)
 
 
 def _store(out, b, t):
-    """Store the lower trapezoid of ``t`` as chain block ``b``'s columns
-    of ``out`` (see :func:`_lower`)."""
-    _put(out, b.chain[0], _lower(b, t))
+    """Store the lower trapezoids ``t``, shape (..., b, k+d, k), as batch
+    ``b``'s columns of ``out``: the inverse of :func:`_gather`."""
+    _put(out, b.cols, t[..., 0] if b.chain is None else _lower(b, t[..., 0, :, :]))
+
+
+def _inv(c):
+    """The inverses of the (..., k, k) triangles ``c``: a reciprocal at
+    k = 1, else ``np.linalg.inv`` (numpy has no triangular solve)."""
+    return 1.0 / c if c.shape[-1] == 1 else np.linalg.inv(c)
 
 
 def _panel(L: LowerSparse, b: Batch, inverse: bool = False) -> list:
-    """Chain block ``b``'s panel of one matrix ``L``, made once and kept in
+    """Batch ``b``'s panel of one matrix ``L``, made once and kept in
     ``L``'s cache (``cholesky`` fills it with the same bits): [T, T_CC^-1],
-    T = L[P, C] its (k+d, k) trapezoid and T_CC^-1 the inverse of its top
-    k rows, None until a caller asks for ``inverse``."""
+    T = L[P, C] its supernodes' (k+d, k) trapezoids (:func:`_gather`) and
+    T_CC^-1 the inverses of their top k rows (:func:`_inv`), None until a
+    caller asks for ``inverse``."""
     p = L._panels.get(b)
     if p is None:
         p = L._panels[b] = [_gather(L.vals, b), None]
     if inverse and p[1] is None:
-        p[1] = np.linalg.inv(p[0][:len(b.nodes)])
+        p[1] = _inv(p[0][..., :b.k, :])
     return p
 
 
@@ -879,10 +876,11 @@ def _chain_block(b, L, x, y, kind, own, member) -> None:
     its lower triangle."""
     solve = kind.startswith("solve")
     t, li = _panel(L, b, solve)
+    t = t[0]
     k = t.shape[-1]
     ta = t[k:]
     if solve:
-        li = np.where(_tri(k), li, 0.0)
+        li = np.where(_tri(k), li[0], 0.0)
     if len(b.below):
         w = t.shape[0]
         ix = b.below if member is None else (member, b.below)
@@ -902,7 +900,7 @@ def _chain_block(b, L, x, y, kind, own, member) -> None:
             _runs(y, k)[ix] = (r[..., :k] - r[..., k:] @ ta) @ li
     # the block's own columns; "mul" writes them first, the others find
     # there what the steps so far left
-    v = _gather(x if kind == "mul" else y, b)
+    v = _gather(x if kind == "mul" else y, b)[..., 0, :, :]
     keep = _tri(k, own)
     vc = v[..., :k, :]
     if kind == "mul":
@@ -915,7 +913,7 @@ def _chain_block(b, L, x, y, kind, own, member) -> None:
         v[..., :k, :] = np.where(keep, z, vc)
     else:
         v[..., :k, :] = np.where(keep, li.T @ (vc - ta.T @ v[..., k:, :]), vc)
-    _store(y, b, v)
+    _store(y, b, v[..., None, :, :])
 
 
 def tri_mul(L: LowerSparse, Lt: LowerSparse) -> LowerSparse:

@@ -76,8 +76,10 @@ def swept(st):
 
 def level_schedule(st):
     """``st`` compiled with admission off and a batch cap no chain
-    reaches, so it has no chain block; its level batches are bitwise the
-    node-by-node sweep."""
+    reaches, so it has no chain block: every batch a level batch of
+    one-column supernodes, each given the bits of its own step however the
+    levels are cut, and within 1e-12 of a node-by-node sweep, not bitwise
+    (test_schedule.py)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matrix, "BATCH_FLOATS", 1 << 62)
         ref = swept(st)
@@ -123,20 +125,23 @@ def _canonical(x):
 
 
 def structure_digest(st):
-    """SHA-256 of every table a Structure compiles: the column layout, the
-    schedule (each batch's indices, slices kept apart from arrays), the
-    ancestor-chain steps and the stack sizes, and the floats of a sweep's
-    frontal blocks, which the digests were recorded with when the structure
-    kept them as ``sweep_floats``.  ``Batch.last`` is left out: it follows
-    from the batch ids (test_schedule.py checks it)."""
-    batch = [(b.id, b.nodes, b.shape, b.chain, b.slots, b.below, b.cols, b.diag, b.sub, b.at,
-              b.parent, b.up, b.children, b.kids)
+    """SHA-256 of every table a Structure compiles, as two digests.  The
+    schedule: the column layout, each batch's nodes, shape and place in
+    the batch tree (slices kept apart from arrays), the ancestor-chain
+    steps, the stack sizes, and the floats of a sweep's frontal blocks,
+    which the digests were recorded with when the structure kept them as
+    ``sweep_floats``.  The slot layout the steps gather and store through:
+    each batch's ``k``, ``cols``, ``chain`` and ``diag``.  ``Batch.last``
+    is left out: it follows from the batch ids (test_schedule.py checks
+    it)."""
+    batch = [(b.id, b.nodes, b.shape, b.below, b.parent, b.up, b.children, b.kids)
              for b in st.batches]
     steps = [(ends, below, [b.id for b in blocks]) for ends, below, blocks in st._chain_steps]
     tables = (st.n, st.nnz, st.height, st.bar_ptr, st.bar_rows, st.weights, st.depth,
               st.pos_parent, batch, steps, st.stack_rows,
               sum(math.prod(b.shape) for b in st.batches))
-    return hashlib.sha256(_canonical(tables).encode()).hexdigest()
+    layout = [(b.k, b.cols, b.chain, b.diag) for b in st.batches]
+    return tuple(hashlib.sha256(_canonical(t).encode()).hexdigest() for t in (tables, layout))
 
 
 def forest_digest(pattern, ordering, etree):

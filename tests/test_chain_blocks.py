@@ -104,15 +104,15 @@ def factor_cases():
 
 @pytest.mark.parametrize("case", range(4))
 def test_cholesky_panels_are_the_ones_made_from_its_values(case):
-    """``cholesky`` leaves each chain block's trapezoid and triangle
-    inverse in its factor's cache; every kernel reading them gives what it
-    gives on a copy of the factor's values, whose panels ``_panel`` makes
-    itself from L."""
+    """``cholesky`` leaves each batch's trapezoids and triangle inverses
+    in its factor's cache; every kernel reading them gives what it gives
+    on a copy of the factor's values, whose panels ``_panel`` makes itself
+    from L."""
     st, inputs = list(factor_cases())[case]
     ell = cholesky(SymSparse(st, inputs[2])).L
     fresh = LowerSparse(st, ell.vals.copy())
-    assert set(ell._panels) == set(chain_blocks(st))
-    for b in chain_blocks(st):
+    assert set(ell._panels) == set(st.batches)
+    for b in st.batches:
         for mine, made in zip(ell._panels[b], _panel(fresh, b, True)):
             assert mine.tobytes() == made.tobytes()
     # an empty cache again, filled by the kernels as they ask
@@ -189,7 +189,8 @@ def test_benchmark_structures_without_chain_blocks_are_bitwise():
     """Only the kernels-deep sweep tree has a chain long and deep enough
     to be blocked; on the other structures all ten kernels are bitwise
     those of the level schedule (whose batches the large cap leaves
-    uncapped: level batching is bitwise node by node)."""
+    uncapped: a level batch's step gives each of its supernodes the bits
+    of its own)."""
     blocked, plain = [], 0
     for name, st in benchmark_structures():
         if chain_blocks(st):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from homcone import ipm, matrix
-from homcone.errors import SingularNormalMatrix
+from homcone.densecheck import dense_max_step
+from homcone.errors import NotCompletable, SingularNormalMatrix
 from homcone.factor import cholesky, maxdet_factor, projected_inverse
 from homcone.io_cli import parse_problem
 from homcone.ipm import (
@@ -27,11 +28,13 @@ from homcone.scaling import apply_scaling, bfgs_update, pd_factor, scaling_point
 from helpers import (
     ROOT,
     perfbench_module,
+    random_completable,
     random_feasible_problem,
     random_spd,
     random_structure,
     random_sym,
     scaling_w,
+    sequential_max_step,
     sweep_only,
 )
 
@@ -200,6 +203,99 @@ class TestMaxStep:
                 with pytest.raises(Exception):
                     cholesky(x + (raw * 1.02) * d_x)
                     maxdet_factor(s + (raw * 1.02) * d_s)
+
+
+# ------------------------------------------------------------ step search
+
+def random_step_problem(rng, n, seed, scale, branching=3.0):
+    """A random interior pair on a random structure, and directions of
+    size ``scale``."""
+    st = random_structure(n, seed=seed, branching=branching)
+    x, s = random_spd(st, rng), random_completable(st, rng)
+    it = Iterate(x=x, y=np.zeros(0), s=s, mu=1.0)
+    return it, scale * random_sym(st, rng), scale * random_sym(st, rng)
+
+
+def test_max_step_zero(rng):
+    """A direction that leaves the cone at a step of 1e-15: the step is
+    below 1e-10, which solve counts as a stall."""
+    it, _, d_s = random_step_problem(rng, 12, 7100, 1.0)
+    d_x = -1e15 * it.x
+    assert max_step(it, d_x, d_s, 0.99) < 1e-10
+    assert sequential_max_step(it, d_x, d_s, 0.99) == 0.0
+
+
+def spy_on_factorizations(monkeypatch):
+    """Record max_step's factorizations as (kernel, members, argument's
+    values): members is 0 for a one-matrix call."""
+    calls = []
+
+    def spy(kernel):
+        def run(x):
+            calls.append((kernel.__name__, len(x.vals) if x.vals.ndim == 2 else 0, x.vals))
+            return kernel(x)
+        return run
+
+    monkeypatch.setattr(ipm, "cholesky", spy(ipm.cholesky))
+    monkeypatch.setattr(ipm, "maxdet_factor", spy(ipm.maxdet_factor))
+    return calls
+
+
+@pytest.mark.parametrize("admitted", [True, False], ids=["admitted", "swept"])
+def test_max_step_is_the_exact_boundary(admitted, monkeypatch):
+    """On random pairs, compiled as one dense block and swept, with zero,
+    small (full step), unit and large (partial step) directions: eta
+    times the exact step, within 1e-10 relative of the dense oracle's, and
+    no shorter than the bisection's, factored as the one cholesky of x
+    that gives L and one cholesky and one maxdet_factor, of the points
+    the step reaches, certifying it."""
+    rng = np.random.default_rng(7300)
+    full = partial = 0
+    for trial in range(24):
+        scale = [0.0, 0.05, 1.0, 10.0][trial % 4]
+        with contextlib.ExitStack() as stack:
+            if not admitted:
+                stack.enter_context(sweep_only())
+            it, d_x, d_s = random_step_problem(rng, int(rng.integers(2, 40)), 7300 + trial, scale,
+                                               [1.05, 2.0, 4.0][trial % 3])
+        assert (it.x.struct.dense is not None) == admitted
+        calls = spy_on_factorizations(monkeypatch)
+        a = max_step(it, d_x, d_s, 0.99)
+        monkeypatch.undo()
+        want = dense_max_step(it.x, d_x, it.s, d_s)
+        assert abs(a / 0.99 - want) <= 1e-10 * want
+        assert a >= sequential_max_step(it, d_x, d_s, 0.99) * (1.0 - 1e-12)
+        assert [c[:2] for c in calls] == [("cholesky", 0), ("cholesky", 0), ("maxdet_factor", 0)]
+        assert calls[0][2] is it.x.vals
+        assert np.array_equal(calls[1][2], (it.x + a * d_x).vals)
+        assert np.array_equal(calls[2][2], (it.s + a * d_s).vals)
+        full += a == 0.99
+        partial += a < 0.99
+    assert full >= 6 and partial >= 6
+
+
+def test_max_step_shrinks_a_step_that_fails_its_certificate(rng, monkeypatch):
+    """A step whose certificate fails shrinks by eta, then eta^2, eta^4, ...
+    until it passes, and one that does not pass above 1e-10 is 0."""
+    it, d_x, d_s = random_step_problem(rng, 12, 7400, 10.0)
+    exact = max_step(it, d_x, d_s, 0.99)
+    assert exact < 0.99
+    real, refused = ipm.maxdet_factor, []
+
+    def refuse(s, times):
+        if len(refused) < times:
+            refused.append(s)
+            raise NotCompletable(node=0)
+        return real(s)
+
+    monkeypatch.setattr(ipm, "maxdet_factor", lambda s: refuse(s, 2))
+    assert max_step(it, d_x, d_s, 0.99) == pytest.approx(exact * 0.99 ** 3, rel=1e-14)
+    monkeypatch.setattr(ipm, "maxdet_factor", lambda s: refuse(s, 10 ** 6))
+    assert max_step(it, d_x, d_s, 0.99) == 0.0
+    tries, step = 0, exact
+    while step >= 1e-10:
+        tries, step = tries + 1, step * 0.99 ** 2 ** tries
+    assert len(refused) == 2 + tries <= 2 + 13
 
 
 class TestSolve:

@@ -416,23 +416,37 @@ DIGEST_STRUCTURES = {
     "300-deep": CHAIN_STRUCTURES["300-deep"],
 }
 
-# Digests of every Structure table (helpers.structure_digest), recorded
-# with the compile that still made position-ordered sweep orders and
-# per-batch position bounds: every table hashed here is bitwise that
+# Digests of every Structure table (helpers.structure_digest), as
+# (schedule, slot layout).  The schedule is bitwise that of the compile
+# that still made position-ordered sweep orders and per-batch position
+# bounds, and of the compile of two step kinds before level batches
+# became stacks of one-column supernodes; the slot layout is this
 # compile's.
 STRUCTURE_DIGESTS = {
-    "solve-mixed n=16": "167a57c9ef86de72c0a7a851c12c496acfb487a49722c8cd6f7cb74d32fd37cc",
-    "solve-mixed n=24": "84e1849100b1c0116987b997403773bea47654ed8aaab319e644969a3916e6ac",
-    "solve-mixed n=48": "7434674145ce8086bc306881cbd9754856d3c024614dd5e6f5b4dc31c7bc3e16",
-    "kernels-wide n=16": "3883a71225d316a6a0772dfe2062882d58df36d5cf78c47f906b15acec624533",
-    "kernels-wide n=16000": "aef35a18b82387cc6a6de44a586340525fdadb311e8401c6aaa030cc7f89e5dc",
-    "kernels-deep n=12": "be4f225dc14984d01a2e36f3a8e2230139cbc8d25ca1d2a26e26d5df45979bd1",
-    "kernels-deep n=1200": "8c6cfd11df88f6602dd23f48cf560079f0d5527528e39736896d9ecfe63dd210",
-    "branching 4": "97276a3b97005cd0abe7f12d980800045d9b59aa6fe15b0c2a2960c5db1a3c50",
-    "branching 1.05": "462380647866c12478f1fe4312e1462e7e7b35c47e14e0b78083da6eba8cfae4",
-    "topological": "b826a6cc7bad69583ff9cea821ab84f26a8c28af5ff251fe5967c10feb156d30",
-    "capped levels": "af30fee05b0452e3bd0e1c7b1e45183cb228dd519f764c5daad8f5caff3bf784",
-    "300-deep": "dae47f50e24576e25b8784fef34df371284abf5b5d88f9673cfcbaf722493f24",
+    "solve-mixed n=16": ("1497e47567a54f4408bbb3816fb45d0e2319751189138a2198816d101ad5fd58",
+                        "fa8b201743692c0c88665552bf3c47133eac3dd8ecd23c2152dc07c23268523e"),
+    "solve-mixed n=24": ("503d8a2089ab209039f18ae050eea3d271dcd1bab5e856463c6a83b1d88cb793",
+                        "ec15d2f9ad814c23e66dde30ac0945fd0347c986cd20025217aef0686ec7b559"),
+    "solve-mixed n=48": ("43fce748ea4be370a69236f1dd4824811a22540f2762d66b8ccdb1b6ffcf1154",
+                        "a01f865fa6d6aa7d89928ebd9d6272a7209d8282fe568b5d0db4d52e1e888f93"),
+    "kernels-wide n=16": ("393eaeffad179bf1f5620a656795d5b46744b87d04e5cbb933207b6ae62e3d0f",
+                         "2b23a686b3754ad8491c1f64408859a2b1f0316362d6717e0b248d2c28d8afdd"),
+    "kernels-wide n=16000": ("8c60916fb99134c89d3cb6852aea584d701c76d32997437dcd913c5538991dd4",
+                            "1d6140c2422e31b2c009cbdd1d91c5dbbc992e98f2d2772b516c52b08fc1c425"),
+    "kernels-deep n=12": ("e08fa338a47f93fd35100050421c14b4bc6680ce7e9d4bcdef6d467d801932ce",
+                         "13730566bd01eb236ce0d6e198897256e1db6f8ff6b72bd7d68ae38569d93d09"),
+    "kernels-deep n=1200": ("a5edc97bd76266c96fa1325c14f9c39dfe28aff4ac668d78fc1ed56a8e23bc13",
+                           "fac1d564b76d5849f75e36af8fe5d2eb59d0aed9fcd1ab7ce98b20b66e8a6aed"),
+    "branching 4": ("d236b7e3515061226af886a3e261e0d0f95bf658539ec31c96b150f57964469c",
+                   "e3764653cc915760fd9a22665e3efbda634b312e524531846fe7d2edb94e546f"),
+    "branching 1.05": ("c977862096dc98b0c0b238eac60ccb7e712d66c477ae4f9d201d15ba6c04471e",
+                      "cc2e91b79509776de390d6d25406ce6b374003ec55795408bd8870bb3041d62d"),
+    "topological": ("f22b8f59ac61fd842dc45992272dd3083b8533de16497a02fd0bbf297b210103",
+                   "ea491edae9269f4ac135207bdd8c81506d6c5ac82b4c8241b0a4719f1a09adfb"),
+    "capped levels": ("cbf0ed21d2edb3cfc0413a9d6d32cd14108213d5a539f2bddd4ba13ccf94f374",
+                     "490fdd3c7d9b2659e0311faaec2dd415f189806b9ef89fb187fe2a6aa4e90007"),
+    "300-deep": ("56bfc30f8eadb16a35b6d35457b10b7c803e486de24c666fa83bed07e039f18e",
+                "821e24790de07e1f9bc8646127dfb0e5f5a97c8c211021c4170db97cdcebcc7b"),
 }
 
 
