@@ -26,12 +26,17 @@ and on the inverses of their triangles.  A triangle is factored
 against its floor, and by ``np.linalg.cholesky`` and ``np.linalg.inv``
 (numpy has no triangular solve) at k >= 2.  T and its triangles'
 inverses are made once per factor (:func:`~homcone.matrix._panel`):
-``cholesky`` leaves its own in the factor it returns.  So are the columns
-of L that the ancestor-chain products (:func:`~homcone.matrix._chain`)
-step against.  Batches are swept in the order they were compiled, every
-batch after its parent's, top-down and in reverse bottom-up, holding only
-the blocks of batches whose consumer is pending; children's update
-blocks reach their parent by a scatter in ascending sibling order.
+``cholesky`` leaves its own in the factor it returns.  The ancestor-chain
+products that ``forward_map``, ``adjoint_map`` and ``inverse_forward_map``
+start or end with (:func:`~homcone.matrix._chain_sweep`) are one more
+top-down sweep of the same batches, against L's frontal blocks (L^-1's
+for the substitution) built from those panels; ``inverse_adjoint_map``
+hands L^-1's blocks down its own top-down sweep, beside its result's.
+Batches are swept in the order they were compiled, every batch after its
+parent's, top-down (:func:`~homcone.matrix._down`) and in reverse
+bottom-up, holding only the blocks of batches whose consumer is pending;
+children's update blocks reach their parent by a scatter in ascending
+sibling order.
 
 Bits: a step sums as its ``matmul`` calls do, so results agree with a
 node-by-node sweep to about 1e-12 relative on well-conditioned inputs,
@@ -63,8 +68,9 @@ when they are read.
 
 ``forward_map`` and ``adjoint_map`` also take a stack of the matrices they
 map: values of shape (m, dim), under one factor L, a leading axis on every
-frontal block, so one sweep does all m members with the same numpy calls
-as one matrix and each member's result is bitwise that of its own call.
+frontal block (the chain sweep's blocks of L are broadcast over it), so
+one sweep does all m members with the same numpy calls as one matrix and
+each member's result is bitwise that of its own call.
 Every other kernel raises StructuralError on a stack.  A stack is swept
 :attr:`~homcone.matrix.Structure.stack_rows` members at a time, so a
 stacked step holds no more than the largest one-matrix step or
@@ -90,8 +96,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotCompletable, NotPositiveDefinite
-from .matrix import (LowerSparse, Structure, SymSparse, _chain, _check_same, _gather, _inv,
-                     _lower, _nonsingular, _one, _panel, _put, _store, _take, _tri)
+from .matrix import (LowerSparse, Structure, SymSparse, _chain_sweep, _check_same, _down,
+                     _gather, _inv, _inverse_columns, _lower, _lower_block, _nonsingular, _one,
+                     _panel, _put, _store, _take, _tri)
 
 __all__ = [
     "CholFactor",
@@ -174,30 +181,6 @@ def _up(s: Structure):
         yield b, done
         for c in b.children:
             del done[c]
-
-
-def _down(s: Structure, stack: tuple = ()):
-    """Top-down sweep, parents' batches first.  Yields each batch with its
-    supernodes' parent blocks, shape (*stack, b, d, d), and a (*stack, b,
-    k+d, k+d) block the kernel fills when the batch has children: its
-    supernodes' blocks bordered by their parent blocks, which the children
-    read as theirs."""
-    done = {}
-    for b in s.batches:
-        if b.parent < 0:
-            v = np.zeros(stack + (b.shape[0], 0, 0))
-        else:
-            p = done[b.parent]
-            if type(b.up) is slice:
-                v = p[..., b.up, :, :]
-            else:
-                v = np.take(p, b.up, axis=-3)
-            if b.last:
-                del done[b.parent]
-        pack = np.empty(stack + b.shape)
-        yield b, v, pack
-        if b.children:
-            done[b.id] = pack
 
 
 def _add_kids(f, b, done):
@@ -381,7 +364,7 @@ def forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
         t = _panel(L, s.dense)[0]
         return SymSparse(s, _lower(s.dense, t @ _full(xv, s) @ t.T))
     out = np.zeros(xv.shape)
-    chain_x = _chain(s, L, xv, "mul")
+    chain_x = _chain_sweep(s, L, xv, "mul")
     for b, done in _up(s):
         # F = (T X_diag + U) T^T + T U^T, U the chain products below the
         # diagonal of their columns
@@ -417,7 +400,7 @@ def adjoint_map(L: LowerSparse, S: SymSparse) -> SymSparse:
         g = pack @ t
         _store(wv, b, g)
         _put(wv, b.diag, np.vecdot(t, g, axis=-2))
-    return SymSparse(st, _chain(st, L, wv, "mul_t"))
+    return SymSparse(st, _chain_sweep(st, L, wv, "mul_t"))
 
 
 def inverse_forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
@@ -446,12 +429,15 @@ def inverse_forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
         c11 = li @ _sym(f[..., :k, :k]) @ li.mT
         c21 = q - t21 @ c11
         f[..., k:, k:] -= _abt(np.concatenate([c21, t21], -1), np.concatenate([t21, q], -1))
-        w = t @ np.where(_tri(k, False), c11, 0.0)
-        w[..., k:, :] += c21
-        _store(wv, b, w)
-        _put(wv, b.diag, np.diagonal(c11, axis1=-2, axis2=-1))
+        if k == 1:  # no strictly lower triangle: [C11; C21]
+            _store(wv, b, np.concatenate([c11, c21], -2))
+        else:
+            w = t @ np.where(_tri(k, False), c11, 0.0)
+            w[..., k:, :] += c21
+            _store(wv, b, w)
+            _put(wv, b.diag, np.diagonal(c11, axis1=-2, axis2=-1))
         done[b.id] = f[..., k - 1:, k - 1:]
-    return SymSparse(s, _chain(s, L, wv, "solve"))
+    return SymSparse(s, _chain_sweep(s, L, wv, "solve"))
 
 
 def inverse_adjoint_map(L: LowerSparse, S: SymSparse) -> SymSparse:
@@ -464,21 +450,24 @@ def inverse_adjoint_map(L: LowerSparse, S: SymSparse) -> SymSparse:
     if st.dense is not None:
         li = _panel(L, st.dense, True)[1]
         return SymSparse(st, _lower(st.dense, li.T @ _full(sv, st) @ li))
-    wv = _chain(st, L, sv, "solve_t")
     out = np.zeros(st.dim)
-    for b, v, pack in _down(st):
-        # Y21 = (W2 - V L21) L11^-1, W2 the chain-solved S21, and
-        # Y11 = L11^-T (S11 - L21^T W2 - R^T L21) L11^-1, R = W2 - V L21
+    for b, v, pack in _down(st, (2,)):
+        # Y21 = (W2 - V L21) L11^-1 and Y11 = L11^-T (S11 - L21^T W2 -
+        # R^T L21) L11^-1, R = W2 - V L21, with V the parent blocks of Y
+        # (v[0]) and W2 = (L^-T S)[A, C] = U^T S21, U = L[A, A]^-1 the
+        # parent blocks of L^-1 (v[1])
         k = b.k
         t, li = _panel(L, b, True)
         t21 = t[..., k:, :]
-        w2 = _gather(wv, b)[..., k:, :]
-        r = w2 - v @ t21
-        s11 = _sym(_gather(sv, b)[..., :k, :])
-        y = np.concatenate([li.mT @ (s11 - t21.mT @ w2 - r.mT @ t21) @ li, r @ li], -2)
+        z = _gather(sv, b)
+        w2 = v[1].mT @ z[..., k:, :]
+        r = w2 - v[0] @ t21
+        y = np.concatenate([li.mT @ (_sym(z[..., :k, :]) - t21.mT @ w2 - r.mT @ t21) @ li,
+                            r @ li], -2)
         _store(out, b, y)
         if b.children:
-            _block(y, v, pack)
+            _block(y, v[0], pack[0])
+            _lower_block(_inverse_columns(t, li, v[1]), v[1], pack[1])
     return SymSparse(st, out)
 
 
@@ -529,10 +518,7 @@ def maxdet_factor(S: SymSparse) -> CholFactor:
         seen = _failures(seen, failed, b.nodes, False)
         _store(out, b, y)
         if b.children:
-            # [[L11, 0], [L21, V]]
-            pack[..., :k] = y
-            pack[..., :k, k:] = 0.0
-            pack[..., k:, k:] = v
+            _lower_block(y, v, pack)
     if seen is not None:
         raise NotCompletable(*_failed_at(st, seen))
     return CholFactor(LowerSparse(st, out))

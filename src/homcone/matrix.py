@@ -16,8 +16,10 @@ staying inside the pattern) fail for them.
 
 Values are 64-bit floats.  No operation writes to its inputs, so
 concurrent use is safe; a :class:`LowerSparse` holds its values read-only,
-as it caches what its batches and ancestor-chain products derive from
-them (:func:`_panel`, :func:`_chain_columns`).
+as it caches what its batches derive from them (:func:`_panel`).  The
+ancestor-chain products and substitutions (:func:`_chain_sweep`) are one
+more top-down sweep of the batches: the chain of a column is closed
+upward, so L on it is the trailing block of a frontal block L[P, P].
 """
 
 from __future__ import annotations
@@ -117,9 +119,6 @@ class Batch:
         ``Structure.dense`` adds where each slot's mirror lies in the
         upper triangle.
     diag : the diagonal slots of the columns, a (b, k) array.
-    below : for a chain block, the slot of c_0 in each column below c_0,
-        where that column's last k+d slots, the block's path, start (None
-        at k = 1).
     parent : id of the batch holding the parents (-1 for roots).
     up : index (or slice) of each supernode's parent within that batch.
     children : ids of the batches holding the children.
@@ -131,7 +130,7 @@ class Batch:
         of them a top-down sweep visits.
     """
 
-    __slots__ = ("id", "nodes", "shape", "k", "cols", "chain", "diag", "below",
+    __slots__ = ("id", "nodes", "shape", "k", "cols", "chain", "diag",
                  "parent", "up", "children", "kids", "last")
 
 
@@ -172,11 +171,6 @@ class Structure:
         step's frontal blocks (the dense block's n^2, if admitted), so a
         stacked step holds no more than the largest one-matrix step or
         BATCH_FLOATS, whichever is more.
-    _chain_steps : the ancestor-chain steps of :func:`_chain`, per depth a:
-        the run ends (``bar_ptr[i+1]``) of the columns i whose member at
-        depth a (i itself or an ancestor) is in a level batch, deepest
-        column first; how many of them lie below that member; and the chain
-        blocks whose top has depth a.
     """
 
     __slots__ = (
@@ -184,8 +178,7 @@ class Structure:
         "pos_parent", "depth", "height", "batches", "dense",
         "stack_rows",
         "bar_ptr", "bar_rows", "weights",
-        "_row_vertex", "_col_vertex", "_position", "_depth",
-        "_chain_steps", "_cliques",
+        "_row_vertex", "_col_vertex", "_position", "_depth", "_cliques",
     )
 
     def __init__(self, pattern: SparsityPattern, ordering: Ordering,
@@ -356,7 +349,7 @@ class Structure:
             while bi < len(first) and first[bi] < z0:
                 a, z = first[bi], last[bi]
                 b = Batch()
-                b.shape, b.k, b.chain, b.below = (z - a, d + 1, d + 1), 1, None, None
+                b.shape, b.k, b.chain = (z - a, d + 1, d + 1), 1, None
                 b.cols = slots[a - a0:z - a0]
                 b.diag = b.cols[:, :1]
                 nodes = rest[a:z]
@@ -385,36 +378,6 @@ class Structure:
             floats.append(n * n)
         self.stack_rows = max(1, BATCH_FLOATS // max(floats))
         self.height = height
-        self._chain_steps = self._chain_tables(order, [b for b in batches if b.chain])
-
-    def _chain_tables(self, order: np.ndarray, blocks: list) -> tuple:
-        """``_chain_steps``, and each chain block's ``below``: the slots
-        holding its bottom c_0 in columns other than c_0's own."""
-        ptr, rows, depth = self.bar_ptr, self.bar_rows, self.depth
-        ends = ptr[order[::-1] + 1]
-        # how many columns have depth >= a, a prefix of ``ends``
-        at_least = np.full(self.height + 1, self.n)
-        at_least[1:] -= np.bincount(self._depth).cumsum()
-        at_least = at_least.tolist()
-        steps = [[ends[:at_least[a]], at_least[a + 1], []] for a in range(self.height)]
-        if blocks:
-            inside = np.zeros(self.n, dtype=bool)
-            bottom = np.full(self.n, -1)
-            for i, b in enumerate(blocks):
-                inside[b.nodes] = True
-                bottom[b.nodes[0]] = i
-                steps[depth[b.nodes[-1]]][2].append(b)
-            hit = bottom[rows]
-            hit[ptr[:-1]] = -1
-            slot = np.flatnonzero(hit >= 0)
-            slot = slot[np.argsort(hit[slot], kind="stable")]
-            split = np.cumsum(np.bincount(hit[slot], minlength=len(blocks)))[:-1]
-            for b, below in zip(blocks, np.split(slot, split)):
-                b.below = below
-            for a, step in enumerate(steps):
-                keep = ~inside[rows[step[0] - 1 - a]]
-                step[:2] = step[0][keep], int(np.count_nonzero(keep[:step[1]]))
-        return tuple((e, k, tuple(bs)) for e, k, bs in steps)
 
     @classmethod
     def from_pattern(cls, pattern: SparsityPattern) -> "Structure":
@@ -581,25 +544,18 @@ class LowerSparse(_Values):
     caches what a factor alone determines, which a write would leave
     stale, each part made on first use:
 
-    - each batch's panel (:func:`_panel`), (k+d)k + k^2 floats for each
-      supernode of k columns under d ancestors, so at most dim + n floats
-      over the level batches, and 2n^2 for ``Structure.dense``;
-    - the columns :func:`_chain` steps against at each depth a
-      (:func:`_chain_columns`), a+1 floats for each of its cnt_a
-      columns: Σ_a cnt_a (a+1) floats, or d+1 for each slot of L whose
-      row, at depth d, is not in a chain block; about 5 ``dim`` on a
-      bushy tree of depth 15 (654,719 floats, 5.0 MB, at n = 16000).
+    each batch's panel (:func:`_panel`), (k+d)k + k^2 floats for each
+    supernode of k columns under d ancestors, so at most dim + n floats
+    over the level batches, and 2n^2 for ``Structure.dense``.  The cache
+    lives and dies with the object."""
 
-    The cache lives and dies with the object."""
-
-    __slots__ = ("_panels", "_chain_cols")
+    __slots__ = ("_panels",)
 
     def __init__(self, struct: Structure, vals: np.ndarray):
         _Values.__init__(self, struct, vals)
         self.vals = self.vals[...]
         self.vals.setflags(write=False)
         self._panels = {}
-        self._chain_cols = None
 
 
 def identity(struct: Structure) -> SymSparse:
@@ -709,15 +665,6 @@ def _put(x: np.ndarray, ix, v) -> None:
         x[..., ix] = v
 
 
-def _runs(v: np.ndarray, w: int) -> np.ndarray:
-    """View of the C-contiguous ``v`` whose row i along the second-last
-    axis is the run ``v[..., i:i + w]``.  Indexing that axis by columns'
-    run starts gathers or scatters each run whole."""
-    t = v.strides[-1]
-    return np.ndarray(v.shape[:-1] + (v.shape[-1] - w + 1, w), v.dtype, v, 0,
-                      v.strides + (t,))
-
-
 def _gather(v, b):
     """Batch ``b``'s columns of ``v`` (one value array or a stack) as the
     lower trapezoids of its supernodes, shape (..., b, k+d, k) (``(..., n,
@@ -766,24 +713,6 @@ def _panel(L: LowerSparse, b: Batch, inverse: bool = False) -> list:
     return p
 
 
-def _chain_columns(L: LowerSparse) -> tuple:
-    """Per depth a, the columns of one matrix ``L`` that :func:`_chain`
-    steps against there: for each of the ``Structure._chain_steps[a]``
-    columns i, in that order, L's column at i's member at depth a, its
-    a+1 slots from the diagonal down, as a read-only (cnt_a, a+1) array.
-    Made once and kept in ``L``'s cache, like :func:`_panel`."""
-    cols = L._chain_cols
-    if cols is None:
-        s = L.struct
-        cols = []
-        for a, (ends, _, _) in enumerate(s._chain_steps):
-            col = _runs(L.vals, a + 1)[s.bar_ptr[s.bar_rows[ends - (a + 1)]]]
-            col.setflags(write=False)
-            cols.append(col)
-        L._chain_cols = cols = tuple(cols)
-    return cols
-
-
 @functools.lru_cache(maxsize=None)
 def _tri(k: int, own: bool = True) -> np.ndarray:
     """``np.tri(k, k, own - 1, dtype=bool)``, read-only and made once per
@@ -793,127 +722,99 @@ def _tri(k: int, own: bool = True) -> np.ndarray:
     return m
 
 
-def _chain(s: Structure, L, x: np.ndarray, kind: str, own: bool = False) -> np.ndarray:
+def _down(s: Structure, stack: tuple = ()):
+    """Top-down sweep, parents' batches first.  Yields each batch with its
+    supernodes' parent blocks, shape (*stack, b, d, d), and a (*stack, b,
+    k+d, k+d) block the kernel fills when the batch has children: its
+    supernodes' blocks bordered by their parent blocks, which the children
+    read as theirs."""
+    done = {}
+    for b in s.batches:
+        if b.parent < 0:
+            v = np.zeros(stack + (b.shape[0], 0, 0))
+        else:
+            p = done[b.parent]
+            if type(b.up) is slice:
+                v = p[..., b.up, :, :]
+            else:
+                v = np.take(p, b.up, axis=-3)
+            if b.last:
+                del done[b.parent]
+        pack = np.empty(stack + b.shape)
+        yield b, v, pack
+        if b.children:
+            done[b.id] = pack
+
+
+def _lower_block(t, v, out) -> None:
+    """Fill ``out`` with the lower triangular (..., k+d, k+d) blocks [[T_CC,
+    0], [T_AC, V]] whose first k columns are the trapezoids ``t``, shape
+    (..., k+d, k), and whose trailing d x d blocks are ``v``."""
+    k = t.shape[-1]
+    out[..., :k] = t
+    out[..., :k, k:] = 0.0
+    out[..., k:, k:] = v
+
+
+def _inverse_columns(t, li, v):
+    """The first k columns [T_CC^-1; -V^-1 T_AC T_CC^-1] of the inverse of
+    the lower triangular blocks [[T_CC, 0], [T_AC, V]] whose first k
+    columns are the trapezoids ``t``, shape (..., k+d, k), from the
+    inverses ``li`` of their triangles (masked here to the lower triangle
+    np.linalg.inv leaves roundoff above) and ``v`` = V^-1."""
+    k = t.shape[-1]
+    li = li if k == 1 else np.where(_tri(k), li, 0.0)
+    u = -(v @ t[..., k:, :])
+    return np.concatenate([li, u * li if k == 1 else u @ li], -2)
+
+
+def _chain_sweep(s: Structure, L, x: np.ndarray, kind: str, own: bool = False) -> np.ndarray:
     """Products and substitutions with L (a LowerSparse, or one value
     array) restricted to every column's chain, for all columns at once.
 
     The chain of column i is its ancestors (``own=True``: i itself, then
     its ancestors), and ``x`` holds a vector on each chain in i's value
     slots; a stack of such arrays, shape (m, dim), is done member by
-    member in the same steps.  ``kind`` is "mul" (L x), "mul_t" (L^T x),
-    "solve" (L^-1 x) or "solve_t" (L^-T x); the result, C-contiguous,
-    has ``x``'s shape and keeps its other slots ("mul": zeros).
+    member in the same steps.  ``kind`` is "mul" (L x), "mul_t" (L^T x)
+    or "solve" (L^-1 x); the result, C-contiguous, has ``x``'s shape and
+    keeps its other slots ("mul": zeros).
 
-    Each chain member is treated once for every column it lies on, from
-    the deepest member up ("solve_t": from the root down).  A member in a
-    level batch, at depth a, is treated for all those columns in one step:
-    their last a+1 slots, a contiguous run moved whole through a
-    :func:`_runs` window, one row per column (the columns' runs are
-    disjoint), against the column of L at that member, gathered once per
-    factor (:func:`_chain_columns`).  For each
-    column that is one axpy or one dot, in the order of the scalar column
-    recurrence.  The k members of a chain block are treated together by
-    :func:`_chain_block`, in one or two ``matmul`` calls, at the depth of
-    its top: no step at the depths of its other members reaches the
-    columns the block lies on, so any of them would do.  So on a
-    structure without chain blocks every result is bitwise that of
-    walking the chain alone; a chain block sums in another order and
-    agrees with that to about 1e-12 relative on well-conditioned inputs.
-    """
-    y = np.zeros(x.shape) if kind == "mul" else np.array(x, order="C")
-    x = np.ascontiguousarray(x)
+    One top-down sweep of the batches (:func:`_down`).  A supernode's rows
+    P = C + A, its k columns and their d ancestors, are closed upward, so
+    L[P, P] is the frontal block Λ = [[T_CC, 0], [T_AC, V]], T its panel
+    (:func:`_panel`) and V = L[A, A] the block its parent hands down
+    (:func:`_lower_block`).  The chain of c_j is P from row j on, where L
+    restricted to it is a trailing block of Λ, and L^-1 one of Λ^-1,
+    which "solve" hands down instead (:func:`_inverse_columns`).  With M
+    the trapezoids of x masked to their strictly lower part (lower part
+    when ``own``), every column of a supernode is then done by one
+    product Λ M, Λ^T M or Λ^-1 M, the masked entries keeping x's values;
+    at k = 1 without ``own``, by one (b, d, d) @ (b, d, 1) product with
+    V, V^T or V^-1.  A stack broadcasts Λ over its leading axis.  Results
+    agree with walking each chain alone to about 1e-12 relative on
+    well-conditioned inputs, not bitwise."""
     L = L if isinstance(L, LowerSparse) else LowerSparse(s, L)
-    cols = _chain_columns(L)
-    # a stack's runs are gathered by a (member, column) index pair, which
-    # lays them out C-contiguous as (m, k, a+1)
-    member = np.arange(len(y))[:, None] if y.ndim > 1 else None
-    for a in (range(s.height) if kind == "solve_t" else range(s.height - 1, -1, -1)):
-        ends, below, blocks = s._chain_steps[a]
-        for b in blocks:
-            _chain_block(b, L, x, y, kind, own, member)
-        cnt = len(ends) if own else below
-        if not cnt:
+    solve = kind == "solve"
+    y = np.zeros(x.shape) if kind == "mul" else np.array(x, order="C")
+    for b, v, pack in _down(s):
+        k = b.k
+        whole = own or k > 1
+        if whole or b.children:
+            t, li = _panel(L, b, solve)
+            _lower_block(_inverse_columns(t, li, v) if solve else t, v, pack)
+        z = _gather(x, b)
+        if not whole:
+            _put(y, b.cols[:, 1:], ((v.mT if kind == "mul_t" else v) @ z[..., 1:, :])[..., 0])
             continue
-        at = ends[:cnt] - (a + 1)
-        col = cols[a][:cnt]
-        runs = _runs(y, a + 1)
-        ix = at if member is None else (member, at)
-        # the columns' last a+1 slots; steps so far wrote only slots deeper
-        # than a, so "mul_t" reads x's values there
-        tail = runs[ix]
-        if kind == "mul":
-            tail += _take(x, at)[..., None] * col
-            runs[ix] = tail
-        elif kind == "mul_t":
-            _put(y, at, np.vecdot(col, tail))
-        elif kind == "solve":
-            head = tail[..., 0] / col[:, 0]
-            tail -= head[..., None] * col
-            tail[..., 0] = head
-            runs[ix] = tail
+        lam = pack.mT if kind == "mul_t" else pack
+        if own:
+            r = lam @ z
         else:
-            _put(y, at, (tail[..., 0] - np.vecdot(col[:, 1:], tail[..., 1:])) / col[:, 0])
+            keep, zc = _tri(k, False), z[..., :k, :]
+            r = lam @ np.concatenate([np.where(keep, zc, 0.0), z[..., k:, :]], -2)
+            r[..., :k, :] = np.where(keep, r[..., :k, :], 0.0 if kind == "mul" else zc)
+        _store(y, b, r)
     return y
-
-
-def _chain_block(b, L, x, y, kind, own, member) -> None:
-    """The step of :func:`_chain` for chain block ``b``'s members C =
-    c_0, ..., c_{k-1}, on path P = C + A (its d ancestors), with T =
-    L[P, C] and Z the values it solves for on C:
-
-    - "mul": Y[P] += T X[C];
-    - "mul_t": Y[C] = T^T X[P];
-    - "solve": Z = T_CC^-1 Y[C], Y[A] -= T_AC Z;
-    - "solve_t": Z = T_CC^-T (Y[C] - T_AC^T Y[A]).
-
-    A column below c_0 holds P as its last k+d slots, so those columns
-    take these as one product of their runs, one row per column.  Column
-    c_j of the block lies on c_j, ..., c_{k-1} (``own``) or c_{j+1}, ...,
-    and takes them on the block's trapezoid with X[C] masked to its lower
-    (strictly lower) triangle: the trailing blocks of T_CC^-1 are the
-    inverses of T_CC's trailing blocks.  T and T_CC^-1 are ``L``'s panel
-    (:func:`_panel`), made once per factor; T_CC^-1 is masked here to
-    its lower triangle."""
-    solve = kind.startswith("solve")
-    t, li = _panel(L, b, solve)
-    t = t[0]
-    k = t.shape[-1]
-    ta = t[k:]
-    if solve:
-        li = np.where(_tri(k), li[0], 0.0)
-    if len(b.below):
-        w = t.shape[0]
-        ix = b.below if member is None else (member, b.below)
-        runs = _runs(y, w)
-        r = runs[ix]
-        if kind == "mul":
-            r += _runs(x, k)[ix] @ t.T
-            runs[ix] = r
-        elif kind == "mul_t":
-            _runs(y, k)[ix] = r @ t
-        elif kind == "solve":
-            z = r[..., :k] @ li.T
-            r[..., k:] -= z @ ta.T
-            r[..., :k] = z
-            runs[ix] = r
-        else:
-            _runs(y, k)[ix] = (r[..., :k] - r[..., k:] @ ta) @ li
-    # the block's own columns; "mul" writes them first, the others find
-    # there what the steps so far left
-    v = _gather(x if kind == "mul" else y, b)[..., 0, :, :]
-    keep = _tri(k, own)
-    vc = v[..., :k, :]
-    if kind == "mul":
-        v = t @ np.where(keep, vc, 0.0)
-    elif kind == "mul_t":
-        v[..., :k, :] = np.where(keep, t.T @ v, vc)
-    elif kind == "solve":
-        z = li @ np.where(keep, vc, 0.0)
-        v[..., k:, :] -= ta @ z
-        v[..., :k, :] = np.where(keep, z, vc)
-    else:
-        v[..., :k, :] = np.where(keep, li.T @ (vc - ta.T @ v[..., k:, :]), vc)
-    _store(y, b, v[..., None, :, :])
 
 
 def tri_mul(L: LowerSparse, Lt: LowerSparse) -> LowerSparse:
@@ -927,17 +828,16 @@ def tri_mul(L: LowerSparse, Lt: LowerSparse) -> LowerSparse:
     s = L.struct
     if s.dense is not None:
         return LowerSparse(s, _lower(s.dense, _panel(L, s.dense)[0] @ _gather(Lt.vals, s.dense)))
-    return LowerSparse(s, _chain(s, L, Lt.vals, "mul", own=True))
+    return LowerSparse(s, _chain_sweep(s, L, Lt.vals, "mul", own=True))
 
 
 def tri_inverse(L: LowerSparse) -> LowerSparse:
     """Inverse of a pattern-restricted lower triangle: each column solved
-    along its ancestor chain, by substitution one member at a time and
-    through the inverse of each chain block's triangle (:func:`_chain`);
-    on ``Structure.dense``, the inverse of the block (:func:`_panel`)."""
+    along its ancestor chain (:func:`_chain_sweep`); on
+    ``Structure.dense``, the inverse of the block (:func:`_panel`)."""
     _one(L)
     _nonsingular(L)
     s = L.struct
     if s.dense is not None:
         return LowerSparse(s, _lower(s.dense, _panel(L, s.dense, True)[1]))
-    return LowerSparse(s, _chain(s, L, identity(s).vals, "solve", own=True))
+    return LowerSparse(s, _chain_sweep(s, L, identity(s).vals, "solve", own=True))

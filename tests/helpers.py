@@ -26,7 +26,7 @@ from homcone.matrix import (
     LowerSparse,
     Structure,
     SymSparse,
-    _chain,
+    _chain_sweep,
     inner,
     norm,
     project,
@@ -127,18 +127,16 @@ def _canonical(x):
 def structure_digest(st):
     """SHA-256 of every table a Structure compiles, as two digests.  The
     schedule: the column layout, each batch's nodes, shape and place in
-    the batch tree (slices kept apart from arrays), the ancestor-chain
-    steps, the stack sizes, and the floats of a sweep's frontal blocks,
-    which the digests were recorded with when the structure kept them as
-    ``sweep_floats``.  The slot layout the steps gather and store through:
-    each batch's ``k``, ``cols``, ``chain`` and ``diag``.  ``Batch.last``
-    is left out: it follows from the batch ids (test_schedule.py checks
-    it)."""
-    batch = [(b.id, b.nodes, b.shape, b.below, b.parent, b.up, b.children, b.kids)
+    the batch tree (slices kept apart from arrays), the stack sizes, and
+    the floats of a sweep's frontal blocks, which the digests were
+    recorded with when the structure kept them as ``sweep_floats``.  The
+    slot layout the steps gather and store through: each batch's ``k``,
+    ``cols``, ``chain`` and ``diag``.  ``Batch.last`` is left out: it
+    follows from the batch ids (test_schedule.py checks it)."""
+    batch = [(b.id, b.nodes, b.shape, b.parent, b.up, b.children, b.kids)
              for b in st.batches]
-    steps = [(ends, below, [b.id for b in blocks]) for ends, below, blocks in st._chain_steps]
     tables = (st.n, st.nnz, st.height, st.bar_ptr, st.bar_rows, st.weights, st.depth,
-              st.pos_parent, batch, steps, st.stack_rows,
+              st.pos_parent, batch, st.stack_rows,
               sum(math.prod(b.shape) for b in st.batches))
     layout = [(b.k, b.cols, b.chain, b.diag) for b in st.batches]
     return tuple(hashlib.sha256(_canonical(t).encode()).hexdigest() for t in (tables, layout))
@@ -343,9 +341,8 @@ def element_chain(s, lv, x, kind, own=False):
 
     depth = np.asarray(s.depth)
     top = int(depth.max()) - (not own)
-    steps = range(top + 1) if kind == "solve_t" else range(top, -1, -1)
     y = np.zeros_like(x) if kind == "mul" else x.copy()
-    for a in steps:
+    for a in range(top, -1, -1):
         at = s.bar_ptr[np.flatnonzero(depth >= a + 1 - own) + 1] - 1 - a
         tail = at[:, None] + np.arange(a + 1)
         col = lv[s.bar_ptr[s.bar_rows[at]][:, None] + np.arange(a + 1)]
@@ -355,11 +352,9 @@ def element_chain(s, lv, x, kind, own=False):
             put(y, tail, acc)
         elif kind == "mul_t":
             put(y, at, np.vecdot(col, take(x, tail)))
-        elif kind == "solve":
+        else:
             put(y, at, take(y, at) / col[:, 0])
             put(y, tail[:, 1:], take(y, tail[:, 1:]) - take(y, at)[..., None] * col[:, 1:])
-        else:
-            put(y, at, (take(y, at) - np.vecdot(col[:, 1:], take(y, tail[:, 1:]))) / col[:, 0])
     return y
 
 
@@ -375,28 +370,21 @@ def chain_inputs(dim, rng):
 
 
 def check_chain(st, rng):
-    """Every ``_chain`` kind, with and without each column's own slot, on
-    one array and on stacks of any layout, against element_chain, writing
-    neither L nor x: bitwise on a structure without chain blocks; on one
-    with them within 1e-12 relative (a block sums in another order), and
-    bitwise on its level schedule."""
-    blocked = any(b.chain is not None for b in st.batches)
-    ref = level_schedule(st) if blocked else st
+    """Every ``_chain_sweep`` kind, with and without each column's own
+    slot, on one array and on stacks of any layout, against element_chain
+    within 1e-12 relative (a frontal block sums in another order than the
+    walk along one chain), writing neither L nor x."""
     lv = random_lower(st, rng, 1.0, 2.0, 0.3 / np.sqrt(st.n)).vals
     lv.flags.writeable = False
     for x in chain_inputs(st.dim, rng):
         x.flags.writeable = False
-        for kind in ("mul", "mul_t", "solve", "solve_t"):
+        for kind in ("mul", "mul_t", "solve"):
             for own in (False, True):
                 want = element_chain(st, lv, x, kind, own)
-                got = _chain(ref, lv, x, kind, own)
+                got = _chain_sweep(st, lv, x, kind, own)
                 assert got.shape == x.shape and np.isfinite(got).all()
-                assert np.array_equal(got, want), (kind, own, x.shape)
-                if blocked:
-                    got = _chain(st, lv, x, kind, own)
-                    assert got.shape == x.shape
-                    err = np.abs(got - want).max(initial=0.0)
-                    assert err <= 1e-12 * np.abs(want).max(initial=0.0), (kind, own, x.shape)
+                err = np.abs(got - want).max(initial=0.0)
+                assert err <= 1e-12 * np.abs(want).max(initial=0.0), (kind, own, x.shape)
 
 
 def sequential_scaling_point(x, s, tol=1e-9, halvings=None):

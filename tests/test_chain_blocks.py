@@ -1,7 +1,7 @@
-"""Chain blocks: every kernel and the ancestor-chain products against
-the level schedule compiled without them, the failing node and value
-inside a block, stacked blocks member by member, and the panels a
-factor caches."""
+"""Chain blocks: every kernel against the level schedule compiled
+without them, the ancestor-chain products against the element-by-element
+chain, the failing node and value inside a block, stacked blocks member
+by member, and the panels a factor caches."""
 
 import numpy as np
 import pytest
@@ -18,8 +18,8 @@ from homcone.factor import (
     maxdet_factor,
     projected_inverse,
 )
-from homcone.matrix import (LowerSparse, SymSparse, _chain, _chain_columns, _panel, identity,
-                            tri_inverse, tri_mul)
+from homcone.matrix import (LowerSparse, SymSparse, _chain_sweep, _panel, identity, tri_inverse,
+                            tri_mul)
 
 from helpers import (benchmark_structures, check_chain, forest_structure, kernel_inputs,
                      level_schedule, random_structure, sweep_only, ten_kernels,
@@ -52,10 +52,10 @@ def test_kernels_agree_with_the_level_schedule(n, seed):
 
 @pytest.mark.parametrize("n, seed", [(300, 1), (600, 2), (1200, 6)])
 def test_chain_products_agree_with_the_element_chain(n, seed):
-    """``_chain`` runs each chain block's members as one step for the
-    block's columns and every column below it."""
+    """``_chain_sweep`` takes each chain block's columns in one frontal
+    block and hands it down to the columns below it."""
     st = random_structure(n, seed=seed, branching=1.05)
-    assert any(len(b.below) for b in chain_blocks(st))
+    assert any(b.children for b in chain_blocks(st))
     check_chain(st, np.random.default_rng(seed))
 
 
@@ -66,7 +66,8 @@ def test_chain_products_on_two_chains(two_chains):
 def on_factor(ell, inputs):
     """The kernels that read a factor's chain-block panels on ``ell``,
     each output feeding a later one as in the benchmark sweep, and the
-    four ``_chain`` kinds, with and without each column's own slot."""
+    three ``_chain_sweep`` kinds, with and without each column's own
+    slot."""
     st = ell.struct
     lv, lv2, xv, zv, sv = inputs
     z, s = SymSparse(st, zv), SymSparse(st, sv)
@@ -86,9 +87,9 @@ def on_factor(ell, inputs):
         "tri_mul": tri_mul(ell, inv).vals,
         "tri_mul_other": tri_mul(ell, LowerSparse(st, lv2)).vals,
     }
-    for kind in ("mul", "mul_t", "solve", "solve_t"):
+    for kind in ("mul", "mul_t", "solve"):
         for own in (False, True):
-            out[kind, own] = _chain(st, ell, zv, kind, own)
+            out[kind, own] = _chain_sweep(st, ell, zv, kind, own)
     return out
 
 
@@ -156,33 +157,26 @@ def test_lower_values_are_read_only(two_chains):
             ell.vals += 1.0
 
 
-def test_chain_columns_are_gathered_once_and_never_written():
-    """A factor keeps the columns ``_chain`` steps against, Σ_a cnt_a (a+1)
-    floats: d+1 for each slot whose row, at depth d, is not in a chain
-    block.  Every kind, with and without each column's own slot, on one
-    array and on a stack, gives on a factor with a warm cache the bits it
-    gives on a copy of the values with a cold one, and a second call after
-    a "mul" gives the first call's bits: no product writes the cache."""
-    kinds = ("mul", "mul_t", "solve", "solve_t")
+def test_a_factor_caches_only_its_panels():
+    """The ancestor-chain products keep nothing on a factor but the
+    panels of its batches.  Every kind, with and without each column's own
+    slot, on one array and on a stack, gives on a factor with a warm cache
+    the bits it gives on a copy of the values with a cold one, and a
+    second call gives the first call's bits: no product writes the
+    cache."""
+    assert LowerSparse.__slots__ == ("_panels",)
+    kinds = ("mul", "mul_t", "solve")
     for name, st in [("two_chains", forest_structure(TWO_CHAINS)), *benchmark_structures()]:
         rng = np.random.default_rng(st.n)
         ell = LowerSparse(st, well_conditioned_lower(st, rng))
         for x in (rng.standard_normal(st.dim), rng.standard_normal((3, st.dim))):
-            first = {(kind, own): _chain(st, ell, x, kind, own)
+            first = {(kind, own): _chain_sweep(st, ell, x, kind, own)
                      for kind in kinds for own in (False, True)}
             for (kind, own), got in first.items():
-                cold = _chain(st, LowerSparse(st, ell.vals.copy()), x, kind, own)
-                again = _chain(st, ell, x, kind, own)
+                cold = _chain_sweep(st, LowerSparse(st, ell.vals.copy()), x, kind, own)
+                again = _chain_sweep(st, ell, x, kind, own)
                 assert got.tobytes() == cold.tobytes() == again.tobytes(), (name, kind, own)
-        cols = _chain_columns(ell)
-        assert cols is ell._chain_cols and not any(c.flags.writeable for c in cols)
-        inside = np.zeros(st.n, dtype=bool)
-        for b in chain_blocks(st):
-            inside[b.nodes] = True
-        rows = st.bar_rows[~inside[st.bar_rows]]
-        assert sum(c.size for c in cols) == int((np.asarray(st.depth)[rows] + 1).sum()), name
-        assert [c.shape for c in cols] == [(len(e), a + 1) for a, (e, _, _) in
-                                           enumerate(st._chain_steps)]
+        assert set(ell._panels) <= set(st.batches), name
 
 
 def test_benchmark_structures_without_chain_blocks_are_bitwise():
