@@ -34,9 +34,14 @@ for the substitution) built from those panels; ``inverse_adjoint_map``
 hands L^-1's blocks down its own top-down sweep, beside its result's.
 Batches are swept in the order they were compiled, every batch after its
 parent's, top-down (:func:`~homcone.matrix._down`) and in reverse
-bottom-up, holding only the blocks of batches whose consumer is pending;
-children's update blocks reach their parent by a scatter in ascending
-sibling order.
+bottom-up, holding only the blocks of batches whose consumer is pending.
+A child's update block has its parent's frontal shape, so the extend-add
+needs no index map inside a block: it adds one child batch's update
+blocks at a time, one sibling rank at a time, into a slice of the
+parents' frontal blocks (a level batch lists its supernodes by descending
+number of children, so the parents with a rank-r child in a child batch
+are consecutive), each parent taking its children in the same order
+however its level is cut into batches.
 
 Bits: a step sums as its ``matmul`` calls do, so results agree with a
 node-by-node sweep to about 1e-12 relative on well-conditioned inputs,
@@ -185,8 +190,11 @@ def _up(s: Structure):
 
 def _add_kids(f, b, done):
     """Add the children's update blocks to the frontal blocks ``f``, child
-    batch by child batch and one sibling rank at a time, so each parent
-    takes its children in ascending position order."""
+    batch by child batch and one sibling rank at a time (``Batch.kids``):
+    each into a slice of ``f``, the children gathered by index where they
+    are not consecutive.  Each parent takes its children in the order
+    ``Batch.kids`` fixes, so its sum has the same bits however its level
+    is cut into batches."""
     for c, pl, ci in b.kids:
         f[..., pl, :, :] += done[c][..., ci, 1:, 1:]
 

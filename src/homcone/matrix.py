@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import OrderingError, SingularFactor, StructuralError
 from .pattern import (EliminationTree, Ordering, SparsityPattern, _chain_runs, _columns, _higher,
-                      _positions, _preorder, lbfs_order)
+                      _positions, lbfs_order)
 
 __all__ = [
     "Structure",
@@ -89,9 +89,10 @@ class Batch:
     block on rows [c_0, ..., c_{k-1}, ancestors]: towards its children it
     acts as the node c_0, towards its parent as c_{k-1}.  A level batch
     is b one-column supernodes (k = 1) of one depth d, each with its
-    parent in the same batch one level up; a chain block is one supernode
-    (b = 1) of a fundamental chain of k >= 2 columns, c_0 a leaf or a
-    branch point.  Batches form a tree whose ids put every batch after its
+    parent in the same batch one level up, sorted by descending number of
+    children in level batches; a chain block is one supernode (b = 1) of
+    a fundamental chain of k >= 2 columns, c_0 a leaf or a branch
+    point.  Batches form a tree whose ids put every batch after its
     parent's: levels by increasing depth, each chain block at the level of
     its top.  Kernels sweep ``Structure.batches`` in that order top-down
     and reversed bottom-up, and hold only the blocks of batches whose
@@ -104,7 +105,9 @@ class Batch:
     ----------
     id : index in ``Structure.batches``.
     nodes : positions of the batch's columns, supernode by supernode, each
-        bottom up: shape (b * k,).
+        bottom up: shape (b * k,).  A level batch's come by descending
+        number of children in level batches, ties in level order (see
+        :meth:`Structure._compile`).
     shape : shape of the batch's stacked frontal blocks, (b, k+d, k+d);
         ``Structure.dense`` has (n, n), one block without a stack axis.
     k : columns per supernode, 1 in a level batch (n for
@@ -123,9 +126,11 @@ class Batch:
     up : index (or slice) of each supernode's parent within that batch.
     children : ids of the batches holding the children.
     kids : ``(child batch, parents, children)`` per child batch and
-        sibling rank within it, in the order their updates are added: the
-        batch-local index of each parent with such a child and that
-        child's index in its batch.
+        sibling rank within it, in the order their updates are added
+        (child batches by id, siblings in a batch by ascending position):
+        the slice of this batch's supernodes with such a child, which are
+        consecutive, and those children's indices in the child batch, an
+        index array or a slice where they are consecutive.
     last : whether this is its parent's highest-id child batch, the last
         of them a top-down sweep visits.
     """
@@ -216,18 +221,22 @@ class Structure:
     def _compile(self, par: np.ndarray) -> None:
         """Compile the schedule from the array of parent positions.
 
-        Array passes over all nodes make the level order (depth, then a
-        preorder: children grouped by parent in their parents' order, by
-        ascending position), the chain runs, each node's batch and index in
-        it, its sibling rank, and which index lists are slices.  Python
-        loops run over tree levels only to split each level into batches,
-        which needs its parents' batches, and then over the batches to
-        make them.  Every index table is O(dim)."""
+        Array passes over all nodes make the chain runs, each node's index
+        in its batch and sibling rank, and which index lists are slices.  A
+        Python loop over tree levels splits each level into batches, which
+        needs its parents' batches and their order: the level is taken in
+        its level order, children grouped by parent in their parents' order
+        and siblings by ascending position, cut into runs under one parent
+        batch capped in size, and each run sorted by descending number of
+        level-batched children, ties in level order.  The nodes of a run
+        that have more than r children in a child batch are then
+        consecutive, so every extend-add (``Batch.kids``) adds into a slice
+        of the parents' frontal blocks.  A loop over the batches then makes
+        them.  Every index table is O(dim)."""
         n, ptr, depth = self.n, self.bar_ptr, self._depth
         height = int(depth.max()) + 1
-        pre = _preorder(par, np.arange(n), np.bincount(self.bar_rows, minlength=n),
-                        ptr, self.bar_rows)
-        order = (depth * n + pre).argsort()
+        # nodes by depth, each level by ascending position
+        order = depth.argsort(kind="stable")
         # chain blocks, by the position of their top; no run can reach
         # BATCH_FLOATS when the whole tree does not
         chains = {}
@@ -242,15 +251,19 @@ class Structure:
         tops = [[] for _ in range(height)]
         for q in order[top[order]].tolist():
             tops[depth[q]].append(q)
-        # the level-batched nodes in level order, each level a range of them
+        # the level-batched nodes, each level a range of them, and how many
+        # level-batched children each node has
         rest = order[~inside[order]] if chains else order
         cut = np.zeros(height + 1, dtype=np.int64)
         np.bincount(depth[rest], minlength=height).cumsum(out=cut[1:])
         cut = cut.tolist()
-        pq = par[rest]
+        fan = np.bincount(par[rest[cut[1]:]], minlength=n)
         # batch ids in order: per level its chain blocks, then its level
-        # batches, runs of nodes under one parent batch capped in size
+        # batches, each level cut in its level order (kept in ``grouped``)
+        # and its runs sorted by descending fan into ``rest``
         batch_of, index_in = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        at = np.zeros(n, dtype=np.int64)  # index in ``rest``
+        grouped = rest.copy()
         new = np.zeros(len(rest) + 1, dtype=bool)  # a level batch starts here
         new[-1] = True
         count = 0
@@ -262,49 +275,55 @@ class Structure:
             a, z = cut[d], cut[d + 1]
             if a == z:
                 continue
+            lev = rest[a:z]
             starts = new[a:z]
             starts[0] = True
             if d:
-                under = batch_of[pq[a:z]]
+                lev = grouped[a:z] = lev[at[par[lev]].argsort(kind="stable")]
+                under = batch_of[par[lev]]
                 np.not_equal(under[1:], under[:-1], out=starts[1:])
             cap = max(1, BATCH_FLOATS // (d + 1) ** 2)
             if z - a > cap:
                 j = np.arange(z - a)
                 starts[:] = (j - np.maximum.accumulate(np.where(starts, j, 0))) % cap == 0
             ids = starts.cumsum()
-            batch_of[rest[a:z]] = ids + (count - 1)
+            lev = lev[(ids * (n + 1) - fan[lev]).argsort(kind="stable")]
+            rest[a:z], at[lev] = lev, np.arange(a, z)
+            batch_of[lev] = ids + (count - 1)
             count += int(ids[-1])
-        # per level-batched node: its index in its batch, its rank among
-        # its siblings there (children of one parent are consecutive), and
-        # its parent's index in the parent batch
+        # per level-batched node: its index in its batch, its parent's index
+        # in the parent batch, and its rank among its siblings there (in
+        # level order, where children of one parent are consecutive)
         j = np.arange(len(rest))
         bounds = new.nonzero()[0]
         first, last = bounds[:-1], bounds[1:]
         begin = first[new[:-1].cumsum() - 1]
         index_in[rest] = j - begin
-        sibling = _bounds(pq)[:-1]
-        rank = j - np.maximum(sibling[sibling.searchsorted(j, "right") - 1], begin)
+        pq = par[rest]
         up = index_in[pq]
+        sibling = _bounds(par[grouped])[:-1]
+        rank = j - np.maximum(sibling[sibling.searchsorted(j, "right") - 1], begin)
         # the updates of each batch's children, one sibling rank at a time:
-        # nodes grouped by (batch, rank), each group's and each batch's
-        # indices a slice where they are consecutive: a group's children
-        # ascend, so theirs are iff they span their length; parent indices
-        # are iff ``index - j`` is constant over them
+        # nodes grouped by (batch, rank) in level order.  A group's parents
+        # are a slice of their batch: a level batch's nodes are the children
+        # of consecutive parents sorted by descending fan, whole sibling
+        # groups but at its two ends, so those with more than r of them
+        # are consecutive.  Its children's indices are a slice where
+        # ``index - j`` is constant over them
         code = begin * (int(rank.max(initial=0)) + 1) + rank
         by = code.argsort(kind="stable")
         groups = _bounds(code[by])
         group, end = groups[:-1], groups[1:]
-        local = by - begin[by]
-        ups = up[by]
-        solid = local[end - 1] - local[group] == end - group - 1
-        steps = _bounds(ups - j)
+        local = index_in[grouped[by]]
+        steps = _bounds(local - j)
         steady = steps.searchsorted(end - 1, "right") == steps.searchsorted(group, "right")
         steps = _bounds(up - j)
         in_order = (steps.searchsorted(last - 1, "right") == steps.searchsorted(first, "right")).tolist()
         groups = groups.searchsorted(bounds).tolist()
-        pairs = [(slice(u, u + z - a) if ok_u else ups[a:z], slice(c, c + z - a) if ok_c else local[a:z])
-                 for a, z, u, c, ok_u, ok_c in zip(group.tolist(), end.tolist(), ups[group].tolist(),
-                                                   local[group].tolist(), steady.tolist(), solid.tolist())]
+        pairs = [(slice(u, u + z - a), slice(c, c + z - a) if ok else local[a:z])
+                 for a, z, u, c, ok in zip(group.tolist(), end.tolist(),
+                                           index_in[par[grouped[by[group]]]].tolist(),
+                                           local[group].tolist(), steady.tolist())]
         batches = []
 
         def add(b, nodes, parent, up, kids=()):

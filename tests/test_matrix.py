@@ -417,39 +417,38 @@ DIGEST_STRUCTURES = {
 }
 
 # Digests of every Structure table (helpers.structure_digest), as
-# (schedule, slot layout).  The schedule is bitwise that of the compile
-# that still made position-ordered sweep orders and per-batch position
-# bounds, and of the compile of two step kinds before level batches
-# became stacks of one-column supernodes; the slot layout is this
-# compile's.  The schedule digests were re-pinned when the compile
-# stopped making the per-depth ancestor-chain steps and each chain
-# block's ``below``: on the fields kept, the compile that still made them
-# gives these same digests.
+# (schedule, slot layout).  Both were re-pinned when level batches came to
+# list their nodes by descending number of children, each level grouped
+# under its parents in that order: the column tables (bar_ptr, bar_rows,
+# weights, depth, pos_parent) are those of the compile before, whose
+# level order was a preorder, and every kernel gives the same bits on
+# both; the batches' nodes, ``up``, ``kids``, ``cols`` and ``diag`` follow
+# the new order.
 STRUCTURE_DIGESTS = {
-    "solve-mixed n=16": ("eef37254c47a518c5c5d23891dc110635aa4de1e874a59876d9f25f32e27b774",
-                        "fa8b201743692c0c88665552bf3c47133eac3dd8ecd23c2152dc07c23268523e"),
-    "solve-mixed n=24": ("60e8810c55f6bda57cafd172dd6ebccc86a7aa99d0da72bedd0d4a8e99b11691",
-                        "ec15d2f9ad814c23e66dde30ac0945fd0347c986cd20025217aef0686ec7b559"),
-    "solve-mixed n=48": ("4045245263865838474ddc07b0a71fbfe74957cb6d0568825611a3762b9eaeb6",
-                        "a01f865fa6d6aa7d89928ebd9d6272a7209d8282fe568b5d0db4d52e1e888f93"),
-    "kernels-wide n=16": ("a94ba8c9fab0184a72f82e43b3b019f5936d3cf561c0a60904566265fc4adeca",
-                         "2b23a686b3754ad8491c1f64408859a2b1f0316362d6717e0b248d2c28d8afdd"),
-    "kernels-wide n=16000": ("829dd85d31f9720e2d850b6389d164696657debd7fa0ff91e4227a77262fc610",
-                            "1d6140c2422e31b2c009cbdd1d91c5dbbc992e98f2d2772b516c52b08fc1c425"),
-    "kernels-deep n=12": ("15a16c001b88895390e870ff1cde34d178dbcf853dd0af47f1aa26eaec9f9927",
-                         "13730566bd01eb236ce0d6e198897256e1db6f8ff6b72bd7d68ae38569d93d09"),
-    "kernels-deep n=1200": ("b1bdc7a5496cb1a509e365fe3a322ba31b054a7f3cbb0a5e1649b11199de335d",
-                           "fac1d564b76d5849f75e36af8fe5d2eb59d0aed9fcd1ab7ce98b20b66e8a6aed"),
-    "branching 4": ("3ccad0dfb3540e75deb10bef9243d5ddd8117921b17a8bc0d72085d2a21bf151",
-                   "e3764653cc915760fd9a22665e3efbda634b312e524531846fe7d2edb94e546f"),
-    "branching 1.05": ("6403865f5f89e4f43ce1cc041ac8e08fd8880c1eca2cd84d568db4ef4939167c",
-                      "cc2e91b79509776de390d6d25406ce6b374003ec55795408bd8870bb3041d62d"),
-    "topological": ("47bb9d33f1a03eeeb44ce8ff2abe547f16598a53355c349fe8efa73269f5c9c6",
-                   "ea491edae9269f4ac135207bdd8c81506d6c5ac82b4c8241b0a4719f1a09adfb"),
+    "solve-mixed n=16": ("36ad487e2f4b946bd2bec8ead997b734e4588dbde5afd0e270a702504ad387ff",
+                         "114c01f06e300dbe220c493119d6d1f293a20bbb3427abc14135a08e319361d1"),
+    "solve-mixed n=24": ("9b9088d9e5de66d806cc87013c413f28b96a4e99a5b00d3fce183725cbcdf528",
+                         "fe072e83b2cab9d0fd0da40ae9cd4e0bd7e997c70c7b266a6356ad8f16b9ad00"),
+    "solve-mixed n=48": ("9256e7b41a36ca1583226ce0e5c8d73660b8b0c286b11017dbd16bb6aa3ce6b6",
+                         "c35f7ec2283380a6151f2a5eab3c741044af9fe8f8d0c03fec9acff56691ad14"),
+    "kernels-wide n=16": ("c585f6794653de5700f8b3ae95d812f948365b3b473cb0cee6a02fda0053a001",
+                          "00a8a8de15467d8d32150d5c135314d448c0ddb5c30630c62c13faf38d15965b"),
+    "kernels-wide n=16000": ("494d4644adb79418f7eb82834bf53800a0ed31cb6b68cfc1a26b6063d3751555",
+                             "4dcc90c154e4902b521d165741c8adabe3bbb2de374bdc577bb9ee2851f1db2f"),
+    "kernels-deep n=12": ("341604bae13ba2fd5fc702c418ac340a37a22173f7d97d92ec6d74b29dfa5187",
+                          "8c5da50ff32d8c88301b0d0ae56779912c819e1bea21a4b8af293950c9fa8298"),
+    "kernels-deep n=1200": ("7a0d64d262e627c33a88ac1f9880b6d9a100ffac108ec1afb25c583fb2d793b9",
+                            "cb1e4247e28630435634b0d1fbfd4473c811cd6e4744dac4fa43f1b36ad80b32"),
+    "branching 4": ("3dfb3b3a899c73c141bd25167b76c7a6f8f433a852d7f276f74bf15132ae0747",
+                    "145a65000e5261234eaff23a063ddeeb6ccd24e2c70c46f89797418d7a051420"),
+    "branching 1.05": ("4d8cca3fab5463bc412c613f88435668a50e24b59f19812ab680a378155cbf95",
+                       "e90f4dc71ef9a2ea2b7a5d76f9e66f57290066e0d8535049a7bba4ccb17eb174"),
+    "topological": ("487edb5913025a0421f91ea72686d630344a00ff463230c797bc089c8d4b0ffc",
+                    "a40a531f6f05ec0055b6d2f8bb6e4f1f4de61601124230191a02707d425017f7"),
     "capped levels": ("0f93170884b9f719e4c345b9fe8ad70ac814a5377bddb4344bc4ed6390b4dd04",
-                     "490fdd3c7d9b2659e0311faaec2dd415f189806b9ef89fb187fe2a6aa4e90007"),
+                      "490fdd3c7d9b2659e0311faaec2dd415f189806b9ef89fb187fe2a6aa4e90007"),
     "300-deep": ("6bab2039c5ef7e6c4432d105e1007408235c3645a0b75c1eb2a668ff9c050714",
-                "821e24790de07e1f9bc8646127dfb0e5f5a97c8c211021c4170db97cdcebcc7b"),
+                 "821e24790de07e1f9bc8646127dfb0e5f5a97c8c211021c4170db97cdcebcc7b"),
 }
 
 

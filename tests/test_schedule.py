@@ -1,6 +1,8 @@
 """The level schedule: batch layout, failing-node rules, and all ten
 kernels on edge-case trees against the dense oracles."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -28,8 +30,9 @@ from homcone.matrix import (
     tri_mul,
 )
 
-from helpers import (element_chain, forest_structure, random_completable, random_lower,
-                     random_spd, random_structure, random_sym, sweep_only)
+from helpers import (element_chain, forest_structure, kernel_inputs, random_completable,
+                     random_lower, random_spd, random_structure, random_sym, sweep_only,
+                     ten_kernels)
 
 
 @pytest.fixture(autouse=True)
@@ -156,6 +159,11 @@ def test_schedule_layout(cap, monkeypatch):
     seen = np.concatenate([b.nodes for b in st.batches])
     assert sorted(seen.tolist()) == list(range(st.n))
     children = np.bincount([p for q, p in enumerate(st.pos_parent) if p != q], minlength=st.n)
+    chained, batch_of = np.zeros(st.n, dtype=bool), np.zeros(st.n, dtype=int)
+    for b in st.batches:
+        chained[b.nodes], batch_of[b.nodes] = b.chain is not None, b.id
+    fan = np.bincount([p for q, p in enumerate(st.pos_parent) if p != q and not chained[q]],
+                      minlength=st.n)
     slot = np.arange(st.dim)
     for b in st.batches:
         # b supernodes of k columns each, their diagonal slots (b, k)
@@ -183,12 +191,56 @@ def test_schedule_layout(cap, monkeypatch):
         if d:
             parents = st.batches[b.parent].nodes[b.up]
             assert np.array_equal(parents, [st.pos_parent[q] for q in b.nodes])
+        # by descending number of children in level batches
+        assert (np.diff(fan[b.nodes]) <= 0).all()
     assert any(b.chain is not None for b in st.batches) == (cap == 20)
+    # every extend-add adds into a slice of the parents' frontal blocks,
+    # and each parent takes each child once, its level-batched children
+    # in ascending position, however the cap cuts its sibling group
+    taken = {q: [] for q in range(st.n)}
+    for b in st.batches:
+        for c, pl, ci in b.kids:
+            assert type(pl) is slice
+            kids = st.batches[c].nodes[ci] if st.batches[c].chain is None else st.batches[c].nodes[-1:]
+            assert np.array_equal(b.nodes[pl], [st.pos_parent[q] for q in kids])
+            for q in kids.tolist():
+                taken[st.pos_parent[q]].append(q)
+    for p, got in taken.items():
+        assert sorted(got) == [q for q in range(st.n)
+                               if st.pos_parent[q] == p != q and batch_of[q] != batch_of[p]]
+        level = [q for q in got if not chained[q]]
+        assert level == sorted(level)
+    if cap == 20:
+        # the cap cuts some sibling group, whose parent is then in two
+        # child batches' ``kids``
+        cut = [p for p in range(st.n)
+               if len({c for b in st.batches for c, pl, ci in b.kids
+                       if st.batches[c].chain is None and p in b.nodes[pl]}) > 1]
+        assert cut
     # the ids are the sweep order: every batch after its parent's, and the
     # last child batch a top-down sweep visits is the one of highest id
     for b in st.batches:
         assert b.parent < b.id and all(c > b.id for c in b.children)
         assert b.last == (b.parent >= 0 and max(st.batches[b.parent].children) == b.id)
+
+
+def test_kernel_bits_do_not_depend_on_the_level_cut(monkeypatch):
+    """One branching-4 pattern compiled under two batch caps that cut its
+    levels into different batches, neither forming a chain block: all ten
+    kernels give SHA-256-equal values, so a node's bits depend neither on
+    which batch it is in nor on where in it."""
+    layouts = []
+    for cap in (256, 512):
+        monkeypatch.setattr(matrix, "BATCH_FLOATS", cap)
+        st = random_structure(400, seed=3, branching=4.0)
+        assert all(b.chain is None for b in st.batches)
+        layouts.append(st)
+    cuts = [[b.nodes.tolist() for b in st.batches] for st in layouts]
+    assert cuts[0] != cuts[1] and len(cuts[0]) > len(cuts[1]) > st.height
+    inputs = kernel_inputs(layouts[0], np.random.default_rng(29))
+    digests = [{name: hashlib.sha256(v.tobytes()).hexdigest()
+                for name, v in ten_kernels(st, *inputs).items()} for st in layouts]
+    assert len(digests[0]) == 10 and digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_CASES) + ["deep random"])
