@@ -27,11 +27,12 @@ against its floor, and by ``np.linalg.cholesky`` and ``np.linalg.inv``
 (numpy has no triangular solve) at k >= 2.  T and its triangles'
 inverses are made once per factor (:func:`~homcone.matrix._panel`):
 ``cholesky`` leaves its own in the factor it returns.  The ancestor-chain
-products that ``forward_map``, ``adjoint_map`` and ``inverse_forward_map``
-start or end with (:func:`~homcone.matrix._chain_sweep`) are one more
-top-down sweep of the same batches, against L's frontal blocks (L^-1's
-for the substitution) built from those panels; ``inverse_adjoint_map``
-hands L^-1's blocks down its own top-down sweep, beside its result's.
+products that ``forward_map`` starts with and ``inverse_forward_map`` ends
+with (:func:`~homcone.matrix._chain_sweep`) are one more top-down sweep of
+the same batches, against L's frontal blocks (L^-1's for the substitution)
+built from those panels.  The two adjoint maps are one top-down sweep
+(:func:`_adjoint`) that hands L's frontal blocks, or L^-1's, down beside
+S's.
 Batches are swept in the order they were compiled, every batch after its
 parent's, top-down (:func:`~homcone.matrix._down`) and in reverse
 bottom-up, holding only the blocks of batches whose consumer is pending.
@@ -73,13 +74,15 @@ when they are read.
 
 ``forward_map`` and ``adjoint_map`` also take a stack of the matrices they
 map: values of shape (m, dim), under one factor L, a leading axis on every
-frontal block (the chain sweep's blocks of L are broadcast over it), so
-one sweep does all m members with the same numpy calls as one matrix and
-each member's result is bitwise that of its own call.
+frontal block (L's blocks are broadcast over it: the chain sweep's, and
+the adjoint's one more member beside the stack's), so one sweep does all m
+members with the same numpy calls as one matrix and each member's result
+is bitwise that of its own call.
 Every other kernel raises StructuralError on a stack.  A stack is swept
 :attr:`~homcone.matrix.Structure.stack_rows` members at a time, so a
-stacked step holds no more than the largest one-matrix step or
-:data:`~homcone.matrix.BATCH_FLOATS` floats.  Contiguity rule: a numpy
+stacked step holds no more of the stack's blocks than the largest
+one-matrix step or :data:`~homcone.matrix.BATCH_FLOATS` floats
+(``adjoint_map`` holds L's block beside them).  Contiguity rule: a numpy
 reduction such as ``vecdot`` repeats the one-matrix bits only if its
 operands are laid out as in the one-matrix call, with the reduced axis
 contiguous.  So values are stored C-contiguous and a stack is gathered
@@ -395,20 +398,7 @@ def adjoint_map(L: LowerSparse, S: SymSparse) -> SymSparse:
     stack S."""
     _check_same(L, S)
     _one(L)
-    st = L.struct
-    sv = S.vals
-    if st.dense is not None:
-        t = _panel(L, st.dense)[0]
-        return SymSparse(st, _lower(st.dense, t.T @ _full(sv, st) @ t))
-    wv = np.empty(sv.shape)
-    for b, v, pack in _down(st, sv.shape[:-1]):
-        # W = S T, with (T^T S T)_ii on the diagonal
-        t = _panel(L, b)[0]
-        _block(_gather(sv, b), v, pack)
-        g = pack @ t
-        _store(wv, b, g)
-        _put(wv, b.diag, np.vecdot(t, g, axis=-2))
-    return SymSparse(st, _chain_sweep(st, L, wv, "mul_t"))
+    return SymSparse(L.struct, _adjoint(L, S.vals, False))
 
 
 def inverse_forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
@@ -453,30 +443,32 @@ def inverse_adjoint_map(L: LowerSparse, S: SymSparse) -> SymSparse:
     _one(L, S)
     _check_same(L, S)
     _nonsingular(L)
+    return SymSparse(L.struct, _adjoint(L, S.vals, True))
+
+
+def _adjoint(L: LowerSparse, sv, inverse: bool):
+    """The projection of M^T S M onto the pattern, M = L (L^-1 with
+    ``inverse``, on the pattern too), for the values ``sv`` of S, one
+    matrix or a stack of m.
+
+    One top-down sweep: a supernode's rows P are closed upward, so its
+    columns are Y[P, C] = Λ^T S[P, P] Λ[P, C] with Λ = M[P, P] = [[T_CC,
+    0], [T_AC, V]].  Its m + 1 handed-down blocks are S's, members [:m],
+    and Λ, member m (for L^-1, the inverse's columns by
+    :func:`~homcone.matrix._inverse_columns` under the parent's block of
+    L^-1)."""
     st = L.struct
-    sv = S.vals
     if st.dense is not None:
-        li = _panel(L, st.dense, True)[1]
-        return SymSparse(st, _lower(st.dense, li.T @ _full(sv, st) @ li))
-    out = np.zeros(st.dim)
-    for b, v, pack in _down(st, (2,)):
-        # Y21 = (W2 - V L21) L11^-1 and Y11 = L11^-T (S11 - L21^T W2 -
-        # R^T L21) L11^-1, R = W2 - V L21, with V the parent blocks of Y
-        # (v[0]) and W2 = (L^-T S)[A, C] = U^T S21, U = L[A, A]^-1 the
-        # parent blocks of L^-1 (v[1])
-        k = b.k
-        t, li = _panel(L, b, True)
-        t21 = t[..., k:, :]
-        z = _gather(sv, b)
-        w2 = v[1].mT @ z[..., k:, :]
-        r = w2 - v[0] @ t21
-        y = np.concatenate([li.mT @ (_sym(z[..., :k, :]) - t21.mT @ w2 - r.mT @ t21) @ li,
-                            r @ li], -2)
-        _store(out, b, y)
-        if b.children:
-            _block(y, v[0], pack[0])
-            _lower_block(_inverse_columns(t, li, v[1]), v[1], pack[1])
-    return SymSparse(st, out)
+        m = _panel(L, st.dense, inverse)[inverse]
+        return _lower(st.dense, m.T @ _full(sv, st) @ m)
+    out = np.empty(sv.shape)
+    for b, v, pack in _down(st, ((len(sv) if sv.ndim > 1 else 1) + 1,)):
+        t, li = _panel(L, b, inverse)
+        _lower_block(_inverse_columns(t, li, v[-1]) if inverse else t, v[-1], pack[-1])
+        _block(_gather(sv, b), v[:-1], pack[:-1])
+        y = pack[-1].mT @ (pack[:-1] @ pack[-1][..., :b.k])
+        _store(out, b, y if sv.ndim > 1 else y[0])
+    return out
 
 
 def projected_inverse(F: CholFactor) -> SymSparse:

@@ -54,7 +54,8 @@ __all__ = [
 #: Floats of stacked frontal block one kernel step may hold: a level batch
 #: of one-column supernodes at depth d has at most ``max(1, BATCH_FLOATS
 #: // (d+1)^2)`` of them, so a step's blocks stay in cache on deep trees,
-#: and a stacked sweep takes ``Structure.stack_rows`` matrices at a time.
+#: and a stacked sweep takes ``Structure.stack_rows`` matrices at a time
+#: (``adjoint_map``'s step holds one block more, L's, beside theirs).
 #: A fundamental chain of two or more columns whose node-by-node frontal
 #: blocks make at least this many floats is one supernode of its k
 #: columns instead, a chain block, whose one block may hold more.
@@ -174,8 +175,10 @@ class Structure:
     stack_rows : how many matrices of a stack one sweep takes at a time,
         ``max(1, BATCH_FLOATS // f)`` with f the floats of the largest
         step's frontal blocks (the dense block's n^2, if admitted), so a
-        stacked step holds no more than the largest one-matrix step or
-        BATCH_FLOATS, whichever is more.
+        stacked step holds no more of the stack's blocks than the largest
+        one-matrix step or BATCH_FLOATS, whichever is more.  A stacked
+        ``adjoint_map`` step holds stack_rows + 1 blocks: L's (or L^-1's)
+        rides beside them.
     """
 
     __slots__ = (
@@ -565,8 +568,9 @@ class LowerSparse(_Values):
 
     each batch's panel (:func:`_panel`), (k+d)k + k^2 floats for each
     supernode of k columns under d ancestors, so at most dim + n floats
-    over the level batches, and 2n^2 for ``Structure.dense``.  The cache
-    lives and dies with the object."""
+    over the level batches, and 2n^2 for ``Structure.dense``.  The frontal
+    blocks of L or L^-1 that a sweep hands down are made per sweep and
+    not kept.  The cache lives and dies with the object."""
 
     __slots__ = ("_panels",)
 
@@ -794,9 +798,9 @@ def _chain_sweep(s: Structure, L, x: np.ndarray, kind: str, own: bool = False) -
     The chain of column i is its ancestors (``own=True``: i itself, then
     its ancestors), and ``x`` holds a vector on each chain in i's value
     slots; a stack of such arrays, shape (m, dim), is done member by
-    member in the same steps.  ``kind`` is "mul" (L x), "mul_t" (L^T x)
-    or "solve" (L^-1 x); the result, C-contiguous, has ``x``'s shape and
-    keeps its other slots ("mul": zeros).
+    member in the same steps.  ``kind`` is "mul" (L x) or "solve" (L^-1
+    x); the result, C-contiguous, has ``x``'s shape and keeps its other
+    slots ("mul": zeros).
 
     One top-down sweep of the batches (:func:`_down`).  A supernode's rows
     P = C + A, its k columns and their d ancestors, are closed upward, so
@@ -807,14 +811,14 @@ def _chain_sweep(s: Structure, L, x: np.ndarray, kind: str, own: bool = False) -
     which "solve" hands down instead (:func:`_inverse_columns`).  With M
     the trapezoids of x masked to their strictly lower part (lower part
     when ``own``), every column of a supernode is then done by one
-    product Λ M, Λ^T M or Λ^-1 M, the masked entries keeping x's values;
-    at k = 1 without ``own``, by one (b, d, d) @ (b, d, 1) product with
-    V, V^T or V^-1.  A stack broadcasts Λ over its leading axis.  Results
+    product Λ M or Λ^-1 M, the masked entries kept as x's other slots
+    are; at k = 1 without ``own``, by one (b, d, d) @ (b, d, 1) product
+    with V or V^-1.  A stack broadcasts Λ over its leading axis.  Results
     agree with walking each chain alone to about 1e-12 relative on
     well-conditioned inputs, not bitwise."""
     L = L if isinstance(L, LowerSparse) else LowerSparse(s, L)
     solve = kind == "solve"
-    y = np.zeros(x.shape) if kind == "mul" else np.array(x, order="C")
+    y = np.array(x, order="C") if solve else np.zeros(x.shape)
     for b, v, pack in _down(s):
         k = b.k
         whole = own or k > 1
@@ -823,15 +827,14 @@ def _chain_sweep(s: Structure, L, x: np.ndarray, kind: str, own: bool = False) -
             _lower_block(_inverse_columns(t, li, v) if solve else t, v, pack)
         z = _gather(x, b)
         if not whole:
-            _put(y, b.cols[:, 1:], ((v.mT if kind == "mul_t" else v) @ z[..., 1:, :])[..., 0])
+            _put(y, b.cols[:, 1:], (v @ z[..., 1:, :])[..., 0])
             continue
-        lam = pack.mT if kind == "mul_t" else pack
         if own:
-            r = lam @ z
+            r = pack @ z
         else:
             keep, zc = _tri(k, False), z[..., :k, :]
-            r = lam @ np.concatenate([np.where(keep, zc, 0.0), z[..., k:, :]], -2)
-            r[..., :k, :] = np.where(keep, r[..., :k, :], 0.0 if kind == "mul" else zc)
+            r = pack @ np.concatenate([np.where(keep, zc, 0.0), z[..., k:, :]], -2)
+            r[..., :k, :] = np.where(keep, r[..., :k, :], zc if solve else 0.0)
         _store(y, b, r)
     return y
 

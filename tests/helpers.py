@@ -350,8 +350,6 @@ def element_chain(s, lv, x, kind, own=False):
             acc = take(y, tail)
             acc += take(x, at)[..., None] * col
             put(y, tail, acc)
-        elif kind == "mul_t":
-            put(y, at, np.vecdot(col, take(x, tail)))
         else:
             put(y, at, take(y, at) / col[:, 0])
             put(y, tail[:, 1:], take(y, tail[:, 1:]) - take(y, at)[..., None] * col[:, 1:])
@@ -378,7 +376,7 @@ def check_chain(st, rng):
     lv.flags.writeable = False
     for x in chain_inputs(st.dim, rng):
         x.flags.writeable = False
-        for kind in ("mul", "mul_t", "solve"):
+        for kind in ("mul", "solve"):
             for own in (False, True):
                 want = element_chain(st, lv, x, kind, own)
                 got = _chain_sweep(st, lv, x, kind, own)

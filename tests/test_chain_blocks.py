@@ -6,6 +6,7 @@ by member, and the panels a factor caches."""
 import numpy as np
 import pytest
 
+from homcone import factor, matrix
 from homcone.errors import NotCompletable, NotPositiveDefinite
 from homcone.factor import (
     CholFactor,
@@ -66,7 +67,7 @@ def test_chain_products_on_two_chains(two_chains):
 def on_factor(ell, inputs):
     """The kernels that read a factor's chain-block panels on ``ell``,
     each output feeding a later one as in the benchmark sweep, and the
-    three ``_chain_sweep`` kinds, with and without each column's own
+    two ``_chain_sweep`` kinds, with and without each column's own
     slot."""
     st = ell.struct
     lv, lv2, xv, zv, sv = inputs
@@ -87,7 +88,7 @@ def on_factor(ell, inputs):
         "tri_mul": tri_mul(ell, inv).vals,
         "tri_mul_other": tri_mul(ell, LowerSparse(st, lv2)).vals,
     }
-    for kind in ("mul", "mul_t", "solve"):
+    for kind in ("mul", "solve"):
         for own in (False, True):
             out[kind, own] = _chain_sweep(st, ell, zv, kind, own)
     return out
@@ -145,6 +146,31 @@ def test_one_sweep_inverts_each_block_twice(monkeypatch):
     assert len(calls) == 2 * len(chain_blocks(st))
 
 
+def test_each_adjoint_map_is_one_top_down_sweep(monkeypatch, two_chains):
+    """``adjoint_map``, on one matrix and on a stack, and
+    ``inverse_adjoint_map`` hand L's or L^-1's blocks down their own sweep:
+    each call runs one ``_down`` pass, no bottom-up one and no
+    ``_chain_sweep``."""
+    st, _ = two_chains
+    rng = np.random.default_rng(5)
+    ell = LowerSparse(st, well_conditioned_lower(st, rng))
+    passes = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: passes.append(name) or real(*a))
+
+    for module, name in ((factor, "_down"), (factor, "_up"), (factor, "_chain_sweep"),
+                         (matrix, "_down")):
+        counted(module, name)
+    for kernel, vals in ((adjoint_map, rng.standard_normal(st.dim)),
+                         (adjoint_map, rng.standard_normal((3, st.dim))),
+                         (inverse_adjoint_map, rng.standard_normal(st.dim))):
+        passes.clear()
+        kernel(ell, SymSparse(st, vals))
+        assert passes == ["_down"], (kernel.__name__, vals.shape)
+
+
 def test_lower_values_are_read_only(two_chains):
     """A factor's cached panels cannot go stale: its values refuse
     writes, also through a LowerSparse made on a writable array."""
@@ -165,7 +191,7 @@ def test_a_factor_caches_only_its_panels():
     second call gives the first call's bits: no product writes the
     cache."""
     assert LowerSparse.__slots__ == ("_panels",)
-    kinds = ("mul", "mul_t", "solve")
+    kinds = ("mul", "solve")
     for name, st in [("two_chains", forest_structure(TWO_CHAINS)), *benchmark_structures()]:
         rng = np.random.default_rng(st.n)
         ell = LowerSparse(st, well_conditioned_lower(st, rng))
