@@ -27,12 +27,13 @@ against its floor, and by ``np.linalg.cholesky`` and ``np.linalg.inv``
 (numpy has no triangular solve) at k >= 2.  T and its triangles'
 inverses are made once per factor (:func:`~homcone.matrix._panel`):
 ``cholesky`` leaves its own in the factor it returns.  The ancestor-chain
-products that ``forward_map`` starts with and ``inverse_forward_map`` ends
-with (:func:`~homcone.matrix._chain_sweep`) are one more top-down sweep of
-the same batches, against L's frontal blocks (L^-1's for the substitution)
-built from those panels.  The two adjoint maps are one top-down sweep
-(:func:`_adjoint`) that hands L's frontal blocks, or L^-1's, down beside
-S's.
+products that ``forward_map`` starts with
+(:func:`~homcone.matrix._chain_sweep`) are one more top-down sweep of the
+same batches, against L's frontal blocks built from those panels, and
+``adjoint_map`` is one top-down sweep that hands L's frontal blocks down
+beside S's.  L^-1 has no fill either, so the two inverse maps are these
+two maps with L^-1 (:func:`~homcone.matrix.tri_inverse`: one top-down
+sweep, made once per factor and kept on it with its panels).
 Batches are swept in the order they were compiled, every batch after its
 parent's, top-down (:func:`~homcone.matrix._down`) and in reverse
 bottom-up, holding only the blocks of batches whose consumer is pending.
@@ -47,8 +48,8 @@ however its level is cut into batches.
 Bits: a step sums as its ``matmul`` calls do, so results agree with a
 node-by-node sweep to about 1e-12 relative on well-conditioned inputs,
 not bitwise.  At k = 1 ``forward_map`` sums an update element as (l_i x +
-u_i) l_j + l_i u_j, and ``cholesky`` and ``inverse_forward_map`` multiply
-by the reciprocal of a pivot where a node-by-node sweep divides by it.
+u_i) l_j + l_i u_j, and ``cholesky`` and ``tri_inverse`` multiply by the
+reciprocal of a pivot where a node-by-node sweep divides by it.
 ``maxdet_factor`` at k = 1 keeps that sweep's order of operations, u =
 V^T s, r = s_ii - u^T u, L_ii = 1/sqrt(r) and L_sub = -(V u) L_ii, in
 ``matmul`` calls that on numpy 2.4 give the bits of its ``vecmat``,
@@ -105,8 +106,8 @@ import numpy as np
 
 from .errors import NotCompletable, NotPositiveDefinite
 from .matrix import (LowerSparse, Structure, SymSparse, _chain_sweep, _check_same, _down,
-                     _gather, _inv, _inverse_columns, _lower, _lower_block, _nonsingular, _one,
-                     _panel, _put, _store, _take, _tri)
+                     _gather, _inv, _lower, _lower_block, _nonsingular, _one, _panel, _store,
+                     _take, _tri, tri_inverse)
 
 __all__ = [
     "CholFactor",
@@ -375,7 +376,7 @@ def forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
         t = _panel(L, s.dense)[0]
         return SymSparse(s, _lower(s.dense, t @ _full(xv, s) @ t.T))
     out = np.zeros(xv.shape)
-    chain_x = _chain_sweep(s, L, xv, "mul")
+    chain_x = _chain_sweep(s, L, xv)
     for b, done in _up(s):
         # F = (T X_diag + U) T^T + T U^T, U the chain products below the
         # diagonal of their columns
@@ -395,80 +396,52 @@ def forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
 def adjoint_map(L: LowerSparse, S: SymSparse) -> SymSparse:
     """Y = projection of L^T S L onto the pattern (the adjoint of
     forward_map under the trace inner product); for each member of a
-    stack S."""
-    _check_same(L, S)
-    _one(L)
-    return SymSparse(L.struct, _adjoint(L, S.vals, False))
-
-
-def inverse_forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
-    """Y = L^{-1} X L^{-T} without forming the inverse explicitly: the
-    update blocks are rescaled so each supernode only multiplies by the
-    inverse of its triangle and solves one chain system."""
-    _one(L, X)
-    _check_same(L, X)
-    _nonsingular(L)
-    s = L.struct
-    xv = X.vals
-    if s.dense is not None:
-        li = _panel(L, s.dense, True)[1]
-        return SymSparse(s, _lower(s.dense, li @ _full(xv, s) @ li.T))
-    wv = np.empty(s.dim)
-    for b, done in _up(s):
-        # C = E^-1 F E^-T with E = [[L11, 0], [L21, I]]: C22 is the
-        # update, and the columns get what the node-by-node sweep leaves
-        # for the chain solve, diag(C11) and below it T tril(C11, -1) +
-        # [0; C21]
-        k = b.k
-        t, li = _panel(L, b, True)
-        t21 = t[..., k:, :]
-        f = _front(xv, b, done)
-        q = f[..., k:, :k] @ li.mT
-        c11 = li @ _sym(f[..., :k, :k]) @ li.mT
-        c21 = q - t21 @ c11
-        f[..., k:, k:] -= _abt(np.concatenate([c21, t21], -1), np.concatenate([t21, q], -1))
-        if k == 1:  # no strictly lower triangle: [C11; C21]
-            _store(wv, b, np.concatenate([c11, c21], -2))
-        else:
-            w = t @ np.where(_tri(k, False), c11, 0.0)
-            w[..., k:, :] += c21
-            _store(wv, b, w)
-            _put(wv, b.diag, np.diagonal(c11, axis1=-2, axis2=-1))
-        done[b.id] = f[..., k - 1:, k - 1:]
-    return SymSparse(s, _chain_sweep(s, L, wv, "solve"))
-
-
-def inverse_adjoint_map(L: LowerSparse, S: SymSparse) -> SymSparse:
-    """Y = projection of L^{-T} S L^{-1} onto the pattern."""
-    _one(L, S)
-    _check_same(L, S)
-    _nonsingular(L)
-    return SymSparse(L.struct, _adjoint(L, S.vals, True))
-
-
-def _adjoint(L: LowerSparse, sv, inverse: bool):
-    """The projection of M^T S M onto the pattern, M = L (L^-1 with
-    ``inverse``, on the pattern too), for the values ``sv`` of S, one
-    matrix or a stack of m.
+    stack S.
 
     One top-down sweep: a supernode's rows P are closed upward, so its
-    columns are Y[P, C] = Λ^T S[P, P] Λ[P, C] with Λ = M[P, P] = [[T_CC,
+    columns are Y[P, C] = Λ^T S[P, P] Λ[P, C] with Λ = L[P, P] = [[T_CC,
     0], [T_AC, V]].  Its m + 1 handed-down blocks are S's, members [:m],
-    and Λ, member m (for L^-1, the inverse's columns by
-    :func:`~homcone.matrix._inverse_columns` under the parent's block of
-    L^-1)."""
-    st = L.struct
+    and Λ, member m."""
+    _check_same(L, S)
+    _one(L)
+    st, sv = L.struct, S.vals
     if st.dense is not None:
-        m = _panel(L, st.dense, inverse)[inverse]
-        return _lower(st.dense, m.T @ _full(sv, st) @ m)
+        t = _panel(L, st.dense)[0]
+        return SymSparse(st, _lower(st.dense, t.T @ _full(sv, st) @ t))
     out = np.empty(sv.shape)
     for b, v, pack in _down(st, ((len(sv) if sv.ndim > 1 else 1) + 1,)):
-        t, li = _panel(L, b, inverse)
-        _lower_block(_inverse_columns(t, li, v[-1]) if inverse else t, v[-1], pack[-1])
+        _lower_block(_panel(L, b)[0], v[-1], pack[-1])
         _block(_gather(sv, b), v[:-1], pack[:-1])
         y = pack[-1].mT @ (pack[:-1] @ pack[-1][..., :b.k])
         _store(out, b, y if sv.ndim > 1 else y[0])
-    return out
+    return SymSparse(st, out)
+
+
+def inverse_forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
+    """Y = L^{-1} X L^{-T}: ``forward_map`` with L^-1
+    (:func:`~homcone.matrix.tri_inverse`, made once per factor); on
+    ``Structure.dense``, with the inverse of L's block."""
+    _one(L, X)
+    _check_same(L, X)
+    s = L.struct
+    if s.dense is None:
+        return forward_map(tri_inverse(L), X)
+    _nonsingular(L)
+    li = _panel(L, s.dense, True)[1]
+    return SymSparse(s, _lower(s.dense, li @ _full(X.vals, s) @ li.T))
+
+
+def inverse_adjoint_map(L: LowerSparse, S: SymSparse) -> SymSparse:
+    """Y = projection of L^{-T} S L^{-1} onto the pattern: ``adjoint_map``
+    with L^-1, as :func:`inverse_forward_map`."""
+    _one(L, S)
+    _check_same(L, S)
+    s = L.struct
+    if s.dense is None:
+        return adjoint_map(tri_inverse(L), S)
+    _nonsingular(L)
+    li = _panel(L, s.dense, True)[1]
+    return SymSparse(s, _lower(s.dense, li.T @ _full(S.vals, s) @ li))
 
 
 def projected_inverse(F: CholFactor) -> SymSparse:

@@ -16,10 +16,11 @@ staying inside the pattern) fail for them.
 
 Values are 64-bit floats.  No operation writes to its inputs, so
 concurrent use is safe; a :class:`LowerSparse` holds its values read-only,
-as it caches what its batches derive from them (:func:`_panel`).  The
-ancestor-chain products and substitutions (:func:`_chain_sweep`) are one
-more top-down sweep of the batches: the chain of a column is closed
-upward, so L on it is the trailing block of a frontal block L[P, P].
+as it caches what its batches derive from them (:func:`_panel`) and its
+inverse (:func:`tri_inverse`).  That inverse and the ancestor-chain
+products (:func:`_chain_sweep`) are each one top-down sweep of the
+batches: the chain of a column is closed upward, so L on it is a trailing
+block of a frontal block L[P, P], and L^-1 on it one of L[P, P]^-1.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ class Structure:
         step's frontal blocks (the dense block's n^2, if admitted), so a
         stacked step holds no more of the stack's blocks than the largest
         one-matrix step or BATCH_FLOATS, whichever is more.  A stacked
-        ``adjoint_map`` step holds stack_rows + 1 blocks: L's (or L^-1's)
+        ``adjoint_map`` step holds stack_rows + 1 blocks: its factor's
         rides beside them.
     """
 
@@ -568,17 +569,19 @@ class LowerSparse(_Values):
 
     each batch's panel (:func:`_panel`), (k+d)k + k^2 floats for each
     supernode of k columns under d ancestors, so at most dim + n floats
-    over the level batches, and 2n^2 for ``Structure.dense``.  The frontal
-    blocks of L or L^-1 that a sweep hands down are made per sweep and
-    not kept.  The cache lives and dies with the object."""
+    over the level batches, and 2n^2 for ``Structure.dense``; and the
+    inverse (:func:`tri_inverse`) with its panels, about 2 dim floats.
+    The frontal blocks that a sweep hands down are made per sweep and not
+    kept.  The cache lives and dies with the object."""
 
-    __slots__ = ("_panels",)
+    __slots__ = ("_panels", "_inverse")
 
     def __init__(self, struct: Structure, vals: np.ndarray):
         _Values.__init__(self, struct, vals)
         self.vals = self.vals[...]
         self.vals.setflags(write=False)
         self._panels = {}
+        self._inverse = None
 
 
 def identity(struct: Structure) -> SymSparse:
@@ -779,52 +782,34 @@ def _lower_block(t, v, out) -> None:
     out[..., k:, k:] = v
 
 
-def _inverse_columns(t, li, v):
-    """The first k columns [T_CC^-1; -V^-1 T_AC T_CC^-1] of the inverse of
-    the lower triangular blocks [[T_CC, 0], [T_AC, V]] whose first k
-    columns are the trapezoids ``t``, shape (..., k+d, k), from the
-    inverses ``li`` of their triangles (masked here to the lower triangle
-    np.linalg.inv leaves roundoff above) and ``v`` = V^-1."""
-    k = t.shape[-1]
-    li = li if k == 1 else np.where(_tri(k), li, 0.0)
-    u = -(v @ t[..., k:, :])
-    return np.concatenate([li, u * li if k == 1 else u @ li], -2)
-
-
-def _chain_sweep(s: Structure, L, x: np.ndarray, kind: str, own: bool = False) -> np.ndarray:
-    """Products and substitutions with L (a LowerSparse, or one value
-    array) restricted to every column's chain, for all columns at once.
+def _chain_sweep(s: Structure, L: LowerSparse, x: np.ndarray, own: bool = False) -> np.ndarray:
+    """Products with L (with :func:`tri_inverse`'s L^-1, substitutions)
+    restricted to every column's chain, for all columns at once.
 
     The chain of column i is its ancestors (``own=True``: i itself, then
     its ancestors), and ``x`` holds a vector on each chain in i's value
     slots; a stack of such arrays, shape (m, dim), is done member by
-    member in the same steps.  ``kind`` is "mul" (L x) or "solve" (L^-1
-    x); the result, C-contiguous, has ``x``'s shape and keeps its other
-    slots ("mul": zeros).
+    member in the same steps.  The result, C-contiguous, has ``x``'s shape
+    and zeros in its other slots.
 
     One top-down sweep of the batches (:func:`_down`).  A supernode's rows
     P = C + A, its k columns and their d ancestors, are closed upward, so
     L[P, P] is the frontal block Λ = [[T_CC, 0], [T_AC, V]], T its panel
     (:func:`_panel`) and V = L[A, A] the block its parent hands down
     (:func:`_lower_block`).  The chain of c_j is P from row j on, where L
-    restricted to it is a trailing block of Λ, and L^-1 one of Λ^-1,
-    which "solve" hands down instead (:func:`_inverse_columns`).  With M
-    the trapezoids of x masked to their strictly lower part (lower part
-    when ``own``), every column of a supernode is then done by one
-    product Λ M or Λ^-1 M, the masked entries kept as x's other slots
-    are; at k = 1 without ``own``, by one (b, d, d) @ (b, d, 1) product
-    with V or V^-1.  A stack broadcasts Λ over its leading axis.  Results
+    restricted to it is a trailing block of Λ.  With M the trapezoids of x
+    masked to their strictly lower part (lower part when ``own``), every
+    column of a supernode is then done by one product Λ M, the masked
+    entries zero; at k = 1 without ``own``, by one (b, d, d) @ (b, d, 1)
+    product with V.  A stack broadcasts Λ over its leading axis.  Results
     agree with walking each chain alone to about 1e-12 relative on
     well-conditioned inputs, not bitwise."""
-    L = L if isinstance(L, LowerSparse) else LowerSparse(s, L)
-    solve = kind == "solve"
-    y = np.array(x, order="C") if solve else np.zeros(x.shape)
+    y = np.zeros(x.shape)
     for b, v, pack in _down(s):
         k = b.k
         whole = own or k > 1
         if whole or b.children:
-            t, li = _panel(L, b, solve)
-            _lower_block(_inverse_columns(t, li, v) if solve else t, v, pack)
+            _lower_block(_panel(L, b)[0], v, pack)
         z = _gather(x, b)
         if not whole:
             _put(y, b.cols[:, 1:], (v @ z[..., 1:, :])[..., 0])
@@ -834,7 +819,7 @@ def _chain_sweep(s: Structure, L, x: np.ndarray, kind: str, own: bool = False) -
         else:
             keep, zc = _tri(k, False), z[..., :k, :]
             r = pack @ np.concatenate([np.where(keep, zc, 0.0), z[..., k:, :]], -2)
-            r[..., :k, :] = np.where(keep, r[..., :k, :], zc if solve else 0.0)
+            r[..., :k, :] = np.where(keep, r[..., :k, :], 0.0)
         _store(y, b, r)
     return y
 
@@ -850,16 +835,37 @@ def tri_mul(L: LowerSparse, Lt: LowerSparse) -> LowerSparse:
     s = L.struct
     if s.dense is not None:
         return LowerSparse(s, _lower(s.dense, _panel(L, s.dense)[0] @ _gather(Lt.vals, s.dense)))
-    return LowerSparse(s, _chain_sweep(s, L, Lt.vals, "mul", own=True))
+    return LowerSparse(s, _chain_sweep(s, L, Lt.vals, own=True))
 
 
 def tri_inverse(L: LowerSparse) -> LowerSparse:
-    """Inverse of a pattern-restricted lower triangle: each column solved
-    along its ancestor chain (:func:`_chain_sweep`); on
-    ``Structure.dense``, the inverse of the block (:func:`_panel`)."""
+    """Inverse of a pattern-restricted lower triangle, made on first use
+    and kept on ``L`` with its panels.  One top-down sweep: a supernode's
+    columns of L^-1[P, P], the inverse of [[T_CC, 0], [T_AC, V]], are
+    [T_CC^-1; -V^-1 T_AC T_CC^-1], from L's panel (:func:`_panel`, T_CC^-1
+    masked to the lower triangle np.linalg.inv leaves roundoff above) and
+    the block V^-1 its parent hands down.  On ``Structure.dense``, the
+    inverse of the block."""
+    if L._inverse is not None:
+        return L._inverse
     _one(L)
     _nonsingular(L)
     s = L.struct
     if s.dense is not None:
-        return LowerSparse(s, _lower(s.dense, _panel(L, s.dense, True)[1]))
-    return LowerSparse(s, _chain_sweep(s, L, identity(s).vals, "solve", own=True))
+        inverse = LowerSparse(s, _lower(s.dense, _panel(L, s.dense, True)[1]))
+    else:
+        out, panels = np.empty(s.dim), {}
+        for b, v, pack in _down(s):
+            k = b.k
+            t, li = _panel(L, b, True)
+            li = li if k == 1 else np.where(_tri(k), li, 0.0)
+            u = -(v @ t[..., k:, :])
+            cols = np.concatenate([li, u * li if k == 1 else u @ li], -2)
+            _store(out, b, cols)
+            panels[b] = [cols, None]
+            if b.children:
+                _lower_block(cols, v, pack)
+        inverse = LowerSparse(s, out)
+        inverse._panels.update(panels)
+    L._inverse = inverse
+    return inverse

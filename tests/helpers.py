@@ -368,18 +368,23 @@ def chain_inputs(dim, rng):
 
 
 def check_chain(st, rng):
-    """Every ``_chain_sweep`` kind, with and without each column's own
-    slot, on one array and on stacks of any layout, against element_chain
-    within 1e-12 relative (a frontal block sums in another order than the
-    walk along one chain), writing neither L nor x."""
-    lv = random_lower(st, rng, 1.0, 2.0, 0.3 / np.sqrt(st.n)).vals
-    lv.flags.writeable = False
+    """``_chain_sweep`` with L and with L^-1 (``tri_inverse``), with and
+    without each column's own slot, on one array and on stacks of any
+    layout, against element_chain's product and substitution within 1e-12
+    relative (a frontal block sums in another order than the walk along
+    one chain), writing no input.  The substitution without the own slot
+    keeps x's there, which the product with L^-1 leaves zero: they are
+    added back."""
+    ell = random_lower(st, rng, 1.0, 2.0, 0.3 / np.sqrt(st.n))
+    diag = st.bar_ptr[:-1]
     for x in chain_inputs(st.dim, rng):
         x.flags.writeable = False
-        for kind in ("mul", "solve"):
+        for kind, lower in (("mul", ell), ("solve", tri_inverse(ell))):
             for own in (False, True):
-                want = element_chain(st, lv, x, kind, own)
-                got = _chain_sweep(st, lv, x, kind, own)
+                want = element_chain(st, ell.vals, x, kind, own)
+                got = _chain_sweep(st, lower, x, own)
+                if kind == "solve" and not own:
+                    got[..., diag] += x[..., diag]
                 assert got.shape == x.shape and np.isfinite(got).all()
                 err = np.abs(got - want).max(initial=0.0)
                 assert err <= 1e-12 * np.abs(want).max(initial=0.0), (kind, own, x.shape)

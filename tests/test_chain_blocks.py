@@ -1,7 +1,7 @@
 """Chain blocks: every kernel against the level schedule compiled
 without them, the ancestor-chain products against the element-by-element
 chain, the failing node and value inside a block, stacked blocks member
-by member, and the panels a factor caches."""
+by member, and the panels and inverse a factor caches."""
 
 import numpy as np
 import pytest
@@ -66,9 +66,9 @@ def test_chain_products_on_two_chains(two_chains):
 
 def on_factor(ell, inputs):
     """The kernels that read a factor's chain-block panels on ``ell``,
-    each output feeding a later one as in the benchmark sweep, and the
-    two ``_chain_sweep`` kinds, with and without each column's own
-    slot."""
+    each output feeding a later one as in the benchmark sweep, and
+    ``_chain_sweep`` with L and with L^-1, with and without each column's
+    own slot."""
     st = ell.struct
     lv, lv2, xv, zv, sv = inputs
     z, s = SymSparse(st, zv), SymSparse(st, sv)
@@ -88,9 +88,9 @@ def on_factor(ell, inputs):
         "tri_mul": tri_mul(ell, inv).vals,
         "tri_mul_other": tri_mul(ell, LowerSparse(st, lv2)).vals,
     }
-    for kind in ("mul", "solve"):
-        for own in (False, True):
-            out[kind, own] = _chain_sweep(st, ell, zv, kind, own)
+    for own in (False, True):
+        out["mul", own] = _chain_sweep(st, ell, zv, own)
+        out["inverse", own] = _chain_sweep(st, inv, zv, own)
     return out
 
 
@@ -107,16 +107,21 @@ def factor_cases():
 @pytest.mark.parametrize("case", range(4))
 def test_cholesky_panels_are_the_ones_made_from_its_values(case):
     """``cholesky`` leaves each batch's trapezoids and triangle inverses
-    in its factor's cache; every kernel reading them gives what it gives
+    in its factor's cache, and ``tri_inverse`` each batch's trapezoids of
+    L^-1 in the inverse's; every kernel reading them gives what it gives
     on a copy of the factor's values, whose panels ``_panel`` makes itself
     from L."""
     st, inputs = list(factor_cases())[case]
     ell = cholesky(SymSparse(st, inputs[2])).L
     fresh = LowerSparse(st, ell.vals.copy())
-    assert set(ell._panels) == set(st.batches)
-    for b in st.batches:
-        for mine, made in zip(ell._panels[b], _panel(fresh, b, True)):
-            assert mine.tobytes() == made.tobytes()
+    inv = tri_inverse(ell)
+    fresh_inv = LowerSparse(st, inv.vals.copy())
+    for mine, copy in ((ell, fresh), (inv, fresh_inv)):
+        assert set(mine._panels) == set(st.batches)
+        for b in st.batches:
+            made = _panel(copy, b, mine is ell)
+            assert [p if p is None else p.tobytes() for p in mine._panels[b]] == [
+                p if p is None else p.tobytes() for p in made]
     # an empty cache again, filled by the kernels as they ask
     fresh = LowerSparse(st, ell.vals.copy())
     got, want = on_factor(ell, inputs), on_factor(fresh, inputs)
@@ -147,10 +152,11 @@ def test_one_sweep_inverts_each_block_twice(monkeypatch):
 
 
 def test_each_adjoint_map_is_one_top_down_sweep(monkeypatch, two_chains):
-    """``adjoint_map``, on one matrix and on a stack, and
-    ``inverse_adjoint_map`` hand L's or L^-1's blocks down their own sweep:
-    each call runs one ``_down`` pass, no bottom-up one and no
-    ``_chain_sweep``."""
+    """``adjoint_map``, on one matrix and on a stack, hands L's blocks
+    down its own sweep, and so does ``inverse_adjoint_map`` L^-1's once
+    the factor holds its inverse, which ``tri_inverse`` makes in one more
+    top-down sweep: each call runs one ``_down`` pass, no bottom-up one
+    and no ``_chain_sweep``."""
     st, _ = two_chains
     rng = np.random.default_rng(5)
     ell = LowerSparse(st, well_conditioned_lower(st, rng))
@@ -165,10 +171,36 @@ def test_each_adjoint_map_is_one_top_down_sweep(monkeypatch, two_chains):
         counted(module, name)
     for kernel, vals in ((adjoint_map, rng.standard_normal(st.dim)),
                          (adjoint_map, rng.standard_normal((3, st.dim))),
+                         (lambda ell, _: tri_inverse(ell), None),
                          (inverse_adjoint_map, rng.standard_normal(st.dim))):
         passes.clear()
-        kernel(ell, SymSparse(st, vals))
-        assert passes == ["_down"], (kernel.__name__, vals.shape)
+        kernel(ell, vals if vals is None else SymSparse(st, vals))
+        assert passes == ["_down"], (kernel.__name__, vals is None or vals.shape)
+
+
+def test_inverse_maps_are_the_maps_of_the_inverse(monkeypatch, two_chains):
+    """On every swept benchmark structure, in the benchmark's sweep of the
+    ten kernels on one factor: the two inverse maps are ``forward_map``
+    and ``adjoint_map`` of L^-1 bit for bit, ``tri_inverse`` makes L^-1
+    once per factor, and the sweep inverts two matrices per chain block
+    (see test_one_sweep_inverts_each_block_twice)."""
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+    for name, st in [("two_chains", two_chains[0]), *benchmark_structures()]:
+        x, z, s = (SymSparse(st, v) for v in kernel_inputs(st, np.random.default_rng(st.n))[2:])
+        calls.clear()
+        f = cholesky(x)
+        fz, adj = forward_map(f.L, z), adjoint_map(f.L, s)
+        z_back, s_back = inverse_forward_map(f.L, fz), inverse_adjoint_map(f.L, adj)
+        dual_gradient(maxdet_factor(projected_inverse(f)))
+        tri_mul(f.L, tri_inverse(f.L))
+        assert len(calls) == 2 * len(chain_blocks(st)), name
+        assert tri_inverse(f.L) is tri_inverse(f.L), name
+        fresh = tri_inverse(LowerSparse(st, f.L.vals.copy()))
+        assert fresh.vals.tobytes() == tri_inverse(f.L).vals.tobytes(), name
+        assert z_back.vals.tobytes() == forward_map(fresh, fz).vals.tobytes(), name
+        assert s_back.vals.tobytes() == adjoint_map(fresh, adj).vals.tobytes(), name
 
 
 def test_lower_values_are_read_only(two_chains):
@@ -183,26 +215,28 @@ def test_lower_values_are_read_only(two_chains):
             ell.vals += 1.0
 
 
-def test_a_factor_caches_only_its_panels():
+def test_a_factor_caches_only_panels_and_its_inverse():
     """The ancestor-chain products keep nothing on a factor but the
-    panels of its batches.  Every kind, with and without each column's own
-    slot, on one array and on a stack, gives on a factor with a warm cache
-    the bits it gives on a copy of the values with a cold one, and a
-    second call gives the first call's bits: no product writes the
-    cache."""
-    assert LowerSparse.__slots__ == ("_panels",)
-    kinds = ("mul", "solve")
+    panels of its batches, and L^-1 (``tri_inverse``, made before the
+    products) with its own.  With L and with L^-1, with and without each
+    column's own slot, on one array and on a stack, a product gives on a
+    factor with a warm cache the bits it gives on a copy of the values
+    with a cold one, and a second call gives the first call's bits: no
+    product writes the cache."""
+    assert LowerSparse.__slots__ == ("_panels", "_inverse")
     for name, st in [("two_chains", forest_structure(TWO_CHAINS)), *benchmark_structures()]:
         rng = np.random.default_rng(st.n)
         ell = LowerSparse(st, well_conditioned_lower(st, rng))
+        inv = tri_inverse(ell)
         for x in (rng.standard_normal(st.dim), rng.standard_normal((3, st.dim))):
-            first = {(kind, own): _chain_sweep(st, ell, x, kind, own)
-                     for kind in kinds for own in (False, True)}
-            for (kind, own), got in first.items():
-                cold = _chain_sweep(st, LowerSparse(st, ell.vals.copy()), x, kind, own)
-                again = _chain_sweep(st, ell, x, kind, own)
-                assert got.tobytes() == cold.tobytes() == again.tobytes(), (name, kind, own)
-        assert set(ell._panels) <= set(st.batches), name
+            for lower in (ell, inv):
+                for own in (False, True):
+                    got = _chain_sweep(st, lower, x, own)
+                    cold = _chain_sweep(st, LowerSparse(st, lower.vals.copy()), x, own)
+                    again = _chain_sweep(st, lower, x, own)
+                    assert got.tobytes() == cold.tobytes() == again.tobytes(), (name, own)
+        assert set(ell._panels) <= set(st.batches) and set(inv._panels) <= set(st.batches), name
+        assert ell._inverse is inv and inv._inverse is None, name
 
 
 def test_benchmark_structures_without_chain_blocks_are_bitwise():

@@ -12,10 +12,10 @@ import pytest
 from homcone import factor, io_cli, matrix
 from homcone.errors import NotPositiveDefinite
 from homcone.factor import adjoint_map, cholesky, forward_map
-from homcone.matrix import LowerSparse, SymSparse, _gather, to_dense
+from homcone.matrix import LowerSparse, SymSparse, _gather, _lower, to_dense
 
-from helpers import (ROOT, forest_structure, kernel_inputs, perfbench_module, random_structure,
-                     swept, ten_kernels, well_conditioned_lower)
+from helpers import (ROOT, forest_structure, kernel_inputs, perfbench_module, random_lower,
+                     random_structure, swept, ten_kernels, well_conditioned_lower)
 from test_schedule import EDGE_CASES
 
 #: The instances of the spread runs (ROADMAP), (n, m, branching, seed):
@@ -91,6 +91,25 @@ def test_kernels_agree_with_the_sweep(name):
             cold = kernel(LowerSparse(st, warm.vals.copy()), y).vals
             assert first.tobytes() == cold.tobytes() == kernel(warm, y).vals.tobytes()
         assert set(warm._panels) == {st.dense}
+
+
+@pytest.mark.parametrize("name", sorted(n for n, st in STRUCTURES.items() if st.dense is not None))
+def test_dense_inverse_maps_multiply_by_the_inverse_block(name):
+    """On a dense block the two inverse maps multiply by the unmasked
+    ``np.linalg.inv`` of L's block, not by ``tri_inverse``'s L^-1 (its
+    lower triangle): li @ X @ li^T and li^T @ S @ li, bit for bit.  The
+    factor's subdiagonal entries are as large as its pivots, so LAPACK
+    pivots and leaves roundoff above li's diagonal."""
+    st = STRUCTURES[name]
+    rng = np.random.default_rng(st.n)
+    ell = random_lower(st, rng, 0.5, 1.0, 1.0)
+    x, s = (SymSparse(st, rng.standard_normal(st.dim)) for _ in range(2))
+    li = np.linalg.inv(_gather(ell.vals, st.dense))
+    got = factor.inverse_forward_map(ell, x).vals, factor.inverse_adjoint_map(ell, s).vals
+    want = (_lower(st.dense, li @ factor._full(x.vals, st) @ li.T),
+            _lower(st.dense, li.T @ factor._full(s.vals, st) @ li))
+    for mine, theirs in zip(got, want):
+        assert mine.tobytes() == theirs.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(n for n, st in STRUCTURES.items()

@@ -369,9 +369,9 @@ CHAIN_STRUCTURES = {
 
 @pytest.mark.parametrize("name", CHAIN_STRUCTURES)
 def test_chain_windows_are_the_element_chain(name, rng):
-    """Every chain kind is the element-by-element chain within 1e-12
-    relative, on level batches and where a chain block takes some members
-    (the 300-deep path is one)."""
+    """The chain products with L and with L^-1 are the element-by-element
+    chain within 1e-12 relative, on level batches and where a chain block
+    takes some members (the 300-deep path is one)."""
     st = CHAIN_STRUCTURES[name]()
     assert any(b.chain is not None for b in st.batches) == (name in ("300-deep", "branching 1.05"))
     check_chain(st, rng)

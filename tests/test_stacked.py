@@ -1,7 +1,8 @@
 """Stacked kernel sweeps: a leading stack axis runs every member through
 one sweep of ``forward_map``, ``adjoint_map`` (L's blocks handed down as
-one more member beside the stack's) or the ancestor-chain products ("mul"
-and "solve"), and each member's result is bitwise that of its own call;
+one more member beside the stack's) or the ancestor-chain products (with
+L and with L^-1), and each member's result is bitwise that of its own
+call;
 every other kernel rejects a stack.  Also the scaling point's line
 search, one probe at a time."""
 
@@ -90,10 +91,10 @@ def test_stacked_maps_equal_row_by_row(case):
         want = np.array([kernel(ell, SymSparse(st, row)).vals for row in stack])
         assert got.shape == (m, st.dim)
         assert np.array_equal(got, want.reshape(m, st.dim))
-    for kind in ("mul", "solve"):
+    for lower in (ell, tri_inverse(ell)):
         for own in (False, True):
-            got = _chain_sweep(st, ell.vals, stack, kind, own)
-            want = [_chain_sweep(st, ell.vals, row, kind, own) for row in stack]
+            got = _chain_sweep(st, lower, stack, own)
+            want = [_chain_sweep(st, lower, row, own) for row in stack]
             assert np.array_equal(got, np.reshape(want, (m, st.dim)))
 
 
