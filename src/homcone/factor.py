@@ -26,14 +26,15 @@ and on the inverses of their triangles.  A triangle is factored
 against its floor, and by ``np.linalg.cholesky`` and ``np.linalg.inv``
 (numpy has no triangular solve) at k >= 2.  T and its triangles'
 inverses are made once per factor (:func:`~homcone.matrix._panel`):
-``cholesky`` leaves its own in the factor it returns.  The ancestor-chain
-products that ``forward_map`` starts with
-(:func:`~homcone.matrix._chain_sweep`) are one more top-down sweep of the
-same batches, against L's frontal blocks built from those panels, and
-``adjoint_map`` is one top-down sweep that hands L's frontal blocks down
-beside S's.  L^-1 has no fill either, so the two inverse maps are these
-two maps with L^-1 (:func:`~homcone.matrix.tri_inverse`: one top-down
-sweep, made once per factor and kept on it with its panels).
+``cholesky`` leaves its own in the factor it returns.  ``forward_map``
+is U L^T + L U^T with U = L X_h, X_h X's lower triangle with its diagonal
+halved; that product (:func:`~homcone.matrix._chain_sweep`, also
+``tri_mul``'s) is one more top-down sweep of the same batches, against
+L's frontal blocks built from those panels, and ``adjoint_map`` is one
+top-down sweep that hands L's frontal blocks down beside S's.  L^-1 has
+no fill either, so the two inverse maps are these two maps with L^-1
+(:func:`~homcone.matrix.tri_inverse`: one top-down sweep, made once per
+factor and kept on it with its panels).
 Batches are swept in the order they were compiled, every batch after its
 parent's, top-down (:func:`~homcone.matrix._down`) and in reverse
 bottom-up, holding only the blocks of batches whose consumer is pending.
@@ -47,9 +48,10 @@ however its level is cut into batches.
 
 Bits: a step sums as its ``matmul`` calls do, so results agree with a
 node-by-node sweep to about 1e-12 relative on well-conditioned inputs,
-not bitwise.  At k = 1 ``forward_map`` sums an update element as (l_i x +
-u_i) l_j + l_i u_j, and ``cholesky`` and ``tri_inverse`` multiply by the
-reciprocal of a pivot where a node-by-node sweep divides by it.
+not bitwise.  ``forward_map`` sums an update element as u_i l_j + l_i
+u_j, in one ``matmul`` of inner dimension 2k, and at k = 1 ``cholesky``
+and ``tri_inverse`` multiply by the reciprocal of a pivot where a
+node-by-node sweep divides by it.
 ``maxdet_factor`` at k = 1 keeps that sweep's order of operations, u =
 V^T s, r = s_ii - u^T u, L_ii = 1/sqrt(r) and L_sub = -(V u) L_ii, in
 ``matmul`` calls that on numpy 2.4 give the bits of its ``vecmat``,
@@ -107,7 +109,7 @@ import numpy as np
 from .errors import NotCompletable, NotPositiveDefinite
 from .matrix import (LowerSparse, Structure, SymSparse, _chain_sweep, _check_same, _down,
                      _gather, _inv, _lower, _lower_block, _nonsingular, _one, _panel, _store,
-                     _take, _tri, tri_inverse)
+                     _tri, tri_inverse)
 
 __all__ = [
     "CholFactor",
@@ -376,16 +378,15 @@ def forward_map(L: LowerSparse, X: SymSparse) -> SymSparse:
         t = _panel(L, s.dense)[0]
         return SymSparse(s, _lower(s.dense, t @ _full(xv, s) @ t.T))
     out = np.zeros(xv.shape)
-    chain_x = _chain_sweep(s, L, xv)
+    # L X L^T = U L^T + L U^T, U = L X_h with X_h X's lower triangle, its
+    # diagonal halved (0.5 * weights is exactly 0.5 there and 1 elsewhere)
+    lx = _chain_sweep(s, L, 0.5 * s.weights * xv)
     for b, done in _up(s):
-        # F = (T X_diag + U) T^T + T U^T, U the chain products below the
-        # diagonal of their columns
         k = b.k
         t = _panel(L, b)[0]
-        u = _gather(chain_x, b)
+        u = _gather(lx, b)
         tu = np.broadcast_to(t, u.shape)
-        f = _abt(np.concatenate([t * _take(xv, b.diag)[..., None, :] + u, tu], -1),
-                 np.concatenate([tu, u], -1))
+        f = _abt(np.concatenate([u, tu], -1), np.concatenate([tu, u], -1))
         _add_kids(f, b, done)
         _store(out, b, f[..., :k])
         done[b.id] = f[..., k - 1:, k - 1:]

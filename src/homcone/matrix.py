@@ -17,10 +17,11 @@ staying inside the pattern) fail for them.
 Values are 64-bit floats.  No operation writes to its inputs, so
 concurrent use is safe; a :class:`LowerSparse` holds its values read-only,
 as it caches what its batches derive from them (:func:`_panel`) and its
-inverse (:func:`tri_inverse`).  That inverse and the ancestor-chain
-products (:func:`_chain_sweep`) are each one top-down sweep of the
-batches: the chain of a column is closed upward, so L on it is a trailing
-block of a frontal block L[P, P], and L^-1 on it one of L[P, P]^-1.
+inverse (:func:`tri_inverse`).  That inverse and L T for a lower
+triangle T (:func:`_chain_sweep`: ``tri_mul``, and ``forward_map``'s
+first step) are each one top-down sweep of the batches: a column and its
+ancestors are closed upward, so L on them is a trailing block of a
+frontal block L[P, P], and L^-1 on them one of L[P, P]^-1.
 """
 
 from __future__ import annotations
@@ -118,12 +119,11 @@ class Batch:
         and :func:`_store` writes.  At k = 1 a (b, d+1) table, diagonal
         first, whose gather is the b trapezoids.  For k >= 2, the slots
         of the columns flattened (a view-making ``(..., slice)`` when they
-        are consecutive, as they are in a postorder; see :func:`_take`).
+        are consecutive, as they are in a postorder; see :func:`_gather`).
     chain : None at k = 1; for k >= 2, where each of ``cols``' slots lies
         in the lower trapezoid of a flattened (k+d, k) array.
         ``Structure.dense`` adds where each slot's mirror lies in the
         upper triangle.
-    diag : the diagonal slots of the columns, a (b, k) array.
     parent : id of the batch holding the parents (-1 for roots).
     up : index (or slice) of each supernode's parent within that batch.
     children : ids of the batches holding the children.
@@ -137,8 +137,8 @@ class Batch:
         of them a top-down sweep visits.
     """
 
-    __slots__ = ("id", "nodes", "shape", "k", "cols", "chain", "diag",
-                 "parent", "up", "children", "kids", "last")
+    __slots__ = ("id", "nodes", "shape", "k", "cols", "chain", "parent", "up",
+                 "children", "kids", "last")
 
 
 class Structure:
@@ -349,7 +349,7 @@ class Structure:
                 run = chains[q]
                 k, w = len(run), d + len(run)
                 b = Batch()
-                b.shape, b.k, b.diag = (1, w, w), k, ptr[run][None]
+                b.shape, b.k = (1, w, w), k
                 # column i holds rows i..w-1, from entry ``start[i]`` on
                 size = np.arange(w, w - k, -1)
                 start = np.cumsum(size) - size
@@ -374,7 +374,6 @@ class Structure:
                 b = Batch()
                 b.shape, b.k, b.chain = (z - a, d + 1, d + 1), 1, None
                 b.cols = slots[a - a0:z - a0]
-                b.diag = b.cols[:, :1]
                 nodes = rest[a:z]
                 if d:
                     u0 = int(up[a])
@@ -670,34 +669,20 @@ def to_triplets(x: _Values) -> list:
                               (s._col_vertex + 1).tolist(), x.vals.tolist())))
 
 
-def _take(x: np.ndarray, ix) -> np.ndarray:
-    """``x[..., ix]``: ``ix`` is an index array or a view-making tuple
-    that starts with Ellipsis (:class:`Batch`), and ``x`` one value array
-    or a stack of them.  A stack is gathered C-contiguous by np.take, as
-    ``x[:, ix]`` would lay the stack axis innermost and a reduction over
-    that is not bitwise one over a row.  One array is indexed directly:
-    plain ``x[ix]`` makes the ten one-matrix kernels about 14% faster on
-    small structures than the stack path does."""
-    if x.ndim == 1 or type(ix) is tuple:
-        return x[ix]
-    return np.take(x, ix, axis=-1)
-
-
-def _put(x: np.ndarray, ix, v) -> None:
-    """``x[..., ix] = v``, the store matching :func:`_take`."""
-    if x.ndim == 1 or type(ix) is tuple:
-        x[ix] = v
-    else:
-        x[..., ix] = v
-
-
 def _gather(v, b):
     """Batch ``b``'s columns of ``v`` (one value array or a stack) as the
     lower trapezoids of its supernodes, shape (..., b, k+d, k) (``(..., n,
     n)`` for ``Structure.dense``): column i holds the column of c_i from
     row i down.  At k = 1 that is one take of the slot table; otherwise the
-    slots are scattered into zeros."""
-    t = _take(v, b.cols)
+    slots are scattered into zeros.  ``b.cols`` is an index array or a
+    view-making tuple that starts with Ellipsis.  A stack is taken
+    C-contiguous by np.take, as ``v[:, ix]`` would lay the stack axis
+    innermost and a reduction over that is not bitwise one over a row.
+    One array is indexed directly: plain ``v[ix]`` makes the ten
+    one-matrix kernels about 14% faster on small structures than the
+    stack path does."""
+    ix = b.cols
+    t = v[ix] if v.ndim == 1 or type(ix) is tuple else np.take(v, ix, axis=-1)
     if b.chain is None:
         return t[..., None]
     shape = v.shape[:-1] + b.shape[:-1] + (b.k,)
@@ -715,8 +700,13 @@ def _lower(b, t):
 
 def _store(out, b, t):
     """Store the lower trapezoids ``t``, shape (..., b, k+d, k), as batch
-    ``b``'s columns of ``out``: the inverse of :func:`_gather`."""
-    _put(out, b.cols, t[..., 0] if b.chain is None else _lower(b, t[..., 0, :, :]))
+    ``b``'s columns of ``out`` (one value array or a stack): the inverse
+    of :func:`_gather`, indexed as it reads."""
+    v = t[..., 0] if b.chain is None else _lower(b, t[..., 0, :, :])
+    if out.ndim == 1 or type(b.cols) is tuple:
+        out[b.cols] = v
+    else:
+        out[..., b.cols] = v
 
 
 def _inv(c):
@@ -740,10 +730,10 @@ def _panel(L: LowerSparse, b: Batch, inverse: bool = False) -> list:
 
 
 @functools.lru_cache(maxsize=None)
-def _tri(k: int, own: bool = True) -> np.ndarray:
-    """``np.tri(k, k, own - 1, dtype=bool)``, read-only and made once per
-    size: the lower (``own``) or strictly lower triangle of a k x k block."""
-    m = np.tri(k, k, own - 1, dtype=bool)
+def _tri(k: int) -> np.ndarray:
+    """``np.tri(k, k, dtype=bool)``, read-only and made once per size: the
+    lower triangle of a k x k block."""
+    m = np.tri(k, k, dtype=bool)
     m.flags.writeable = False
     return m
 
@@ -782,45 +772,28 @@ def _lower_block(t, v, out) -> None:
     out[..., k:, k:] = v
 
 
-def _chain_sweep(s: Structure, L: LowerSparse, x: np.ndarray, own: bool = False) -> np.ndarray:
-    """Products with L (with :func:`tri_inverse`'s L^-1, substitutions)
-    restricted to every column's chain, for all columns at once.
-
-    The chain of column i is its ancestors (``own=True``: i itself, then
-    its ancestors), and ``x`` holds a vector on each chain in i's value
-    slots; a stack of such arrays, shape (m, dim), is done member by
-    member in the same steps.  The result, C-contiguous, has ``x``'s shape
-    and zeros in its other slots.
+def _chain_sweep(s: Structure, L: LowerSparse, x: np.ndarray) -> np.ndarray:
+    """L X for the lower triangle X on the pattern whose values are ``x``:
+    column i of L X is L restricted to i's chain (i, then its ancestors)
+    times column i of X, which lies on that chain; with :func:`tri_inverse`'s
+    L^-1, the substitutions L^-1 X.  A stack of values, shape (m, dim),
+    is done member by member in the same steps.  The result,
+    C-contiguous, has ``x``'s shape.
 
     One top-down sweep of the batches (:func:`_down`).  A supernode's rows
     P = C + A, its k columns and their d ancestors, are closed upward, so
     L[P, P] is the frontal block Λ = [[T_CC, 0], [T_AC, V]], T its panel
     (:func:`_panel`) and V = L[A, A] the block its parent hands down
     (:func:`_lower_block`).  The chain of c_j is P from row j on, where L
-    restricted to it is a trailing block of Λ.  With M the trapezoids of x
-    masked to their strictly lower part (lower part when ``own``), every
-    column of a supernode is then done by one product Λ M, the masked
-    entries zero; at k = 1 without ``own``, by one (b, d, d) @ (b, d, 1)
-    product with V.  A stack broadcasts Λ over its leading axis.  Results
-    agree with walking each chain alone to about 1e-12 relative on
-    well-conditioned inputs, not bitwise."""
-    y = np.zeros(x.shape)
+    restricted to it is a trailing block of Λ, so every column of a
+    supernode is done by one product Λ M, M the trapezoids of x with
+    zeros above them.  A stack broadcasts Λ over its leading axis.
+    Results agree with walking each chain alone to about 1e-12 relative
+    on well-conditioned inputs, not bitwise."""
+    y = np.empty(x.shape)
     for b, v, pack in _down(s):
-        k = b.k
-        whole = own or k > 1
-        if whole or b.children:
-            _lower_block(_panel(L, b)[0], v, pack)
-        z = _gather(x, b)
-        if not whole:
-            _put(y, b.cols[:, 1:], (v @ z[..., 1:, :])[..., 0])
-            continue
-        if own:
-            r = pack @ z
-        else:
-            keep, zc = _tri(k, False), z[..., :k, :]
-            r = pack @ np.concatenate([np.where(keep, zc, 0.0), z[..., k:, :]], -2)
-            r[..., :k, :] = np.where(keep, r[..., :k, :], 0.0)
-        _store(y, b, r)
+        _lower_block(_panel(L, b)[0], v, pack)
+        _store(y, b, pack @ _gather(x, b))
     return y
 
 
@@ -828,14 +801,14 @@ def tri_mul(L: LowerSparse, Lt: LowerSparse) -> LowerSparse:
     """Exact product of two pattern-restricted lower triangles.  Stays in
     the pattern because each column's ancestor chain contains the chains
     of everything on it: column k of the product is L restricted to k's
-    chain times column k of ``Lt``.  On ``Structure.dense``, one
-    ``matmul`` of the blocks."""
+    chain times column k of ``Lt``: one :func:`_chain_sweep`.  On
+    ``Structure.dense``, one ``matmul`` of the blocks."""
     _check_same(L, Lt)
     _one(L, Lt)
     s = L.struct
     if s.dense is not None:
         return LowerSparse(s, _lower(s.dense, _panel(L, s.dense)[0] @ _gather(Lt.vals, s.dense)))
-    return LowerSparse(s, _chain_sweep(s, L, Lt.vals, own=True))
+    return LowerSparse(s, _chain_sweep(s, L, Lt.vals))
 
 
 def tri_inverse(L: LowerSparse) -> LowerSparse:

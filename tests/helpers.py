@@ -131,14 +131,14 @@ def structure_digest(st):
     the floats of a sweep's frontal blocks, which the digests were
     recorded with when the structure kept them as ``sweep_floats``.  The
     slot layout the steps gather and store through: each batch's ``k``,
-    ``cols``, ``chain`` and ``diag``.  ``Batch.last`` is left out: it
-    follows from the batch ids (test_schedule.py checks it)."""
+    ``cols`` and ``chain``.  ``Batch.last`` is left out: it follows from
+    the batch ids (test_schedule.py checks it)."""
     batch = [(b.id, b.nodes, b.shape, b.parent, b.up, b.children, b.kids)
              for b in st.batches]
     tables = (st.n, st.nnz, st.height, st.bar_ptr, st.bar_rows, st.weights, st.depth,
               st.pos_parent, batch, st.stack_rows,
               sum(math.prod(b.shape) for b in st.batches))
-    layout = [(b.k, b.cols, b.chain, b.diag) for b in st.batches]
+    layout = [(b.k, b.cols, b.chain) for b in st.batches]
     return tuple(hashlib.sha256(_canonical(t).encode()).hexdigest() for t in (tables, layout))
 
 
@@ -327,12 +327,13 @@ def kernel_inputs(ref, rng):
     return lv, lv2, xv, rng.standard_normal(ref.dim), sv
 
 
-def element_chain(s, lv, x, kind, own=False):
-    """Reference ancestor-chain product and substitution, gathering and
-    scattering every chain slot through its own index: step a indexes
-    the last a+1 slots of each column reaching depth a element by
-    element, Sigma depth^2 / 2 index entries per call.  The columns of a
-    step come from ``depth`` and ``bar_ptr`` alone."""
+def element_chain(s, lv, x, kind):
+    """Reference chain product and substitution, L or L^-1 restricted to
+    each column's chain (the column, then its ancestors) times x's column,
+    gathering and scattering every chain slot through its own index: step
+    a indexes the last a+1 slots of each column reaching depth a element
+    by element, Sigma depth^2 / 2 index entries per call.  The columns of
+    a step come from ``depth`` and ``bar_ptr`` alone."""
     def take(v, ix):
         return v[ix] if v.ndim == 1 else np.take(v, ix, axis=-1)
 
@@ -340,10 +341,9 @@ def element_chain(s, lv, x, kind, own=False):
         v[..., ix] = val
 
     depth = np.asarray(s.depth)
-    top = int(depth.max()) - (not own)
     y = np.zeros_like(x) if kind == "mul" else x.copy()
-    for a in range(top, -1, -1):
-        at = s.bar_ptr[np.flatnonzero(depth >= a + 1 - own) + 1] - 1 - a
+    for a in range(int(depth.max()), -1, -1):
+        at = s.bar_ptr[np.flatnonzero(depth >= a) + 1] - 1 - a
         tail = at[:, None] + np.arange(a + 1)
         col = lv[s.bar_ptr[s.bar_rows[at]][:, None] + np.arange(a + 1)]
         if kind == "mul":
@@ -368,26 +368,19 @@ def chain_inputs(dim, rng):
 
 
 def check_chain(st, rng):
-    """``_chain_sweep`` with L and with L^-1 (``tri_inverse``), with and
-    without each column's own slot, on one array and on stacks of any
-    layout, against element_chain's product and substitution within 1e-12
-    relative (a frontal block sums in another order than the walk along
-    one chain), writing no input.  The substitution without the own slot
-    keeps x's there, which the product with L^-1 leaves zero: they are
-    added back."""
+    """``_chain_sweep`` with L and with L^-1 (``tri_inverse``), on one
+    array and on stacks of any layout, against element_chain's product
+    and substitution within 1e-12 relative (a frontal block sums in
+    another order than the walk along one chain), writing no input."""
     ell = random_lower(st, rng, 1.0, 2.0, 0.3 / np.sqrt(st.n))
-    diag = st.bar_ptr[:-1]
     for x in chain_inputs(st.dim, rng):
         x.flags.writeable = False
         for kind, lower in (("mul", ell), ("solve", tri_inverse(ell))):
-            for own in (False, True):
-                want = element_chain(st, ell.vals, x, kind, own)
-                got = _chain_sweep(st, lower, x, own)
-                if kind == "solve" and not own:
-                    got[..., diag] += x[..., diag]
-                assert got.shape == x.shape and np.isfinite(got).all()
-                err = np.abs(got - want).max(initial=0.0)
-                assert err <= 1e-12 * np.abs(want).max(initial=0.0), (kind, own, x.shape)
+            want = element_chain(st, ell.vals, x, kind)
+            got = _chain_sweep(st, lower, x)
+            assert got.shape == x.shape and np.isfinite(got).all()
+            err = np.abs(got - want).max(initial=0.0)
+            assert err <= 1e-12 * np.abs(want).max(initial=0.0), (kind, x.shape)
 
 
 def sequential_scaling_point(x, s, tol=1e-9, halvings=None):

@@ -67,8 +67,7 @@ def test_chain_products_on_two_chains(two_chains):
 def on_factor(ell, inputs):
     """The kernels that read a factor's chain-block panels on ``ell``,
     each output feeding a later one as in the benchmark sweep, and
-    ``_chain_sweep`` with L and with L^-1, with and without each column's
-    own slot."""
+    ``_chain_sweep`` with L and with L^-1."""
     st = ell.struct
     lv, lv2, xv, zv, sv = inputs
     z, s = SymSparse(st, zv), SymSparse(st, sv)
@@ -88,9 +87,8 @@ def on_factor(ell, inputs):
         "tri_mul": tri_mul(ell, inv).vals,
         "tri_mul_other": tri_mul(ell, LowerSparse(st, lv2)).vals,
     }
-    for own in (False, True):
-        out["mul", own] = _chain_sweep(st, ell, zv, own)
-        out["inverse", own] = _chain_sweep(st, inv, zv, own)
+    out["mul"] = _chain_sweep(st, ell, zv)
+    out["inverse"] = _chain_sweep(st, inv, zv)
     return out
 
 
@@ -151,15 +149,12 @@ def test_one_sweep_inverts_each_block_twice(monkeypatch):
     assert len(calls) == 2 * len(chain_blocks(st))
 
 
-def test_each_adjoint_map_is_one_top_down_sweep(monkeypatch, two_chains):
-    """``adjoint_map``, on one matrix and on a stack, hands L's blocks
-    down its own sweep, and so does ``inverse_adjoint_map`` L^-1's once
-    the factor holds its inverse, which ``tri_inverse`` makes in one more
-    top-down sweep: each call runs one ``_down`` pass, no bottom-up one
-    and no ``_chain_sweep``."""
-    st, _ = two_chains
-    rng = np.random.default_rng(5)
-    ell = LowerSparse(st, well_conditioned_lower(st, rng))
+@pytest.fixture
+def sweep_passes(monkeypatch):
+    """The sweep passes the kernels run, by name, as they start them: the
+    top-down and bottom-up passes ``factor`` runs itself, its chain
+    products, and the top-down passes ``matrix`` runs (the chain
+    products' and ``tri_inverse``'s)."""
     passes = []
 
     def counted(module, name):
@@ -169,13 +164,51 @@ def test_each_adjoint_map_is_one_top_down_sweep(monkeypatch, two_chains):
     for module, name in ((factor, "_down"), (factor, "_up"), (factor, "_chain_sweep"),
                          (matrix, "_down")):
         counted(module, name)
+    return passes
+
+
+def test_each_adjoint_map_is_one_top_down_sweep(sweep_passes, two_chains):
+    """``adjoint_map``, on one matrix and on a stack, hands L's blocks
+    down its own sweep, and so does ``inverse_adjoint_map`` L^-1's once
+    the factor holds its inverse, which ``tri_inverse`` makes in one more
+    top-down sweep: each call runs one ``_down`` pass, no bottom-up one
+    and no ``_chain_sweep``."""
+    st, _ = two_chains
+    rng = np.random.default_rng(5)
+    ell = LowerSparse(st, well_conditioned_lower(st, rng))
     for kernel, vals in ((adjoint_map, rng.standard_normal(st.dim)),
                          (adjoint_map, rng.standard_normal((3, st.dim))),
                          (lambda ell, _: tri_inverse(ell), None),
                          (inverse_adjoint_map, rng.standard_normal(st.dim))):
-        passes.clear()
+        sweep_passes.clear()
         kernel(ell, vals if vals is None else SymSparse(st, vals))
-        assert passes == ["_down"], (kernel.__name__, vals is None or vals.shape)
+        assert sweep_passes == ["_down"], (kernel.__name__, vals is None or vals.shape)
+
+
+def test_forward_map_is_one_chain_product_and_one_bottom_up_sweep(sweep_passes, two_chains):
+    """``forward_map``, on one matrix and on a stack of 3 (one chunk of
+    ``stack_rows``), runs one ``_chain_sweep``, whose one top-down pass
+    makes U = L X_h for the whole stack, and one bottom-up pass."""
+    st, _ = two_chains
+    rng = np.random.default_rng(6)
+    ell = LowerSparse(st, well_conditioned_lower(st, rng))
+    for vals in (rng.standard_normal(st.dim), rng.standard_normal((3, st.dim))):
+        sweep_passes.clear()
+        forward_map(ell, SymSparse(st, vals))
+        assert sweep_passes == ["_chain_sweep", "_down", "_up"], vals.shape
+
+
+def test_forward_map_of_the_identity_is_the_dual_gradient():
+    """With X = I, X_h = I / 2 and U = L / 2, so ``forward_map`` is L L^T,
+    ``dual_gradient``'s product, within 1e-15 relative on every swept
+    benchmark structure: the diagonal is halved once, not dropped or
+    counted twice."""
+    for name, st in benchmark_structures():
+        assert st.dense is None, name
+        ell = LowerSparse(st, well_conditioned_lower(st, np.random.default_rng(st.n)))
+        want = dual_gradient(CholFactor(ell)).vals
+        err = np.abs(forward_map(ell, identity(st)).vals - want).max()
+        assert err <= 1e-15 * np.abs(want).max(), (name, st.n)
 
 
 def test_inverse_maps_are_the_maps_of_the_inverse(monkeypatch, two_chains):
@@ -218,11 +251,10 @@ def test_lower_values_are_read_only(two_chains):
 def test_a_factor_caches_only_panels_and_its_inverse():
     """The ancestor-chain products keep nothing on a factor but the
     panels of its batches, and L^-1 (``tri_inverse``, made before the
-    products) with its own.  With L and with L^-1, with and without each
-    column's own slot, on one array and on a stack, a product gives on a
-    factor with a warm cache the bits it gives on a copy of the values
-    with a cold one, and a second call gives the first call's bits: no
-    product writes the cache."""
+    products) with its own.  With L and with L^-1, on one array and on a
+    stack, a product gives on a factor with a warm cache the bits it
+    gives on a copy of the values with a cold one, and a second call
+    gives the first call's bits: no product writes the cache."""
     assert LowerSparse.__slots__ == ("_panels", "_inverse")
     for name, st in [("two_chains", forest_structure(TWO_CHAINS)), *benchmark_structures()]:
         rng = np.random.default_rng(st.n)
@@ -230,11 +262,10 @@ def test_a_factor_caches_only_panels_and_its_inverse():
         inv = tri_inverse(ell)
         for x in (rng.standard_normal(st.dim), rng.standard_normal((3, st.dim))):
             for lower in (ell, inv):
-                for own in (False, True):
-                    got = _chain_sweep(st, lower, x, own)
-                    cold = _chain_sweep(st, LowerSparse(st, lower.vals.copy()), x, own)
-                    again = _chain_sweep(st, lower, x, own)
-                    assert got.tobytes() == cold.tobytes() == again.tobytes(), (name, own)
+                got = _chain_sweep(st, lower, x)
+                cold = _chain_sweep(st, LowerSparse(st, lower.vals.copy()), x)
+                again = _chain_sweep(st, lower, x)
+                assert got.tobytes() == cold.tobytes() == again.tobytes(), name
         assert set(ell._panels) <= set(st.batches) and set(inv._panels) <= set(st.batches), name
         assert ell._inverse is inv and inv._inverse is None, name
 

@@ -422,33 +422,36 @@ DIGEST_STRUCTURES = {
 # under its parents in that order: the column tables (bar_ptr, bar_rows,
 # weights, depth, pos_parent) are those of the compile before, whose
 # level order was a preorder, and every kernel gives the same bits on
-# both; the batches' nodes, ``up``, ``kids``, ``cols`` and ``diag`` follow
-# the new order.
+# both; the batches' nodes, ``up``, ``kids`` and ``cols`` follow the new
+# order.  The slot layout was re-pinned again when batches stopped
+# keeping their diagonal slots (``Batch.diag``), by the digest without
+# them on the compile that still kept them; the schedule digests did not
+# move.
 STRUCTURE_DIGESTS = {
     "solve-mixed n=16": ("36ad487e2f4b946bd2bec8ead997b734e4588dbde5afd0e270a702504ad387ff",
-                         "114c01f06e300dbe220c493119d6d1f293a20bbb3427abc14135a08e319361d1"),
+                         "9794da378b1b9a6e1720afb6c026fbe70da5d128a35057489b0b91e58d426505"),
     "solve-mixed n=24": ("9b9088d9e5de66d806cc87013c413f28b96a4e99a5b00d3fce183725cbcdf528",
-                         "fe072e83b2cab9d0fd0da40ae9cd4e0bd7e997c70c7b266a6356ad8f16b9ad00"),
+                         "aa1931c4b0edaa206baae5895c676dc6c5120106c3e36e18a2e05f56d6fac230"),
     "solve-mixed n=48": ("9256e7b41a36ca1583226ce0e5c8d73660b8b0c286b11017dbd16bb6aa3ce6b6",
-                         "c35f7ec2283380a6151f2a5eab3c741044af9fe8f8d0c03fec9acff56691ad14"),
+                         "eeb0003708c9817c4c9dc38c029ac2ab5df87690f030b5a9d791ee54c21a3aac"),
     "kernels-wide n=16": ("c585f6794653de5700f8b3ae95d812f948365b3b473cb0cee6a02fda0053a001",
-                          "00a8a8de15467d8d32150d5c135314d448c0ddb5c30630c62c13faf38d15965b"),
+                          "10c54107cad7137240413a451f3b3d21e6ff004a5f9dfb89d69aaf3e578aa216"),
     "kernels-wide n=16000": ("494d4644adb79418f7eb82834bf53800a0ed31cb6b68cfc1a26b6063d3751555",
-                             "4dcc90c154e4902b521d165741c8adabe3bbb2de374bdc577bb9ee2851f1db2f"),
+                             "6e3f45cf3b4ba6831793ac078ab5e485ed82efd163770d81dfa69386c88521dc"),
     "kernels-deep n=12": ("341604bae13ba2fd5fc702c418ac340a37a22173f7d97d92ec6d74b29dfa5187",
-                          "8c5da50ff32d8c88301b0d0ae56779912c819e1bea21a4b8af293950c9fa8298"),
+                          "b39058a57ed74814b6c2f22f00bc4d3ba82b93ef892640f38398da6a63752a5f"),
     "kernels-deep n=1200": ("7a0d64d262e627c33a88ac1f9880b6d9a100ffac108ec1afb25c583fb2d793b9",
-                            "cb1e4247e28630435634b0d1fbfd4473c811cd6e4744dac4fa43f1b36ad80b32"),
+                            "ee3e625756032d264cb00d2854596139fac59789e1b78f934108dbeba70fc55e"),
     "branching 4": ("3dfb3b3a899c73c141bd25167b76c7a6f8f433a852d7f276f74bf15132ae0747",
-                    "145a65000e5261234eaff23a063ddeeb6ccd24e2c70c46f89797418d7a051420"),
+                    "f859c5794bb2d6c7f1dc3f74b65770464e5a85e02b0b28f5e014107af8a8d0ff"),
     "branching 1.05": ("4d8cca3fab5463bc412c613f88435668a50e24b59f19812ab680a378155cbf95",
-                       "e90f4dc71ef9a2ea2b7a5d76f9e66f57290066e0d8535049a7bba4ccb17eb174"),
+                       "b1c96f668e34a917995f6c4ac4a6245f3ecea9440d140e832b7ee38889861af3"),
     "topological": ("487edb5913025a0421f91ea72686d630344a00ff463230c797bc089c8d4b0ffc",
-                    "a40a531f6f05ec0055b6d2f8bb6e4f1f4de61601124230191a02707d425017f7"),
+                    "46b84da1be9def62c05a233c7b08e7db5dc34ef9a7e8f70a16f59a1d0f038080"),
     "capped levels": ("0f93170884b9f719e4c345b9fe8ad70ac814a5377bddb4344bc4ed6390b4dd04",
-                      "490fdd3c7d9b2659e0311faaec2dd415f189806b9ef89fb187fe2a6aa4e90007"),
+                      "4012940d41c49c655d148bf358ad1fda35b9f157b331a40bc37f96bf06f1a0f2"),
     "300-deep": ("6bab2039c5ef7e6c4432d105e1007408235c3645a0b75c1eb2a668ff9c050714",
-                 "821e24790de07e1f9bc8646127dfb0e5f5a97c8c211021c4170db97cdcebcc7b"),
+                 "8fbabcbbf837bd80abbaabaf0a6c81fe6fdc087ab8d11aa539557b96a6d436c1"),
 }
 
 

@@ -87,12 +87,15 @@ def check_all_kernels(st, rng):
 def node_by_node_forward(st, lv, xv, inverse=False):
     """forward_map (``inverse_forward_map`` with ``inverse``) one node at a
     time in position order, each element of a frontal update in a scalar
-    operation order: (xii l_i l_j + w_i l_j) + l_i w_j, and b22 - (g_i
-    l_j + (l_i b_j) / l_ii); children's blocks added in ascending
-    position."""
+    operation order: (xii l_i l_j + w_i l_j) + l_i w_j, with w L times
+    the column below the diagonal, and b22 - (g_i l_j + (l_i b_j) /
+    l_ii), with g substituted down the ancestors' chain; children's blocks
+    added in ascending position."""
     ptr, par = st.bar_ptr, st.pos_parent
     kids = [[q for q in range(st.n) if par[q] == p and q != p] for p in range(st.n)]
-    w_all = None if inverse else element_chain(st, lv, xv, "mul")
+    below = xv.copy()  # X's columns below the diagonal
+    below[ptr[:-1]] = 0.0
+    w_all = None if inverse else element_chain(st, lv, below, "mul")
     out, blocks = np.zeros(st.dim), {}
     for q in range(st.n):
         a, z = int(ptr[q]), int(ptr[q + 1])
@@ -111,21 +114,26 @@ def node_by_node_forward(st, lv, xv, inverse=False):
         if inverse:
             b00, b01 = f[0, 0], f[1:, 0]
             g10 = (b01 - (b00 / lii) * ls) / lii
-            out[a], out[a + 1:z] = b00 / (lii * lii), g10
             f[1:, 1:] = f[1:, 1:] - (np.outer(g10, ls) + np.outer(ls, b01) / lii)
+            y = g10.copy()
+            for i, r in enumerate(st.bar_rows[a + 1:z]):
+                y[i] /= lv[ptr[r]]
+                y[i + 1:] -= y[i] * lv[ptr[r] + 1:ptr[r + 1]]
+            out[a], out[a + 1:z] = b00 / (lii * lii), y
         else:
             out[a:z] = f[:, 0]
         blocks[q] = f
-    return element_chain(st, lv, out, "solve") if inverse else out
+    return out
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_forward_maps_are_bitwise_node_by_node(seed):
     """On structures without chain blocks, the level batches' frontal
     updates agree with the node-by-node sweep to 1e-12 relative.  They
-    are not its bits: a batch's step sums each update element as (l_i x +
-    u_i) l_j + l_i u_j, and multiplies by the reciprocal of a pivot where
-    the node-by-node sweep divides by it."""
+    are not its bits: a batch's step sums each update element as u_i l_j
+    + l_i u_j, with U = L X_h and X_h X's lower triangle, its diagonal
+    halved, and multiplies by the reciprocal of a pivot where the
+    node-by-node sweep divides by it."""
     rng = np.random.default_rng(seed)
     for st in (random_structure(80, seed=seed), random_structure(300, seed=seed, branching=6.0),
                forest_structure(EDGE_CASES["forest of unequal trees"])):
@@ -166,9 +174,11 @@ def test_schedule_layout(cap, monkeypatch):
                       minlength=st.n)
     slot = np.arange(st.dim)
     for b in st.batches:
-        # b supernodes of k columns each, their diagonal slots (b, k)
+        # b supernodes of k columns each, whose gathered trapezoids hold
+        # each column's diagonal slot at the top of the column
         assert b.k == (1 if b.chain is None else len(b.nodes)) and b.shape[0] * b.k == len(b.nodes)
-        assert np.array_equal(slot[b.diag], st.bar_ptr[b.nodes].reshape(-1, b.k))
+        top = np.diagonal(matrix._gather(slot.astype(float), b)[..., :b.k, :], 0, -2, -1)
+        assert np.array_equal(top, st.bar_ptr[b.nodes].reshape(-1, b.k))
         if b.chain is not None:
             # a fundamental chain bottom up, big enough to be blocked
             run = b.nodes.tolist()

@@ -92,10 +92,9 @@ def test_stacked_maps_equal_row_by_row(case):
         assert got.shape == (m, st.dim)
         assert np.array_equal(got, want.reshape(m, st.dim))
     for lower in (ell, tri_inverse(ell)):
-        for own in (False, True):
-            got = _chain_sweep(st, lower, stack, own)
-            want = [_chain_sweep(st, lower, row, own) for row in stack]
-            assert np.array_equal(got, np.reshape(want, (m, st.dim)))
+        got = _chain_sweep(st, lower, stack)
+        want = [_chain_sweep(st, lower, row) for row in stack]
+        assert np.array_equal(got, np.reshape(want, (m, st.dim)))
 
 
 def test_coverage_of_the_stack_cases():
