@@ -5,10 +5,10 @@ sparse PSD cone (primal side) and its completable dual.
     s.t.     <A_i, x> = b_i       s.t.      sum_i y_i A_i + s = c
              x in K                         s in K*
 
-Each iteration rebuilds the primal-dual scaling (scaling point, triangular
-factor, rank-one correction), eliminates the v-space equation through an
-m-by-m normal system, and takes a fraction of the largest cone-feasible
-step, found from eigenvalues.  The point taken is certified in both cones
+Each iteration rebuilds the primal-dual scaling (a point near the scaling
+point, its triangular factor, two rank-one terms), eliminates the v-space
+equation through an m-by-m normal system, and takes a fraction of the
+largest cone-feasible step, found from eigenvalues.  The point taken is certified in both cones
 by factorization success; an iterate is never accepted on failure.  Starts
 at x = s = I (interior to both cones), y = 0, with residual right-hand
 sides, so feasibility is not required up front.
@@ -62,8 +62,9 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-#: target residual of the scaling point at each iteration
-SCALING_TOL = 1e-11
+#: target gradient norm of the scaling-point search (unit-norm scale); a
+#: loose point is a valid scaling, as pd_factor makes it exact on (x, s)
+SCALING_TOL = 0.03
 #: fraction of the largest cone-feasible step that is taken
 STEP_FRACTION = 0.99
 
@@ -309,11 +310,14 @@ def solve(problem: ConicProblem, options: Optional[SolverOptions] = None) -> Sol
     Stops at Optimal when gap/N <= tol_gap and both residual norms fall
     under tol_feas * (1 + |b| + |c|); at Stalled after two consecutive
     steps below 1e-10; at MaxIter otherwise.  ``stop_reason`` says which
-    in one sentence.  The trace records mu, residual norms, step length,
-    centering weight, the scaling residual, why the scaling-point search
-    gave up (``scaling_stop``, null when it met its target; the search's
-    best iterate is then used), and the proximity |v - mu vtilde| / mu
-    per iteration.
+    in one sentence; a stall names its iteration, mu and the residual
+    norms, and says the problem may be infeasible while a residual norm
+    is above its tolerance.  The trace records mu, residual norms, step
+    length, centering weight, the scaling residual |x - L(v)| (the size
+    of the term that makes the loose point, searched to SCALING_TOL,
+    exact), why the scaling-point search gave up (``scaling_stop``, null when it met its target; the
+    search's best iterate is then used), and the proximity
+    |v - mu vtilde| / mu per iteration.
     """
     opt = options or SolverOptions()
     st = problem.struct
@@ -375,7 +379,11 @@ def solve(problem: ConicProblem, options: Optional[SolverOptions] = None) -> Sol
             stalls += 1
             if stalls >= 2:
                 status = SolveStatus.STALLED
-                reason = f"steps {trace[-2]['alpha']:.1e} and {alpha:.1e} in a row were below 1e-10"
+                reason = (f"steps {trace[-2]['alpha']:.1e} and {alpha:.1e} in a row were "
+                          f"below 1e-10 at iteration {k} (mu = {it.mu:.3e}, residual norms "
+                          f"{res.p_norm():.3e}, {res.d_norm():.3e})")
+                if max(res.p_norm(), res.d_norm()) > opt.tol_feas * feas_scale:
+                    reason += "; the problem may be infeasible"
                 break
             last_alpha = 0.0
             continue

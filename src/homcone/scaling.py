@@ -3,10 +3,13 @@
 Given interior points x (sparse PSD cone) and s (completable cone), there
 is a unique triangular congruence whose inverse maps x to the same v-space
 point that its adjoint maps s to.  It is obtained from the Cholesky factor
-of the scaling point w, the interior point at which the barrier Hessian
-sends x to s.  A rank-one correction in the style of a BFGS update then
-also aligns the shadow iterates (the images of the two barrier gradients),
-which is what the interior-point search direction consumes.
+L of the scaling point w, the interior point at which the barrier Hessian
+sends x to s.  The operator built here needs w only near that point: a
+first rank-one term, in the style of a BFGS update (Tuncel, FoCM 2001),
+makes it map v = beta L*(s) to x while its adjoint maps s to v, exactly,
+from any interior w.  A second term of the same kind then also aligns the
+shadow iterates (the images of the two barrier gradients), which is what
+the interior-point search direction consumes.
 
 The corrected operator is not self-adjoint and is not claimed to be a cone
 automorphism; only the alignment equations and the adjoint contract are
@@ -239,39 +242,51 @@ def scaling_point(x: SymSparse, s: SymSparse, tol: float = 1e-9) -> ScalingPoint
 
 @dataclass(frozen=True)
 class ScalingOperator:
-    """Triangular congruence with an optional rank-one correction.
+    """Triangular congruence L(.)L^T plus rank-one terms.
 
-    Without the correction the four apply modes delegate to the factor
-    kernels for the base factor L.  With it, forward adds
-    (<v_hat, .>/|v_hat|^2) u with u = delta_p - L(v_hat), and the other
-    modes apply the matching algebraic transposes/inverses.
+    Each term (v_k, u_k, |v_k|^2) adds (<v_k, .>/|v_k|^2) u_k to the
+    forward mode and (<u_k, .>/|v_k|^2) v_k to the adjoint; the inverse
+    modes undo the terms by Sherman-Morrison.  :func:`pd_factor` adds the
+    first term, mapping v to x, and :func:`bfgs_update` the second,
+    mapping v_hat to delta_p.
     """
 
     base: LowerSparse
     v: Optional[SymSparse] = None        # common v-space image of (x, s)
-    residual: float = 0.0                # |L^{-1}(x) - L*(s)|
-    v_hat: Optional[SymSparse] = None
-    u_corr: Optional[SymSparse] = None   # delta_p - L(v_hat)
-    alpha: float = 1.0
-    vhat_norm2: float = 0.0              # <delta_p, delta_d>
+    residual: float = 0.0                # |x - L(v)|, closed by the first term
+    terms: tuple = ()                    # (v_k, u_k, |v_k|^2) in the order added
 
     @property
     def corrected(self) -> bool:
-        return self.v_hat is not None
+        return len(self.terms) > 1
+
+    @property
+    def v_hat(self) -> Optional[SymSparse]:
+        return self.terms[1][0] if self.corrected else None
 
     def v_hat_or_zero(self) -> SymSparse:
         return self.v_hat if self.corrected else zeros(self.base.struct)
 
 
+def _with_pair(op: ScalingOperator, p: SymSparse, d: SymSparse, curv: float) -> ScalingOperator:
+    """op plus one rank-one term after which it maps v to p and its adjoint
+    maps d to v, where v = beta op*(d) with |v|^2 = curv = <p, d> > 0.
+    The earlier terms' equations still hold when <d, p_k> = <p, d_k> = 0."""
+    a = apply_scaling(op, "adjoint", d)
+    v = a / (norm(a) / float(np.sqrt(curv)))
+    u = p - apply_scaling(op, "forward", v)
+    return replace(op, terms=op.terms + ((v, u, curv),))
+
+
 def pd_factor(w: SymSparse, x: SymSparse, s: SymSparse) -> ScalingOperator:
-    """Factor the scaling point of the pair (x, s) into the congruence
-    operator (no rank-one correction).  The common v-space image
-    L^{-1}(x) is stored on the operator along with the achieved residual
-    |L^{-1}(x) - L*(s)|."""
-    ell = cholesky(w).L
-    v = inverse_forward_map(ell, x)
-    res = norm(v - adjoint_map(ell, s))
-    return ScalingOperator(base=ell, v=v, residual=res)
+    """Factor w into L and add the rank-one term that makes the operator
+    exact on the pair (x, s) from any interior w: with v = beta L*(s) and
+    |v|^2 = <x, s>, the operator maps v to x and its adjoint maps s to v.
+    At the scaling point of the pair, beta = 1 and the term vanishes;
+    ``residual`` is its size |x - L(v)|."""
+    op = _with_pair(ScalingOperator(base=cholesky(w).L), x, s, inner(x, s))
+    v, u, _ = op.terms[0]
+    return replace(op, v=v, residual=norm(u))
 
 
 def _rank_one(a: SymSparse, z: SymSparse, scale: float, u: SymSparse) -> SymSparse:
@@ -281,35 +296,37 @@ def _rank_one(a: SymSparse, z: SymSparse, scale: float, u: SymSparse) -> SymSpar
     return SymSparse(u.struct, coef[..., None] * u.vals)
 
 
+def _sherman_morrison(base_inverse, ell: LowerSparse, terms, z: SymSparse) -> SymSparse:
+    """Inverse of base + sum_k (<a_k, .>/n_k) b_k at z, for terms
+    (a_k, b_k, n_k): the base inverse of every b_k and of z, then each
+    term undone in the order added, on z and on the later terms' b."""
+    ys = [base_inverse(ell, b) for _, b, _ in terms] + [base_inverse(ell, z)]
+    for k, (a, _, n) in enumerate(terms):
+        c = n + inner(a, ys[k])
+        ys[k + 1:] = [y - (inner(a, y) / c) * ys[k] for y in ys[k + 1:]]
+    return ys[-1]
+
+
 def apply_scaling(op: ScalingOperator, mode: str, z: SymSparse) -> SymSparse:
-    """Apply one of the four modes of the (possibly corrected) operator:
-    forward, adjoint, inverse, or inverse_adjoint.  The forward and
-    adjoint modes also take a stack z and apply to each member."""
+    """Apply one of the four modes of the operator: forward, adjoint,
+    inverse, or inverse_adjoint.  The forward and adjoint modes also take
+    a stack z and apply to each member."""
     ell = op.base
     if mode == "forward":
         out = forward_map(ell, z)
-        if op.corrected:
-            out = out + _rank_one(op.v_hat, z, op.vhat_norm2, op.u_corr)
+        for v, u, n in op.terms:
+            out = out + _rank_one(v, z, n, u)
         return out
     if mode == "adjoint":
         out = adjoint_map(ell, z)
-        if op.corrected:
-            out = out + _rank_one(op.u_corr, z, op.vhat_norm2, op.v_hat)
+        for v, u, n in op.terms:
+            out = out + _rank_one(u, z, n, v)
         return out
-    # the inverse modes use L^{-*}(v_hat) and v_hat - L^{-1}(delta_p),
-    # which is -L^{-1}(u_corr)
     if mode == "inverse":
-        out = inverse_forward_map(ell, z)
-        if op.corrected:
-            coef = op.alpha * inner(inverse_adjoint_map(ell, op.v_hat), z) / op.vhat_norm2
-            out = out - coef * inverse_forward_map(ell, op.u_corr)
-        return out
+        return _sherman_morrison(inverse_forward_map, ell, op.terms, z)
     if mode == "inverse_adjoint":
-        out = inverse_adjoint_map(ell, z)
-        if op.corrected:
-            coef = op.alpha * inner(inverse_forward_map(ell, op.u_corr), z) / op.vhat_norm2
-            out = out - coef * inverse_adjoint_map(ell, op.v_hat)
-        return out
+        return _sherman_morrison(inverse_adjoint_map, ell,
+                                 [(u, v, n) for v, u, n in op.terms], z)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -317,12 +334,13 @@ def bfgs_update(op: ScalingOperator, state: ScalingState) -> ScalingOperator:
     """Rank-one update aligning the shadow iterates.
 
     On a central pair (both displacements vanish) the operator is returned
-    unchanged.  Otherwise the correction direction is the adjoint image of
-    delta_d, normalized so its norm squared equals <delta_p, delta_d>, and
-    the updated operator satisfies all four equations: inverse(x) =
-    adjoint(s) = v and inverse(delta_p) = adjoint(delta_d) = v_hat.
-    Nonpositive curvature <delta_d, delta_p> means the inputs are not a
-    genuine interior pair.
+    unchanged.  Otherwise the pair (delta_p, delta_d) gets the term
+    :func:`pd_factor` gives (x, s), added on top of it, and the updated
+    operator satisfies all four equations: inverse(x) = adjoint(s) = v
+    and inverse(delta_p) = adjoint(delta_d) = v_hat, with
+    |v_hat|^2 = <delta_p, delta_d>.  The first pair's equations survive
+    because <delta_d, x> = <s, delta_p> = 0.  Nonpositive curvature
+    <delta_d, delta_p> means the inputs are not a genuine interior pair.
     """
     dp, dd = state.delta_p, state.delta_d
     mu = state.mu
@@ -336,14 +354,4 @@ def bfgs_update(op: ScalingOperator, state: ScalingState) -> ScalingOperator:
     if curv <= 0.0:
         raise NonpositiveCurvature(
             f"<delta_d, delta_p> = {curv:.3e} <= 0; iterate pair is corrupted")
-    ell = op.base
-    ls_dd = adjoint_map(ell, dd)
-    alpha = norm(ls_dd) / float(np.sqrt(curv))
-    v_hat = ls_dd / alpha
-    return replace(
-        op,
-        v_hat=v_hat,
-        u_corr=dp - forward_map(ell, v_hat),
-        alpha=alpha,
-        vhat_norm2=curv,
-    )
+    return _with_pair(op, dp, dd, curv)

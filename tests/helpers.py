@@ -468,6 +468,29 @@ def scaling_w(x, s, **kwargs):
     return point.w
 
 
+def scaling_bases(x, s):
+    """The points w the scaling operator is built on in the tests, by
+    name: the scaling point, the loose point solve() stops its search at,
+    and x/sqrt(mu), where that search starts."""
+    return {
+        "point": scaling_w(x, s, tol=1e-12),
+        "loose": scaling.scaling_point(x, s, tol=ipm.SCALING_TOL).w,
+        "start": x / math.sqrt(inner(x, s) / x.struct.n),
+    }
+
+
+def assert_four_equations(op, state, tol):
+    """The operator's four alignment equations, forward, adjoint, inverse
+    and inverse-adjoint, within tol: it maps v to x and v_hat to delta_p,
+    and its adjoint maps s to v and delta_d to v_hat."""
+    pairs = ((op.v, state.x, state.s), (op.v_hat, state.delta_p, state.delta_d))
+    for v, p, d in pairs:
+        assert norm(scaling.apply_scaling(op, "forward", v) - p) <= tol
+        assert norm(scaling.apply_scaling(op, "adjoint", d) - v) <= tol
+        assert norm(scaling.apply_scaling(op, "inverse", p) - v) <= tol
+        assert norm(scaling.apply_scaling(op, "inverse_adjoint", v) - d) <= tol
+
+
 def assert_same_point(got, want):
     """Two scaling-point records agree field by field, w bit for bit."""
     assert got.w.vals.tobytes() == want.w.vals.tobytes()

@@ -46,10 +46,11 @@ from homcone.matrix import (
     tri_mul,
 )
 from homcone.pattern import Ordering, SparsityPattern, lbfs_order, random_homogeneous_pattern
-from homcone.scaling import apply_scaling, bfgs_update, pd_factor, shadow_state
+from homcone.scaling import bfgs_update, pd_factor, shadow_state
 
 from conftest import PAPER12_EDGES, PAPER12_PARENT, PAPER12_SIGMA
 from helpers import (
+    assert_four_equations,
     random_completable,
     random_feasible_problem,
     random_interior_pair,
@@ -57,6 +58,7 @@ from helpers import (
     random_spd,
     random_structure,
     random_sym,
+    scaling_bases,
     scaling_w,
     swept,
 )
@@ -382,7 +384,9 @@ def test_c6_scaling_point(rng):
 # ------------------------------------------------------------- criterion 7
 
 def test_c7_bfgs_update(rng):
-    """Four alignment equations at 1e-10, identity update on central pairs,
+    """Four alignment equations at 1e-10 in the forward, adjoint, inverse
+    and inverse-adjoint modes, on the scaling point, on the loose point
+    solve() uses and on x/sqrt(mu); identity update on central pairs;
     orthogonality and curvature invariants at 1e-12."""
     t0 = time.perf_counter()
     corrected = 0
@@ -394,18 +398,12 @@ def test_c7_bfgs_update(rng):
         assert abs(inner(s, state.delta_p)) <= 1e-12 * scale
         assert abs(inner(state.delta_d, x)) <= 1e-12 * scale
         assert inner(state.delta_d, state.delta_p) >= -1e-12 * scale
-        w = scaling_w(x, s, tol=1e-12)
-        op = bfgs_update(pd_factor(w, x, s), state)
-        if not op.corrected:
+        ops = [bfgs_update(pd_factor(w, x, s), state) for w in scaling_bases(x, s).values()]
+        if not ops[0].corrected:
             continue
         corrected += 1
-        sc = max(1.0, norm(x), norm(s))
-        v = apply_scaling(op, "inverse", x)
-        assert norm(v - apply_scaling(op, "adjoint", s)) <= 1e-10 * sc
-        assert norm(apply_scaling(op, "inverse", state.delta_p) - op.v_hat) \
-            <= 1e-10 * sc
-        assert norm(apply_scaling(op, "adjoint", state.delta_d) - op.v_hat) \
-            <= 1e-10 * sc
+        for op in ops:
+            assert_four_equations(op, state, 1e-10 * max(1.0, norm(x), norm(s)))
     assert corrected >= 80
     # central pair: identity update
     st = random_structure(12, seed=71999)
@@ -415,7 +413,7 @@ def test_c7_bfgs_update(rng):
     op = pd_factor(scaling_w(x, s, tol=1e-12), x, s)
     assert bfgs_update(op, state) is op
     elapsed = time.perf_counter() - t0
-    _report("C7 BFGS update", f"({corrected} corrected pairs, {elapsed:.1f} s)")
+    _report("C7 BFGS update", f"({corrected} corrected pairs, 3 bases, {elapsed:.1f} s)")
 
 
 # ------------------------------------------------------------- criterion 8

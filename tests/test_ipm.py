@@ -435,7 +435,11 @@ class TestSolve:
         monkeypatch.setattr(ipm, "max_step", lambda *args: 1e-11)
         rep = solve(prob)
         assert rep.status is SolveStatus.STALLED and rep.iterations == 2
-        assert rep.stop_reason == "steps 1.0e-11 and 1.0e-11 in a row were below 1e-10"
+        # no step was taken, so the report's residuals are the stalled iterate's
+        assert rep.stop_reason == (
+            f"steps 1.0e-11 and 1.0e-11 in a row were below 1e-10 at iteration 1 "
+            f"(mu = 1.000e+00, residual norms {rep.primal_residual:.3e}, "
+            f"{rep.dual_residual:.3e}); the problem may be infeasible")
 
     def test_benchmark_instance_from_the_central_path_start(self):
         """perfbench's random_instance(40, 16, 3.0, 4) ended MaxIter when
@@ -480,8 +484,8 @@ class TestSolve:
         for line, (k, best) in zip(logged, sorted(bests.items())):
             assert stops[k] == best.stop
             assert line == (f"it {k:3d}  scaling point stopped at residual {best.residual:.3e} "
-                            f"(target 1e-11) after {best.steps} Newton steps: {best.stop}; "
-                            "going on with its best iterate")
+                            f"(target {ipm.SCALING_TOL:g}) after {best.steps} Newton steps: "
+                            f"{best.stop}; going on with its best iterate")
 
 
 def per_matrix_maps(prob, x, y, op):
@@ -569,18 +573,25 @@ class TestConstraintArray:
             prob = ConicProblem(st, a, np.zeros(3), identity(st))
         assert prob.constraints_dependent()
 
-    @pytest.mark.parametrize("n,seed", [(10, 0), (10, 1), (20, 1)])
+    @pytest.mark.parametrize("n,seed", [(n, seed) for n in (10, 20, 30) for seed in range(10)])
     def test_singular_normal_matrix_not_blamed_on_constraints(self, n, seed):
-        # min <I, x> s.t. <I, x> = -1 is infeasible; the constraints are not
-        # dependent, so the failure must not say they are
+        """min <I, x> s.t. <I, x> = -1 is infeasible and its constraints are
+        independent.  Whether the solve raises SingularNormalMatrix or ends
+        Stalled flips with roundoff, so either exit is accepted; both must
+        say where it stopped and that the problem may be infeasible, never
+        that the constraints are dependent."""
         st = random_structure(n, seed=seed)
         rng = np.random.default_rng(seed)
         a = np.array([identity(st).vals, rng.standard_normal(st.dim)])
         prob = ConicProblem(st, a, np.array([-1.0, 0.0]), identity(st))
         assert not prob.constraints_dependent()
-        with pytest.raises(SingularNormalMatrix) as err:
-            solve(prob)
-        msg = str(err.value)
+        try:
+            rep = solve(prob)
+        except SingularNormalMatrix as err:
+            msg = str(err)
+        else:
+            assert rep.status is not SolveStatus.OPTIMAL
+            msg = rep.stop_reason
         assert "rank deficient" not in msg
         assert "at iteration" in msg and "mu =" in msg and "may be infeasible" in msg
 

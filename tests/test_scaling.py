@@ -29,12 +29,14 @@ from homcone.scaling import (
 )
 
 from helpers import (
+    assert_four_equations,
     assert_same_point,
     ix_newton_system,
     random_interior_pair,
     random_spd,
     random_structure,
     random_sym,
+    scaling_bases,
     scaling_w,
     sequential_scaling_point,
     solve_scaling_calls,
@@ -152,11 +154,11 @@ class TestBitwise:
             assert_sequential(x, s, tol=[1e-9, 1e-12, 0.0][t % 3])
 
     def test_late_solve_iterates(self):
-        """Every scaling_point call of two solves, including iterates near
+        """Every scaling_point call of three solves, including iterates near
         the boundary whose searches halve 17 times or more, some of them
         down to the floor."""
         longest = []
-        for x, s, kwargs in solve_scaling_calls(0) + solve_scaling_calls(2):
+        for x, s, kwargs in [c for seed in (0, 2, 4) for c in solve_scaling_calls(seed)]:
             halvings = []
             sequential_scaling_point(x, s, **kwargs, halvings=halvings)
             longest.append(max(halvings, default=0))
@@ -226,6 +228,17 @@ class TestPdFactor:
         assert np.isclose(to_dense(op.base)[0, 0], np.sqrt(2.0))
         assert np.isclose(op.v.vals[0], 2.0)
 
+    def test_exact_from_any_interior_point(self, rng):
+        """The first rank-one term maps v to x, and the adjoint maps s to
+        v, with |v|^2 = <x, s>, whatever interior w is factored."""
+        for _, x, s in interior_pairs(rng, 10, seed0=5450):
+            op = pd_factor(random_spd(x.struct, rng), x, s)
+            scale = max(1.0, norm(x), norm(s))
+            assert norm(apply_scaling(op, "forward", op.v) - x) <= 1e-12 * scale
+            assert norm(apply_scaling(op, "adjoint", s) - op.v) <= 1e-12 * scale
+            assert np.isclose(inner(op.v, op.v), inner(x, s), rtol=1e-12)
+            assert op.residual > 1e-3 * scale
+
     def test_common_value_residual(self, rng):
         for _, x, s in interior_pairs(rng, 10, seed0=5400):
             w = scaling_w(x, s, tol=1e-9)
@@ -248,9 +261,20 @@ class TestApplyScaling:
 
     @pytest.mark.parametrize("corrected", [False, True])
     def test_mode_consistency(self, rng, corrected):
+        self.assert_modes_consistent(rng, corrected, "point")
+
+    @pytest.mark.parametrize("corrected", [False, True])
+    @pytest.mark.parametrize("base", ["loose", "start"])
+    def test_mode_consistency_off_the_scaling_point(self, rng, base, corrected):
+        """The inverse round trips and adjoint pairings hold on the loose
+        point solve() uses and on x/sqrt(mu), where the rank-one terms are
+        far from zero."""
+        self.assert_modes_consistent(rng, corrected, base)
+
+    @staticmethod
+    def assert_modes_consistent(rng, corrected, base):
         for _, x, s in interior_pairs(rng, 8, seed0=5500 + corrected):
-            w = scaling_w(x, s, tol=1e-11)
-            op = pd_factor(w, x, s)
+            op = pd_factor(scaling_bases(x, s)[base], x, s)
             if corrected:
                 op = bfgs_update(op, shadow_state(x, s))
                 if not op.corrected:
@@ -288,18 +312,13 @@ class TestBfgsUpdate:
         checked = 0
         for _, x, s in interior_pairs(rng, 12, seed0=5600):
             state = shadow_state(x, s)
-            w = scaling_w(x, s, tol=1e-12)
-            op = bfgs_update(pd_factor(w, x, s), state)
-            if not op.corrected:
-                continue
-            checked += 1
-            scale = max(1.0, norm(x), norm(s))
-            v = apply_scaling(op, "inverse", x)
-            assert norm(v - apply_scaling(op, "adjoint", s)) <= 1e-10 * scale
-            vh = apply_scaling(op, "inverse", state.delta_p)
-            assert norm(vh - op.v_hat) <= 1e-10 * scale
-            assert norm(apply_scaling(op, "adjoint", state.delta_d) - op.v_hat) \
-                <= 1e-10 * scale
+            for w in scaling_bases(x, s).values():
+                op = bfgs_update(pd_factor(w, x, s), state)
+                if not op.corrected:
+                    break
+                assert_four_equations(op, state, 1e-10 * max(1.0, norm(x), norm(s)))
+            else:
+                checked += 1
         assert checked >= 8
 
     def test_vhat_orthogonal_to_v(self, rng):
