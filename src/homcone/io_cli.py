@@ -17,7 +17,8 @@ Formats (everything 1-based on disk, 0-based in memory):
   diagonal dense; otherwise the sparse-PSD restriction of it, which the
   importer reports.
 
-Exit codes: 0 success, 1 usage, 2 input error, 3 numerical failure.
+Exit codes: 0 success, 1 usage, 2 input error or unwritable output path,
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -386,12 +387,19 @@ def _report_text(rep: SolveReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Unwritable(HomconeError):
+    """An output path the command cannot write (exit 2)."""
+
+
 def _emit(out_path: Optional[str], text: str, stdout) -> None:
-    if out_path:
+    if not out_path:
+        stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        stdout.write(text)
+    except OSError as e:
+        raise _Unwritable(f"cannot write {out_path}: {e.strerror}") from None
 
 
 def _fmt_triplets_text(trips) -> str:
@@ -478,9 +486,8 @@ def _cmd_solve(args, stdout) -> int:
         problem, info = parse_problem(text)
     rep = solve(problem, options)
     if args.trace:
-        with open(args.trace, "w") as fh:
-            for row in rep.trace:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+        _emit(args.trace, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rep.trace),
+              stdout)
     if info.get("format") == "sdpa":
         stdout.write(f"# sdpa import: {info['note']}; "
                      f"{info['extension_edges']} extension edges\n")
@@ -589,6 +596,9 @@ def run_cli(argv: Optional[Sequence[str]] = None, stdout=None) -> int:
         return args.fn(args, stdout)
     except (ParseError, PatternError, OrderingError) as e:
         print(f"homcone: input error: {e}", file=sys.stderr)
+        return 2
+    except _Unwritable as e:
+        print(f"homcone: {e}", file=sys.stderr)
         return 2
     except HomconeError as e:
         print(f"homcone: {e}", file=sys.stderr)

@@ -8,10 +8,10 @@ sparse PSD cone (primal side) and its completable dual.
 Each iteration rebuilds the primal-dual scaling (a point near the scaling
 point, its triangular factor, two rank-one terms), eliminates the v-space
 equation through an m-by-m normal system, and takes a fraction of the
-largest cone-feasible step, found from eigenvalues.  The point taken is certified in both cones
-by factorization success; an iterate is never accepted on failure.  Starts
-at x = s = I (interior to both cones), y = 0, with residual right-hand
-sides, so feasibility is not required up front.
+largest cone-feasible step, found from eigenvalues.  The point taken is
+certified in both cones by the factors of its scaling state, never taken
+on failure.  Starts at x = s = I (interior to both cones), y = 0, with
+residual right-hand sides, so feasibility is not required up front.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotCompletable, NotPositiveDefinite, SingularNormalMatrix
-from .factor import cholesky, forward_map, inverse_forward_map, maxdet_factor
+from .factor import forward_map, inverse_forward_map
 from .matrix import (
     LowerSparse,
     Structure,
@@ -38,6 +38,7 @@ from .matrix import (
 )
 from .scaling import (
     ScalingOperator,
+    ScalingState,
     apply_scaling,
     bfgs_update,
     pd_factor,
@@ -246,30 +247,29 @@ def search_direction(problem: ConicProblem, it: Iterate, res: Residuals,
     return d_x, d_y, d_s
 
 
-def max_step(it: Iterate, d_x: SymSparse, d_s: SymSparse, eta: float) -> float:
-    """Fraction eta of the largest step a in [0, 1] keeping both iterates
-    strictly inside their cones, certified.  x + a d_x = L (I + a M) L^T
-    with x = L L^T and M = L^-1 d_x L^-T on the pattern, so the primal
-    bound is -1/lambda_min(M), M's n x n block.  s + a d_s is completable
-    while every maximal clique's block is positive definite (Grone,
-    Johnson, Sá & Wolkowicz 1984), so the dual bound is the least
+def max_step(state: ScalingState, d_x: SymSparse, d_s: SymSparse, eta: float) -> tuple:
+    """Step a, eta times the largest in [0, 1] keeping both iterates
+    strictly inside their cones, and the certified scaling state at a.
+    x + a d_x = L (I + a M) L^T with x = L L^T (``state.x_factor``) and
+    M = L^-1 d_x L^-T on the pattern, so the primal bound is
+    -1/lambda_min(M), M's n x n block.  s + a d_s is completable while
+    every maximal clique's block is positive definite (Grone, Johnson, Sá
+    & Wolkowicz 1984), so the dual bound is the least
     -1/lambda_min(R^-1 D R^-T) over them, S = R R^T, stacked by block size
-    (``Structure.cliques``).  The step is certified by the cholesky and
-    maxdet_factor of the points :func:`solve` takes; where the pivot floors
-    fail it, it shrinks by eta, eta^2, eta^4, ...  Below 1e-10 it is 0."""
-    reach = [1.0, -np.linalg.eigvalsh(to_dense(inverse_forward_map(cholesky(it.x).L, d_x)))[0]]
-    for t in it.s.struct.cliques:
-        r = np.linalg.inv(np.linalg.cholesky(it.s.vals[t]))
+    (``Structure.cliques``).  The step is certified by the shadow_state of
+    the point it reaches; where the pivot floors fail it, it shrinks by
+    eta, eta^2, eta^4, ...  Below 1e-10 it is (0.0, None)."""
+    reach = [1.0, -np.linalg.eigvalsh(to_dense(inverse_forward_map(state.x_factor.L, d_x)))[0]]
+    for t in state.s.struct.cliques:
+        r = np.linalg.inv(np.linalg.cholesky(state.s.vals[t]))
         reach.append(-np.linalg.eigvalsh(r @ (d_s.vals[t] @ np.swapaxes(r, 1, 2)))[:, 0].min())
     step, shrink = eta * (1.0 / max(reach)), eta
     while step >= 1e-10:
         try:
-            cholesky(it.x + step * d_x)
-            maxdet_factor(it.s + step * d_s)
-            return step
+            return step, shadow_state(state.x + step * d_x, state.s + step * d_s)
         except (NotPositiveDefinite, NotCompletable):
             step, shrink = shrink * step, shrink * shrink
-    return 0.0
+    return 0.0, None
 
 
 @dataclass
@@ -307,23 +307,25 @@ class SolveReport:
 def solve(problem: ConicProblem, options: Optional[SolverOptions] = None) -> SolveReport:
     """Run the path-following iteration from x = s = I, y = 0.
 
-    Stops at Optimal when gap/N <= tol_gap and both residual norms fall
-    under tol_feas * (1 + |b| + |c|); at Stalled after two consecutive
-    steps below 1e-10; at MaxIter otherwise.  ``stop_reason`` says which
-    in one sentence; a stall names its iteration, mu and the residual
-    norms, and says the problem may be infeasible while a residual norm
-    is above its tolerance.  The trace records mu, residual norms, step
-    length, centering weight, the scaling residual |x - L(v)| (the size
-    of the term that makes the loose point, searched to SCALING_TOL,
-    exact), why the scaling-point search gave up (``scaling_stop``, null when it met its target; the
-    search's best iterate is then used), and the proximity
-    |v - mu vtilde| / mu per iteration.
+    Each iteration reads x, s and mu from the scaling state
+    :func:`max_step` certified its point by, so each accepted x and s is
+    factored once.  Stops at Optimal when gap/N <= tol_gap and both
+    residual norms fall under tol_feas * (1 + |b| + |c|); at Stalled after
+    two consecutive steps below 1e-10; at MaxIter otherwise.
+    ``stop_reason`` says which in one sentence; a stall names its
+    iteration, mu and the residual norms, and says the problem may be
+    infeasible while a residual norm is above its tolerance.  The trace
+    records mu, residual norms, step length, centering weight, the scaling
+    residual |x - L(v)| (the size of the term that makes the loose point,
+    searched to SCALING_TOL, exact), why the scaling-point search gave up
+    (``scaling_stop``, null when it met its target; the search's best
+    iterate is then used), and the proximity |v - mu vtilde| / mu per
+    iteration.
     """
     opt = options or SolverOptions()
     st = problem.struct
     n = st.n
-    x = identity(st)
-    s = identity(st)
+    state = shadow_state(identity(st), identity(st))
     y = np.zeros(problem.m)
     feas_scale = 1.0 + float(np.linalg.norm(problem.b)) + norm(problem.c)
     last_alpha = 0.0
@@ -333,7 +335,7 @@ def solve(problem: ConicProblem, options: Optional[SolverOptions] = None) -> Sol
     reason = f"the iteration limit of {opt.max_iter} was reached"
     iterations = 0
     for k in range(opt.max_iter):
-        it = Iterate(x=x, y=y, s=s, mu=inner(s, x) / n)
+        it = Iterate(x=state.x, y=y, s=state.s, mu=state.mu)
         res = residuals(problem, it)
         if (res.gap / n <= opt.tol_gap
                 and res.p_norm() <= opt.tol_feas * feas_scale
@@ -344,20 +346,19 @@ def solve(problem: ConicProblem, options: Optional[SolverOptions] = None) -> Sol
                       f"{opt.tol_feas * feas_scale:.3e} at iteration {k}")
             break
         iterations = k + 1
-        state = shadow_state(x, s)
-        point = scaling_point(x, s, tol=SCALING_TOL)
+        point = scaling_point(it.x, it.s, tol=SCALING_TOL)
         if point.stop is not None:
             log.info("it %3d  scaling point stopped at residual %.3e (target %g) after %d "
                      "Newton steps: %s; going on with its best iterate",
                      k, point.residual, SCALING_TOL, point.steps, point.stop)
-        base_op = pd_factor(point.w, x, s)
+        base_op = pd_factor(point.w, it.x, it.s)
         op = bfgs_update(base_op, state)
         gamma = 0.1 if last_alpha >= 0.8 else 0.8
         try:
             d_x, d_y, d_s = search_direction(problem, it, res, op, gamma)
         except SingularNormalMatrix as e:
             raise SingularNormalMatrix(f"at iteration {k}: {e}") from None
-        alpha = max_step(it, d_x, d_s, STEP_FRACTION)
+        alpha, next_state = max_step(state, d_x, d_s, STEP_FRACTION)
         # |v - mu*vtilde|/mu collapses to |v_hat|/mu; informational only
         prox = norm(op.v_hat_or_zero())
         row = {
@@ -388,19 +389,16 @@ def solve(problem: ConicProblem, options: Optional[SolverOptions] = None) -> Sol
             last_alpha = 0.0
             continue
         stalls = 0
-        x = x + alpha * d_x
-        y = y + alpha * d_y
-        s = s + alpha * d_s
+        state, y = next_state, y + alpha * d_y
         last_alpha = alpha
-    it = Iterate(x=x, y=y, s=s, mu=inner(s, x) / n)
-    res = residuals(problem, it)
+    res = residuals(problem, Iterate(state.x, y, state.s, state.mu))
     return SolveReport(
         status=status,
         iterations=iterations,
-        primal_objective=inner(problem.c, x),
+        primal_objective=inner(problem.c, state.x),
         dual_objective=float(np.dot(problem.b, y)),
         gap=res.gap,
         primal_residual=res.p_norm(),
         dual_residual=res.d_norm(),
-        x=x, y=y, s=s, stop_reason=reason, trace=trace,
+        x=state.x, y=y, s=state.s, stop_reason=reason, trace=trace,
     )

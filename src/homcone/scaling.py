@@ -66,17 +66,19 @@ ZERO_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ScalingState:
-    """Iterate pair with shadow points and displacement directions.
+    """Iterate pair with x's factor, shadow points and displacements.
 
-    x_shadow is the point whose projected inverse is s (negated dual
-    gradient); s_shadow is the projected inverse of x (negated primal
+    x_factor is x's cholesky, with the L^-1 panels projected_inverse cached
+    on it.  x_shadow is the point whose projected inverse is s (negated
+    dual gradient); s_shadow is the projected inverse of x (negated primal
     gradient).  mu is the normalized duality gap <s,x>/N.  delta_p and
-    delta_d vanish exactly on the central path and satisfy
-    <s, delta_p> = <delta_d, x> = 0 and <delta_d, delta_p> >= 0.
+    delta_d vanish exactly on the central path; <s, delta_p> = <delta_d, x> = 0
+    and <delta_d, delta_p> >= 0.
     """
 
     x: SymSparse
     s: SymSparse
+    x_factor: CholFactor
     x_shadow: SymSparse
     s_shadow: SymSparse
     mu: float
@@ -85,15 +87,15 @@ class ScalingState:
 
 
 def shadow_state(x: SymSparse, s: SymSparse) -> ScalingState:
-    """Build the scaling state, certifying interior membership on the way
-    (NotPositiveDefinite names the primal cone, NotCompletable the dual)."""
+    """Build the scaling state, certifying x by one cholesky and then s by
+    one maxdet_factor (NotPositiveDefinite or NotCompletable says which)."""
     x_factor = cholesky(x)
     s_factor = maxdet_factor(s)
     x_shadow = dual_gradient(s_factor)
     s_shadow = projected_inverse(x_factor)
     mu = inner(s, x) / x.struct.n
     return ScalingState(
-        x=x, s=s, x_shadow=x_shadow, s_shadow=s_shadow, mu=mu,
+        x=x, s=s, x_factor=x_factor, x_shadow=x_shadow, s_shadow=s_shadow, mu=mu,
         delta_p=x - mu * x_shadow, delta_d=s - mu * s_shadow)
 
 
@@ -247,14 +249,16 @@ class ScalingOperator:
     Each term (v_k, u_k, |v_k|^2) adds (<v_k, .>/|v_k|^2) u_k to the
     forward mode and (<u_k, .>/|v_k|^2) v_k to the adjoint; the inverse
     modes undo the terms by Sherman-Morrison.  :func:`pd_factor` adds the
-    first term, mapping v to x, and :func:`bfgs_update` the second,
-    mapping v_hat to delta_p.
+    first term, mapping v = v_1 to x (``residual`` is its size
+    |u_1| = |x - L(v)|), and :func:`bfgs_update` the second, mapping v_hat
+    to delta_p.
     """
 
     base: LowerSparse
-    v: Optional[SymSparse] = None        # common v-space image of (x, s)
-    residual: float = 0.0                # |x - L(v)|, closed by the first term
     terms: tuple = ()                    # (v_k, u_k, |v_k|^2) in the order added
+
+    v = property(lambda self: self.terms[0][0])
+    residual = property(lambda self: norm(self.terms[0][1]))
 
     @property
     def corrected(self) -> bool:
@@ -284,9 +288,7 @@ def pd_factor(w: SymSparse, x: SymSparse, s: SymSparse) -> ScalingOperator:
     |v|^2 = <x, s>, the operator maps v to x and its adjoint maps s to v.
     At the scaling point of the pair, beta = 1 and the term vanishes;
     ``residual`` is its size |x - L(v)|."""
-    op = _with_pair(ScalingOperator(base=cholesky(w).L), x, s, inner(x, s))
-    v, u, _ = op.terms[0]
-    return replace(op, v=v, residual=norm(u))
+    return _with_pair(ScalingOperator(base=cholesky(w).L), x, s, inner(x, s))
 
 
 def _rank_one(a: SymSparse, z: SymSparse, scale: float, u: SymSparse) -> SymSparse:

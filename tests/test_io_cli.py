@@ -417,6 +417,22 @@ class TestCli:
         rc, _ = cli("order", f)
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["extend", "gen", "solve"])
+    def test_unwritable_output_path(self, tmp_path, capsys, command):
+        """An output path that cannot be written is one stderr line naming
+        the path and the reason, and exit 2, as an unreadable input is."""
+        pf = str(tmp_path / "prob.json")
+        assert cli("gen", "problem", "--n", "4", "--m", "1", "--out", pf)[0] == 0
+        bad = str(tmp_path / "missing" / "x.txt")
+        argv = {"extend": ["extend", write(tmp_path, "v.pat", VINBERG_PAT), "--out", bad],
+                "gen": ["gen", "pattern", "--n", "5", "--out", bad],
+                "solve": ["solve", pf, "--trace", bad]}[command]
+        capsys.readouterr()
+        rc, out = cli(*argv)
+        assert rc == 2 and out == ""
+        assert capsys.readouterr().err == (
+            f"homcone: cannot write {bad}: No such file or directory\n")
+
     def test_order_rejects_non_homogeneous(self, tmp_path):
         f = write(tmp_path, "p4.pat", "4 3\n1 2\n2 3\n3 4\n")
         rc, out = cli("order", f)

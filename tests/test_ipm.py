@@ -1,10 +1,12 @@
+import collections
 import contextlib
 import logging
 
 import numpy as np
 import pytest
 
-from homcone import ipm, matrix
+import homcone
+from homcone import factor, ipm, matrix, scaling
 from homcone.densecheck import dense_max_step
 from homcone.errors import NotCompletable, SingularNormalMatrix
 from homcone.factor import cholesky, maxdet_factor, projected_inverse
@@ -172,16 +174,14 @@ class TestSearchDirection:
 
 class TestMaxStep:
     def test_zero_direction(self, vinberg_struct):
-        it = Iterate(x=identity(vinberg_struct), y=np.zeros(0),
-                     s=identity(vinberg_struct), mu=1.0)
+        state = shadow_state(identity(vinberg_struct), identity(vinberg_struct))
         z = zeros(vinberg_struct)
-        assert max_step(it, z, z, eta=0.99) == 0.99
+        assert max_step(state, z, z, eta=0.99)[0] == 0.99
 
     def test_boundary_at_half(self, vinberg_struct):
-        it = Iterate(x=identity(vinberg_struct), y=np.zeros(0),
-                     s=identity(vinberg_struct), mu=1.0)
+        state = shadow_state(identity(vinberg_struct), identity(vinberg_struct))
         d_x = -2.0 * identity(vinberg_struct)
-        a = max_step(it, d_x, zeros(vinberg_struct), eta=0.99)
+        a, _ = max_step(state, d_x, zeros(vinberg_struct), eta=0.99)
         assert a < 0.5
         assert a > 0.99 * 0.5 - 1e-6
 
@@ -190,11 +190,10 @@ class TestMaxStep:
             st = random_structure(int(rng.integers(2, 12)), seed=6100 + trial)
             x = random_spd(st, rng)
             s = random_spd(st, rng)
-            it = Iterate(x=x, y=np.zeros(0), s=s, mu=1.0)
             d_x = random_sym(st, rng)
             d_s = random_sym(st, rng)
             eta = 0.99
-            a = max_step(it, d_x, d_s, eta=eta)
+            a, _ = max_step(shadow_state(x, s), d_x, d_s, eta=eta)
             if a > 1e-9:
                 cholesky(x + a * d_x)
                 maxdet_factor(s + a * d_s)
@@ -208,36 +207,37 @@ class TestMaxStep:
 # ------------------------------------------------------------ step search
 
 def random_step_problem(rng, n, seed, scale, branching=3.0):
-    """A random interior pair on a random structure, and directions of
-    size ``scale``."""
+    """The scaling state of a random interior pair on a random structure,
+    and directions of size ``scale``."""
     st = random_structure(n, seed=seed, branching=branching)
     x, s = random_spd(st, rng), random_completable(st, rng)
-    it = Iterate(x=x, y=np.zeros(0), s=s, mu=1.0)
-    return it, scale * random_sym(st, rng), scale * random_sym(st, rng)
+    return shadow_state(x, s), scale * random_sym(st, rng), scale * random_sym(st, rng)
 
 
 def test_max_step_zero(rng):
     """A direction that leaves the cone at a step of 1e-15: the step is
-    below 1e-10, which solve counts as a stall."""
-    it, _, d_s = random_step_problem(rng, 12, 7100, 1.0)
-    d_x = -1e15 * it.x
-    assert max_step(it, d_x, d_s, 0.99) < 1e-10
-    assert sequential_max_step(it, d_x, d_s, 0.99) == 0.0
+    below 1e-10, which solve counts as a stall, and certifies no state."""
+    state, _, d_s = random_step_problem(rng, 12, 7100, 1.0)
+    d_x = -1e15 * state.x
+    assert max_step(state, d_x, d_s, 0.99) == (0.0, None)
+    assert sequential_max_step(state, d_x, d_s, 0.99) == 0.0
 
 
 def spy_on_factorizations(monkeypatch):
-    """Record max_step's factorizations as (kernel, members, argument's
-    values): members is 0 for a one-matrix call."""
+    """Record max_step's factorizations, made through the scaling state it
+    certifies by, as (kernel, members, argument's values, factor):
+    members is 0 for a one-matrix call."""
     calls = []
 
     def spy(kernel):
         def run(x):
-            calls.append((kernel.__name__, len(x.vals) if x.vals.ndim == 2 else 0, x.vals))
-            return kernel(x)
+            f = kernel(x)
+            calls.append((kernel.__name__, len(x.vals) if x.vals.ndim == 2 else 0, x.vals, f))
+            return f
         return run
 
-    monkeypatch.setattr(ipm, "cholesky", spy(ipm.cholesky))
-    monkeypatch.setattr(ipm, "maxdet_factor", spy(ipm.maxdet_factor))
+    monkeypatch.setattr(scaling, "cholesky", spy(scaling.cholesky))
+    monkeypatch.setattr(scaling, "maxdet_factor", spy(scaling.maxdet_factor))
     return calls
 
 
@@ -246,9 +246,10 @@ def test_max_step_is_the_exact_boundary(admitted, monkeypatch):
     """On random pairs, compiled as one dense block and swept, with zero,
     small (full step), unit and large (partial step) directions: eta
     times the exact step, within 1e-10 relative of the dense oracle's, and
-    no shorter than the bisection's, factored as the one cholesky of x
-    that gives L and one cholesky and one maxdet_factor, of the points
-    the step reaches, certifying it."""
+    no shorter than the bisection's.  It factors nothing but its
+    certificate: L is the state's factor of x, and one cholesky and one
+    maxdet_factor, of the points the step reaches, build the state it
+    returns."""
     rng = np.random.default_rng(7300)
     full = partial = 0
     for trial in range(24):
@@ -256,19 +257,20 @@ def test_max_step_is_the_exact_boundary(admitted, monkeypatch):
         with contextlib.ExitStack() as stack:
             if not admitted:
                 stack.enter_context(sweep_only())
-            it, d_x, d_s = random_step_problem(rng, int(rng.integers(2, 40)), 7300 + trial, scale,
-                                               [1.05, 2.0, 4.0][trial % 3])
-        assert (it.x.struct.dense is not None) == admitted
+            state, d_x, d_s = random_step_problem(rng, int(rng.integers(2, 40)), 7300 + trial,
+                                                  scale, [1.05, 2.0, 4.0][trial % 3])
+        assert (state.x.struct.dense is not None) == admitted
         calls = spy_on_factorizations(monkeypatch)
-        a = max_step(it, d_x, d_s, 0.99)
+        a, nxt = max_step(state, d_x, d_s, 0.99)
         monkeypatch.undo()
-        want = dense_max_step(it.x, d_x, it.s, d_s)
+        want = dense_max_step(state.x, d_x, state.s, d_s)
         assert abs(a / 0.99 - want) <= 1e-10 * want
-        assert a >= sequential_max_step(it, d_x, d_s, 0.99) * (1.0 - 1e-12)
-        assert [c[:2] for c in calls] == [("cholesky", 0), ("cholesky", 0), ("maxdet_factor", 0)]
-        assert calls[0][2] is it.x.vals
-        assert np.array_equal(calls[1][2], (it.x + a * d_x).vals)
-        assert np.array_equal(calls[2][2], (it.s + a * d_s).vals)
+        assert a >= sequential_max_step(state, d_x, d_s, 0.99) * (1.0 - 1e-12)
+        assert [c[:2] for c in calls] == [("cholesky", 0), ("maxdet_factor", 0)]
+        assert np.array_equal(calls[0][2], (state.x + a * d_x).vals)
+        assert np.array_equal(calls[1][2], (state.s + a * d_s).vals)
+        assert nxt.x.vals is calls[0][2] and nxt.s.vals is calls[1][2]
+        assert nxt.x_factor is calls[0][3]
         full += a == 0.99
         partial += a < 0.99
     assert full >= 6 and partial >= 6
@@ -277,10 +279,10 @@ def test_max_step_is_the_exact_boundary(admitted, monkeypatch):
 def test_max_step_shrinks_a_step_that_fails_its_certificate(rng, monkeypatch):
     """A step whose certificate fails shrinks by eta, then eta^2, eta^4, ...
     until it passes, and one that does not pass above 1e-10 is 0."""
-    it, d_x, d_s = random_step_problem(rng, 12, 7400, 10.0)
-    exact = max_step(it, d_x, d_s, 0.99)
+    state, d_x, d_s = random_step_problem(rng, 12, 7400, 10.0)
+    exact = max_step(state, d_x, d_s, 0.99)[0]
     assert exact < 0.99
-    real, refused = ipm.maxdet_factor, []
+    real, refused = scaling.maxdet_factor, []
 
     def refuse(s, times):
         if len(refused) < times:
@@ -288,10 +290,10 @@ def test_max_step_shrinks_a_step_that_fails_its_certificate(rng, monkeypatch):
             raise NotCompletable(node=0)
         return real(s)
 
-    monkeypatch.setattr(ipm, "maxdet_factor", lambda s: refuse(s, 2))
-    assert max_step(it, d_x, d_s, 0.99) == pytest.approx(exact * 0.99 ** 3, rel=1e-14)
-    monkeypatch.setattr(ipm, "maxdet_factor", lambda s: refuse(s, 10 ** 6))
-    assert max_step(it, d_x, d_s, 0.99) == 0.0
+    monkeypatch.setattr(scaling, "maxdet_factor", lambda s: refuse(s, 2))
+    assert max_step(state, d_x, d_s, 0.99)[0] == pytest.approx(exact * 0.99 ** 3, rel=1e-14)
+    monkeypatch.setattr(scaling, "maxdet_factor", lambda s: refuse(s, 10 ** 6))
+    assert max_step(state, d_x, d_s, 0.99) == (0.0, None)
     tries, step = 0, exact
     while step >= 1e-10:
         tries, step = tries + 1, step * 0.99 ** 2 ** tries
@@ -342,7 +344,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("admitted", [True, False], ids=["admitted", "swept"])
     def test_accepted_iterates_are_the_certified_points(self, admitted, rng, monkeypatch):
-        """Every x and s an iteration starts from (what shadow_state
+        """Every x and s an iteration starts from (what scaling_point
         receives) is bit for bit the pair the previous max_step certified
         by its last cholesky and maxdet_factor, as is the final one."""
         with contextlib.ExitStack() as stack:
@@ -360,25 +362,65 @@ class TestSolve:
             return run
 
         def step(*args):
-            a = real_step(*args)
+            out = real_step(*args)
             certified.append((last[cholesky], last[maxdet_factor]))
-            return a
+            return out
 
-        def state(x, s):
+        def search(x, s, **kwargs):
             started.append((x.vals.tobytes(), s.vals.tobytes()))
-            return shadow_state(x, s)
+            return scaling_point(x, s, **kwargs)
 
         real_step = ipm.max_step
-        monkeypatch.setattr(ipm, "cholesky", spy(cholesky))
-        monkeypatch.setattr(ipm, "maxdet_factor", spy(maxdet_factor))
+        monkeypatch.setattr(scaling, "cholesky", spy(cholesky))
+        monkeypatch.setattr(scaling, "maxdet_factor", spy(maxdet_factor))
         monkeypatch.setattr(ipm, "max_step", step)
-        monkeypatch.setattr(ipm, "shadow_state", state)
+        monkeypatch.setattr(ipm, "scaling_point", search)
         rep = solve(prob)
         assert rep.status is SolveStatus.OPTIMAL
         assert min(row["alpha"] for row in rep.trace) >= 1e-10
         assert len(started) == len(certified) == rep.iterations >= 10
         assert started[1:] + [(rep.x.vals.tobytes(), rep.s.vals.tobytes())] == certified
         assert st._cliques is not None
+
+    @pytest.mark.parametrize("admitted", [True, False], ids=["admitted", "swept"])
+    def test_each_accepted_point_is_factored_once(self, admitted, rng, monkeypatch):
+        """With cholesky and maxdet_factor wrapped at every module
+        attribute a solve can look them up through, each x the solve
+        accepts (the start, every iterate and the final one) is the
+        argument of exactly one cholesky, and each s of exactly one
+        maxdet_factor: the factors that certify a point are the ones its
+        iteration reads."""
+        with contextlib.ExitStack() as stack:
+            if not admitted:
+                stack.enter_context(sweep_only())
+            st = random_structure(14, seed=42)
+        assert (st.dense is not None) == admitted
+        prob, *_ = random_feasible_problem(st, 4, rng)
+        factored = {name: collections.Counter() for name in ("cholesky", "maxdet_factor")}
+        accepted = []
+
+        def spy(name, kernel):
+            def run(x):
+                factored[name][x.vals.tobytes()] += 1
+                return kernel(x)
+            return run
+
+        def search(x, s, **kwargs):
+            accepted.append((x.vals.tobytes(), s.vals.tobytes()))
+            return scaling_point(x, s, **kwargs)
+
+        for name in factored:
+            wrapped = spy(name, getattr(factor, name))
+            for module in (homcone, matrix, factor, scaling, ipm):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapped)
+        monkeypatch.setattr(ipm, "scaling_point", search)
+        rep = solve(prob)
+        assert rep.status is SolveStatus.OPTIMAL and rep.iterations >= 10
+        accepted.append((rep.x.vals.tobytes(), rep.s.vals.tobytes()))
+        assert len(set(accepted)) == len(accepted) == rep.iterations + 1
+        assert [factored["cholesky"][x] for x, _ in accepted] == [1] * len(accepted)
+        assert [factored["maxdet_factor"][s] for _, s in accepted] == [1] * len(accepted)
 
     def test_mu_monotone_trend(self, rng):
         # constant-factor decrease per 10-iteration window at the supported
@@ -432,7 +474,7 @@ class TestSolve:
             f"gap/N {rep.gap / 3:.3e} <= 1e-08 and residual norms "
             f"{rep.primal_residual:.3e}, {rep.dual_residual:.3e} <= "
             f"{1e-8 * (1.0 + 1.0 + norm(prob.c)):.3e} at iteration {rep.iterations}")
-        monkeypatch.setattr(ipm, "max_step", lambda *args: 1e-11)
+        monkeypatch.setattr(ipm, "max_step", lambda *args: (1e-11, None))
         rep = solve(prob)
         assert rep.status is SolveStatus.STALLED and rep.iterations == 2
         # no step was taken, so the report's residuals are the stalled iterate's
